@@ -183,10 +183,18 @@ def emit(report: Report, fmt: str, stream=None) -> None:
         stream.write(f"# overall: {overall} ({len(report.rows)} rows, {report.elapsed:.2f}s)\n")
 
 
+def finite_float(text: str) -> float:
+    """argparse type for every float flag: NaN and infinities are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def parse_grid(spec: str) -> list[float]:
     try:
         lo_s, hi_s, n_s = spec.split(":")
-        lo, hi, n = float(lo_s), float(hi_s), int(n_s)
+        lo, hi, n = finite_float(lo_s), finite_float(hi_s), int(n_s)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"grid must be lo:hi:n, got {spec!r}"
@@ -558,26 +566,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, tol_default=None):
-        p.add_argument("--tol", type=float, default=tol_default)
+        p.add_argument("--tol", type=finite_float, default=tol_default)
         p.add_argument("--format", choices=("text", "csv", "json"), default="text")
         p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("ell", help="evaluate a complete elliptic integral")
     p.add_argument("--kind", choices=("K", "E", "Pi", "K-imag", "Pi-imag"), required=True)
-    p.add_argument("--z", type=float)
-    p.add_argument("--n", type=float)
-    p.add_argument("--m", type=float)
+    p.add_argument("--z", type=finite_float)
+    p.add_argument("--n", type=finite_float)
+    p.add_argument("--m", type=finite_float)
     common(p)
     p.set_defaults(fn=cmd_ell)
 
     p = sub.add_parser("mahler", help="Mahler and half-Mahler measures at k")
-    p.add_argument("--k", type=float, required=True)
+    p.add_argument("--k", type=finite_float, required=True)
     p.add_argument("--with-2d", action="store_true", help="also run the 2D oracle")
     common(p)
     p.set_defaults(fn=cmd_mahler)
 
     p = sub.add_parser("lvalue", help="curve data and L-values at k")
-    p.add_argument("--k", type=float, required=True)
+    p.add_argument("--k", type=finite_float, required=True)
     p.add_argument("--nmax", type=int, default=None)
     p.add_argument("--dump-an", default=None, help="write the (n, a_n) table here")
     common(p)
@@ -585,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a residual suite")
     p.add_argument("suite", choices=_SUITES)
-    p.add_argument("--k", type=float, default=None)
+    p.add_argument("--k", type=finite_float, default=None)
     p.add_argument("--k-grid", type=parse_grid, default=None)
     p.add_argument("--candidate-file", default=None)
     common(p)

@@ -9,7 +9,9 @@ those coefficients turn imaginary and the working polynomial is the real form
 whose half-measures coincide with those of the (a, c) member.  All integrals
 are taken in the angle theta (x = e^{i theta}), which removes the
 1/sqrt(1-t^2) endpoint weight of the t = cos(theta) form, and are split at the
-angles where the root moduli cross 1 so each panel is smooth.
+angles where the root moduli cross 1 so each panel is smooth.  One kernel,
+`half_measures`, does this for every member written as the y-quadratic
+y^2 + (beta cos(theta) + gamma) y +- 1.
 
 Everything here is a pure function; tolerances are absolute.
 """
@@ -78,49 +80,41 @@ class HalfMeasures:
 
 @dataclass(frozen=True)
 class QuadraticFactorization:
-    """Monic quadratic-in-y data on the circle: y^2 + B y + sign = (y-y+)(y-y-).
+    """Monic quadratic-in-y on the circle x = e^{i theta}:
 
-    B maps theta to B(e^{i theta}), real-valued for the families used here;
-    sign_of_constant is the product y+ y- (+1 for the plain family, -1 for the
-    tilde form).  Roots take the principal branch of the discriminant root.
+        y^2 + B(theta) y + sigma = (y - y+)(y - y-),   B = beta cos(theta) + gamma,
+
+    with beta > 0, sigma = y+ y- = +1 (plain family) or -1 (tilde form), and
+    y+-(theta) = (-B +- sqrt(B^2 - 4 sigma))/2 on the principal branch.
     """
 
-    B: Callable[[float], float]
-    sign_of_constant: int
-
-    def roots(self, theta: float) -> tuple[complex, complex]:
-        b = self.B(theta)
-        s = cmath.sqrt(complex(b * b - 4.0 * self.sign_of_constant, 0.0))
-        return (-b + s) / 2.0, (-b - s) / 2.0
+    beta: float
+    gamma: float
+    sigma: int
 
 
 def factor_p1k(k: float) -> QuadraticFactorization:
-    """y-factorization of y P_k: B = 2 cos(theta) + k, constant +1."""
-    if k <= 0.0:
-        raise DomainError(f"factor_p1k: requires k > 0, got {k}")
-    return QuadraticFactorization(B=lambda th: 2.0 * math.cos(th) + k, sign_of_constant=1)
+    """y P_k: B = 2 cos(theta) + k, sigma = +1, for finite k > 0."""
+    if not 0.0 < k < math.inf:
+        raise DomainError(f"factor_p1k: requires finite k > 0, got {k}")
+    return QuadraticFactorization(beta=2.0, gamma=k, sigma=1)
 
 
 def factor_ptilde(k: float) -> QuadraticFactorization:
-    """y-factorization of y Ptilde_k: constant term -1, for k > 4."""
-    if k <= 4.0:
-        raise DomainError(f"factor_ptilde: requires k > 4, got {k}")
-    s4 = math.sqrt(k - 4.0)
-    return QuadraticFactorization(
-        B=lambda th: (2.0 * math.sqrt(k + 4.0) * math.cos(th) - k) / s4,
-        sign_of_constant=-1,
-    )
+    """y Ptilde_k: B = 2 a_tilde cos(theta) - c_tilde, sigma = -1, for finite k > 4."""
+    if not 4.0 < k < math.inf:
+        raise DomainError(f"factor_ptilde: requires finite k > 4, got {k}")
+    fp = params_from_k(k)
+    return QuadraticFactorization(beta=2.0 * fp.a_tilde, gamma=-fp.c_tilde, sigma=-1)
 
 
 def factor_pac_small(k: float) -> QuadraticFactorization:
-    """y-factorization for the real-coefficient member, 0 < k < 4."""
-    fp = params_from_k(k)
-    if fp.regime is not Regime.SMALL:
+    """y P_{a,c}: B = 2 a cos(theta) + c, sigma = +1, for the real-coefficient
+    member 0 < k < 4."""
+    if not 0.0 < k < 4.0:
         raise DomainError(f"factor_pac_small: requires 0 < k < 4, got {k}")
-    a, c = fp.a, fp.c
-    return QuadraticFactorization(
-        B=lambda th: 2.0 * a * math.cos(th) + c, sign_of_constant=1
-    )
+    fp = params_from_k(k)
+    return QuadraticFactorization(beta=2.0 * fp.a, gamma=fp.c, sigma=1)
 
 
 def params_from_k(k: float) -> FamilyPoint:
@@ -154,70 +148,71 @@ def _check_tol(tol: float) -> None:
         )
 
 
-def _log_root(d: float) -> float:
-    # log((B + sqrt(B^2 - 4))/2) written in terms of d = B - 2 >= 0,
-    # stable as d -> 0
-    return math.log1p(0.5 * (d + math.sqrt(d * (d + 4.0))))
+def _log_abs_root(fac: QuadraticFactorization, s: float) -> Callable[[float], float]:
+    """log|y| of the root that leaves the unit disc where b = s B(theta) is
+    large (b > 2 for sigma = +1, b > 0 for sigma = -1): y- for s = +1, y+ for
+    s = -1.  In terms of h = b/2 it is acosh(h)
+    for sigma = +1 (0 where h <= 1, which a node next to the crossing can
+    round onto) and asinh(h) for sigma = -1; neither overflows.  Each is one
+    flat closure, since this runs once per quadrature node.
+    """
+    hb, hg = 0.5 * s * fac.beta, 0.5 * s * fac.gamma
+    if fac.sigma > 0:
+        def f(th: float) -> float:
+            h = hb * math.cos(th) + hg
+            return math.acosh(h) if h > 1.0 else 0.0
+    else:
+        def f(th: float) -> float:
+            return math.asinh(hb * math.cos(th) + hg)
+    return f
+
+
+def half_measures(fac: QuadraticFactorization, tol: float = 1e-8) -> HalfMeasures:
+    """Half-measures (m+, m-) of y^2 + B(theta) y + sigma by Jensen's formula.
+
+    m- = (1/pi) int log|y-| over the arc [0, theta-] where |y-| > 1, and
+    m+ = (1/pi) int log|y+| over [theta+, pi] where |y+| > 1.  The arc ends
+    are where B = 2 and B = -2 (sigma = +1) or where B changes sign
+    (sigma = -1); a crossing off the circle clamps to an empty arc, which
+    contributes exactly 0.  Each non-empty arc gets an equal share of
+    0.1 tol, so the absolute error is <= tol.
+    """
+    _check_tol(tol)
+    if fac.sigma > 0:
+        c_minus, c_plus = (2.0 - fac.gamma) / fac.beta, (-2.0 - fac.gamma) / fac.beta
+    else:
+        c_minus = c_plus = -fac.gamma / fac.beta
+    arcs = (
+        (1.0, 0.0, math.acos(min(1.0, max(-1.0, c_minus)))),
+        (-1.0, math.acos(min(1.0, max(-1.0, c_plus))), math.pi),
+    )
+    n_arcs = sum(lo < hi for _, lo, hi in arcs)
+    m_minus, m_plus = (
+        tanh_sinh(_log_abs_root(fac, s), lo, hi, 0.1 * tol / n_arcs)[0] / math.pi
+        if lo < hi else 0.0
+        for s, lo, hi in arcs
+    )
+    return HalfMeasures(m_plus=m_plus, m_minus=m_minus)
 
 
 def m_p1k(k: float, tol: float = 1e-8) -> float:
-    """Mahler measure of x + 1/x + y + 1/y + k for real k > 0.
+    """Mahler measure of x + 1/x + y + 1/y + k for finite k > 0.
 
-    For k > 4 the root modulus |y_-| exceeds 1 on the whole circle and the
-    integrand is smooth; for 0 < k <= 4 it exceeds 1 only where
-    2 cos(theta) + k > 2 and the integral is cut at that crossing.  Absolute
-    error <= tol.
+    For k > 4 the root modulus |y-| exceeds 1 on the whole circle; for
+    0 < k <= 4 it does only where 2 cos(theta) + k > 2.  Absolute error <= tol.
     """
-    if k <= 0.0:
-        raise DomainError(f"m_p1k: requires k > 0, got {k}")
-    _check_tol(tol)
-    if k > 4.0:
-        def f(th: float) -> float:
-            ch = math.cos(0.5 * th)
-            return _log_root((k - 4.0) + 4.0 * ch * ch)
-
-        val, _, _ = tanh_sinh(f, 0.0, math.pi, 0.1 * tol)
-        return val / math.pi
-    theta_star = math.acos(0.5 * (2.0 - k))
-
-    def f(th: float) -> float:
-        d = 2.0 * math.cos(th) + k - 2.0
-        if d <= 0.0:
-            return 0.0
-        return _log_root(d)
-
-    val, _, _ = tanh_sinh(f, 0.0, theta_star, 0.1 * tol)
-    return val / math.pi
+    return half_measures(factor_p1k(k), tol).m_total
 
 
 def half_measures_ptilde(k: float, tol: float = 1e-8) -> HalfMeasures:
-    """Half-measures (m+, m-) of Ptilde_k (equivalently of the (a, c) member).
+    """Half-measures (m+, m-) of Ptilde_k (equivalently of the (a, c) member)
+    for finite k > 4.
 
     The roots satisfy y+ y- = -1 and |y-| crosses 1 at
     theta* = arccos(k / (2 sqrt(k+4))); for k > 2(1+sqrt(5)) the crossing
     leaves [-1, 1] and m- = 0 identically.
     """
-    if k <= 4.0:
-        raise DomainError(f"half_measures_ptilde: requires k > 4, got {k}")
-    _check_tol(tol)
-    s4 = 2.0 * math.sqrt(k - 4.0)
-
-    def btilde(th: float) -> float:
-        return (2.0 * math.sqrt(k + 4.0) * math.cos(th) - k) / s4
-
-    if k >= K_LARGE:
-        m_minus = 0.0
-        val, _, _ = tanh_sinh(lambda th: -math.asinh(btilde(th)), 0.0, math.pi, 0.1 * tol)
-        m_plus = val / math.pi
-    else:
-        theta_star = math.acos(k / (2.0 * math.sqrt(k + 4.0)))
-        vm, _, _ = tanh_sinh(lambda th: math.asinh(btilde(th)), 0.0, theta_star, 0.05 * tol)
-        vp, _, _ = tanh_sinh(
-            lambda th: -math.asinh(btilde(th)), theta_star, math.pi, 0.05 * tol
-        )
-        m_minus = vm / math.pi
-        m_plus = vp / math.pi
-    return HalfMeasures(m_plus=m_plus, m_minus=m_minus)
+    return half_measures(factor_ptilde(k), tol)
 
 
 def half_measures_pac_small_k(k: float, tol: float = 1e-8) -> HalfMeasures:
@@ -229,25 +224,7 @@ def half_measures_pac_small_k(k: float, tol: float = 1e-8) -> HalfMeasures:
     roots sit on the unit circle and contribute nothing.  The B < -2 arc is
     nonempty for every k in (0, 4), shrinking to a point as k -> 0.
     """
-    if not 0.0 < k < 4.0:
-        raise DomainError(f"half_measures_pac_small_k: requires 0 < k < 4, got {k}")
-    _check_tol(tol)
-    fp = params_from_k(k)
-    a, c = fp.a, fp.c
-    theta_plus = math.acos((2.0 - c) / (2.0 * a))
-    theta_minus = math.acos((-2.0 - c) / (2.0 * a))
-
-    def log_ym(th: float) -> float:
-        d = 2.0 * a * math.cos(th) + c - 2.0
-        return _log_root(d) if d > 0.0 else 0.0
-
-    def log_yp(th: float) -> float:
-        d = -(2.0 * a * math.cos(th) + c) - 2.0
-        return _log_root(d) if d > 0.0 else 0.0
-
-    vm, _, _ = tanh_sinh(log_ym, 0.0, theta_plus, 0.05 * tol)
-    vp, _, _ = tanh_sinh(log_yp, theta_minus, math.pi, 0.05 * tol)
-    return HalfMeasures(m_plus=vp / math.pi, m_minus=vm / math.pi)
+    return half_measures(factor_pac_small(k), tol)
 
 
 def dfdk(k: float) -> float:

@@ -39,6 +39,29 @@ class TestBasicCommands:
         assert rows["m(P_1k)"] == pytest.approx(2.04569626821401489, abs=1e-9)
         assert rows["m_minus"] == 0.0
         assert doc["metadata"]["regime"] == "large"
+        code, out, _ = run_main(capsys, "mahler", "--k", "1e300", "--format", "json")
+        assert code == 0
+        rows = {r["input"]: r["computed"] for r in json.loads(out)["rows"]}
+        assert rows["m(P_1k)"] == pytest.approx(690.7755278982137, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mahler", "--k", "nan"],
+            ["mahler", "--k", "inf"],
+            ["mahler", "--k=-inf"],
+            ["mahler", "--k", "8", "--tol", "nan"],
+            ["ell", "--kind", "K", "--z", "nan"],
+            ["verify", "ei", "--k-grid", "4.5:inf:3"],
+            ["sweep", "f", "--k-grid", "nan:5:3"],
+        ],
+        ids=" ".join,
+    )
+    def test_non_finite_float_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "must be finite" in capsys.readouterr().err
 
     def test_mahler_small_k(self, capsys):
         code, out, _ = run_main(capsys, "mahler", "--k", "2", "--format", "json")

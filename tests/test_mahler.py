@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -65,29 +66,43 @@ class TestParams:
             M.params_from_k(-2.0)
 
 
+def _roots(fac, theta):
+    """(y+, y-) of y^2 + B y + sigma at x = e^{i theta}, principal branch."""
+    b = fac.beta * math.cos(theta) + fac.gamma
+    s = cmath.sqrt(complex(b * b - 4.0 * fac.sigma, 0.0))
+    return (-b + s) / 2.0, (-b - s) / 2.0
+
+
 class TestFactorization:
     @pytest.mark.parametrize("theta", [0.0, 0.7, 1.9, 3.0])
     def test_root_product_p1k(self, theta):
         fac = M.factor_p1k(7.0)
-        yp, ym = fac.roots(theta)
-        assert abs(yp * ym - fac.sign_of_constant) < 1e-14
-        assert fac.B(theta) > 2.0  # k > 4 keeps B above 2
+        yp, ym = _roots(fac, theta)
+        assert abs(yp * ym - fac.sigma) < 1e-14
+        assert fac.beta * math.cos(theta) + fac.gamma > 2.0  # k > 4 keeps B above 2
+        x = cmath.exp(1j * theta)
+        assert abs(M.poly_p1k(7.0)(x, yp)) < 1e-13 and abs(M.poly_p1k(7.0)(x, ym)) < 1e-13
 
     @pytest.mark.parametrize("theta", [0.0, 0.7, 1.9, 3.0])
     def test_root_product_ptilde(self, theta):
         fac = M.factor_ptilde(6.0)
-        yp, ym = fac.roots(theta)
-        assert abs(yp * ym - fac.sign_of_constant) < 1e-14
+        yp, ym = _roots(fac, theta)
+        assert abs(yp * ym - fac.sigma) < 1e-14
+        x = cmath.exp(1j * theta)
+        assert abs(M.poly_ptilde(6.0)(x, yp)) < 1e-13 and abs(M.poly_ptilde(6.0)(x, ym)) < 1e-13
 
     @pytest.mark.parametrize("theta", [0.3, 1.2, 2.4])
     def test_root_product_pac_small(self, theta):
         fac = M.factor_pac_small(2.0)
-        yp, ym = fac.roots(theta)
-        assert abs(yp * ym - fac.sign_of_constant) < 1e-14
+        yp, ym = _roots(fac, theta)
+        assert abs(yp * ym - fac.sigma) < 1e-14
+        fp = M.params_from_k(2.0)
+        poly, x = M.poly_pac(fp.a, fp.c), cmath.exp(1j * theta)
+        assert abs(poly(x, yp)) < 1e-13 and abs(poly(x, ym)) < 1e-13
 
     def test_unimodular_roots_between_crossings(self):
         fac = M.factor_pac_small(2.0)
-        yp, ym = fac.roots(2.0)  # |B| < 2 arc
+        yp, ym = _roots(fac, 2.0)  # |B| < 2 arc
         assert abs(abs(yp) - 1.0) < 1e-14 and abs(abs(ym) - 1.0) < 1e-14
 
 
@@ -104,6 +119,8 @@ class TestMeasure1D:
         delta = M.m_p1k(100.0, 1e-11) - math.log(100.0)
         assert abs(delta) < 2e-3
         assert delta == pytest.approx(M_MINUS_LOGK[100.0], abs=1e-9)
+        for k in (1e10, 1e160, 1e300):  # 2 cos(theta) + k must not overflow
+            assert abs(M.m_p1k(k, 1e-11) - math.log(k)) <= 1e-12 * math.log(k)
 
     def test_gap_to_log_positive_decreasing(self):
         # log k - m exceeds 0 and shrinks (m - log k is negative, rising to 0)
@@ -121,6 +138,10 @@ class TestMeasure1D:
     def test_domain_and_tol_errors(self):
         with pytest.raises(DomainError):
             M.m_p1k(-1.0)
+        for bad in (math.nan, math.inf):
+            for fn in (M.m_p1k, M.half_measures_ptilde, M.half_measures_pac_small_k):
+                with pytest.raises(DomainError):
+                    fn(bad)
         with pytest.raises(AccuracyError):
             M.m_p1k(8.0, tol=1e-14)
 
@@ -176,6 +197,42 @@ class TestHalfMeasures:
             M.half_measures_pac_small_k(4.5)
         with pytest.raises(DomainError):
             M.half_measures_pac_small_k(0.0)
+
+
+def _jensen_mp(mpmath, coeff, sigma):
+    """(m+, m-) of y^2 + (2 A cos t + C) y + sigma, coeff = (A, C), by 30-digit
+    quadrature of log+|y+-| over [0, pi], split where |B| = 2 or B = 0."""
+    A, C = coeff
+    B = lambda t: 2 * A * mpmath.cos(t) + C
+    levels = (2, -2) if sigma > 0 else (0,)
+    cuts = sorted(mpmath.acos((lv - C) / (2 * A)) for lv in levels if abs(lv - C) < abs(2 * A))
+    pts = [mpmath.mpf(0), *cuts, mpmath.pi]
+
+    def m(sign):
+        def f(t):
+            b = B(t)
+            y = (-b + sign * mpmath.sqrt(b * b - 4 * sigma)) / 2
+            return max(mpmath.mpf(0), mpmath.log(abs(y)))
+        return mpmath.quad(f, pts) / mpmath.pi
+
+    return m(1), m(-1)
+
+
+@pytest.mark.parametrize("k", [0.05, 3.95, 4.05, M.K_LARGE - 1e-3, M.K_LARGE + 1e-3, 1e6])
+def test_jensen_regime_edges_against_mpmath(k):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        kk = mpmath.mpf(k)
+        p1k = _jensen_mp(mpmath, (1, kk), 1)
+        if k < 4.0:
+            pair = _jensen_mp(mpmath, (mpmath.sqrt((4 + kk) / (4 - kk)), kk / mpmath.sqrt(4 - kk)), 1)
+            hm = M.half_measures_pac_small_k(k, 1e-13)
+        else:
+            pair = _jensen_mp(mpmath, (mpmath.sqrt((kk + 4) / (kk - 4)), -kk / mpmath.sqrt(kk - 4)), -1)
+            hm = M.half_measures_ptilde(k, 1e-13)
+        assert abs(M.m_p1k(k, 1e-13) - float(sum(p1k))) <= 1e-13
+        assert abs(hm.m_plus - float(pair[0])) <= 1e-13
+        assert abs(hm.m_minus - float(pair[1])) <= 1e-13
 
 
 class TestDerivatives:
