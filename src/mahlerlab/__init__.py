@@ -38,7 +38,7 @@ from .identities import (
     verify_identity,
 )
 from .jets import Jet2
-from .lseries import LFunctionData, LValueResult, an_table, l2, lvalue_from_k, sign_detect
+from .lseries import LFunctionData, LValueResult, an_table, l2, lvalue_from_k
 from .mahler import (
     FamilyPoint,
     HalfMeasures,
@@ -103,7 +103,6 @@ __all__ = [
     "m_p1k",
     "params_from_k",
     "quadrature_oracle",
-    "sign_detect",
     "verify_corollary",
     "verify_eta_param",
     "verify_identity",

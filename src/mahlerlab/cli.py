@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -57,6 +58,8 @@ from .mahler import (
 
 #: documented safety floor for the main-theorem verification grid
 THM_MAIN_K_FLOOR = 4.2
+#: most points a --k-grid may ask for
+MAX_GRID_POINTS = 10_000
 
 _SUITES = ("thm-main", "corollary", "ei", "appendix", "jia", "lsz", "eta", "all")
 _QUANTITIES = ("f", "h", "m_plus", "m_minus", "dfdk", "dhdk")
@@ -199,8 +202,8 @@ def parse_grid(spec: str) -> list[float]:
         raise argparse.ArgumentTypeError(
             f"grid must be lo:hi:n, got {spec!r}"
         ) from exc
-    if n < 1 or hi < lo:
-        raise argparse.ArgumentTypeError(f"bad grid {spec!r}")
+    if not 1 <= n <= MAX_GRID_POINTS or hi < lo:
+        raise argparse.ArgumentTypeError(f"bad grid {spec!r} (lo <= hi, 1 <= n <= {MAX_GRID_POINTS})")
     if n == 1:
         return [lo]
     step = (hi - lo) / (n - 1)
@@ -218,6 +221,12 @@ def _k_values(cfg: "RunConfig", default: list[float]) -> list[float]:
     if cfg.k_grid:
         return cfg.k_grid
     return default
+
+
+def _reject_ks(suite: str, ks: list[float], bad_k, why: str) -> None:
+    bad = [k for k in ks if bad_k(k)]
+    if bad:
+        raise UsageError(f"verify {suite}: k values {bad} {why}")
 
 
 # ----------------------------------------------------------------------------
@@ -350,23 +359,19 @@ def cmd_verify(cfg: RunConfig) -> Report:
     def run(suite: str) -> Report:
         tol = cfg.tol if cfg.tol is not None else tolmap[suite]
         if suite == "ei":
-            return suite_ei(_k_values(cfg, log_grid(4.5, 100.0, 20)), tol)
+            ks = _k_values(cfg, log_grid(4.5, 100.0, 20))
+            _reject_ks(suite, ks, lambda k: k <= 4.0, "not above 4 (requires k > 4, so z = 4/k < 1)")
+            return suite_ei(ks, tol)
         if suite == "thm-main":
             ks = _k_values(cfg, [4.5, 5.0, 6.0, 8.0, 12.0, 20.0])
-            bad = [k for k in ks if k < THM_MAIN_K_FLOOR]
-            if bad:
-                raise UsageError(
-                    f"verify thm-main: k values {bad} below the documented "
-                    f"safety floor {THM_MAIN_K_FLOOR} (both sides diverge as k -> 4)"
-                )
+            _reject_ks(suite, ks, lambda k: k < THM_MAIN_K_FLOOR,
+                       f"below the documented safety floor {THM_MAIN_K_FLOOR} "
+                       "(both sides diverge as k -> 4)")
             return suite_thm_main(ks, tol)
         if suite == "corollary":
             ks = _k_values(cfg, [7.0, 8.0, 16.0, 50.0])
-            bad = [k for k in ks if k <= K_LARGE]
-            if bad:
-                raise UsageError(
-                    f"verify corollary: k values {bad} not above 2(1+sqrt(5)) = {K_LARGE:.4f}"
-                )
+            _reject_ks(suite, ks, lambda k: k <= K_LARGE,
+                       f"not above 2(1+sqrt(5)) = {K_LARGE:.4f}")
             return suite_corollary(ks, tol)
         if suite == "appendix":
             return suite_appendix(tol, cfg.candidate_file)
@@ -465,8 +470,9 @@ def cmd_sweep(cfg: RunConfig) -> Report:
         raise UsageError("sweep: --k-grid lo:hi:n is required")
     tol = cfg.tol if cfg.tol is not None else 1e-10
     tasks = [(cfg.quantity, k, tol) for k in cfg.k_grid]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    workers = min(cfg.jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_one, tasks))
     else:
         results = [_sweep_one(t) for t in tasks]
@@ -618,6 +624,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.tol is not None and args.tol < 1e-13:
         parser.exit(2, "mahlerlab: --tol below the 1e-13 double-precision floor\n")
+    if args.jobs < 1:
+        parser.exit(2, f"mahlerlab: --jobs must be at least 1, got {args.jobs}\n")
     cfg = RunConfig.from_args(args)
     t0 = time.perf_counter()
     try:

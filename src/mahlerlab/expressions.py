@@ -5,7 +5,8 @@ Grammar (whitespace-insensitive):
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
     factor := ('+' | '-') factor | power
-    power  := atom (('^' | '**') factor)?     # right associative
+    power  := atom (('^' | '**') factor)?     # right associative; the
+                                              # exponent must not contain x
     atom   := NUMBER | 'x' | 'sqrt' '(' expr ')' | '(' expr ')'
 
 Parsing produces a closure usable on floats and on jets, so parsed candidates
@@ -44,6 +45,7 @@ class _Parser:
     def __init__(self, tokens: list[str]):
         self.toks = tokens
         self.i = 0
+        self.x_seen = 0
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -86,7 +88,10 @@ class _Parser:
         base = self.atom()
         if self.peek() in ("^", "**"):
             self.take()
+            x_before = self.x_seen
             expo = self.factor()
+            if self.x_seen > x_before:
+                raise DomainError("expression: an exponent must not depend on x")
             return (lambda a, b: lambda x: a(x) ** b(x))(base, expo)
         return base
 
@@ -99,6 +104,7 @@ class _Parser:
             return node
         if tok == "x":
             self.take()
+            self.x_seen += 1
             return lambda x: x
         if tok == "sqrt":
             self.take()

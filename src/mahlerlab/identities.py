@@ -35,7 +35,8 @@ class IdentityCandidate:
     printed_r is the closed-form K-coefficient as printed in the source of the
     identity; it is used only to pin the constant at anchors where the generic
     r-formula degenerates to 0/0.  printed_r_alts holds labelled alternative
-    printed coefficients when the source is self-inconsistent.
+    printed coefficients when the source is self-inconsistent.  grid_span is
+    the (lo, hi) of the default verification grid, which is dense at hi.
     """
 
     name: str
@@ -46,6 +47,7 @@ class IdentityCandidate:
     printed_r: Scalar | None = None
     printed_rhs: Scalar | None = None
     printed_r_alts: tuple[tuple[str, Scalar], ...] = ()
+    grid_span: tuple[float, float] = (1e-3, 0.99)
 
 
 @dataclass(frozen=True)
@@ -89,10 +91,7 @@ def eval_r(cand: IdentityCandidate, x: float) -> float:
     """K-coefficient r(x) forced by (p, q); raises SingularPointError on a
     vanishing denominator."""
     pj, qj = _pq_jets(cand, x)
-    num = pj.d1 * qj.value * (1.0 - qj.value**2) + 2.0 * qj.d1 * qj.value**2 * (
-        pj.value - 1.0
-    )
-    den = 2.0 * qj.d1 * (1.0 - pj.value) * (qj.value**2 - pj.value)
+    num, den = _r_num_den(pj.value, pj.d1, qj.value, qj.d1)
     if den == 0.0 or not math.isfinite(den):
         raise SingularPointError(f"{cand.name}: r denominator vanishes at x = {x}")
     return num / den
@@ -294,25 +293,21 @@ def check_printed_variants(
 # built-in candidates
 
 
-def _geom_grid(lo: float, hi: float, n: int, dense_at: float) -> list[float]:
-    """n points of [lo, hi], geometrically packed toward dense_at."""
-    a, b = (hi, lo) if dense_at == lo else (lo, hi)
+def _geom_grid(lo: float, hi: float, n: int) -> list[float]:
+    """n points of [lo, hi], geometrically packed toward hi."""
     # distances from the dense end, log-spaced
-    span = abs(b - a)
+    span = abs(hi - lo)
     emin, emax = math.log10(span * 1e-3), math.log10(span)
     step = (emax - emin) / (n - 1)
-    pts = [b + math.copysign(10.0 ** (emin + i * step), a - b) for i in range(n)]
+    pts = [hi + math.copysign(10.0 ** (emin + i * step), lo - hi) for i in range(n)]
     return sorted(pts)
 
 
 def default_grid(cand: IdentityCandidate, n: int = 200) -> list[float]:
-    """Verification grid: log-spaced toward the residual-critical boundary
-    (q -> 1, or the degenerate anchor for the unbounded-domain candidate)."""
-    lo, hi = cand.domain
-    if cand.name == "jia":
-        return _geom_grid(-10.0, -1.001, n, dense_at=-1.001)
-    caps = {"surd": 0.95}
-    return _geom_grid(1e-3, caps.get(cand.name, 0.99), n, dense_at=caps.get(cand.name, 0.99))
+    """Verification grid over cand.grid_span, log-spaced toward the
+    residual-critical end (q -> 1, or the degenerate anchor for the
+    unbounded-domain candidate)."""
+    return _geom_grid(*cand.grid_span, n)
 
 
 def builtin_candidates() -> list[IdentityCandidate]:
@@ -334,6 +329,7 @@ def builtin_candidates() -> list[IdentityCandidate]:
         anchor_x0=-1.0,
         printed_r=lambda x: -(1 + 3 * x) / (6 * x),
         printed_rhs=lambda x: -math.pi / 12.0 * math.sqrt((1 + 3 * x) * (x - 1) ** 3) / x,
+        grid_span=(-10.0, -1.001),
     )
     cubic = IdentityCandidate(
         name="cubic",
@@ -353,5 +349,6 @@ def builtin_candidates() -> list[IdentityCandidate]:
         anchor_x0=0.0,
         printed_r=lambda x: (1 - x - 2 * math.sqrt(1 + x * x)) / (4 * math.sqrt(1 + x * x)),
         printed_rhs=lambda x: 3 * math.pi / (8 * (1 - x) * math.sqrt(1 + x * x)),
+        grid_span=(1e-3, 0.95),
     )
     return [linear, jia, cubic, surd]

@@ -17,10 +17,7 @@ Gamma-factor pole at s = 0.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -106,37 +103,59 @@ def default_n_max(N: int) -> int:
     return math.ceil(18.0 * math.sqrt(N) / (2.0 * math.pi)) + 50
 
 
-def _l2_split(an, N: int, eps: int, A: float) -> float:
+def _split_weights(N: int, A: float, n_max: int) -> tuple[list[float], list[float]]:
+    """w_dir[n] = e^{-2 pi n A}(1 + 2 pi n A)/n^2 and w_fold[n] = E1(2 pi n/(N A))
+    for n <= n_max (index 0 is 0.0).  They depend on (N, A) only, so one pair
+    scores every coefficient table and both signs at that split point."""
+    w_dir = [0.0]
+    w_fold = [0.0]
+    for n in range(1, n_max + 1):
+        x1 = 2.0 * math.pi * n * A
+        w_dir.append(math.exp(-x1) * (1.0 + x1) / (n * n))
+        w_fold.append(exp_integral_e1(2.0 * math.pi * n / (N * A)))
+    return w_dir, w_fold
+
+
+def _split_sums(an, weights, N: int) -> tuple[float, float]:
+    """(a.w_dir, (4 pi^2/N) a.w_fold), so L(E, 2) = direct + eps * folded.
+
+    A plain loop in index order: built-in sum() compensates on Python >= 3.12
+    and would change the printed digits."""
+    w_dir, w_fold = weights
     direct = 0.0
     folded = 0.0
-    for n in range(1, len(an)):
-        a = an[n]
-        if a == 0:
-            continue
-        x1 = 2.0 * math.pi * n * A
-        direct += a / (n * n) * math.exp(-x1) * (1.0 + x1)
-        folded += a * exp_integral_e1(2.0 * math.pi * n / (N * A))
-    return direct + eps * (4.0 * math.pi**2 / N) * folded
+    for a, wd, wf in zip(an, w_dir, w_fold):
+        if a:
+            direct += a * wd
+            folded += a * wf
+    return direct, 4.0 * math.pi**2 / N * folded
 
 
-def _tail_bound(n_max: int, N: int, A: float) -> float:
-    # |a_n| <= n^{3/2} crudely dominates sigma_0(n) sqrt(n); 60 extra terms of
-    # the slower-decaying folded sum bound the rest by the decay ratio
+def _tail_bound(weights, n_max: int, N: int) -> float:
+    # |a_n| <= n^{3/2} crudely dominates sigma_0(n) sqrt(n); the 60 extra terms
+    # of the slower-decaying folded sum bound the rest by the decay ratio
+    w_dir, w_fold = weights
     total = 0.0
-    for n in range(n_max + 1, n_max + 61):
-        x1 = 2.0 * math.pi * n * A
-        x2 = 2.0 * math.pi * n / (N * A)
-        total += n ** 1.5 * (math.exp(-x1) * (1.0 + x1) / (n * n)
-                             + (4.0 * math.pi**2 / N) * exp_integral_e1(x2))
+    for n in range(n_max + 1, len(w_dir)):
+        total += n ** 1.5 * (w_dir[n] + (4.0 * math.pi**2 / N) * w_fold[n])
     return 2.0 * total
+
+
+def _probe_weights(N: int, n_max: int, probes=_SPLIT_PROBES) -> list:
+    rootN = math.sqrt(N)
+    return [_split_weights(N, c / rootN, n_max) for c in probes]
+
+
+def _spread(sums, eps: int) -> float:
+    vals = [direct + eps * folded for direct, folded in sums]
+    return max(abs(u - v) for u in vals for v in vals)
 
 
 def split_point_spread(data: LFunctionData, probes=_SPLIT_PROBES) -> float:
     """Max pairwise difference of L(E,2) across split points; the numerical
     certificate for eps and the delicate a_p."""
-    rootN = math.sqrt(data.N)
-    vals = [_l2_split(data.an, data.N, data.eps, c / rootN) for c in probes]
-    return max(abs(u - v) for u in vals for v in vals)
+    weights = _probe_weights(data.N, data.n_max, probes)
+    return _spread([_split_sums(data.an, w, data.N) for w in weights], data.eps)
 
 
 def l2(
@@ -154,40 +173,21 @@ def l2(
     if data.N != N:
         raise DomainError("l2: data and curve disagree on the conductor")
     A = split if split is not None else 1.0 / math.sqrt(N)
-    tail = _tail_bound(data.n_max, N, A)
+    weights = _split_weights(N, A, data.n_max + 60)
+    tail = _tail_bound(weights, data.n_max, N)
     if tail > tol:
         raise AccuracyError(
             f"l2: tail bound {tail:g} exceeds tol {tol:g}; raise n_max",
             error_estimate=tail,
         )
-    val = _l2_split(data.an, N, data.eps, A)
+    direct, folded = _split_sums(data.an, weights, N)
+    val = direct + data.eps * folded
     return LValueResult(
         L2=val,
         Lprime0=data.eps * N / (4.0 * math.pi**2) * val,
         n_used=data.n_max,
         tail_bound=tail,
     )
-
-
-def sign_detect(curve: CurveModel, data: LFunctionData) -> int:
-    """Choose eps in {+1, -1} by split-point independence.
-
-    The winning sign must come in under 1e-10 spread with the loser above
-    1e-6, otherwise the coefficient data itself is bad.
-    """
-    spreads = {}
-    for eps in (1, -1):
-        trial = LFunctionData(
-            an=data.an, eps=eps, N=data.N, k_label=data.k_label, ap_routes={}
-        )
-        spreads[eps] = split_point_spread(trial)
-    good = min(spreads, key=spreads.get)
-    if spreads[good] > _SPREAD_ACCEPT or spreads[-good] < _SPREAD_REJECT:
-        raise LDataError(
-            f"sign_detect: no sign gives split-point independence "
-            f"(spreads {spreads}); check bad-prime coefficients"
-        )
-    return good
 
 
 def an_table(curve: CurveModel, n_max: int | None = None) -> LFunctionData:
@@ -211,29 +211,30 @@ def an_table(curve: CurveModel, n_max: int | None = None) -> LFunctionData:
         candidates = [1, -1] if vN == 1 else hasse_range(p)
         unresolved.append((p, candidates))
 
-    best = None
-    runner = math.inf
-    for eps, *choice in itertools.product((1, -1), *[c for _, c in unresolved]):
+    # a_n once per choice of the unresolved a_p, then both signs from the
+    # same sums; the stable sort keeps the first of equal spreads in
+    # (eps, choice) order
+    weights = _probe_weights(N, n_max)
+    tables = []
+    for choice in itertools.product(*[c for _, c in unresolved]):
         trial_ap = dict(known)
         trial_ap.update({p: a for (p, _), a in zip(unresolved, choice)})
         an = extend_multiplicatively(trial_ap, N, n_max)
-        trial = LFunctionData(an=tuple(an), eps=eps, N=N, k_label=curve.k_label, ap_routes={})
-        spread = split_point_spread(trial)
-        if best is None or spread < best[0]:
-            if best is not None:
-                runner = min(runner, best[0])
-            best = (spread, eps, dict(trial_ap), an)
-        else:
-            runner = min(runner, spread)
-    spread, eps, _, an = best
+        tables.append((an, [_split_sums(an, w, N) for w in weights]))
+    scores = sorted(
+        ((_spread(sums, eps), eps, an, sums) for eps in (1, -1) for an, sums in tables),
+        key=lambda score: score[0],
+    )
+    (spread, eps, an, sums), runner = scores[0], scores[1][0]
     if spread > _SPREAD_ACCEPT or runner < _SPREAD_REJECT:
         raise LDataError(
             f"an_table: consistency search failed (winner {spread:g}, "
             f"runner-up {runner:g}) for k = {curve.k_label}"
         )
-    # positivity: L(E,2) is an absolutely convergent Euler product
-    probe = LFunctionData(an=tuple(an), eps=eps, N=N, k_label=curve.k_label, ap_routes={})
-    if _l2_split(probe.an, N, eps, 1.0 / math.sqrt(N)) <= 0.0:
+    # positivity: L(E,2) is an absolutely convergent Euler product; probe
+    # 1.0 is the default split point A = 1/sqrt(N)
+    direct, folded = sums[_SPLIT_PROBES.index(1.0)]
+    if direct + eps * folded <= 0.0:
         raise LDataError(f"an_table: nonpositive L(E,2) for k = {curve.k_label}")
     return LFunctionData(
         an=tuple(an), eps=eps, N=N, k_label=curve.k_label, ap_routes=routes
@@ -273,18 +274,3 @@ def summary_record(
         "r_k": str(Fraction(curve.r_k)),
         "ap_routes": {str(p): r for p, r in sorted(data.ap_routes.items())},
     }
-
-
-def summary_csv(records: list[dict]) -> str:
-    """CSV for summary records (ap_routes flattened out)."""
-    cols = ["k", "k_squared", "N", "eps", "L2", "Lprime0", "n_used", "r_k"]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(cols)
-    for rec in records:
-        writer.writerow([repr(rec[c]) if isinstance(rec[c], float) else rec[c] for c in cols])
-    return buf.getvalue()
-
-
-def summary_json(records: list[dict]) -> str:
-    return json.dumps({"schema": 1, "curves": records}, indent=2, sort_keys=True) + "\n"

@@ -113,6 +113,13 @@ class TestVerify:
         assert exc.value.code == 2
         assert "safety floor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["3", "1e-300"])
+    def test_ei_requires_k_above_4(self, capsys, k):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "ei", "--k", k])
+        assert exc.value.code == 2
+        assert "requires k > 4" in capsys.readouterr().err
+
     def test_corollary_rejects_mid_regime_k(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "corollary", "--k", "5"])
@@ -144,6 +151,13 @@ class TestVerify:
         assert code == 0
         doc = json.loads(out)
         assert any(r["input"].startswith("file-linear") for r in doc["rows"])
+
+    def test_candidate_exponent_in_x_is_one_line_error(self, capsys, tmp_path):
+        path = tmp_path / "xx.json"
+        path.write_text(json.dumps([{"name": "xx", "p": "x^x", "q": "x", "domain": [0.0, 1.0]}]))
+        code, out, err = run_main(capsys, "verify", "appendix", "--candidate-file", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("mahlerlab: error: expression:") and err.count("\n") == 1
 
     def test_jia(self, capsys):
         code, out, _ = run_main(capsys, "verify", "jia", "--format", "json")
@@ -230,6 +244,61 @@ class TestSweep:
         with pytest.raises(SystemExit) as exc:
             cli.main(["sweep", "dfdk"])
         assert exc.value.code == 2
+
+    def test_pool_clamped_to_cpus_and_tasks(self, capsys, monkeypatch):
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        run_main(capsys, "sweep", "dhdk", "--k-grid", "5:20:3", "--jobs", "1000000")
+        run_main(capsys, "sweep", "dhdk", "--k-grid", "5:20:8", "--jobs", "1000000")
+        run_main(capsys, "sweep", "dhdk", "--k-grid", "5:20:8", "--jobs", "2")
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        code, _, _ = run_main(capsys, "sweep", "dhdk", "--k-grid", "5:20:8", "--jobs", "8")
+        assert code == 0
+        # tasks cap the first, CPUs the second; one CPU runs without a pool
+        assert sizes == [3, 4, 2]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "dhdk", "--k-grid", "5:20:8", "--jobs", "0"],
+            ["sweep", "dhdk", "--k-grid", "5:20:8", "--jobs=-1"],
+            ["table", "--jobs", "0"],
+            ["sweep", "dhdk", "--k-grid", "5:20:10001"],
+            ["verify", "ei", "--k-grid", "4.5:100:1000000000"],
+        ],
+        ids=" ".join,
+    )
+    def test_resource_flags_bounded(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+
+    def test_every_command_accepts_jobs(self):
+        parser = cli.build_parser()
+        for argv in (
+            ["ell", "--kind", "K", "--z", "0.5"],
+            ["mahler", "--k", "8"],
+            ["lvalue", "--k", "8"],
+            ["verify", "ei"],
+            ["table"],
+            ["sweep", "f", "--k-grid", "5:6:2"],
+        ):
+            assert parser.parse_args(argv + ["--jobs", "1"]).jobs == 1
 
     def test_jobs_determinism(self, capsys):
         code1, out1, _ = run_main(capsys, "sweep", "dhdk", "--k-grid", "5:20:8")

@@ -27,6 +27,18 @@ class TestParser:
         assert parse_expression("(-x)^2")(2.0) == 4.0
         assert parse_expression("--x")(2.0) == 2.0
 
+    def test_constant_exponents(self):
+        assert parse_expression("x^2")(3.0) == 9.0
+        assert parse_expression("x^3")(2.0) == 8.0
+        assert parse_expression("x^(1/2)")(4.0) == 2.0
+        jet = parse_expression("x^(1/2)")(Jet2.seed(4.0))
+        assert (jet.value, jet.d1) == (2.0, 0.25)
+
+    @pytest.mark.parametrize("text", ["x^x", "2^x", "x**(1+x)", "x^-x", "(x+1)^sqrt(x)"])
+    def test_exponent_in_x_rejected(self, text):
+        with pytest.raises(DomainError, match="exponent"):
+            parse_expression(text)
+
     def test_sqrt(self):
         assert parse_expression("sqrt(x+1)")(3.0) == 2.0
 
@@ -88,6 +100,12 @@ class TestCandidateFile:
     def test_missing_key(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([{"name": "n", "p": "-x", "domain": [0, 1]}]))
+        with pytest.raises(DomainError):
+            load_candidates(str(path))
+
+    def test_exponent_in_x_rejected_at_load(self, tmp_path):
+        path = tmp_path / "xx.json"
+        path.write_text(json.dumps([{"name": "n", "p": "x^x", "q": "x", "domain": [0, 1]}]))
         with pytest.raises(DomainError):
             load_candidates(str(path))
 
