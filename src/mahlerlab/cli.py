@@ -260,7 +260,7 @@ def suite_corollary(ks: list[float], tol: float) -> Report:
     return rep
 
 
-def suite_appendix(tol: float, candidate_file: str | None = None) -> Report:
+def suite_appendix(tol: float, candidate_file: str | None, verify) -> Report:
     rep = Report(
         "verify appendix",
         metadata={"identity_tol": tol, "ode_tol": 1e-10, "e_coeff_tol": 1e-11},
@@ -269,7 +269,7 @@ def suite_appendix(tol: float, candidate_file: str | None = None) -> Report:
     if candidate_file:
         cands += load_candidates(candidate_file)
     for cand in cands:
-        r = verify_identity(cand, tol=tol)
+        r = verify(cand, tol=tol)
         rep.add(f"{cand.name} ode", 0.0, r.ode_residual_max, r.ode_residual_max, r.ode_tol)
         rep.add(
             f"{cand.name} e-coeff", 0.0, r.e_coeff_residual_max, r.e_coeff_residual_max, r.e_coeff_tol
@@ -292,10 +292,10 @@ def suite_appendix(tol: float, candidate_file: str | None = None) -> Report:
     return rep
 
 
-def suite_jia(tol: float) -> Report:
+def suite_jia(tol: float, verify) -> Report:
     rep = Report("verify jia", metadata={"tol": tol, "anchor_tol": 1e-12})
     jia = next(c for c in builtin_candidates() if c.name == "jia")
-    r = verify_identity(jia, tol=tol)
+    r = verify(jia, tol=tol)
     rep.add("grid residual [-10,-1]", 0.0, r.identity_residual_max, r.identity_residual_max, tol)
     lhs = identity_lhs(jia, -1.0, r=jia.printed_r(-1.0))
     rhs = jia.printed_rhs(-1.0)
@@ -355,6 +355,14 @@ def cmd_verify(cfg: RunConfig) -> Report:
         "lsz": 1e-6,
         "eta": 1e-10,
     }
+    reports = {}
+
+    def verify(cand, tol):
+        # one report per candidate and tol for the whole run: `verify all`
+        # checks the same built-in candidate in more than one suite
+        if (cand, tol) not in reports:
+            reports[cand, tol] = verify_identity(cand, tol=tol)
+        return reports[cand, tol]
 
     def run(suite: str) -> Report:
         tol = cfg.tol if cfg.tol is not None else tolmap[suite]
@@ -374,9 +382,9 @@ def cmd_verify(cfg: RunConfig) -> Report:
                        f"not above 2(1+sqrt(5)) = {K_LARGE:.4f}")
             return suite_corollary(ks, tol)
         if suite == "appendix":
-            return suite_appendix(tol, cfg.candidate_file)
+            return suite_appendix(tol, cfg.candidate_file, verify)
         if suite == "jia":
-            return suite_jia(tol)
+            return suite_jia(tol, verify)
         if suite == "lsz":
             return suite_lsz(tol)
         if suite == "eta":

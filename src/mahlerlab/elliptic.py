@@ -21,6 +21,11 @@ _EPS = 2.220446049250313e-16
 _HALF_PI = math.pi / 2.0
 
 
+def _check_finite(kind: str, *args: float) -> None:
+    if not all(map(math.isfinite, args)):
+        raise DomainError(f"{kind}: arguments must be finite, got {args}")
+
+
 def _check_nonneg(kind: str, *args: float) -> None:
     if any(a < 0.0 for a in args):
         raise DomainError(f"{kind}: arguments must be nonnegative, got {args}")
@@ -175,6 +180,7 @@ def carlson_rj(x: float, y: float, z: float, p: float) -> float:
 
 def ell_k(z: float) -> float:
     """K(z) with modulus z in [0, 1)."""
+    _check_finite("ell_k", z)
     if z < 0.0:
         raise DomainError(
             f"ell_k: modulus must be >= 0 (integrand depends on z^2; pass |z|), got {z}"
@@ -186,6 +192,7 @@ def ell_k(z: float) -> float:
 
 def ell_e(z: float) -> float:
     """E(z) with modulus z in [0, 1]."""
+    _check_finite("ell_e", z)
     if z < 0.0:
         raise DomainError(f"ell_e: modulus must be >= 0, got {z}")
     if z > 1.0:
@@ -198,6 +205,7 @@ def ell_e(z: float) -> float:
 
 def ell_pi(n: float, z: float) -> float:
     """Pi(n, z) with characteristic n < 1 and modulus z in [0, 1)."""
+    _check_finite("ell_pi", n, z)
     if n >= 1.0:
         raise DomainError(
             f"ell_pi: characteristic n must be < 1 (singular case rejected), got {n}"
@@ -215,6 +223,7 @@ def ell_pi(n: float, z: float) -> float:
 
 def ell_k_imag(m: float) -> float:
     """K at purely imaginary modulus: int_0^1 dx / sqrt((1-x^2)(1+m^2 x^2))."""
+    _check_finite("ell_k_imag", m)
     if m < 0.0:
         raise DomainError(f"ell_k_imag: requires m >= 0, got {m}")
     return carlson_rf(0.0, 1.0 + m * m, 1.0)
@@ -223,6 +232,7 @@ def ell_k_imag(m: float) -> float:
 def ell_pi_imag(n: float, m: float) -> float:
     """Pi at purely imaginary modulus:
     int_0^1 dx / ((1 - n x^2) sqrt((1-x^2)(1+m^2 x^2)))."""
+    _check_finite("ell_pi_imag", n, m)
     if n >= 1.0:
         raise DomainError(f"ell_pi_imag: characteristic n must be < 1, got {n}")
     if m < 0.0:

@@ -15,9 +15,12 @@ can also be loaded from expression strings (see `expressions`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .elliptic import ell_k, ell_pi
 from .errors import DomainError, RegimeError, SingularPointError
@@ -87,30 +90,49 @@ def _r_num_den(P, dP, Q, dQ):
     return num, den
 
 
-def eval_r(cand: IdentityCandidate, x: float) -> float:
-    """K-coefficient r(x) forced by (p, q); raises SingularPointError on a
-    vanishing denominator."""
-    pj, qj = _pq_jets(cand, x)
+def _r_value(cand: IdentityCandidate, x: float, pj: Jet2, qj: Jet2) -> float:
     num, den = _r_num_den(pj.value, pj.d1, qj.value, qj.d1)
     if den == 0.0 or not math.isfinite(den):
         raise SingularPointError(f"{cand.name}: r denominator vanishes at x = {x}")
     return num / den
 
 
-def eval_f(cand: IdentityCandidate, x: float) -> float:
-    """Logarithmic derivative f(x) = s'(x)/s(x) forced by (p, q)."""
-    pj, qj = _pq_jets(cand, x)
-    p, dp, q, dq = pj.value, pj.d1, qj.value, qj.d1
+def eval_r(cand: IdentityCandidate, x: float) -> float:
+    """K-coefficient r(x) forced by (p, q); raises SingularPointError on a
+    vanishing denominator."""
+    return _r_value(cand, x, *_pq_jets(cand, x))
+
+
+def _f_num_den(p, dp, q, dq):
+    num = dp * (p * p - q * q) - 2.0 * dq * q * p * (p - 1.0)
     den = 2.0 * p * (p - 1.0) * (q * q - p)
+    return num, den
+
+
+def _f_value(cand: IdentityCandidate, x: float, pj: Jet2, qj: Jet2) -> float:
+    num, den = _f_num_den(pj.value, pj.d1, qj.value, qj.d1)
     if den == 0.0 or not math.isfinite(den):
         raise SingularPointError(f"{cand.name}: f denominator vanishes at x = {x}")
-    return (dp * (p * p - q * q) - 2.0 * dq * q * p * (p - 1.0)) / den
+    return num / den
 
 
-def _r_jet(cand: IdentityCandidate, x: float) -> Jet2:
+def eval_f(cand: IdentityCandidate, x: float) -> float:
+    """Logarithmic derivative f(x) = s'(x)/s(x) forced by (p, q)."""
+    return _f_value(cand, x, *_pq_jets(cand, x))
+
+
+def _f_array(cand: IdentityCandidate, xs: np.ndarray) -> np.ndarray:
+    """f at every point of xs in one jet evaluation, NaN wherever eval_f
+    raises SingularPointError."""
+    with np.errstate(all="ignore"):
+        pj, qj = cand.p(Jet2.seed(xs)), cand.q(Jet2.seed(xs))
+        num, den = _f_num_den(pj.value, pj.d1, qj.value, qj.d1)
+        return np.where((den == 0.0) | ~np.isfinite(den), math.nan, num / den)
+
+
+def _r_jet(cand: IdentityCandidate, x: float, pj: Jet2, qj: Jet2) -> Jet2:
     """(r, r') as a first-order jet, obtained by pushing the p/q jets
     through the r-formula one derivative order higher."""
-    pj, qj = _pq_jets(cand, x)
     P = Jet2(pj.value, pj.d1)
     dP = Jet2(pj.d1, pj.d2)
     Q = Jet2(qj.value, qj.d1)
@@ -119,6 +141,13 @@ def _r_jet(cand: IdentityCandidate, x: float) -> Jet2:
     if den.value == 0.0:
         raise SingularPointError(f"{cand.name}: r denominator vanishes at x = {x}")
     return num / den
+
+
+def _ode_residual(cand: IdentityCandidate, x: float, pj: Jet2, qj: Jet2, rj: Jet2) -> float:
+    f = _f_value(cand, x, pj, qj)
+    return rj.d1 - (f + qj.d1 / qj.value) * rj.value + pj.d1 / (
+        2.0 * pj.value * (pj.value - 1.0)
+    )
 
 
 def ode_residual(
@@ -132,32 +161,35 @@ def ode_residual(
     """
     pj, qj = _pq_jets(cand, x)
     if r_override is None:
-        rj = _r_jet(cand, x)
+        rj = _r_jet(cand, x, pj, qj)
     elif callable(r_override):
         rj = r_override(Jet2.seed(x))
         if not isinstance(rj, Jet2):
             rj = Jet2(float(rj))
     else:
         rj = Jet2(float(r_override))
-    f = eval_f(cand, x)
-    return rj.d1 - (f + qj.d1 / qj.value) * rj.value + pj.d1 / (
-        2.0 * pj.value * (pj.value - 1.0)
+    return _ode_residual(cand, x, pj, qj, rj)
+
+
+def _e_coefficient_residual(
+    cand: IdentityCandidate, x: float, pj: Jet2, qj: Jet2, r: float | None = None
+) -> float:
+    p, dp, q, dq = pj.value, pj.d1, qj.value, qj.d1
+    if q in (0.0, 1.0):
+        raise SingularPointError(f"{cand.name}: q in {{0,1}} at x = {x}")
+    if r is None:
+        r = _r_value(cand, x, pj, qj)
+    return (
+        dp / (2.0 * (p - 1.0) * (q * q - p))
+        + dq * q / ((1.0 - q * q) * (q * q - p))
+        + r * dq / (q * (1.0 - q * q))
     )
 
 
 def e_coefficient_residual(cand: IdentityCandidate, x: float) -> float:
     """The E(q(x)) coefficient in d/dx [Pi + r K]; zero exactly when r takes
     its forced value."""
-    pj, qj = _pq_jets(cand, x)
-    p, dp, q, dq = pj.value, pj.d1, qj.value, qj.d1
-    if q in (0.0, 1.0):
-        raise SingularPointError(f"{cand.name}: q in {{0,1}} at x = {x}")
-    r = eval_r(cand, x)
-    return (
-        dp / (2.0 * (p - 1.0) * (q * q - p))
-        + dq * q / ((1.0 - q * q) * (q * q - p))
-        + r * dq / (q * (1.0 - q * q))
-    )
+    return _e_coefficient_residual(cand, x, *_pq_jets(cand, x))
 
 
 def integrating_factor_residual(cand: IdentityCandidate, x: float) -> float:
@@ -173,7 +205,7 @@ def integrating_factor_residual(cand: IdentityCandidate, x: float) -> float:
             f"{cand.name}: integrating factor argument {arg.value} <= 0 at x = {x}"
         )
     u = sqrt(arg)
-    return u.d1 / u.value + eval_f(cand, x) + qj.d1 / qj.value
+    return u.d1 / u.value + _f_value(cand, x, pj, qj) + qj.d1 / qj.value
 
 
 def _anchor_r(cand: IdentityCandidate, x0: float) -> float:
@@ -226,13 +258,9 @@ def verify_identity(
     p0, q0 = _values_at(cand, x0)
     C = ell_pi(p0, q0) + _anchor_r(cand, x0) * ell_k(q0)
 
-    def f(t: float) -> float:
-        # at a degenerate anchor the f-formula underflows to 0/0 while f
-        # itself stays bounded; NaN makes the quadrature drop those nodes
-        try:
-            return eval_f(cand, t)
-        except SingularPointError:
-            return math.nan
+    # at a degenerate anchor the f-formula underflows to 0/0 while f itself
+    # stays bounded; the NaN there makes the quadrature drop those nodes
+    f = functools.partial(_f_array, cand)
     s_at: dict[float, float] = {}
     above = [x for x in xs if x > x0]
     below = [x for x in xs if x < x0]
@@ -249,9 +277,13 @@ def verify_identity(
         if x == x0:
             lhs = C  # anchor: identity holds by construction
         else:
-            lhs = identity_lhs(cand, x)
-            ode_max = max(ode_max, abs(ode_residual(cand, x)))
-            ec_max = max(ec_max, abs(e_coefficient_residual(cand, x)))
+            # one p/q jet evaluation serves r, the ODE and the E-coefficient
+            pj, qj = _pq_jets(cand, x)
+            r = _r_value(cand, x, pj, qj)
+            lhs = identity_lhs(cand, x, r=r)
+            rj = _r_jet(cand, x, pj, qj)
+            ode_max = max(ode_max, abs(_ode_residual(cand, x, pj, qj, rj)))
+            ec_max = max(ec_max, abs(_e_coefficient_residual(cand, x, pj, qj, r)))
         id_max = max(id_max, abs(lhs - s_at[x]))
     return IdentityReport(
         name=cand.name,
@@ -311,7 +343,13 @@ def default_grid(cand: IdentityCandidate, n: int = 200) -> list[float]:
 
 
 def builtin_candidates() -> list[IdentityCandidate]:
-    """The four shipped (p, q) pairs with their real-evaluable domains."""
+    """The four shipped (p, q) pairs with their real-evaluable domains; the
+    same candidate objects on every call."""
+    return list(_builtins())
+
+
+@functools.cache
+def _builtins() -> tuple[IdentityCandidate, ...]:
     linear = IdentityCandidate(
         name="linear",
         p=lambda x: -x,
@@ -351,4 +389,4 @@ def builtin_candidates() -> list[IdentityCandidate]:
         printed_rhs=lambda x: 3 * math.pi / (8 * (1 - x) * math.sqrt(1 + x * x)),
         grid_span=(1e-3, 0.95),
     )
-    return [linear, jia, cubic, surd]
+    return linear, jia, cubic, surd

@@ -5,13 +5,27 @@ sqrt and powers by the chain rule, so derivatives come out to machine
 precision without symbolic differentiation.  `sqrt` dispatches on the
 argument type, letting the same closure run on plain floats (value-only) and
 on jets.
+
+The three components may also be numpy arrays, one element per point, so a
+closure evaluates a whole node set in one call with the same floating-point
+operations as the scalar path, element for element.  Where the scalar path
+raises (division by a zero value, sqrt or a non-integer power of a value
+<= 0), the array path puts NaN in all three components of that element, and
+the NaN survives every later operation.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import DomainError
+
+
+def _nan_where(bad: np.ndarray, v):
+    """v with NaN at the elements flagged bad."""
+    return np.where(bad, math.nan, v)
 
 
 class Jet2:
@@ -23,9 +37,10 @@ class Jet2:
         self.d2 = d2
 
     @staticmethod
-    def seed(x: float) -> "Jet2":
-        """The identity function's jet at x: (x, 1, 0)."""
-        return Jet2(float(x), 1.0, 0.0)
+    def seed(x) -> "Jet2":
+        """The identity function's jet at x (a float or an array): (x, 1, 0)."""
+        x = np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else float(x)
+        return Jet2(x, 1.0, 0.0)
 
     def __repr__(self) -> str:
         return f"Jet2({self.value!r}, {self.d1!r}, {self.d2!r})"
@@ -73,9 +88,12 @@ class Jet2:
     __rmul__ = __mul__
 
     def _inv(self) -> "Jet2":
-        if self.value == 0.0:
+        if isinstance(self.value, np.ndarray):
+            iv = 1.0 / _nan_where(self.value == 0.0, self.value)
+        elif self.value == 0.0:
             raise ZeroDivisionError("Jet2: division by a jet with zero value")
-        iv = 1.0 / self.value
+        else:
+            iv = 1.0 / self.value
         return Jet2(
             iv,
             -self.d1 * iv * iv,
@@ -98,6 +116,9 @@ class Jet2:
         if isinstance(n, int) or (isinstance(n, float) and n.is_integer()):
             n = int(n)
             if n == 0:
+                if isinstance(self.value, np.ndarray):
+                    bad = np.isnan(self.value)
+                    return Jet2(_nan_where(bad, 1.0), _nan_where(bad, 0.0), _nan_where(bad, 0.0))
                 return Jet2(1.0)
             if n < 0:
                 return (self ** (-n))._inv()
@@ -105,25 +126,36 @@ class Jet2:
             for _ in range(n - 1):
                 out = out * self
             return out
-        if self.value <= 0.0:
+        if isinstance(self.value, np.ndarray):
+            # Python's pow per element: numpy's may round differently
+            vals = self.value.tolist()
+
+            def pw(e):
+                return np.array([v ** e if v > 0.0 else math.nan for v in vals])
+        elif self.value <= 0.0:
             raise DomainError(
                 f"Jet2: non-integer power of non-positive value {self.value}"
             )
-        v = self.value ** n
+        else:
+            def pw(e):
+                return self.value ** e
         return Jet2(
-            v,
-            n * self.value ** (n - 1.0) * self.d1,
-            n * (n - 1.0) * self.value ** (n - 2.0) * self.d1 * self.d1
-            + n * self.value ** (n - 1.0) * self.d2,
+            pw(n),
+            n * pw(n - 1.0) * self.d1,
+            n * (n - 1.0) * pw(n - 2.0) * self.d1 * self.d1 + n * pw(n - 1.0) * self.d2,
         )
 
 
 def sqrt(u):
-    """Square root for floats and jets (jets need value > 0)."""
+    """Square root for floats and jets (jets need value > 0, array jets get
+    NaN elsewhere)."""
     if isinstance(u, Jet2):
-        if u.value <= 0.0:
+        if isinstance(u.value, np.ndarray):
+            s = np.sqrt(_nan_where(~(u.value > 0.0), u.value))
+        elif u.value <= 0.0:
             raise DomainError(f"Jet2 sqrt: requires value > 0, got {u.value}")
-        s = math.sqrt(u.value)
+        else:
+            s = math.sqrt(u.value)
         d1 = u.d1 / (2.0 * s)
         return Jet2(s, d1, (u.d2 - 2.0 * d1 * d1) / (2.0 * s))
     return math.sqrt(u)

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate as _spi
 
 from .elliptic import ell_k, ell_pi
 from .errors import (
@@ -119,6 +118,8 @@ def factor_pac_small(k: float) -> QuadraticFactorization:
 
 def params_from_k(k: float) -> FamilyPoint:
     """Coefficients and regime for the family member at parameter k."""
+    if not math.isfinite(k):
+        raise DomainError(f"params_from_k: requires finite k, got {k}")
     if k <= 0.0 or k == 4.0:
         raise SingularParameterError(f"k must be positive and != 4, got {k}")
     if k < 4.0:
@@ -360,6 +361,8 @@ def m_generic_2d(P: LaurentPoly2, tol: float = 1e-6) -> float:
     """
     if tol < 1e-8:
         raise AccuracyError(f"m_generic_2d: tol={tol:g} below supported range")
+    # scipy costs most of the start-up time and only this oracle needs it
+    from scipy import integrate as _spi
 
     def inner(t1: float) -> float:
         x = cmath.exp(2j * math.pi * t1)

@@ -159,6 +159,35 @@ class TestVerify:
         assert code == 1 and out == ""
         assert err.startswith("mahlerlab: error: expression:") and err.count("\n") == 1
 
+    def test_all_verifies_each_candidate_once(self, capsys, monkeypatch):
+        # the appendix and jia suites share one report per candidate and tol
+        seen = []
+        real = cli.verify_identity
+
+        def counting(cand, **kwargs):
+            seen.append(cand.name)
+            return real(cand, **kwargs)
+
+        monkeypatch.setattr(cli, "verify_identity", counting)
+        code, _, _ = run_main(capsys, "verify", "all", "--format", "json")
+        assert code == 0
+        assert sorted(seen) == ["cubic", "jia", "linear", "surd"]
+
+    def test_file_candidate_named_like_a_builtin_is_verified(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps([{"name": "jia", "p": "-x", "q": "x", "domain": [0.0, 1.0]}]))
+        seen = []
+        real = cli.verify_identity
+
+        def counting(cand, **kwargs):
+            seen.append(cand.name)
+            return real(cand, **kwargs)
+
+        monkeypatch.setattr(cli, "verify_identity", counting)
+        code, _, _ = run_main(capsys, "verify", "appendix", "--candidate-file", str(path))
+        assert code == 0
+        assert seen.count("jia") == 2
+
     def test_jia(self, capsys):
         code, out, _ = run_main(capsys, "verify", "jia", "--format", "json")
         assert code == 0
@@ -317,6 +346,19 @@ class TestDeterminism:
         _, out1, _ = run_main(capsys, "verify", "lsz", "--format", "csv")
         _, out2, _ = run_main(capsys, "verify", "lsz", "--format", "csv")
         assert out1 == out2
+
+
+def test_scipy_imported_only_by_the_2d_oracle():
+    probe = (
+        "import sys, mahlerlab.cli\n"
+        "print('scipy' in sys.modules)\n"
+        "mahlerlab.cli.main(['verify', 'eta', '--format', 'json'])\n"
+        "print('scipy' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "False" and lines[-1] == "False"
 
 
 def test_console_entry_point_subprocess():

@@ -47,6 +47,29 @@ def pi_defining(n, z):
     )
 
 
+@pytest.mark.parametrize(
+    "fn,args",
+    [
+        (ell_k, (math.nan,)),
+        (ell_k, (math.inf,)),
+        (ell_e, (math.nan,)),
+        (ell_e, (-math.inf,)),
+        (ell_pi, (math.nan, 0.5)),
+        (ell_pi, (0.2, math.inf)),
+        (ell_pi, (-math.inf, 0.5)),
+        (ell_k_imag, (math.nan,)),
+        (ell_k_imag, (math.inf,)),
+        (ell_pi_imag, (0.2, math.nan)),
+        (ell_pi_imag, (-math.inf, 1.0)),
+    ],
+)
+def test_non_finite_arguments_are_domain_errors(fn, args):
+    # NaN used to come back as NaN, and an infinite modulus as a divergence
+    with pytest.raises(DomainError, match="finite") as err:
+        fn(*args)
+    assert not isinstance(err.value, DivergenceError)
+
+
 class TestCarlson:
     def test_rf_equal_arguments(self):
         assert carlson_rf(1.0, 1.0, 1.0) == pytest.approx(1.0, abs=1e-15)

@@ -166,6 +166,32 @@ class TestVerifyIdentity:
             assert worst <= 1e-10
             assert rep.identity_residual_max <= 1e-10
 
+    def test_one_pq_jet_evaluation_per_grid_point(self, cands, monkeypatch):
+        cubic = cands["cubic"]
+        grid = I.default_grid(cubic, n=30)
+        calls = []
+        real = I._pq_jets
+
+        def counting(cand, x):
+            calls.append(x)
+            return real(cand, x)
+
+        monkeypatch.setattr(I, "_pq_jets", counting)
+        I.verify_identity(cubic, grid=grid)
+        # the anchor's r, then the residual pass; quadrature nodes go as arrays
+        assert sorted(calls) == sorted([cubic.anchor_x0, *grid])
+
+    @pytest.mark.parametrize("name", ["linear", "jia", "cubic", "surd"])
+    def test_residual_maxima_equal_public_residuals(self, cands, name):
+        cand = cands[name]
+        grid = I.default_grid(cand, n=40)
+        rep = I.verify_identity(cand, grid=grid)
+        xs = [x for x in grid if x != cand.anchor_x0]
+        assert rep.ode_residual_max == max(abs(I.ode_residual(cand, x)) for x in xs)
+        assert rep.e_coeff_residual_max == max(
+            abs(I.e_coefficient_residual(cand, x)) for x in xs
+        )
+
     def test_regime_error_names_offender(self, cands):
         with pytest.raises(RegimeError) as err:
             I.verify_identity(cands["jia"], x0=-1.0, grid=[-0.2])

@@ -1,8 +1,13 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mahlerlab.errors import DomainError
+from mahlerlab.expressions import parse_expression
+from mahlerlab.identities import builtin_candidates
 from mahlerlab.jets import Jet2, sqrt
 
 
@@ -107,3 +112,49 @@ def test_fractional_power_domain_error():
 def test_division_by_zero_jet():
     with pytest.raises(ZeroDivisionError):
         1.0 / Jet2(0.0, 1.0, 0.0)
+
+
+# the four built-in p/q, a parsed file candidate, a fractional power and a
+# zeroth power of something that can be undefined
+ARRAY_CASES = [
+    *((f"{c.name}.{side}", getattr(c, side)) for c in builtin_candidates() for side in "pq"),
+    ("file.p", parse_expression("-(x^2)/(1+2*x)")),
+    ("file.q", parse_expression("sqrt(x^3*(2+x)/(1+2*x))")),
+    ("x^(1/2)", parse_expression("x^(1/2)")),
+    ("(1/(x-1))^0 * x^1.5", parse_expression("(1/(x-1))^0 * x^1.5")),
+]
+# the jia anchor -1 (p = 0, sqrt of 0), zeros of 1 + 2x, 1 + 3x and x - 1,
+# and points where cubic's q takes the sqrt of a negative value
+SPECIAL_X = [-1.0, -0.5, -1.0 / 3.0, 0.0, 1.0, -0.25, -0.1, -2.0, 0.5]
+
+
+def _same(a, b):
+    return (math.isnan(a) and math.isnan(b)) or (
+        a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+    )
+
+
+@pytest.mark.parametrize("label,fn", ARRAY_CASES, ids=[c[0] for c in ARRAY_CASES])
+# below ~1e-200 Python's pow overflows in x^(1/2 - 2) and both paths raise
+# OverflowError, so the draws keep clear of that scale
+@given(st.lists(st.floats(-12.0, 3.0).filter(lambda x: abs(x) > 1e-100), max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_array_jet_equals_scalar_jets(label, fn, drawn):
+    xs = SPECIAL_X + drawn
+    with np.errstate(all="ignore"):
+        arr = fn(Jet2.seed(np.array(xs)))
+    parts = [np.broadcast_to(c, (len(xs),)) for c in (arr.value, arr.d1, arr.d2)]
+    for i, x in enumerate(xs):
+        try:
+            jet = fn(Jet2.seed(x))
+        except (DomainError, ZeroDivisionError):
+            assert all(math.isnan(p[i]) for p in parts), (label, x)
+            continue
+        want = (jet.value, jet.d1, jet.d2)
+        assert all(_same(float(p[i]), w) for p, w in zip(parts, want)), (label, x)
+
+
+def test_array_nan_survives_zeroth_power():
+    jet = (1.0 / (Jet2.seed(np.array([0.0, 2.0])))) ** 0
+    assert np.isnan(jet.value[0]) and np.isnan(jet.d1[0]) and np.isnan(jet.d2[0])
+    assert (jet.value[1], jet.d1[1], jet.d2[1]) == (1.0, 0.0, 0.0)

@@ -57,6 +57,12 @@ class TestParams:
     def test_regime_boundary_value(self):
         assert M.K_LARGE == pytest.approx(6.47213595499958, abs=1e-12)
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+    def test_non_finite_k_is_domain_error(self, k):
+        # NaN used to fall through every comparison into the MID regime
+        with pytest.raises(DomainError, match="finite"):
+            M.params_from_k(k)
+
     def test_singular_parameters(self):
         with pytest.raises(SingularParameterError):
             M.params_from_k(4.0)

@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
-from mahlerlab.errors import AccuracyError
+from mahlerlab import identities as I
+from mahlerlab.errors import AccuracyError, SingularPointError
 from mahlerlab.quadrature import cumulative_integrals, quadrature_oracle, tanh_sinh
 
 
@@ -50,13 +52,13 @@ def test_odd_integrand_cancels_exactly():
 
 def test_cumulative_chain_matches_antiderivative():
     xs = [0.1 * i for i in range(1, 11)]
-    for got, x in zip(cumulative_integrals(math.exp, 0.0, xs), xs):
+    for got, x in zip(cumulative_integrals(np.exp, 0.0, xs), xs):
         assert abs(got - (math.exp(x) - 1.0)) < 1e-13
 
 
 def test_cumulative_descending():
     xs = [-0.1 * i for i in range(1, 11)]
-    for got, x in zip(cumulative_integrals(math.exp, 0.0, xs), xs):
+    for got, x in zip(cumulative_integrals(np.exp, 0.0, xs), xs):
         assert abs(got - (math.exp(x) - 1.0)) < 1e-13
 
 
@@ -68,3 +70,92 @@ def test_nonfinite_near_endpoint_dropped():
 
     v = quadrature_oracle(f, 0.0, 1.0, 1e-12)
     assert abs(v + 1.0) < 1e-12
+
+
+def chained(f, x0, xs, tol=1e-14):
+    """The reference cumulative_integrals: one scalar tanh_sinh per panel,
+    running sum by math.fsum."""
+    out, acc, prev = [], [], x0
+    for x in xs:
+        acc.append(tanh_sinh(f, prev, x, tol)[0])
+        out.append(math.fsum(acc))
+        prev = x
+    return out
+
+
+def _lorentz(c, eps):
+    # only +, -, * and /: one lambda serves floats and arrays, rounding alike
+    def f(x):
+        return 1.0 / ((x - c) * (x - c) + eps * eps)
+
+    return f, f
+
+
+def _nan_below(cut):
+    # NaN on a whole panel and at the nodes of its neighbours next to cut
+    return (
+        lambda x: math.nan if x < cut else x / (1.0 + x * x),
+        lambda x: np.where(x < cut, math.nan, x / (1.0 + x * x)),
+    )
+
+
+def _identity_f(name):
+    cand = next(c for c in I.builtin_candidates() if c.name == name)
+
+    def scalar(x):
+        try:
+            return I.eval_f(cand, x)
+        except SingularPointError:
+            return math.nan
+
+    return scalar, lambda x: I._f_array(cand, x)
+
+
+CHAINS = [
+    ("ascending", _lorentz(0.35, 0.2), 0.0, [0.05 * i for i in range(1, 21)]),
+    ("descending", _lorentz(-0.35, 0.2), 0.0, [-0.05 * i for i in range(1, 21)]),
+    ("zero-length panel", _lorentz(0.5, 0.3), 0.1, [0.2, 0.3, 0.3, 0.45, 0.45, 0.7]),
+    ("nan nodes", _nan_below(0.3), 0.0, [0.1, 0.3, 0.4, 0.65, 1.0]),
+    ("jia from its degenerate anchor", _identity_f("jia"), -1.0,
+     [-1.001, -1.01, -1.3, -2.0, -4.5, -10.0]),
+    ("cubic", _identity_f("cubic"), 0.0, [1e-3, 0.1, 0.5, 0.9, 0.99]),
+]
+
+
+def _bits(v):
+    return float(v).hex()
+
+
+@pytest.mark.parametrize("label,fns,x0,xs", CHAINS, ids=[c[0] for c in CHAINS])
+def test_lockstep_equals_scalar_chain_bitwise(label, fns, x0, xs):
+    scalar, array = fns
+    got = cumulative_integrals(array, x0, xs)
+    assert [_bits(v) for v in got] == [_bits(v) for v in chained(scalar, x0, xs)]
+
+
+def test_lockstep_one_call_per_level_on_interior_nodes():
+    seen = []
+
+    def f(x):
+        seen.append(x.copy())
+        return np.exp(x)
+
+    xs = [0.01 * i for i in range(1, 26)] + [0.25, 0.5, 0.5, 1.0]
+    cumulative_integrals(f, 0.0, xs)
+    assert len(seen) <= 11  # levels 0..10, whatever the number of panels
+    nodes = np.concatenate(seen)
+    assert nodes.min() > 0.0 and nodes.max() < 1.0
+    assert not np.isin(nodes, xs).any()
+
+
+def test_lockstep_nonconvergence_matches_scalar_chain():
+    # the third panel holds a peak of width 1e-9 that no level resolves
+    scalar, array = _lorentz(0.2501, 1e-9)
+    xs = [0.1, 0.2, 0.3, 0.4]
+    with pytest.raises(AccuracyError) as want:
+        chained(scalar, 0.0, xs)
+    with pytest.raises(AccuracyError) as got:
+        cumulative_integrals(array, 0.0, xs)
+    assert str(got.value) == str(want.value)
+    assert _bits(got.value.best_estimate) == _bits(want.value.best_estimate)
+    assert _bits(got.value.error_estimate) == _bits(want.value.error_estimate)
