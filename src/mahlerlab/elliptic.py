@@ -27,9 +27,10 @@ def _check_finite(kind: str, *args: float) -> None:
 
 
 def _check_nonneg(kind: str, *args: float) -> None:
-    if any(a < 0.0 for a in args):
+    _check_finite(kind, *args)
+    if min(args) < 0.0:
         raise DomainError(f"{kind}: arguments must be nonnegative, got {args}")
-    if sum(1 for a in args if a == 0.0) > 1:
+    if args.count(0.0) > 1:
         raise DivergenceError(f"{kind}: diverges with two or more zero arguments")
 
 
@@ -70,9 +71,10 @@ def carlson_rf(x: float, y: float, z: float) -> float:
 
 
 def carlson_rc(x: float, y: float) -> float:
-    """Degenerate form R_C(x, y) = R_F(x, y, y), for x >= 0, y > 0."""
-    if x < 0.0 or y <= 0.0:
-        raise DomainError(f"carlson_rc: requires x >= 0, y > 0, got ({x}, {y})")
+    """Degenerate form R_C(x, y) = R_F(x, y, y), for finite x >= 0, y > 0."""
+    # comparisons rather than _check_finite: R_J calls this in its loop
+    if not (0.0 <= x < math.inf and 0.0 < y < math.inf):
+        raise DomainError(f"carlson_rc: requires finite x >= 0, y > 0, got ({x}, {y})")
     if x == 0.0:
         return _HALF_PI / math.sqrt(y)
     if x == y:
@@ -140,8 +142,8 @@ def carlson_rj(x: float, y: float, z: float, p: float) -> float:
     case p < 0 is rejected).  Relative error <= 1e-13.
     """
     _check_nonneg("carlson_rj", x, y, z)
-    if p <= 0.0:
-        raise DomainError(f"carlson_rj: requires p > 0, got {p}")
+    if not 0.0 < p < math.inf:
+        raise DomainError(f"carlson_rj: requires finite p > 0, got {p}")
     A = (x + y + z + 2.0 * p) / 5.0
     A0 = A
     x0, y0, z0 = x, y, z

@@ -10,8 +10,8 @@ The three components may also be numpy arrays, one element per point, so a
 closure evaluates a whole node set in one call with the same floating-point
 operations as the scalar path, element for element.  Where the scalar path
 raises (division by a zero value, sqrt or a non-integer power of a value
-<= 0), the array path puts NaN in all three components of that element, and
-the NaN survives every later operation.
+<= 0, a non-integer power that overflows), the array path puts NaN in all
+three components of that element, and the NaN survives every later operation.
 """
 
 from __future__ import annotations
@@ -20,12 +20,22 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, SingularPointError
 
 
 def _nan_where(bad: np.ndarray, v):
     """v with NaN at the elements flagged bad."""
     return np.where(bad, math.nan, v)
+
+
+def _pow_or_nan(v: float, e: float) -> float:
+    """Python's v ** e for v > 0, NaN where it is undefined or overflows."""
+    if not v > 0.0:
+        return math.nan
+    try:
+        return v ** e
+    except OverflowError:
+        return math.nan
 
 
 class Jet2:
@@ -129,20 +139,25 @@ class Jet2:
         if isinstance(self.value, np.ndarray):
             # Python's pow per element: numpy's may round differently
             vals = self.value.tolist()
-
-            def pw(e):
-                return np.array([v ** e if v > 0.0 else math.nan for v in vals])
+            p0, p1, p2 = (np.array([_pow_or_nan(v, e) for v in vals])
+                          for e in (n, n - 1.0, n - 2.0))
+            bad = np.isnan(p0) | np.isnan(p1) | np.isnan(p2)
+            p0, p1, p2 = (_nan_where(bad, p) for p in (p0, p1, p2))
         elif self.value <= 0.0:
             raise DomainError(
                 f"Jet2: non-integer power of non-positive value {self.value}"
             )
         else:
-            def pw(e):
-                return self.value ** e
+            try:
+                p0, p1, p2 = (self.value ** e for e in (n, n - 1.0, n - 2.0))
+            except OverflowError:
+                raise SingularPointError(
+                    f"Jet2: power {n} overflows at value {self.value}"
+                ) from None
         return Jet2(
-            pw(n),
-            n * pw(n - 1.0) * self.d1,
-            n * (n - 1.0) * pw(n - 2.0) * self.d1 * self.d1 + n * pw(n - 1.0) * self.d2,
+            p0,
+            n * p1 * self.d1,
+            n * (n - 1.0) * p2 * self.d1 * self.d1 + n * p1 * self.d2,
         )
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -328,13 +327,36 @@ def poly_ptilde(k: float) -> LaurentPoly2:
     return LaurentPoly2(((1, 0, at), (-1, 0, at), (0, 1, 1.0), (0, -1, -1.0), (0, 0, -ct)))
 
 
-def _circle_roots_in_y(P: LaurentPoly2, x: complex) -> list[float]:
-    """Angles (in turns) of the y-roots of P(x, .) that sit on the unit circle."""
-    jmin = min(j for _, j, _ in P.terms)
-    jmax = max(j for _, j, _ in P.terms)
-    coeffs = [0j] * (jmax - jmin + 1)
-    for i, j, c in P.terms:
-        coeffs[jmax - j] += c * x**i
+#: the break-point search counts a y-root with ||y| - 1| below this as on
+#: the unit circle: well above the eigenvalue noise of a root on the circle
+_ON_CIRCLE = 1e-10
+#: grid intervals of the outer break-point search, and bisection steps per
+#: break (1/256 halved 40 times is below 1e-14)
+_SEARCH_INTERVALS = 256
+_BISECTIONS = 40
+
+
+def _y_coefficients(P: LaurentPoly2) -> Callable:
+    """x -> the coefficients of y^(-jmin) P(x, y) in y, highest power first.
+
+    x may be one complex number or an array of them; each coefficient is then
+    a complex number or an array (a slot no term reaches stays 0j).
+    """
+    js = [j for _, j, _ in P.terms]
+    jmax, n = max(js), max(js) - min(js) + 1
+
+    def at(x):
+        coeffs = [0j] * n
+        for i, j, c in P.terms:
+            coeffs[jmax - j] += c * x**i
+        return coeffs
+
+    return at
+
+
+def _circle_roots_in_y(coeffs: list[complex]) -> list[float]:
+    """Angles (in turns) of the roots of the y-polynomial `coeffs` (highest
+    power first) that sit on the unit circle."""
     arr = np.array(coeffs, dtype=complex)
     scale = float(np.max(np.abs(arr)))
     if scale == 0.0:
@@ -351,12 +373,93 @@ def _circle_roots_in_y(P: LaurentPoly2, x: complex) -> list[float]:
     return sorted(out)
 
 
+def _y_roots_at(coeffs_at: Callable, t1: np.ndarray) -> np.ndarray:
+    """Row i holds the y-roots of P(e^{2 pi i t1[i]}, .), as the eigenvalues of
+    stacked companion matrices.  Where the leading coefficient vanishes, a
+    root has gone to infinity, and the whole row is set to infinity."""
+    x = np.exp(2j * np.pi * t1)
+    C = np.stack([np.broadcast_to(c, x.shape) for c in coeffs_at(x)], axis=1)
+    d = C.shape[1] - 1
+    comp = np.zeros((len(x), d, d), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        comp[:, 0, :] = -C[:, 1:] / C[:, :1]
+    comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    bad = ~np.isfinite(comp).all(axis=(1, 2))
+    comp[bad] = 0.0
+    roots = np.linalg.eigvals(comp)
+    roots[bad] = np.inf
+    return roots
+
+
+def _side(roots: np.ndarray) -> np.ndarray:
+    """-1 inside the unit circle, 0 on it, +1 outside."""
+    dist = np.abs(roots) - 1.0
+    return np.sign(dist) * (np.abs(dist) >= _ON_CIRCLE)
+
+
+def _follow(prev: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """The roots reordered row by row so that column j continues prev[:, j]:
+    the closest remaining (previous, new) pair is matched first, so each new
+    root is used once."""
+    n, d = prev.shape
+    rows = np.arange(n)
+    dist = np.abs(roots[:, None, :] - prev[:, :, None])
+    out = np.empty_like(roots)
+    for _ in range(d):
+        j, i = np.divmod(dist.reshape(n, -1).argmin(axis=1), d)
+        out[rows, j] = roots[rows, i]
+        dist[rows, j, :] = np.inf
+        dist[rows, :, i] = np.inf
+    return out
+
+
+def _outer_break_points(coeffs_at: Callable) -> list[float]:
+    """The t1 in [0, 1] where a y-root of P(e^{2 pi i t1}, .) enters, leaves or
+    crosses the unit circle: the square-root and corner kinks of the inner
+    integral as a function of t1.
+
+    The roots are sampled on a grid of t1 and each root is followed to the
+    next sample by continuity, so a root that leaves the circle while another
+    enters (the count outside unchanged) is still seen.  Each interval in
+    which a followed root changes side is bisected.  Two changes closer
+    together than the grid spacing may show as one break, or none.
+    """
+    if len(coeffs_at(1.0)) < 2:
+        return []
+    t = np.linspace(0.0, 1.0, _SEARCH_INTERVALS + 1)
+    roots = _y_roots_at(coeffs_at, t)
+    moved = (_side(_follow(roots[:-1], roots[1:])) != _side(roots[:-1])).any(axis=1)
+    lo, hi, r_lo = t[:-1][moved], t[1:][moved], roots[:-1][moved]
+    if not len(lo):
+        return []
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        r_mid = _follow(r_lo, _y_roots_at(coeffs_at, mid))
+        left = (_side(r_mid) != _side(r_lo)).any(axis=1)
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+        r_lo = np.where(left[:, None], r_lo, r_mid)
+    return (0.5 * (lo + hi)).tolist()
+
+
+def _quadpack_failure(out: tuple) -> str | None:
+    """The first sentence of QUADPACK's message when `quad(..., full_output=1)`
+    reports a non-zero ier, else None."""
+    return " ".join(out[3].split(".")[0].split()) if len(out) > 3 else None
+
+
 def m_generic_2d(P: LaurentPoly2, tol: float = 1e-6) -> float:
     """Brute-force Mahler measure: nested adaptive quadrature of
     log|P(e^{2 pi i t1}, e^{2 pi i t2})| over the unit square.
 
-    Independent of the one-variable Jensen route: quadrature is QUADPACK with
-    explicit break points at the y-roots on the unit circle.  Supports
+    Independent of the one-variable Jensen route: both integrals are QUADPACK,
+    each with explicit break points found from the polynomial itself.  The
+    inner one, over t2, breaks at the y-roots on the unit circle.  The outer
+    one, over t1, breaks where a y-root enters, leaves or crosses the unit
+    circle (found on a grid of t1 by following each root, then bisected),
+    because the inner integral has a kink there.  A non-zero QUADPACK ier in
+    either integral, or an outer error estimate above tol, raises
+    `AccuracyError` carrying the outer value as `best_estimate`.  Supports
     tol >= 1e-6; cost grows quadratically as tol shrinks.
     """
     if tol < 1e-8:
@@ -364,45 +467,52 @@ def m_generic_2d(P: LaurentPoly2, tol: float = 1e-6) -> float:
     # scipy costs most of the start-up time and only this oracle needs it
     from scipy import integrate as _spi
 
+    coeffs_at = _y_coefficients(P)
+    inner_failures = []
+
     def inner(t1: float) -> float:
-        x = cmath.exp(2j * math.pi * t1)
-        jmin = min(j for _, j, _ in P.terms)
-        jmax = max(j for _, j, _ in P.terms)
-        b = [0j] * (jmax - jmin + 1)
-        for i, j, c in P.terms:
-            b[j - jmin] += c * x**i
+        coeffs = coeffs_at(cmath.exp(2j * math.pi * t1))
 
         def g(t2: float) -> float:
             y = cmath.exp(2j * math.pi * t2)
             acc = 0j
-            for co in reversed(b):
+            for co in coeffs:
                 acc = acc * y + co
             return math.log(max(abs(acc), 1e-300))
 
-        pts = _circle_roots_in_y(P, x)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", _spi.IntegrationWarning)
-            val, _ = _spi.quad(
-                g,
-                0.0,
-                1.0,
-                points=pts or None,
-                limit=200,
-                epsabs=0.02 * tol,
-                epsrel=1e-10,
-            )
-        return val
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _spi.IntegrationWarning)
-        val, err = _spi.quad(inner, 0.0, 1.0, limit=200, epsabs=0.5 * tol, epsrel=1e-10)
-    if err > tol:
-        raise AccuracyError(
-            f"m_generic_2d: estimated error {err:g} exceeds tol {tol:g}",
-            best_estimate=val,
-            error_estimate=err,
+        pts = _circle_roots_in_y(coeffs)
+        out = _spi.quad(
+            g,
+            0.0,
+            1.0,
+            points=pts or None,
+            limit=200,
+            epsabs=0.02 * tol,
+            epsrel=1e-10,
+            full_output=1,
         )
-    return val
+        failure = _quadpack_failure(out)
+        if failure:
+            inner_failures.append(f"t1={t1!r}: {failure}")
+        return out[0]
+
+    breaks = _outer_break_points(coeffs_at)
+    out = _spi.quad(inner, 0.0, 1.0, points=breaks or None, limit=200,
+                    epsabs=0.5 * tol, epsrel=1e-10, full_output=1)
+    val, err = out[0], out[1]
+    failure = _quadpack_failure(out)
+    if failure:
+        msg = f"m_generic_2d: outer QUADPACK integral failed: {failure}"
+    elif inner_failures:
+        msg = (
+            f"m_generic_2d: inner QUADPACK integral failed at "
+            f"{len(inner_failures)} t1, first {inner_failures[0]}"
+        )
+    elif err > tol:
+        msg = f"m_generic_2d: estimated error {err:g} exceeds tol {tol:g}"
+    else:
+        return val
+    raise AccuracyError(msg, best_estimate=val, error_estimate=err)
 
 
 def lsz_branch_verdict(k: float, tol: float = 1e-8) -> dict:

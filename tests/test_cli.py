@@ -63,6 +63,14 @@ class TestBasicCommands:
         assert exc.value.code == 2
         assert "must be finite" in capsys.readouterr().err
 
+    def test_mahler_with_2d_oracle_below_4(self, capsys):
+        # the oracle used to miss its 1e-6 here, failing the comparison row
+        code, out, _ = run_main(capsys, "mahler", "--k", "1.8291", "--with-2d", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert rows[-1]["input"] == "2d oracle vs m(P_1k)"
+        assert all(r["status"] == "PASS" for r in rows)
+
     def test_mahler_small_k(self, capsys):
         code, out, _ = run_main(capsys, "mahler", "--k", "2", "--format", "json")
         doc = json.loads(out)

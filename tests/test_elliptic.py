@@ -61,10 +61,15 @@ def pi_defining(n, z):
         (ell_k_imag, (math.inf,)),
         (ell_pi_imag, (0.2, math.nan)),
         (ell_pi_imag, (-math.inf, 1.0)),
+        (carlson_rf, (0.0, 1.0, math.inf)),
+        (carlson_rd, (0.0, 1.0, math.nan)),
+        (carlson_rj, (0.0, 0.75, 1.0, math.inf)),
+        (carlson_rc, (1.0, math.nan)),
     ],
 )
 def test_non_finite_arguments_are_domain_errors(fn, args):
-    # NaN used to come back as NaN, and an infinite modulus as a divergence
+    # NaN used to come back as NaN, an infinite modulus as a divergence, and
+    # carlson_rj with p = inf never returned
     with pytest.raises(DomainError, match="finite") as err:
         fn(*args)
     assert not isinstance(err.value, DivergenceError)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mahlerlab.errors import DomainError
+from mahlerlab.errors import DomainError, SingularPointError
 from mahlerlab.expressions import parse_expression
 from mahlerlab.identities import builtin_candidates
 from mahlerlab.jets import Jet2, sqrt
@@ -109,6 +109,15 @@ def test_fractional_power_domain_error():
         Jet2(-2.0, 1.0, 0.0) ** 0.5
 
 
+def test_overflowing_fractional_power():
+    # x^(1/2 - 2) overflows Python's pow: a singular point, not an OverflowError
+    with pytest.raises(SingularPointError):
+        Jet2.seed(1e-278) ** 0.5
+    jet = Jet2.seed(np.array([1e-278, 4.0])) ** 0.5
+    assert np.isnan(jet.value[0]) and np.isnan(jet.d1[0]) and np.isnan(jet.d2[0])
+    assert (jet.value[1], jet.d1[1], jet.d2[1]) == (2.0, 0.25, -0.03125)
+
+
 def test_division_by_zero_jet():
     with pytest.raises(ZeroDivisionError):
         1.0 / Jet2(0.0, 1.0, 0.0)
@@ -135,9 +144,8 @@ def _same(a, b):
 
 
 @pytest.mark.parametrize("label,fn", ARRAY_CASES, ids=[c[0] for c in ARRAY_CASES])
-# below ~1e-200 Python's pow overflows in x^(1/2 - 2) and both paths raise
-# OverflowError, so the draws keep clear of that scale
-@given(st.lists(st.floats(-12.0, 3.0).filter(lambda x: abs(x) > 1e-100), max_size=12))
+# the draws reach below ~1e-200, where Python's pow overflows in x^(1/2 - 2)
+@given(st.lists(st.floats(-12.0, 3.0), max_size=12))
 @settings(max_examples=60, deadline=None)
 def test_array_jet_equals_scalar_jets(label, fn, drawn):
     xs = SPECIAL_X + drawn

@@ -354,3 +354,79 @@ class TestGeneric2D:
             hm = M.half_measures_ptilde(k, 1e-10)
             poly = M.poly_ptilde(k)
         assert M.m_generic_2d(poly, 1e-6) == pytest.approx(hm.m_total, abs=1e-6)
+
+    # k < 4: the inner integral kinks where y-roots enter and leave the circle;
+    # without outer break points the oracle missed 1e-6 at 1.8291 and 2.5
+    @pytest.mark.parametrize(
+        "k", [0.05, 0.5, 1.0, 1.5, 1.8291, 2.0, 2.5, 3.0, 3.5, 3.95]
+    )
+    def test_small_k_meets_tol(self, k):
+        assert abs(M.m_generic_2d(M.poly_p1k(k), 1e-6) - M.m_p1k(k, 1e-12)) <= 1e-6
+
+    @pytest.mark.parametrize("k", [0.05, 1.0, 1.8291, 2.5, 3.95])
+    def test_breaks_p1k(self, k):
+        t = math.acos((2.0 - k) / 2.0) / (2.0 * math.pi)
+        assert _breaks(M.poly_p1k(k)) == pytest.approx([t, 1.0 - t], abs=1e-12)
+
+    @pytest.mark.parametrize("k", [0.5, 2.0, 3.0, 3.9])
+    def test_breaks_pac_both_arcs(self, k):
+        # B = 2 a cos(theta) + c crosses +2 near theta = 0 and -2 near pi
+        fp = M.params_from_k(k)
+        ts = [math.acos((b - fp.c) / (2.0 * fp.a)) / (2.0 * math.pi) for b in (2.0, -2.0)]
+        want = sorted(ts + [1.0 - t for t in ts])
+        assert _breaks(M.poly_pac(fp.a, fp.c)) == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("k", [4.001, 4.5, 5.0, 6.0, 6.47])
+    def test_breaks_ptilde_swap(self, k):
+        # sigma = -1: one root leaves the circle as the other enters
+        t = math.acos(k / (2.0 * math.sqrt(k + 4.0))) / (2.0 * math.pi)
+        assert _breaks(M.poly_ptilde(k)) == pytest.approx([t, 1.0 - t], abs=1e-8)
+
+    @pytest.mark.parametrize("k", [4.001, 4.6, 8.0, 12.0, 100.0])
+    def test_no_breaks_p1k_above_4(self, k):
+        assert _breaks(M.poly_p1k(k)) == []
+
+    @pytest.mark.parametrize("k", [6.48, 8.0, 12.0, 100.0])
+    def test_no_breaks_ptilde_above_k_large(self, k):
+        assert _breaks(M.poly_ptilde(k)) == []
+
+    @pytest.mark.parametrize(
+        "terms,t",
+        [
+            (((0, 0, 1.0), (1, 0, 1.0), (0, 1, 1.0)), 1.0 / 3.0),  # 1 + x + y
+            (((0, 0, 1.0), (0, 1, 1.0), (1, 1, 1.0)), 1.0 / 3.0),  # 1 + (1 + x) y
+            # 1 + (x - 1) y: the leading coefficient vanishes at the sample t1 = 0
+            (((0, 0, 1.0), (0, 1, -1.0), (1, 1, 1.0)), 1.0 / 6.0),
+        ],
+    )
+    def test_smyth_degree_one_in_y(self, terms, t):
+        # m(1 + x + y) = 3 sqrt(3)/(4 pi) L(chi_-3, 2) (Smyth 1981); one root
+        # in y, outside the circle on an arc of t1 with ends t and 1 - t
+        P = M.LaurentPoly2(terms)
+        assert _breaks(P) == pytest.approx([t, 1.0 - t], abs=1e-9)
+        assert M.m_generic_2d(P) == pytest.approx(0.3230659472194505, abs=1e-6)
+
+    @pytest.mark.parametrize("level,where", [(0, "outer"), (1, "inner")])
+    def test_quadpack_failure_raises(self, monkeypatch, level, where):
+        # starve the outer or the inner QUADPACK call of subintervals
+        from scipy import integrate
+
+        quad, depth = integrate.quad, [0]
+
+        def starved(*args, **kw):
+            if depth[0] == level:
+                kw["limit"] = 3
+            depth[0] += 1
+            try:
+                return quad(*args, **kw)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(integrate, "quad", starved)
+        with pytest.raises(AccuracyError, match=where) as err:
+            M.m_generic_2d(M.poly_p1k(1.0), 1e-6)
+        assert err.value.best_estimate == pytest.approx(M_P1K[1.0], abs=1e-2)
+
+
+def _breaks(P):
+    return M._outer_break_points(M._y_coefficients(P))
