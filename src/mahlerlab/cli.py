@@ -25,7 +25,8 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable, Sequence
 
 from . import __version__
 from .curves import K_LABELS, TABLE1
@@ -60,58 +61,12 @@ from .mahler import (
 THM_MAIN_K_FLOOR = 4.2
 #: most points a --k-grid may ask for
 MAX_GRID_POINTS = 10_000
+#: largest --nmax: the a_n table costs ~6 s at 10 000 and ~100 s at 40 000
+MAX_NMAX = 10_000
 
-_SUITES = ("thm-main", "corollary", "ei", "appendix", "jia", "lsz", "eta", "all")
 _QUANTITIES = ("f", "h", "m_plus", "m_minus", "dfdk", "dhdk")
 
 _IMAGINARY_ROWS = ("i", "2i", "3i", "4i", "sqrt(2)i")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully deterministic run configuration (no seeds anywhere).
-
-    tolerance is gated at 1e-13 (the double-precision floor) and grid domains
-    are validated per command before any computation starts.
-    """
-
-    command: str
-    fmt: str = "text"
-    jobs: int = 1
-    tol: float | None = None
-    k: float | None = None
-    k_grid: list[float] | None = None
-    n_max: int | None = None
-    suite: str | None = None
-    quantity: str | None = None
-    kind: str | None = None
-    z: float | None = None
-    n: float | None = None
-    m: float | None = None
-    with_2d: bool = False
-    dump_an: str | None = None
-    candidate_file: str | None = None
-
-    @staticmethod
-    def from_args(args) -> "RunConfig":
-        return RunConfig(
-            command=args.command,
-            fmt=args.format,
-            jobs=getattr(args, "jobs", 1),
-            tol=getattr(args, "tol", None),
-            k=getattr(args, "k", None),
-            k_grid=getattr(args, "k_grid", None),
-            n_max=getattr(args, "nmax", None),
-            suite=getattr(args, "suite", None),
-            quantity=getattr(args, "quantity", None),
-            kind=getattr(args, "kind", None),
-            z=getattr(args, "z", None),
-            n=getattr(args, "n", None),
-            m=getattr(args, "m", None),
-            with_2d=getattr(args, "with_2d", False),
-            dump_an=getattr(args, "dump_an", None),
-            candidate_file=getattr(args, "candidate_file", None),
-        )
 
 
 @dataclass
@@ -215,25 +170,21 @@ def log_grid(lo: float, hi: float, n: int) -> list[float]:
     return [lo * ratio**i for i in range(n)]
 
 
-def _k_values(cfg: "RunConfig", default: list[float]) -> list[float]:
-    if cfg.k is not None:
-        return [cfg.k]
-    if cfg.k_grid:
-        return cfg.k_grid
-    return default
-
-
-def _reject_ks(suite: str, ks: list[float], bad_k, why: str) -> None:
-    bad = [k for k in ks if bad_k(k)]
-    if bad:
-        raise UsageError(f"verify {suite}: k values {bad} {why}")
+def parse_nmax(text: str) -> int:
+    """argparse type for --nmax: an integer in [1, MAX_NMAX]."""
+    value = int(text)
+    if not 1 <= value <= MAX_NMAX:
+        raise argparse.ArgumentTypeError(f"must be in [1, {MAX_NMAX}], got {value}")
+    return value
 
 
 # ----------------------------------------------------------------------------
-# suites
+# suites: each takes (ks, tol, args, verify), where `verify` is the run's
+# shared verify_identity.  They look up the checks they run in this module's
+# namespace when called, so a patch of one of those names takes effect
 
 
-def suite_ei(ks: list[float], tol: float) -> Report:
+def suite_ei(ks: Sequence[float], tol: float, args, verify) -> Report:
     rep = Report("verify ei", metadata={"tol": tol})
     for k in ks:
         z = 4.0 / k
@@ -243,7 +194,7 @@ def suite_ei(ks: list[float], tol: float) -> Report:
     return rep
 
 
-def suite_thm_main(ks: list[float], tol: float) -> Report:
+def suite_thm_main(ks: Sequence[float], tol: float, args, verify) -> Report:
     rep = Report("verify thm-main", metadata={"tol": tol, "k_floor": THM_MAIN_K_FLOOR})
     for k in ks:
         res = verify_thm_main(k, tol)
@@ -251,7 +202,7 @@ def suite_thm_main(ks: list[float], tol: float) -> Report:
     return rep
 
 
-def suite_corollary(ks: list[float], tol: float) -> Report:
+def suite_corollary(ks: Sequence[float], tol: float, args, verify) -> Report:
     rep = Report("verify corollary", metadata={"tol": tol, "m_minus_tol": 1e-12})
     for k in ks:
         m_minus, res = verify_corollary(k, tol)
@@ -260,14 +211,14 @@ def suite_corollary(ks: list[float], tol: float) -> Report:
     return rep
 
 
-def suite_appendix(tol: float, candidate_file: str | None, verify) -> Report:
+def suite_appendix(ks: Sequence[float], tol: float, args, verify) -> Report:
     rep = Report(
         "verify appendix",
         metadata={"identity_tol": tol, "ode_tol": 1e-10, "e_coeff_tol": 1e-11},
     )
     cands = builtin_candidates()
-    if candidate_file:
-        cands += load_candidates(candidate_file)
+    if args.candidate_file:
+        cands += load_candidates(args.candidate_file)
     for cand in cands:
         r = verify(cand, tol=tol)
         rep.add(f"{cand.name} ode", 0.0, r.ode_residual_max, r.ode_residual_max, r.ode_tol)
@@ -292,7 +243,7 @@ def suite_appendix(tol: float, candidate_file: str | None, verify) -> Report:
     return rep
 
 
-def suite_jia(tol: float, verify) -> Report:
+def suite_jia(ks: Sequence[float], tol: float, args, verify) -> Report:
     rep = Report("verify jia", metadata={"tol": tol, "anchor_tol": 1e-12})
     jia = next(c for c in builtin_candidates() if c.name == "jia")
     r = verify(jia, tol=tol)
@@ -309,9 +260,9 @@ def suite_jia(tol: float, verify) -> Report:
     return rep
 
 
-def suite_lsz(tol: float) -> Report:
+def suite_lsz(ks: Sequence[float], tol: float, args, verify) -> Report:
     rep = Report("verify lsz", metadata={"log_tol": 1e-8, "lsz_tol": tol})
-    for k in (1.0, 2.0, 3.0):
+    for k in ks:
         fp = params_from_k(k)
         hm = half_measures_pac_small_k(k, tol=1e-11)
         target = m_p1k(k, tol=1e-11)
@@ -337,24 +288,69 @@ def suite_lsz(tol: float) -> Report:
     return rep
 
 
-def suite_eta(tol: float) -> Report:
+def suite_eta(ts: Sequence[float], tol: float, args, verify) -> Report:
     rep = Report("verify eta", metadata={"tol": tol})
-    for t in (0.5, 1.0, 1.5):
+    for t in ts:
         res = verify_eta_param(t)
         rep.add(f"t={t:.6g}", 0.0, res, res, tol)
     return rep
 
 
-def cmd_verify(cfg: RunConfig) -> Report:
-    tolmap = {
-        "thm-main": 1e-8,
-        "corollary": 1e-8,
-        "ei": 1e-11,
-        "appendix": 1e-10,
-        "jia": 1e-10,
-        "lsz": 1e-6,
-        "eta": 1e-10,
-    }
+@dataclass(frozen=True)
+class Suite:
+    """One `verify` suite.
+
+    `ks` are the default k values.  --k or --k-grid replace them, and the run
+    stops with `domain` as a usage error if `bad_k` holds for any of them.
+    A suite with ks=None runs only its fixed `inputs` and rejects --k and
+    --k-grid.  `rows` builds the suite's report.
+    """
+
+    name: str
+    ks: tuple[float, ...] | None
+    tol: float
+    rows: Callable[..., Report]
+    bad_k: Callable[[float], bool] | None = None
+    domain: str = ""
+    inputs: tuple[float, ...] = ()
+
+    def ks_for(self, args, single: bool) -> Sequence[float]:
+        if self.ks is None:
+            if single and (args.k is not None or args.k_grid):
+                raise UsageError(f"verify {self.name}: runs fixed inputs and takes no --k or --k-grid")
+            return self.inputs
+        ks = [args.k] if args.k is not None else args.k_grid or self.ks
+        bad = [k for k in ks if self.bad_k(k)]
+        if bad:
+            raise UsageError(f"verify {self.name}: k values {bad} {self.domain}")
+        return ks
+
+
+#: every `verify` suite, in the order `verify all` runs them
+SUITES = {
+    s.name: s
+    for s in (
+        Suite("thm-main", (4.5, 5.0, 6.0, 8.0, 12.0, 20.0), 1e-8, suite_thm_main,
+              lambda k: k < THM_MAIN_K_FLOOR,
+              f"below the documented safety floor {THM_MAIN_K_FLOOR} "
+              "(both sides diverge as k -> 4)"),
+        Suite("corollary", (7.0, 8.0, 16.0, 50.0), 1e-8, suite_corollary,
+              lambda k: k <= K_LARGE, f"not above 2(1+sqrt(5)) = {K_LARGE:.4f}"),
+        Suite("ei", tuple(log_grid(4.5, 100.0, 20)), 1e-11, suite_ei,
+              lambda k: k <= 4.0, "not above 4 (requires k > 4, so z = 4/k < 1)"),
+        Suite("appendix", None, 1e-10, suite_appendix),
+        Suite("jia", None, 1e-10, suite_jia),
+        Suite("lsz", None, 1e-6, suite_lsz, inputs=(1.0, 2.0, 3.0)),
+        Suite("eta", None, 1e-10, suite_eta, inputs=(0.5, 1.0, 1.5)),
+    )
+}
+
+
+def cmd_verify(args) -> Report:
+    single = args.suite != "all"
+    specs = [SUITES[args.suite]] if single else list(SUITES.values())
+    # every suite's k values are checked before any suite runs
+    runs = [(spec, spec.ks_for(args, single)) for spec in specs]
     reports = {}
 
     def verify(cand, tol):
@@ -364,48 +360,16 @@ def cmd_verify(cfg: RunConfig) -> Report:
             reports[cand, tol] = verify_identity(cand, tol=tol)
         return reports[cand, tol]
 
-    def run(suite: str) -> Report:
-        tol = cfg.tol if cfg.tol is not None else tolmap[suite]
-        if suite == "ei":
-            ks = _k_values(cfg, log_grid(4.5, 100.0, 20))
-            _reject_ks(suite, ks, lambda k: k <= 4.0, "not above 4 (requires k > 4, so z = 4/k < 1)")
-            return suite_ei(ks, tol)
-        if suite == "thm-main":
-            ks = _k_values(cfg, [4.5, 5.0, 6.0, 8.0, 12.0, 20.0])
-            _reject_ks(suite, ks, lambda k: k < THM_MAIN_K_FLOOR,
-                       f"below the documented safety floor {THM_MAIN_K_FLOOR} "
-                       "(both sides diverge as k -> 4)")
-            return suite_thm_main(ks, tol)
-        if suite == "corollary":
-            ks = _k_values(cfg, [7.0, 8.0, 16.0, 50.0])
-            _reject_ks(suite, ks, lambda k: k <= K_LARGE,
-                       f"not above 2(1+sqrt(5)) = {K_LARGE:.4f}")
-            return suite_corollary(ks, tol)
-        if suite == "appendix":
-            return suite_appendix(tol, cfg.candidate_file, verify)
-        if suite == "jia":
-            return suite_jia(tol, verify)
-        if suite == "lsz":
-            return suite_lsz(tol)
-        if suite == "eta":
-            return suite_eta(tol)
-        raise UsageError(f"unknown suite {suite!r}")
-
-    if cfg.suite == "all":
-        combined = Report("verify all", metadata={"suites": [s for s in _SUITES if s != "all"]})
-        for suite in _SUITES:
-            if suite == "all":
-                continue
-            sub = run(suite)
-            for row in sub.rows:
-                combined.rows.append(
-                    Row(f"{suite}: {row.input}", row.expected, row.computed, row.residual, row.status)
-                )
-        return combined
-    return run(cfg.suite)
+    combined = Report("verify all", metadata={"suites": list(SUITES)})
+    for spec, ks in runs:
+        sub = spec.rows(ks, spec.tol if args.tol is None else args.tol, args, verify)
+        if single:
+            return sub
+        combined.rows += [replace(row, input=f"{spec.name}: {row.input}") for row in sub.rows]
+    return combined
 
 
-def cmd_table(cfg: RunConfig) -> Report:
+def cmd_table(args) -> Report:
     rep = Report(
         "table",
         metadata={"digits_required": 6, "nt_tol": 1e-6, "measure_tol": 1e-9},
@@ -415,7 +379,7 @@ def cmd_table(cfg: RunConfig) -> Report:
         N, r = TABLE1[k2]
         label = K_LABELS[k2]
         m = m_p1k(k, tol=1e-9)
-        _, data, res = lvalue_from_k(k, n_max=cfg.n_max)
+        _, data, res = lvalue_from_k(k, n_max=args.nmax)
         rl = float(r) * res.Lprime0
         rel = abs(m - rl) / abs(rl)
         digits = math.floor(-math.log10(rel)) if rel > 0 else 16
@@ -473,18 +437,15 @@ def _sweep_one(task) -> tuple[float, float, float]:
     return k, v, est
 
 
-def cmd_sweep(cfg: RunConfig) -> Report:
-    if not cfg.k_grid:
-        raise UsageError("sweep: --k-grid lo:hi:n is required")
-    tol = cfg.tol if cfg.tol is not None else 1e-10
-    tasks = [(cfg.quantity, k, tol) for k in cfg.k_grid]
-    workers = min(cfg.jobs, os.cpu_count() or 1, len(tasks))
+def cmd_sweep(args) -> Report:
+    tasks = [(args.quantity, k, args.tol) for k in args.k_grid]
+    workers = min(args.jobs, os.cpu_count() or 1, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_one, tasks))
     else:
         results = [_sweep_one(t) for t in tasks]
-    rep = Report(f"sweep {cfg.quantity}", metadata={"tol": tol})
+    rep = Report(f"sweep {args.quantity}", metadata={"tol": args.tol})
     for k, v, est in results:
         rep.rows.append(Row(f"k={k!r}", "", v, est, "PASS"))
     return rep
@@ -499,31 +460,30 @@ def emit_sweep_csv(report: Report, stream) -> None:
     stream.write(buf.getvalue())
 
 
-def cmd_ell(cfg: RunConfig) -> Report:
-    rep = Report(f"ell {cfg.kind}", metadata={})
-    kind = cfg.kind
+def cmd_ell(args) -> Report:
+    rep = Report(f"ell {args.kind}", metadata={})
+    kind = args.kind
     if kind == "K":
-        val = ell_k(_require(cfg.z, "--z"))
-        inp = f"K(z={cfg.z!r})"
+        val = ell_k(_require(args.z, "--z"))
+        inp = f"K(z={args.z!r})"
     elif kind == "E":
-        val = ell_e(_require(cfg.z, "--z"))
-        inp = f"E(z={cfg.z!r})"
+        val = ell_e(_require(args.z, "--z"))
+        inp = f"E(z={args.z!r})"
     elif kind == "Pi":
-        val = ell_pi(_require(cfg.n, "--n"), _require(cfg.z, "--z"))
-        inp = f"Pi(n={cfg.n!r}, z={cfg.z!r})"
+        val = ell_pi(_require(args.n, "--n"), _require(args.z, "--z"))
+        inp = f"Pi(n={args.n!r}, z={args.z!r})"
     elif kind == "K-imag":
-        val = ell_k_imag(_require(cfg.m, "--m"))
-        inp = f"K(i*m, m={cfg.m!r})"
+        val = ell_k_imag(_require(args.m, "--m"))
+        inp = f"K(i*m, m={args.m!r})"
     else:  # Pi-imag
-        val = ell_pi_imag(_require(cfg.n, "--n"), _require(cfg.m, "--m"))
-        inp = f"Pi(n={cfg.n!r}, i*m, m={cfg.m!r})"
+        val = ell_pi_imag(_require(args.n, "--n"), _require(args.m, "--m"))
+        inp = f"Pi(n={args.n!r}, i*m, m={args.m!r})"
     rep.rows.append(Row(inp, "", val, 0.0, "PASS"))
     return rep
 
 
-def cmd_mahler(cfg: RunConfig) -> Report:
-    k = _require(cfg.k, "--k")
-    tol = cfg.tol if cfg.tol is not None else 1e-8
+def cmd_mahler(args) -> Report:
+    k, tol = args.k, args.tol
     rep = Report(f"mahler k={k!r}", metadata={"tol": tol})
     fp = params_from_k(k)
     rep.metadata["regime"] = fp.regime.value
@@ -536,16 +496,15 @@ def cmd_mahler(cfg: RunConfig) -> Report:
     rep.rows.append(Row("m_plus", "", hm.m_plus, tol, "PASS"))
     rep.rows.append(Row("m_minus", "", hm.m_minus, tol, "PASS"))
     rep.rows.append(Row("m_total", "", hm.m_total, tol, "PASS"))
-    if cfg.with_2d:
+    if args.with_2d:
         v = m_generic_2d(poly_p1k(k), 1e-6)
         rep.add("2d oracle vs m(P_1k)", m, v, abs(v - m), 1e-6)
     return rep
 
 
-def cmd_lvalue(cfg: RunConfig) -> Report:
-    k = _require(cfg.k, "--k")
-    tol = cfg.tol if cfg.tol is not None else 1e-12
-    curve, data, res = lvalue_from_k(k, n_max=cfg.n_max, tol=tol)
+def cmd_lvalue(args) -> Report:
+    k, tol = args.k, args.tol
+    curve, data, res = lvalue_from_k(k, n_max=args.nmax, tol=tol)
     rep = Report(f"lvalue k={k!r}", metadata={"tol": tol})
     rec = summary_record(curve, data, res)
     spread = split_point_spread(data)
@@ -553,10 +512,13 @@ def cmd_lvalue(cfg: RunConfig) -> Report:
         rep.rows.append(Row(key, "", rec[key], 0.0, "PASS"))
     rep.add("split-point spread", 0.0, spread, spread, 1e-10)
     rep.metadata["ap_routes"] = rec["ap_routes"]
-    if cfg.dump_an:
-        with open(cfg.dump_an, "w", encoding="utf-8") as fh:
-            fh.write(an_table_text(data))
-        rep.metadata["an_table"] = cfg.dump_an
+    if args.dump_an:
+        try:
+            with open(args.dump_an, "w", encoding="utf-8") as fh:
+                fh.write(an_table_text(data))
+        except OSError as exc:
+            raise UsageError(f"--dump-an: cannot write {args.dump_an!r}: {exc.strerror}") from exc
+        rep.metadata["an_table"] = args.dump_an
     return rep
 
 
@@ -595,18 +557,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mahler", help="Mahler and half-Mahler measures at k")
     p.add_argument("--k", type=finite_float, required=True)
     p.add_argument("--with-2d", action="store_true", help="also run the 2D oracle")
-    common(p)
+    common(p, tol_default=1e-8)
     p.set_defaults(fn=cmd_mahler)
 
     p = sub.add_parser("lvalue", help="curve data and L-values at k")
     p.add_argument("--k", type=finite_float, required=True)
-    p.add_argument("--nmax", type=int, default=None)
+    p.add_argument("--nmax", type=parse_nmax, default=None)
     p.add_argument("--dump-an", default=None, help="write the (n, a_n) table here")
-    common(p)
+    common(p, tol_default=1e-12)
     p.set_defaults(fn=cmd_lvalue)
 
     p = sub.add_parser("verify", help="run a residual suite")
-    p.add_argument("suite", choices=_SUITES)
+    p.add_argument("suite", choices=(*SUITES, "all"))
     p.add_argument("--k", type=finite_float, default=None)
     p.add_argument("--k-grid", type=parse_grid, default=None)
     p.add_argument("--candidate-file", default=None)
@@ -614,14 +576,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("table", help="reproduce the published k-table")
-    p.add_argument("--nmax", type=int, default=None)
+    p.add_argument("--nmax", type=parse_nmax, default=None)
     common(p)
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("sweep", help="CSV sweep of a quantity over a k-grid")
     p.add_argument("quantity", choices=_QUANTITIES)
-    p.add_argument("--k-grid", type=parse_grid, default=None)
-    common(p)
+    p.add_argument("--k-grid", type=parse_grid, required=True)
+    common(p, tol_default=1e-10)
     p.set_defaults(fn=cmd_sweep)
 
     return parser
@@ -634,20 +596,19 @@ def main(argv=None) -> int:
         parser.exit(2, "mahlerlab: --tol below the 1e-13 double-precision floor\n")
     if args.jobs < 1:
         parser.exit(2, f"mahlerlab: --jobs must be at least 1, got {args.jobs}\n")
-    cfg = RunConfig.from_args(args)
     t0 = time.perf_counter()
     try:
-        report = args.fn(cfg)
+        report = args.fn(args)
     except UsageError as exc:
         parser.exit(2, f"mahlerlab: {exc}\n")
     except MahlerLabError as exc:
         print(f"mahlerlab: error: {exc}", file=sys.stderr)
         return 1
     report.elapsed = time.perf_counter() - t0
-    if cfg.command == "sweep" and cfg.fmt != "json":
+    if args.command == "sweep" and args.format != "json":
         emit_sweep_csv(report, sys.stdout)
     else:
-        emit(report, cfg.fmt)
+        emit(report, args.format)
     return 1 if report.failed else 0
 
 

@@ -129,23 +129,37 @@ def parse_expression(text: str) -> Callable:
 
 
 def load_candidates(path: str) -> list[IdentityCandidate]:
-    """Read candidates from a JSON file of {name, p, q, domain[, anchor_x0]}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    """Read candidates from a JSON file of {name, p, q, domain[, anchor_x0]}.
+
+    Every defect of the file is a DomainError whose message starts with
+    "candidate file:", except a bad expression, which keeps its own.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise DomainError(f"candidate file: cannot read {path!r}: {exc.strerror}") from exc
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise DomainError(f"candidate file: {path!r} is not JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise DomainError("candidate file: top level must be a JSON list")
     out = []
-    for entry in raw:
+    for i, entry in enumerate(raw):
+        where = f"candidate file: entry {i}"
+        if not isinstance(entry, dict):
+            raise DomainError(f"{where} is not an object")
         try:
-            lo, hi = entry["domain"]
-            cand = IdentityCandidate(
-                name=str(entry["name"]),
-                p=parse_expression(entry["p"]),
-                q=parse_expression(entry["q"]),
-                domain=(float(lo), float(hi)),
-                anchor_x0=float(entry.get("anchor_x0", 0.5 * (float(lo) + float(hi)))),
-            )
+            domain, name, p, q = entry["domain"], str(entry["name"]), entry["p"], entry["q"]
         except KeyError as exc:
             raise DomainError(f"candidate file: missing key {exc}") from exc
-        out.append(cand)
+        if not (isinstance(p, str) and isinstance(q, str)):
+            raise DomainError(f"{where}: p and q must be strings")
+        try:
+            lo, hi = map(float, domain)
+            anchor_x0 = float(entry.get("anchor_x0", 0.5 * (lo + hi)))
+        except (TypeError, ValueError) as exc:
+            raise DomainError(
+                f"{where}: domain must be a pair of numbers and anchor_x0 a number"
+            ) from exc
+        out.append(IdentityCandidate(name, parse_expression(p), parse_expression(q), (lo, hi), anchor_x0))
     return out

@@ -192,22 +192,6 @@ def e_coefficient_residual(cand: IdentityCandidate, x: float) -> float:
     return _e_coefficient_residual(cand, x, *_pq_jets(cand, x))
 
 
-def integrating_factor_residual(cand: IdentityCandidate, x: float) -> float:
-    """Residual of u'/u + f + q'/q for u = sqrt((p-1)(q^2-p)/(p q^2)), the
-    integrating factor of the ODE.  DomainError if u's argument is not
-    positive at x."""
-    pj, qj = _pq_jets(cand, x)
-    P = Jet2(pj.value, pj.d1)
-    Q = Jet2(qj.value, qj.d1)
-    arg = (P - 1) * (Q * Q - P) / (P * Q * Q)
-    if arg.value <= 0.0:
-        raise DomainError(
-            f"{cand.name}: integrating factor argument {arg.value} <= 0 at x = {x}"
-        )
-    u = sqrt(arg)
-    return u.d1 / u.value + _f_value(cand, x, pj, qj) + qj.d1 / qj.value
-
-
 def _anchor_r(cand: IdentityCandidate, x0: float) -> float:
     try:
         return eval_r(cand, x0)

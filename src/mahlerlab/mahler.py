@@ -318,15 +318,6 @@ def poly_pac(a: complex, c: complex) -> LaurentPoly2:
     return LaurentPoly2(((1, 0, complex(a)), (-1, 0, complex(a)), (0, 1, 1.0), (0, -1, 1.0), (0, 0, complex(c))))
 
 
-def poly_ptilde(k: float) -> LaurentPoly2:
-    """sqrt((k+4)/(k-4)) (x + 1/x) + y - 1/y - k/sqrt(k-4), for k > 4."""
-    if k <= 4.0:
-        raise DomainError(f"poly_ptilde: requires k > 4, got {k}")
-    at = math.sqrt((k + 4.0) / (k - 4.0))
-    ct = k / math.sqrt(k - 4.0)
-    return LaurentPoly2(((1, 0, at), (-1, 0, at), (0, 1, 1.0), (0, -1, -1.0), (0, 0, -ct)))
-
-
 #: the break-point search counts a y-root with ||y| - 1| below this as on
 #: the unit circle: well above the eigenvalue noise of a root on the circle
 _ON_CIRCLE = 1e-10

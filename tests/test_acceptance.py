@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Tolerances and runtime budgets are pinned here; nothing is deferred to later
-calibration.  The double-precision build replaces the source's 25-digit
-standard with 6-significant-digit agreement plus exact-identity residual
-suites.
+calibration.  The k and t values come from `cli.SUITES`, the table that
+`mahlerlab verify` runs, so both check the same inputs.  The double-precision
+build replaces the source's 25-digit standard with 6-significant-digit
+agreement plus exact-identity residual suites.
 
 Known red: the stated nt-corollary list includes k = 4*sqrt(2), which lies
 below the 2(1+sqrt(5)) regime boundary; the identity fails there by exactly
@@ -17,6 +18,7 @@ import time
 import pytest
 
 from mahlerlab import curves as C
+from mahlerlab import cli
 from mahlerlab import identities as I
 from mahlerlab import lseries as L
 from mahlerlab import mahler as M
@@ -29,17 +31,12 @@ def _report(name: str, ok: bool, detail: str = ""):
     assert ok, f"{name}: {detail}"
 
 
-def log_spaced(lo, hi, n):
-    ratio = (hi / lo) ** (1.0 / (n - 1))
-    return [lo * ratio**i for i in range(n)]
-
-
 def test_01_pi_k_identity():
     # |Pi(-4/k, 4/k) - K(4/k)/2 - k pi/(4(k+4))| <= 1e-11, 20 log-spaced
     # k in [4.5, 100]; runtime < 1 s
     t0 = time.perf_counter()
     worst = 0.0
-    for k in log_spaced(4.5, 100.0, 20):
+    for k in cli.SUITES["ei"].ks:
         z = 4.0 / k
         res = abs(ell_pi(-z, z) - 0.5 * ell_k(z) - k * math.pi / (4.0 * (k + 4.0)))
         worst = max(worst, res)
@@ -55,10 +52,10 @@ def test_02_main_theorem_and_corollary():
     # main identity residual <= 1e-8 at {4.5, 5, 6, 8, 12, 20}; corollary
     # residual <= 1e-8 and m_minus <= 1e-12 at {7, 8, 16, 50}; < 30 s total
     t0 = time.perf_counter()
-    worst_main = max(M.verify_thm_main(k, 1e-8) for k in (4.5, 5.0, 6.0, 8.0, 12.0, 20.0))
+    worst_main = max(M.verify_thm_main(k, 1e-8) for k in cli.SUITES["thm-main"].ks)
     worst_cor = 0.0
     worst_mm = 0.0
-    for k in (7.0, 8.0, 16.0, 50.0):
+    for k in cli.SUITES["corollary"].ks:
         mm, res = M.verify_corollary(k, 1e-8)
         worst_cor = max(worst_cor, res)
         worst_mm = max(worst_mm, mm)
@@ -105,7 +102,7 @@ def test_04_small_k_identities():
     worst_log = 0.0
     worst_lsz = 0.0
     labelings = []
-    for k in (1.0, 2.0, 3.0):
+    for k in cli.SUITES["lsz"].inputs:
         fp = M.params_from_k(k)
         hm = M.half_measures_pac_small_k(k, 1e-11)
         worst_log = max(worst_log, abs(hm.m_total - math.log(fp.a)))
@@ -198,7 +195,7 @@ def test_06b_nt_corollary_as_stated(k2, label):
 def test_07_eta_parametrization():
     # residual <= 1e-10 at t in {0.5, 1, 1.5}; < 1 s
     t0 = time.perf_counter()
-    worst = max(verify_eta_param(t) for t in (0.5, 1.0, 1.5))
+    worst = max(verify_eta_param(t) for t in cli.SUITES["eta"].inputs)
     elapsed = time.perf_counter() - t0
     _report(
         "eta-quotient curve parametrization",

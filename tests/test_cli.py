@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +92,15 @@ class TestBasicCommands:
         assert lines[0] == "1 1"
         assert doc["metadata"]["ap_routes"]["2"] == "additive"
 
+    def test_lvalue_dump_to_missing_dir_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "an.txt"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["lvalue", "--k", "8", "--dump-an", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("mahlerlab: --dump-an:") and captured.err.count("\n") == 1
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])
@@ -133,6 +143,61 @@ class TestVerify:
             cli.main(["verify", "corollary", "--k", "5"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("suite", ["appendix", "jia", "lsz", "eta"])
+    @pytest.mark.parametrize("flag", [["--k", "5"], ["--k-grid", "1:2:3"]], ids=" ".join)
+    def test_fixed_input_suite_rejects_k(self, capsys, suite, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", suite, *flag])
+        assert exc.value.code == 2
+        assert f"verify {suite}:" in capsys.readouterr().err
+
+    def test_all_applies_k_to_the_k_suites_only(self, capsys):
+        code, out, _ = run_main(capsys, "verify", "all", "--k", "8", "--format", "json")
+        assert code == 0
+        inputs = [r["input"] for r in json.loads(out)["rows"]]
+        for name in ("thm-main", "ei"):
+            assert [i for i in inputs if i.startswith(f"{name}: ")] == [f"{name}: k=8"]
+        lsz = [i for i in inputs if i.startswith("lsz: ") and i.endswith("branch labeling")]
+        assert len(lsz) == len(cli.SUITES["lsz"].inputs) == 3
+
+    def test_suite_table(self):
+        # the defaults `verify` ran before the suites became one table
+        suites = cli.SUITES
+        assert list(suites) == ["thm-main", "corollary", "ei", "appendix", "jia", "lsz", "eta"]
+        assert suites["thm-main"].ks == (4.5, 5.0, 6.0, 8.0, 12.0, 20.0)
+        assert suites["corollary"].ks == (7.0, 8.0, 16.0, 50.0)
+        assert suites["ei"].ks == tuple(cli.log_grid(4.5, 100.0, 20))
+        assert [s.ks for s in list(suites.values())[3:]] == [None] * 4
+        assert suites["lsz"].inputs == (1.0, 2.0, 3.0)
+        assert suites["eta"].inputs == (0.5, 1.0, 1.5)
+        assert {n: s.tol for n, s in suites.items()} == {
+            "thm-main": 1e-8, "corollary": 1e-8, "ei": 1e-11, "appendix": 1e-10,
+            "jia": 1e-10, "lsz": 1e-6, "eta": 1e-10,
+        }
+        assert suites["thm-main"].domain == (
+            "below the documented safety floor 4.2 (both sides diverge as k -> 4)"
+        )
+        assert suites["corollary"].domain == "not above 2(1+sqrt(5)) = 6.4721"
+        assert suites["ei"].domain == "not above 4 (requires k > 4, so z = 4/k < 1)"
+
+    def test_readme_suite_table(self):
+        def ks_cell(s):
+            if s.ks is None:
+                return "fixed: " + ", ".join(f"{v:g}" for v in s.inputs) if s.inputs else "fixed"
+            n = len(s.ks)
+            if n > 2 and s.ks == tuple(cli.log_grid(s.ks[0], s.ks[-1], n)):
+                return f"{n} log-spaced in [{s.ks[0]:g}, {s.ks[-1]:g}]"
+            return ", ".join(f"{k:g}" for k in s.ks)
+
+        want = [
+            [f"`{s.name}`", ks_cell(s), s.domain or "every --k and --k-grid", s.tol]
+            for s in cli.SUITES.values()
+        ]
+        text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = text.split("| suite | default k | rejected k | tol |\n| --- | --- | --- | --- |\n")[1]
+        rows = [line.strip("| ").split(" | ") for line in table.split("\n\n")[0].splitlines()]
+        assert [[name, ks, domain, float(tol)] for name, ks, domain, tol in rows] == want
+
     def test_unknown_suite_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "nonsense"])
@@ -166,6 +231,28 @@ class TestVerify:
         code, out, err = run_main(capsys, "verify", "appendix", "--candidate-file", str(path))
         assert code == 1 and out == ""
         assert err.startswith("mahlerlab: error: expression:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            None,
+            "{not json",
+            "[5]",
+            '[{"name": "a", "p": "-x", "q": "x", "domain": [1]}]',
+            '[{"name": "a", "p": "-x", "q": "x", "domain": [0, 1], "anchor_x0": "mid"}]',
+            '[{"name": "a", "p": 5, "q": "x", "domain": [0, 1]}]',
+            '[{"name": "a", "p": "-x", "q": null, "domain": [0, 1]}]',
+        ],
+        ids=["missing", "invalid-json", "entry-not-object", "domain-not-pair",
+             "anchor-not-number", "p-not-string", "q-not-string"],
+    )
+    def test_candidate_file_defect_is_one_line_error(self, capsys, tmp_path, content):
+        path = tmp_path / "c.json"
+        if content is not None:
+            path.write_text(content)
+        code, out, err = run_main(capsys, "verify", "appendix", "--candidate-file", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("mahlerlab: error: candidate file:") and err.count("\n") == 1
 
     def test_all_verifies_each_candidate_once(self, capsys, monkeypatch):
         # the appendix and jia suites share one report per candidate and tol
@@ -317,6 +404,12 @@ class TestSweep:
             ["table", "--jobs", "0"],
             ["sweep", "dhdk", "--k-grid", "5:20:10001"],
             ["verify", "ei", "--k-grid", "4.5:100:1000000000"],
+            ["lvalue", "--k", "8", "--nmax", "0"],
+            ["lvalue", "--k", "8", "--nmax", "-5"],
+            ["lvalue", "--k", "8", "--nmax", "10001"],
+            ["table", "--nmax", "0"],
+            ["table", "--nmax", "-5"],
+            ["table", "--nmax", "10001"],
         ],
         ids=" ".join,
     )
