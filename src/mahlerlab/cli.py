@@ -53,6 +53,7 @@ from .mahler import (
     m_p1k,
     params_from_k,
     poly_p1k,
+    sweep_measures,
     verify_corollary,
     verify_thm_main,
 )
@@ -63,6 +64,9 @@ THM_MAIN_K_FLOOR = 4.2
 MAX_GRID_POINTS = 10_000
 #: largest --nmax: the a_n table costs ~6 s at 10 000 and ~100 s at 40 000
 MAX_NMAX = 10_000
+#: lowest `sweep --tol` of an integrated quantity: its est_error integrates
+#: again at tol/10, which must stay above the 1e-13 double-precision floor
+SWEEP_TOL_FLOOR = 1e-12
 
 _QUANTITIES = ("f", "h", "m_plus", "m_minus", "dfdk", "dhdk")
 
@@ -348,6 +352,8 @@ SUITES = {
 
 def cmd_verify(args) -> Report:
     single = args.suite != "all"
+    if single and args.candidate_file and args.suite != "appendix":
+        raise UsageError(f"verify {args.suite}: takes no --candidate-file (only appendix reads one)")
     specs = [SUITES[args.suite]] if single else list(SUITES.values())
     # every suite's k values are checked before any suite runs
     runs = [(spec, spec.ks_for(args, single)) for spec in specs]
@@ -413,40 +419,33 @@ def cmd_table(args) -> Report:
     return rep
 
 
-def _sweep_one(task) -> tuple[float, float, float]:
-    quantity, k, tol = task
-    if quantity == "f":
-        v = m_p1k(k, tol)
-        v2 = m_p1k(k, tol * 0.1)
-    elif quantity == "h":
-        hm = half_measures_ptilde(k, tol)
-        hm2 = half_measures_ptilde(k, tol * 0.1)
-        v = hm.m_plus - hm.m_minus
-        v2 = hm2.m_plus - hm2.m_minus
-    elif quantity in ("m_plus", "m_minus"):
-        fn = half_measures_ptilde if k > 4.0 else half_measures_pac_small_k
-        v = getattr(fn(k, tol), quantity)
-        v2 = getattr(fn(k, tol * 0.1), quantity)
-    elif quantity == "dfdk":
-        v = v2 = dfdk(k)
-    elif quantity == "dhdk":
-        v = v2 = dhdk(k)
-    else:  # pragma: no cover - argparse gates choices
-        raise UsageError(f"unknown sweep quantity {quantity!r}")
-    est = abs(v - v2) if v != v2 else 1e-15 * abs(v)
-    return k, v, est
+def _sweep_chunk(task) -> list[tuple[float, float, float]]:
+    """(k, value, est_error) at each k of one contiguous piece of a sweep
+    grid; a measure's est_error is |v(tol) - v(tol/10)|."""
+    quantity, ks, tol = task
+    if quantity in ("dfdk", "dhdk"):
+        closed_form = dfdk if quantity == "dfdk" else dhdk
+        pairs = [(closed_form(k),) * 2 for k in ks]
+    else:
+        pairs = sweep_measures(quantity, ks, (tol, tol * 0.1))
+    return [(k, v, abs(v - v2) if v != v2 else 1e-15 * abs(v)) for k, (v, v2) in zip(ks, pairs)]
 
 
 def cmd_sweep(args) -> Report:
-    tasks = [(args.quantity, k, args.tol) for k in args.k_grid]
-    workers = min(args.jobs, os.cpu_count() or 1, len(tasks))
+    ks = args.k_grid
+    if args.quantity not in ("dfdk", "dhdk") and args.tol < SWEEP_TOL_FLOOR:
+        raise UsageError(f"sweep {args.quantity}: --tol below the {SWEEP_TOL_FLOOR:g} floor of "
+                         "the integrated quantities (est_error integrates again at tol/10)")
+    workers = min(args.jobs, os.cpu_count() or 1, len(ks))
+    chunks = [(args.quantity, ks[i * len(ks) // workers:(i + 1) * len(ks) // workers], args.tol)
+              for i in range(workers)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_one, tasks))
+            results = list(pool.map(_sweep_chunk, chunks))
     else:
-        results = [_sweep_one(t) for t in tasks]
+        results = [_sweep_chunk(c) for c in chunks]
     rep = Report(f"sweep {args.quantity}", metadata={"tol": args.tol})
-    for k, v, est in results:
+    for k, v, est in (row for chunk in results for row in chunk):
         rep.rows.append(Row(f"k={k!r}", "", v, est, "PASS"))
     return rep
 
@@ -460,25 +459,25 @@ def emit_sweep_csv(report: Report, stream) -> None:
     stream.write(buf.getvalue())
 
 
+#: per `ell --kind`: the float flags it reads, in order, its row label and
+#: the integral (looked up in this module when called)
+_ELL = {
+    "K": ("z", "K(z={z!r})", lambda z: ell_k(z)),
+    "E": ("z", "E(z={z!r})", lambda z: ell_e(z)),
+    "Pi": ("nz", "Pi(n={n!r}, z={z!r})", lambda n, z: ell_pi(n, z)),
+    "K-imag": ("m", "K(i*m, m={m!r})", lambda m: ell_k_imag(m)),
+    "Pi-imag": ("nm", "Pi(n={n!r}, i*m, m={m!r})", lambda n, m: ell_pi_imag(n, m)),
+}
+
+
 def cmd_ell(args) -> Report:
+    flags, label, integral = _ELL[args.kind]
+    unused = [f"--{f}" for f in "znm" if f not in flags and getattr(args, f) is not None]
+    if unused:
+        raise UsageError(f"ell --kind {args.kind}: does not use {' '.join(unused)}")
+    values = {f: _require(getattr(args, f), f"--{f}") for f in flags}
     rep = Report(f"ell {args.kind}", metadata={})
-    kind = args.kind
-    if kind == "K":
-        val = ell_k(_require(args.z, "--z"))
-        inp = f"K(z={args.z!r})"
-    elif kind == "E":
-        val = ell_e(_require(args.z, "--z"))
-        inp = f"E(z={args.z!r})"
-    elif kind == "Pi":
-        val = ell_pi(_require(args.n, "--n"), _require(args.z, "--z"))
-        inp = f"Pi(n={args.n!r}, z={args.z!r})"
-    elif kind == "K-imag":
-        val = ell_k_imag(_require(args.m, "--m"))
-        inp = f"K(i*m, m={args.m!r})"
-    else:  # Pi-imag
-        val = ell_pi_imag(_require(args.n, "--n"), _require(args.m, "--m"))
-        inp = f"Pi(n={args.n!r}, i*m, m={args.m!r})"
-    rep.rows.append(Row(inp, "", val, 0.0, "PASS"))
+    rep.rows.append(Row(label.format(**values), "", integral(*values.values()), 0.0, "PASS"))
     return rep
 
 

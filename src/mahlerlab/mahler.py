@@ -22,7 +22,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .errors import (
     RegimeError,
     SingularParameterError,
 )
-from .quadrature import tanh_sinh
+from .quadrature import tanh_sinh, tanh_sinh_panels
 
 #: regime boundary: the root-modulus crossing leaves the unit circle here
 K_LARGE = 2.0 * (1.0 + math.sqrt(5.0))
@@ -167,32 +167,119 @@ def _log_abs_root(fac: QuadraticFactorization, s: float) -> Callable[[float], fl
     return f
 
 
-def half_measures(fac: QuadraticFactorization, tol: float = 1e-8) -> HalfMeasures:
-    """Half-measures (m+, m-) of y^2 + B(theta) y + sigma by Jensen's formula.
+def _jensen_arcs(fac: QuadraticFactorization, tols: tuple[float, ...]) -> list[tuple]:
+    """The non-empty Jensen arcs of `fac` as (slot, s, lo, hi, arc_tols),
+    m- (slot 0, s = +1) before m+ (slot 1, s = -1).
 
     m- = (1/pi) int log|y-| over the arc [0, theta-] where |y-| > 1, and
     m+ = (1/pi) int log|y+| over [theta+, pi] where |y+| > 1.  The arc ends
     are where B = 2 and B = -2 (sigma = +1) or where B changes sign
     (sigma = -1); a crossing off the circle clamps to an empty arc, which
-    contributes exactly 0.  Each non-empty arc gets an equal share of
-    0.1 tol, so the absolute error is <= tol.
+    contributes exactly 0.  For each tol in tols every non-empty arc gets an
+    equal share of 0.1 tol, so the absolute error is <= tol.
     """
-    _check_tol(tol)
+    for tol in tols:
+        _check_tol(tol)
     if fac.sigma > 0:
         c_minus, c_plus = (2.0 - fac.gamma) / fac.beta, (-2.0 - fac.gamma) / fac.beta
     else:
         c_minus = c_plus = -fac.gamma / fac.beta
     arcs = (
-        (1.0, 0.0, math.acos(min(1.0, max(-1.0, c_minus)))),
-        (-1.0, math.acos(min(1.0, max(-1.0, c_plus))), math.pi),
+        (0, 1.0, 0.0, math.acos(min(1.0, max(-1.0, c_minus)))),
+        (1, -1.0, math.acos(min(1.0, max(-1.0, c_plus))), math.pi),
     )
-    n_arcs = sum(lo < hi for _, lo, hi in arcs)
-    m_minus, m_plus = (
-        tanh_sinh(_log_abs_root(fac, s), lo, hi, 0.1 * tol / n_arcs)[0] / math.pi
-        if lo < hi else 0.0
-        for s, lo, hi in arcs
+    arcs = [arc for arc in arcs if arc[2] < arc[3]]
+    return [(*arc, tuple(0.1 * tol / len(arcs) for tol in tols)) for arc in arcs]
+
+
+def half_measures(fac: QuadraticFactorization, tol: float = 1e-8) -> HalfMeasures:
+    """Half-measures (m+, m-) of y^2 + B(theta) y + sigma by Jensen's formula,
+    one `tanh_sinh` per arc of `_jensen_arcs`; absolute error <= tol."""
+    m = [0.0, 0.0]
+    for slot, s, lo, hi, (arc_tol,) in _jensen_arcs(fac, (tol,)):
+        m[slot] = tanh_sinh(_log_abs_root(fac, s), lo, hi, arc_tol)[0] / math.pi
+    return HalfMeasures(m_plus=m[1], m_minus=m[0])
+
+
+def _each(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """fn applied element by element.  The lockstep half-measures take
+    math.acosh and math.asinh this way because numpy's arccosh is 1-2 ulp
+    off them on ~15% of nodes, and they must give the scalar path's bits."""
+    return np.fromiter(map(fn, x), dtype=float, count=len(x))
+
+
+#: factorizations refined together.  Larger pieces were no faster on the
+#: sweep benchmark, but their bigger per-level arrays raised its peak RSS by
+#: ~0.8 MB (whole 20-100 point grids against pieces of 32)
+_LOCKSTEP_FACS = 32
+
+
+def half_measures_lockstep(
+    facs: Sequence[QuadraticFactorization], tols: tuple[float, ...]
+) -> list[list[HalfMeasures]]:
+    """out[j][r] = `half_measures(facs[j], tols[r])` bit for bit, tols a
+    decreasing ladder, from one lockstep refinement of the arcs of each
+    _LOCKSTEP_FACS factorizations.  Raises the AccuracyError those calls
+    would raise first, one by one: first fac, then first tol, then the m-
+    arc before the m+ arc.
+    """
+    if len(facs) > _LOCKSTEP_FACS:
+        return [row for i in range(0, len(facs), _LOCKSTEP_FACS)
+                for row in half_measures_lockstep(facs[i:i + _LOCKSTEP_FACS], tols)]
+    panels = [(j, *arc) for j, fac in enumerate(facs) for arc in _jensen_arcs(fac, tols)]
+    # the coefficients of _log_abs_root, one entry per panel
+    hb = np.array([0.5 * s * facs[j].beta for j, _, s, *_ in panels])
+    hg = np.array([0.5 * s * facs[j].gamma for j, _, s, *_ in panels])
+    plus = np.array([facs[j].sigma > 0 for j, *_ in panels], dtype=bool)
+
+    def log_abs_root(th: np.ndarray, panel: np.ndarray) -> np.ndarray:
+        h = np.cos(th)
+        h *= hb[panel]
+        h += hg[panel]
+        p = plus[panel]
+        acosh, asinh = p & (h > 1.0), ~p
+        h[asinh] = _each(math.asinh, h[asinh])
+        h[acosh] = _each(math.acosh, h[acosh])
+        h[p & ~acosh] = 0.0
+        return h
+
+    values, failures = tanh_sinh_panels(
+        log_abs_root, [p[3] for p in panels], [p[4] for p in panels], [p[5] for p in panels]
     )
-    return HalfMeasures(m_plus=m_plus, m_minus=m_minus)
+    if failures:
+        first = min(failures, key=lambda i: (panels[i][0], len(values[i]), panels[i][1]))
+        raise failures[first]
+    m = [[[0.0, 0.0] for _ in tols] for _ in facs]
+    for (j, slot, *_), vals in zip(panels, values):
+        for r, v in enumerate(vals):
+            m[j][r][slot] = v / math.pi
+    return [[HalfMeasures(m_plus=p, m_minus=q) for q, p in row] for row in m]
+
+
+def _sweep_factor(k: float) -> QuadraticFactorization:
+    return factor_ptilde(k) if k > 4.0 else factor_pac_small(k)
+
+
+#: the measures `sweep_measures` traces: the factorization at k and the
+#: value read off its half-measures
+_SWEPT = {
+    "f": (factor_p1k, lambda hm: hm.m_total),
+    "h": (factor_ptilde, lambda hm: hm.m_plus - hm.m_minus),
+    "m_plus": (_sweep_factor, lambda hm: hm.m_plus),
+    "m_minus": (_sweep_factor, lambda hm: hm.m_minus),
+}
+
+
+def sweep_measures(
+    quantity: str, ks: Sequence[float], tols: tuple[float, ...]
+) -> list[list[float]]:
+    """out[j][r] is `quantity` at ks[j] and tols[r] (a decreasing ladder),
+    by `half_measures_lockstep`: f = m(P_k), h = m+ - m- of Ptilde_k, and
+    m_plus or m_minus of Ptilde_k for k > 4 and of the (a, c) member for
+    k < 4."""
+    factor, value = _SWEPT[quantity]
+    facs = [factor(k) for k in ks]
+    return [[value(hm) for hm in row] for row in half_measures_lockstep(facs, tols)]
 
 
 def m_p1k(k: float, tol: float = 1e-8) -> float:

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from functools import cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -69,30 +70,35 @@ def _node_arrays(level: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _verdict(
-    terms: list[float], half: float, level: int, prev: float, tol: float, max_level: int
-) -> tuple[float, float, bool]:
+    terms: Sequence[float], half: float, level: int, prev: float, tols: tuple[float, ...]
+) -> tuple[float, float, int]:
     """The stopping rule of every tanh-sinh driver in this module.
 
     terms are the weighted node values through `level` and prev the value at
-    the level before.  Returns (value, error_estimate, converged): converged
-    once the change is within tol or within the rounding noise of the sum.
-    Raises AccuracyError, with prev as the best estimate, when level
-    max_level is reached unconverged.
+    the level before; tols is a ladder of decreasing tolerances.  Returns
+    (value, error_estimate, met), met counting the leading tols that the
+    change is within.  A change within the rounding noise of the sum meets
+    every rung; the noise is summed only when the change misses a rung.
     """
     h = 2.0 ** (-level)
     value = half * h * math.fsum(terms)
     est = abs(value - prev)
-    noise = 30.0 * 2.2e-16 * (abs(value) + half * math.fsum(abs(t) for t in terms) * h)
-    if est <= tol or est <= noise:
-        return value, est, True
-    if level >= max_level:
-        raise AccuracyError(
-            f"tanh-sinh did not reach tol={tol:g} after {max_level} levels "
-            f"(last change {est:g})",
-            best_estimate=prev,
-            error_estimate=est,
-        )
-    return value, est, False
+    met = sum(est <= tol for tol in tols)
+    if met < len(tols) and est <= 30.0 * 2.2e-16 * (
+        abs(value) + half * math.fsum(map(abs, terms)) * h
+    ):
+        met = len(tols)
+    return value, est, met
+
+
+def _unconverged(tol: float, max_level: int, prev: float, est: float) -> AccuracyError:
+    """A refinement missed tol by level max_level; prev is the level before."""
+    return AccuracyError(
+        f"tanh-sinh did not reach tol={tol:g} after {max_level} levels "
+        f"(last change {est:g})",
+        best_estimate=prev,
+        error_estimate=est,
+    )
 
 
 def tanh_sinh(
@@ -133,11 +139,91 @@ def tanh_sinh(
     terms = [_HALF_PI * f0]
     terms.extend(pair_term(off, w) for off, w in _nodes_for_level(0))
     prev = half * math.fsum(terms)
-    for level in itertools.count(1):  # _verdict raises past max_level
+    for level in itertools.count(1):
         terms.extend(pair_term(off, w) for off, w in _nodes_for_level(level))
-        prev, est, converged = _verdict(terms, half, level, prev, tol, max_level)
-        if converged:
-            return prev, est, level
+        value, est, met = _verdict(terms, half, level, prev, (tol,))
+        if met:
+            return value, est, level
+        if level >= max_level:
+            raise _unconverged(tol, max_level, prev, est)
+        prev = value
+
+
+def tanh_sinh_panels(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lo: Sequence[float],
+    hi: Sequence[float],
+    tols: Sequence[tuple[float, ...]],
+) -> tuple[list[list[float]], dict[int, AccuracyError]]:
+    """Integrate over the panels [lo[i], hi[i]] (lo <= hi) in lockstep.
+
+    f(x, panel) maps abscissae and the panel of each onto integrand values,
+    so panels can carry their own parameters.  Each level calls f once, on
+    the new nodes of every panel still refining.  Panel i climbs the ladder
+    of decreasing tolerances tols[i]: a rung's value is the one at the first
+    level that meets it by `tanh_sinh`'s rule over the same terms, bit for
+    bit `tanh_sinh`'s value at that tol.  Returns (values, failures):
+    values[i] holds the values of the rungs panel i met, and failures[i] the
+    AccuracyError `tanh_sinh` raises at the first rung it missed by level
+    _MAX_LEVEL.  A zero-length panel is 0.0 on every rung.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    half = 0.5 * (hi - lo)
+    halves = half.tolist()
+
+    def refine(idx: np.ndarray, level: int) -> None:
+        """Evaluate f once on the interior nodes of `level` in the panels
+        idx, and on their midpoints at level 0, and append the new terms to
+        each panel's, non-finite values dropped as in tanh_sinh."""
+        off, w = _node_arrays(level)
+        a, b, xl = lo[idx, None], hi[idx, None], half[idx, None] * off
+        xr = b - xl
+        xl += a
+        inl, inr = xl > a, xr < b
+        owner = np.broadcast_to(idx[:, None], xl.shape)
+        mids = idx if level == 0 else idx[:0]
+        y = np.asarray(f(np.concatenate([0.5 * (hi[mids] + lo[mids]), xl[inl], xr[inr]]),
+                         np.concatenate([mids, owner[inl], owner[inr]])), dtype=float)
+        y = np.where(np.isfinite(y), y, 0.0)
+        # the pair terms w * (f(xl) + f(xr)), built in xl's and xr's memory
+        n_m, n_l = len(mids), np.count_nonzero(inl)
+        xl.fill(0.0)
+        xr.fill(0.0)
+        xl[inl] = y[n_m:n_m + n_l]
+        xr[inr] = y[n_m + n_l:]
+        xl += xr
+        xl *= w
+        if n_m:
+            xl = np.column_stack([_HALF_PI * y[:n_m], xl])
+        for i, row in zip(idx.tolist(), xl):
+            terms[i].frombytes(row.tobytes())
+
+    values = [[0.0] * len(t) if a == b else [] for a, b, t in zip(lo, hi, tols)]
+    failures = {}
+    idx = np.flatnonzero(lo != hi)
+    # each panel's terms as packed doubles, a quarter of the memory of floats
+    terms = {i: array("d") for i in idx.tolist()}
+    refine(idx, 0)
+    prev = {i: halves[i] * math.fsum(t) for i, t in terms.items()}
+    level = 0
+    while idx.size:
+        level += 1
+        refine(idx, level)
+        live = []
+        for i in idx.tolist():
+            ladder = tols[i][len(values[i]):]
+            value, est, met = _verdict(terms[i], halves[i], level, prev[i], ladder)
+            values[i] += [value] * met
+            if met == len(ladder):
+                del terms[i]
+                continue
+            if level >= _MAX_LEVEL:
+                failures[i] = _unconverged(ladder[met], _MAX_LEVEL, prev[i], est)
+            else:
+                prev[i] = value
+                live.append(i)
+        idx = np.array(live, dtype=int)
+    return values, failures
 
 
 def quadrature_oracle(
@@ -162,58 +248,19 @@ def cumulative_integrals(
 
     xs must be monotone (increasing or decreasing) starting on x0's side, and
     f maps an array of abscissae to the array of its values.  The panels
-    [x0, xs[0]], [xs[0], xs[1]], ... are refined in lockstep: each tanh-sinh
-    level calls f once, on the new nodes of every panel not yet converged,
-    and each panel stops by `tanh_sinh`'s rule over the same terms.  The
-    result is the running `math.fsum` of the panel values, bit for bit equal
-    to chaining `tanh_sinh` panel by panel.
+    [x0, xs[0]], [xs[0], xs[1]], ... go through `tanh_sinh_panels`; the
+    result is the running `math.fsum` of their values, bit for bit (and
+    error for error) chaining `tanh_sinh` panel by panel.
     """
     ends = [x0, *xs]
     # like tanh_sinh, integrate each panel upwards and negate reversed ones
-    lo = np.array([min(u, v) for u, v in zip(ends, ends[1:])], dtype=float)
-    hi = np.array([max(u, v) for u, v in zip(ends, ends[1:])], dtype=float)
-    half = 0.5 * (hi - lo)
-    halves = half.tolist()
-
-    def weighted(idx: np.ndarray, level: int, extra: np.ndarray):
-        """Evaluate f once on `extra` and on the interior nodes of `level`
-        in the panels idx; return f at extra and the pair terms per panel,
-        non-finite values dropped as in tanh_sinh."""
-        off, w = _node_arrays(level)
-        a, b, h = lo[idx, None], hi[idx, None], half[idx, None]
-        xl = a + h * off
-        xr = b - h * off
-        inl, inr = xl > a, xr < b
-        y = np.asarray(f(np.concatenate([extra, xl[inl], xr[inr]])), dtype=float)
-        y = np.where(np.isfinite(y), y, 0.0)
-        fl, fr = np.zeros_like(xl), np.zeros_like(xr)
-        n_e, n_l = len(extra), int(inl.sum())
-        fl[inl] = y[n_e:n_e + n_l]
-        fr[inr] = y[n_e + n_l:]
-        return y[:n_e], (w * (fl + fr)).tolist()
-
-    values = [0.0] * len(xs)
-    idx = np.flatnonzero(lo != hi)
-    f0, pairs = weighted(idx, 0, 0.5 * (hi[idx] + lo[idx]))
-    terms = {i: [t, *p] for i, t, p in zip(idx.tolist(), (_HALF_PI * f0).tolist(), pairs)}
-    prev = {i: halves[i] * math.fsum(terms[i]) for i in terms}
-    level = 0
-    while idx.size:
-        level += 1
-        _, pairs = weighted(idx, level, np.empty(0))
-        live = []
-        for i, p in zip(idx.tolist(), pairs):
-            terms[i].extend(p)
-            prev[i], _, converged = _verdict(terms[i], halves[i], level, prev[i], tol, _MAX_LEVEL)
-            if converged:
-                values[i] = prev[i]
-            else:
-                live.append(i)
-        idx = np.array(live, dtype=int)
-
-    out = []
-    acc = []
-    for i, x in enumerate(xs):
-        acc.append(-values[i] if x < ends[i] else values[i])
-        out.append(math.fsum(acc))
-    return out
+    values, failures = tanh_sinh_panels(
+        lambda x, _: f(x),
+        [min(u, v) for u, v in zip(ends, ends[1:])],
+        [max(u, v) for u, v in zip(ends, ends[1:])],
+        [(tol,)] * len(xs),
+    )
+    if failures:
+        raise failures[min(failures)]
+    signed = [-v if x < u else v for (v,), u, x in zip(values, ends, xs)]
+    return [math.fsum(signed[:n]) for n in range(1, len(signed) + 1)]

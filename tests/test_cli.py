@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import math
@@ -9,12 +10,57 @@ from pathlib import Path
 import pytest
 
 from mahlerlab import cli
+from mahlerlab import mahler as M
+from mahlerlab import quadrature
 
 
 def run_main(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def reference_sweep_one(quantity, k, tol):
+    """One sweep row by the per-point route, the reference for the lockstep
+    sweep: the scalar half-measures at tol and again at tol/10."""
+    if quantity == "f":
+        v = M.m_p1k(k, tol)
+        v2 = M.m_p1k(k, tol * 0.1)
+    elif quantity == "h":
+        hm = M.half_measures_ptilde(k, tol)
+        hm2 = M.half_measures_ptilde(k, tol * 0.1)
+        v = hm.m_plus - hm.m_minus
+        v2 = hm2.m_plus - hm2.m_minus
+    else:
+        fn = M.half_measures_ptilde if k > 4.0 else M.half_measures_pac_small_k
+        v = getattr(fn(k, tol), quantity)
+        v2 = getattr(fn(k, tol * 0.1), quantity)
+    est = abs(v - v2) if v != v2 else 1e-15 * abs(v)
+    return k, v, est
+
+
+def reference_sweep_csv(quantity, ks, tol):
+    rows = [reference_sweep_one(quantity, k, tol) for k in ks]
+    return "k,value,est_error\n" + "".join(f"{k!r},{v!r},{est!r}\n" for k, v, est in rows)
+
+
+#: sweep grids in every k regime each integrated quantity accepts, edges
+#: included; the first of each quantity spans more than one lockstep piece
+SWEEP_GRIDS = [
+    ("f", "0.05:3.95:70"),
+    ("f", "3.99:6.48:11"),
+    ("f", "6.4721:200:17"),
+    ("h", "4.01:6.4721:45"),
+    ("h", "6.4722:200:17"),
+    ("m_plus", "6.47:1000:40"),
+    ("m_plus", "0.05:3.999:13"),
+    ("m_plus", "4.001:6.5:13"),
+    ("m_minus", "0.01:3.95:33"),
+    ("m_minus", "4.05:6.47213:13"),
+    ("m_minus", "6.4722:60:9"),
+]
+SWEEP_IDS = [" ".join(case) for case in SWEEP_GRIDS]
+MULTI_PIECE = [SWEEP_GRIDS[i] for i in (0, 3, 5, 8)]
 
 
 class TestBasicCommands:
@@ -31,6 +77,23 @@ class TestBasicCommands:
         with pytest.raises(SystemExit) as exc:
             cli.main(["ell", "--kind", "Pi"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--kind", "K", "--z", "0.5", "--n", "0.3", "--m", "7"],
+            ["--kind", "E", "--z", "0.5", "--m", "0.2"],
+            ["--kind", "Pi", "--n", "-0.5", "--z", "0.5", "--m", "1"],
+            ["--kind", "K-imag", "--m", "0.5", "--z", "0.5"],
+            ["--kind", "Pi-imag", "--n", "0.3", "--m", "0.5", "--z", "0.1"],
+        ],
+        ids=" ".join,
+    )
+    def test_ell_unused_flag_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ell", *argv])
+        assert exc.value.code == 2
+        assert f"ell --kind {argv[1]}: does not use" in capsys.readouterr().err
 
     def test_mahler_large_k(self, capsys):
         code, out, _ = run_main(capsys, "mahler", "--k", "8", "--format", "json")
@@ -224,6 +287,21 @@ class TestVerify:
         assert code == 0
         doc = json.loads(out)
         assert any(r["input"].startswith("file-linear") for r in doc["rows"])
+
+    @pytest.mark.parametrize("suite", [name for name in cli.SUITES if name != "appendix"])
+    def test_candidate_file_on_other_suites_is_usage_error(self, capsys, suite):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", suite, "--candidate-file", "/nonexistent.json"])
+        assert exc.value.code == 2
+        assert f"verify {suite}: takes no --candidate-file" in capsys.readouterr().err
+
+    def test_all_feeds_candidate_file_to_appendix(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps([{"name": "file-linear", "p": "-x", "q": "x", "domain": [0.0, 1.0]}]))
+        code, out, _ = run_main(capsys, "verify", "all", "--candidate-file", str(path), "--format", "json")
+        assert code == 0
+        inputs = [r["input"] for r in json.loads(out)["rows"]]
+        assert "appendix: file-linear identity" in inputs
 
     def test_candidate_exponent_in_x_is_one_line_error(self, capsys, tmp_path):
         path = tmp_path / "xx.json"
@@ -435,6 +513,75 @@ class TestSweep:
         code2, out2, _ = run_main(capsys, "sweep", "dhdk", "--k-grid", "5:20:8", "--jobs", "2")
         assert code1 == code2 == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize("quantity", ["f", "h", "m_plus", "m_minus"])
+    @pytest.mark.parametrize("tol", ["1e-13", "9.9e-13"])
+    def test_integrated_tol_floor_is_usage_error(self, capsys, quantity, tol):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", quantity, "--k-grid", "5:6:2", "--tol", tol])
+        assert exc.value.code == 2
+        assert "1e-12 floor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("quantity", ["dfdk", "dhdk"])
+    def test_closed_forms_keep_the_1e_13_floor(self, capsys, quantity):
+        code, _, _ = run_main(capsys, "sweep", quantity, "--k-grid", "5:6:2", "--tol", "1e-13")
+        assert code == 0
+
+    @pytest.mark.parametrize("quantity,spec", SWEEP_GRIDS, ids=SWEEP_IDS)
+    @pytest.mark.parametrize("tol", ["1e-10", "1e-12", "1e-6"])
+    def test_lockstep_sweep_equals_per_point_reference(self, capsys, quantity, spec, tol):
+        code, out, _ = run_main(capsys, "sweep", quantity, "--k-grid", spec, "--tol", tol)
+        assert code == 0
+        assert out == reference_sweep_csv(quantity, cli.parse_grid(spec), float(tol))
+
+    @pytest.mark.parametrize("quantity,spec", MULTI_PIECE, ids=[" ".join(c) for c in MULTI_PIECE])
+    def test_integrated_jobs_determinism(self, capsys, quantity, spec):
+        _, out1, _ = run_main(capsys, "sweep", quantity, "--k-grid", spec)
+        _, out2, _ = run_main(capsys, "sweep", quantity, "--k-grid", spec, "--jobs", "2")
+        assert out1 == out2
+
+    # (quantity, grid, max level): the reference fails first at the second
+    # rung of the first k while the second k misses its first rung; at the
+    # m- arc of the first k while its m+ arc also fails; at the second rung
+    # of the m+ arc of the first k while its m- arc meets both; at the second
+    # rung of the m- arc of the first k while its m+ arc meets both; and at
+    # the first rung of the second k
+    @pytest.mark.parametrize(
+        "quantity,spec,max_level",
+        [("f", "2:3.5:2", 3), ("m_plus", "4.3:5:2", 3), ("h", "5:6:2", 4),
+         ("m_minus", "0.5:3.5:2", 3), ("f", "0.5:3.5:2", 3)],
+    )
+    def test_lockstep_nonconvergence_matches_reference(self, capsys, monkeypatch, quantity, spec, max_level):
+        monkeypatch.setattr(M, "tanh_sinh", functools.partial(quadrature.tanh_sinh, max_level=max_level))
+        with pytest.raises(cli.MahlerLabError) as want:
+            reference_sweep_csv(quantity, cli.parse_grid(spec), 1e-10)
+        monkeypatch.setattr(quadrature, "_MAX_LEVEL", max_level)
+        code, out, err = run_main(capsys, "sweep", quantity, "--k-grid", spec)
+        assert (code, out) == (1, "")
+        assert err == f"mahlerlab: error: {want.value}\n"
+
+    def test_one_integrand_call_per_level_per_piece_of_the_grid(self, capsys, monkeypatch):
+        runs = []
+        real = M.tanh_sinh_panels
+
+        def counting(f, *args):
+            runs.append(0)
+
+            def counted(x, panel):
+                runs[-1] += 1
+                return f(x, panel)
+
+            return real(counted, *args)
+
+        def scalar(*args, **kwargs):
+            raise AssertionError("a sweep integrates no arc on its own")
+
+        monkeypatch.setattr(M, "tanh_sinh_panels", counting)
+        monkeypatch.setattr(M, "tanh_sinh", scalar)
+        code, out, _ = run_main(capsys, "sweep", "m_plus", "--k-grid", "0.2:60:50")
+        assert code == 0 and len(out.splitlines()) == 51
+        # pieces of 32 and 18 grid points, each refined in lockstep
+        assert len(runs) == 2 and all(0 < calls <= quadrature._MAX_LEVEL + 1 for calls in runs)
 
 
 class TestDeterminism:

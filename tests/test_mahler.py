@@ -1,9 +1,13 @@
 import cmath
+import functools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mahlerlab import mahler as M
+from mahlerlab import quadrature as Q
 from mahlerlab.elliptic import ell_k, ell_pi
 from mahlerlab.errors import (
     AccuracyError,
@@ -249,6 +253,79 @@ def test_jensen_regime_edges_against_mpmath(k):
         assert abs(M.m_p1k(k, 1e-13) - float(sum(p1k))) <= 1e-13
         assert abs(hm.m_plus - float(pair[0])) <= 1e-13
         assert abs(hm.m_minus - float(pair[1])) <= 1e-13
+
+
+def _ks(lo, hi, edges):
+    """k in (lo, hi), with the given edges among the draws."""
+    return st.one_of(
+        st.floats(lo, hi, exclude_min=True, exclude_max=True),
+        st.sampled_from(edges),
+    )
+
+
+_AROUND_4 = (math.nextafter(4.0, 0.0), math.nextafter(4.0, math.inf))
+_AROUND_K_LARGE = (math.nextafter(M.K_LARGE, 0.0), M.K_LARGE, math.nextafter(M.K_LARGE, math.inf))
+
+#: the three factorizations over all three regimes, with their edges
+FACTORIZATIONS = st.one_of(
+    _ks(0.0, 1e6, (1e-9, *_AROUND_4, 4.0, *_AROUND_K_LARGE, 1e6)).map(M.factor_p1k),
+    _ks(4.0, 1e6, (_AROUND_4[1], 4.0 + 1e-9, *_AROUND_K_LARGE, 1e6)).map(M.factor_ptilde),
+    _ks(0.0, 4.0, (1e-9, 4.0 - 1e-9, _AROUND_4[0])).map(M.factor_pac_small),
+)
+
+
+def _hm_bits(hm):
+    return hm.m_plus.hex(), hm.m_minus.hex()
+
+
+@given(st.lists(FACTORIZATIONS, min_size=1, max_size=6), st.floats(1e-12, 1e-6))
+@settings(max_examples=60, deadline=None)
+def test_lockstep_half_measures_equal_scalar_bitwise(facs, tol):
+    tols = (tol, 0.1 * tol)
+    got = M.half_measures_lockstep(facs, tols)
+    want = [[M.half_measures(fac, t) for t in tols] for fac in facs]
+    assert [[_hm_bits(hm) for hm in row] for row in got] == [
+        [_hm_bits(hm) for hm in row] for row in want
+    ]
+
+
+def test_lockstep_pieces_equal_scalar_bitwise():
+    # more factorizations than one lockstep piece holds, all three kinds
+    facs = [M.factor_p1k(0.1 * i) for i in range(1, 30)] + [
+        M.factor_ptilde(4.0 + 0.5 * i) for i in range(1, 25)] + [
+        M.factor_pac_small(0.2 * i) for i in range(1, 20)]
+    tols = (1e-10, 1e-11)
+    got = M.half_measures_lockstep(facs, tols)
+    want = [[M.half_measures(fac, t) for t in tols] for fac in facs]
+    assert [[_hm_bits(hm) for hm in row] for row in got] == [
+        [_hm_bits(hm) for hm in row] for row in want
+    ]
+
+
+# (factorizations, max level): the first failure one by one is at the second
+# rung of the first fac; at the first rung of its m- arc while its m+ arc
+# also fails; at the second rung of its m+ arc while its m- arc meets both;
+# and in the second lockstep piece
+@pytest.mark.parametrize(
+    "facs,max_level",
+    [
+        ([M.factor_p1k(2.0), M.factor_p1k(3.5)], 3),
+        ([M.factor_ptilde(4.3), M.factor_ptilde(5.0)], 3),
+        ([M.factor_ptilde(5.0), M.factor_ptilde(6.0)], 4),
+        ([M.factor_p1k(0.5)] * M._LOCKSTEP_FACS + [M.factor_p1k(3.5)], 3),
+    ],
+)
+def test_lockstep_nonconvergence_matches_one_by_one(monkeypatch, facs, max_level):
+    tols = (1e-10, 1e-11)
+    monkeypatch.setattr(M, "tanh_sinh", functools.partial(tanh_sinh, max_level=max_level))
+    with pytest.raises(AccuracyError) as want:
+        [[M.half_measures(fac, t) for t in tols] for fac in facs]
+    monkeypatch.setattr(Q, "_MAX_LEVEL", max_level)
+    with pytest.raises(AccuracyError) as got:
+        M.half_measures_lockstep(facs, tols)
+    assert str(got.value) == str(want.value)
+    assert got.value.best_estimate.hex() == want.value.best_estimate.hex()
+    assert got.value.error_estimate.hex() == want.value.error_estimate.hex()
 
 
 class TestDerivatives:

@@ -5,7 +5,7 @@ import pytest
 
 from mahlerlab import identities as I
 from mahlerlab.errors import AccuracyError, SingularPointError
-from mahlerlab.quadrature import cumulative_integrals, quadrature_oracle, tanh_sinh
+from mahlerlab.quadrature import cumulative_integrals, quadrature_oracle, tanh_sinh, tanh_sinh_panels
 
 
 def test_arcsine_integral():
@@ -159,3 +159,23 @@ def test_lockstep_nonconvergence_matches_scalar_chain():
     assert str(got.value) == str(want.value)
     assert _bits(got.value.best_estimate) == _bits(want.value.best_estimate)
     assert _bits(got.value.error_estimate) == _bits(want.value.error_estimate)
+
+
+def test_panel_ladder_equals_scalar_at_each_tol():
+    # one lockstep refinement per panel gives tanh_sinh's value at every rung;
+    # the zero-length panel is 0.0 on every rung
+    scalar, array = _lorentz(0.3, 0.05)
+    lo, hi = [0.0, 0.2, 0.5, 0.5], [0.4, 1.0, 0.5, 0.9]
+    tols = [(1e-6, 1e-9, 1e-12), (1e-8, 1e-13), (1e-6, 1e-9, 1e-12), (1e-5,)]
+    values, failures = tanh_sinh_panels(lambda x, _: array(x), lo, hi, tols)
+    assert failures == {}
+    want = [[tanh_sinh(scalar, a, b, t)[0] for t in ladder] for a, b, ladder in zip(lo, hi, tols)]
+    assert [[_bits(v) for v in row] for row in values] == [[_bits(v) for v in row] for row in want]
+
+
+def test_panel_integrand_sees_its_panels():
+    # f gets the panel of every node, so each panel can carry its own parameter
+    scale = np.array([1.0, 2.0, -3.0])
+    values, _ = tanh_sinh_panels(lambda x, p: scale[p] * np.exp(x), [0.0] * 3, [1.0] * 3, [(1e-13,)] * 3)
+    want = [tanh_sinh(lambda x: c * math.exp(x), 0.0, 1.0, 1e-13)[0] for c in scale.tolist()]
+    assert [_bits(row[0]) for row in values] == [_bits(v) for v in want]
