@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import DivergenceError, DomainError
 
 _EPS = 2.220446049250313e-16
@@ -51,23 +53,28 @@ def carlson_rf(x: float, y: float, z: float) -> float:
         z = 0.25 * (z + lam)
         A = 0.25 * (A + lam)
         f *= 4.0
+    return _rf_series(x, y, z, A) / math.sqrt(A)
+
+
+def _rf_series(x, y, z, A):
+    """R_F's closing series after the duplication steps, for floats and
+    arrays alike."""
     # A0 terms propagated through the scaling: X+Y+Z = 0 by construction
     X = ((x + y + z) / 3.0 - x) / A
     Y = ((x + y + z) / 3.0 - y) / A
     Z = -(X + Y)
     E2 = X * Y - Z * Z
     E3 = X * Y * Z
-    s = (
+    return (
         1.0
         - E2 / 10.0
         + E3 / 14.0
         + E2 * E2 / 24.0
         - 3.0 * E2 * E3 / 44.0
-        - 5.0 * E2 ** 3 / 208.0
+        - 5.0 * _cube(E2) / 208.0
         + 3.0 * E3 * E3 / 104.0
         + E2 * E2 * E3 / 16.0
     )
-    return s / math.sqrt(A)
 
 
 def carlson_rc(x: float, y: float) -> float:
@@ -86,10 +93,20 @@ def carlson_rc(x: float, y: float) -> float:
     return math.log((math.sqrt(x) + s) / math.sqrt(y)) / s
 
 
-def _rd_rj_series(X: float, Y: float, Z: float, P: float) -> float:
+def _cube(v):
+    """v ** 3 by Python's pow, element by element for arrays: numpy's power
+    rounds differently on some inputs."""
+    if isinstance(v, np.ndarray):
+        return np.array([e ** 3 for e in v.tolist()])
+    return v ** 3
+
+
+def _rd_rj_series(X, Y, Z, P):
+    """The R_D/R_J closing series, for floats and arrays alike."""
+    P3 = _cube(P)
     E2 = X * Y + X * Z + Y * Z - 3.0 * P * P
-    E3 = X * Y * Z + 2.0 * E2 * P + 4.0 * P ** 3
-    E4 = (2.0 * X * Y * Z + E2 * P + 3.0 * P ** 3) * P
+    E3 = X * Y * Z + 2.0 * E2 * P + 4.0 * P3
+    E4 = (2.0 * X * Y * Z + E2 * P + 3.0 * P3) * P
     E5 = X * Y * Z * P * P
     return (
         1.0
@@ -99,7 +116,7 @@ def _rd_rj_series(X: float, Y: float, Z: float, P: float) -> float:
         - 3.0 * E4 / 22.0
         - 9.0 * E2 * E3 / 52.0
         + 3.0 * E5 / 26.0
-        - E2 ** 3 / 16.0
+        - _cube(E2) / 16.0
         + 3.0 * E3 * E3 / 40.0
         + 3.0 * E2 * E4 / 20.0
         + 45.0 * E2 * E2 * E3 / 272.0
@@ -180,6 +197,77 @@ def carlson_rj(x: float, y: float, z: float, p: float) -> float:
     return s / (f * A * math.sqrt(A)) + 6.0 * acc
 
 
+def _each(fn, v: np.ndarray) -> np.ndarray:
+    """fn from `math` per element: numpy's atan and log round differently
+    on some inputs."""
+    return np.array([fn(e) for e in v.tolist()])
+
+
+def _rc1_array(y: np.ndarray) -> np.ndarray:
+    """carlson_rc(1.0, y) per element, bitwise; NaN where it raises."""
+    out = np.where(y == 1.0, 1.0, math.nan)
+    up = (1.0 < y) & (y < math.inf)
+    s = np.sqrt(y[up] - 1.0)
+    out[up] = _each(math.atan, s) / s
+    down = (0.0 < y) & (y < 1.0)
+    s = np.sqrt(1.0 - y[down])
+    out[down] = _each(math.log, (1.0 + s) / np.sqrt(y[down])) / s
+    return out
+
+
+def _rf_array(x, y, z) -> np.ndarray:
+    """carlson_rf per element, bitwise, for arguments in its domain or NaN.
+
+    The duplication steps run in lockstep and each element stops at its own
+    step count.  Elements whose stopping bound is not finite come back NaN.
+    """
+    A = (x + y + z) / 3.0
+    Q = (3.0 * _EPS) ** (-0.125) * np.maximum(np.maximum(abs(A - x), abs(A - y)), abs(A - z))
+    live = np.isfinite(Q)
+    f = np.ones_like(A)
+    while (active := live & (Q >= f * abs(A))).any():
+        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+        lam = sx * sy + sx * sz + sy * sz
+        x, y, z, A = (np.where(active, 0.25 * (v + lam), v) for v in (x, y, z, A))
+        f = np.where(active, f * 4.0, f)
+    return np.where(live, _rf_series(x, y, z, A) / np.sqrt(A), math.nan)
+
+
+def _rj_array(x, y, z, p) -> np.ndarray:
+    """carlson_rj per element, bitwise, in lockstep like `_rf_array`, for
+    arguments in its domain or NaN.  Elements where its R_C step would raise
+    or its stopping bound is not finite come back NaN."""
+    A = (x + y + z + 2.0 * p) / 5.0
+    A0 = A
+    x0, y0, z0 = x, y, z
+    delta = (p - x) * (p - y) * (p - z)
+    Q = (0.2 * _EPS) ** (-0.125) * np.maximum(
+        np.maximum(abs(A - x), abs(A - y)), np.maximum(abs(A - z), abs(A - p))
+    )
+    live = np.isfinite(Q)
+    f = np.ones_like(A)
+    acc = np.zeros_like(A)
+    while (active := live & (Q >= f * abs(A))).any():
+        sx, sy, sz, sp = np.sqrt(x), np.sqrt(y), np.sqrt(z), np.sqrt(p)
+        D = (sp + sx) * (sp + sy) * (sp + sz)
+        E = delta / (D * D)
+        # carlson_rj's rewrite of R_C(1, 1+E) near E = -1
+        y_rc = np.where(
+            (-1.5 < E) & (E < -0.5), 2.0 * sp * (p + sx * (sy + sz) + sy * sz) / D, 1.0 + E
+        )
+        acc[active] += (1.0 / (f * D))[active] * _rc1_array(y_rc[active])
+        lam = sx * sy + sx * sz + sy * sz
+        x, y, z, p, A = (np.where(active, 0.25 * (v + lam), v) for v in (x, y, z, p, A))
+        delta = np.where(active, delta / 64.0, delta)
+        f = np.where(active, f * 4.0, f)
+    X = (A0 - x0) / (f * A)
+    Y = (A0 - y0) / (f * A)
+    Z = (A0 - z0) / (f * A)
+    P = -0.5 * (X + Y + Z)
+    s = _rd_rj_series(X, Y, Z, P)
+    return np.where(live, s / (f * A * np.sqrt(A)) + 6.0 * acc, math.nan)
+
+
 def ell_k(z: float) -> float:
     """K(z) with modulus z in [0, 1)."""
     _check_finite("ell_k", z)
@@ -207,6 +295,11 @@ def ell_e(z: float) -> float:
 
 def ell_pi(n: float, z: float) -> float:
     """Pi(n, z) with characteristic n < 1 and modulus z in [0, 1)."""
+    return ell_pi_k(n, z)[0]
+
+
+def ell_pi_k(n: float, z: float) -> tuple[float, float]:
+    """(Pi(n, z), K(z)) from one R_F, with ell_pi's domain and errors."""
     _check_finite("ell_pi", n, z)
     if n >= 1.0:
         raise DomainError(
@@ -219,8 +312,20 @@ def ell_pi(n: float, z: float) -> float:
     zc = (1.0 - z) * (1.0 + z)
     rf = carlson_rf(0.0, zc, 1.0)
     if n == 0.0:
-        return rf
-    return rf + (n / 3.0) * carlson_rj(0.0, zc, 1.0, 1.0 - n)
+        return rf, rf
+    return rf + (n / 3.0) * carlson_rj(0.0, zc, 1.0, 1.0 - n), rf
+
+
+def ell_pi_k_array(n: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ell_pi_k per element, bitwise, on lockstep Carlson kernels; NaN where
+    ell_pi_k raises."""
+    with np.errstate(all="ignore"):
+        ok = np.isfinite(n) & (n < 1.0) & (0.0 <= z) & (z < 1.0)
+        # NaN keeps the elements outside the domain out of the duplication
+        zc = np.where(ok, (1.0 - z) * (1.0 + z), math.nan)
+        rf = _rf_array(0.0, zc, 1.0)
+        pi = np.where(n == 0.0, rf, rf + (n / 3.0) * _rj_array(0.0, zc, 1.0, 1.0 - n))
+    return pi, rf
 
 
 def ell_k_imag(m: float) -> float:

@@ -7,7 +7,8 @@ s is determined up to a constant by s'/s = f.  Given differentiable p, q the
 engine computes r and f from their closed forms, checks the ODE and the
 vanishing of the E-coefficient pointwise via second-order jets, reconstructs
 s(x) = C exp(int f) with the constant pinned at an anchor, and reports the
-residual of the identity over a grid.
+residual of the identity over a grid.  The residuals at every grid point come
+from one pass over numpy arrays, bitwise equal to the per-point scalar step.
 
 Four built-in (p, q) pairs are shipped, including Jia's identity; candidates
 can also be loaded from expression strings (see `expressions`).
@@ -22,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .elliptic import ell_k, ell_pi
+from .elliptic import ell_pi, ell_pi_k, ell_pi_k_array
 from .errors import DomainError, RegimeError, SingularPointError
 from .jets import Jet2, sqrt
 from .quadrature import cumulative_integrals
@@ -130,21 +131,21 @@ def _f_array(cand: IdentityCandidate, xs: np.ndarray) -> np.ndarray:
         return np.where((den == 0.0) | ~np.isfinite(den), math.nan, num / den)
 
 
-def _r_jet(cand: IdentityCandidate, x: float, pj: Jet2, qj: Jet2) -> Jet2:
+def _r_jet(pj: Jet2, qj: Jet2) -> Jet2:
     """(r, r') as a first-order jet, obtained by pushing the p/q jets
-    through the r-formula one derivative order higher."""
+    through the r-formula one derivative order higher.  Where the r
+    denominator vanishes, scalar jets raise ZeroDivisionError and array jets
+    give NaN."""
     P = Jet2(pj.value, pj.d1)
     dP = Jet2(pj.d1, pj.d2)
     Q = Jet2(qj.value, qj.d1)
     dQ = Jet2(qj.d1, qj.d2)
     num, den = _r_num_den(P, dP, Q, dQ)
-    if den.value == 0.0:
-        raise SingularPointError(f"{cand.name}: r denominator vanishes at x = {x}")
     return num / den
 
 
-def _ode_residual(cand: IdentityCandidate, x: float, pj: Jet2, qj: Jet2, rj: Jet2) -> float:
-    f = _f_value(cand, x, pj, qj)
+def _ode_residual(f, pj: Jet2, qj: Jet2, rj: Jet2):
+    """r' - (f + q'/q) r + p'/(2p(p-1)), for floats and arrays alike."""
     return rj.d1 - (f + qj.d1 / qj.value) * rj.value + pj.d1 / (
         2.0 * pj.value * (pj.value - 1.0)
     )
@@ -161,24 +162,22 @@ def ode_residual(
     """
     pj, qj = _pq_jets(cand, x)
     if r_override is None:
-        rj = _r_jet(cand, x, pj, qj)
+        try:
+            rj = _r_jet(pj, qj)
+        except ZeroDivisionError:
+            raise SingularPointError(f"{cand.name}: r denominator vanishes at x = {x}") from None
     elif callable(r_override):
         rj = r_override(Jet2.seed(x))
         if not isinstance(rj, Jet2):
             rj = Jet2(float(rj))
     else:
         rj = Jet2(float(r_override))
-    return _ode_residual(cand, x, pj, qj, rj)
+    return _ode_residual(_f_value(cand, x, pj, qj), pj, qj, rj)
 
 
-def _e_coefficient_residual(
-    cand: IdentityCandidate, x: float, pj: Jet2, qj: Jet2, r: float | None = None
-) -> float:
+def _e_coefficient_residual(pj: Jet2, qj: Jet2, r):
+    """The E(q) coefficient of d/dx [Pi + r K], for floats and arrays alike."""
     p, dp, q, dq = pj.value, pj.d1, qj.value, qj.d1
-    if q in (0.0, 1.0):
-        raise SingularPointError(f"{cand.name}: q in {{0,1}} at x = {x}")
-    if r is None:
-        r = _r_value(cand, x, pj, qj)
     return (
         dp / (2.0 * (p - 1.0) * (q * q - p))
         + dq * q / ((1.0 - q * q) * (q * q - p))
@@ -189,7 +188,10 @@ def _e_coefficient_residual(
 def e_coefficient_residual(cand: IdentityCandidate, x: float) -> float:
     """The E(q(x)) coefficient in d/dx [Pi + r K]; zero exactly when r takes
     its forced value."""
-    return _e_coefficient_residual(cand, x, *_pq_jets(cand, x))
+    pj, qj = _pq_jets(cand, x)
+    if qj.value in (0.0, 1.0):
+        raise SingularPointError(f"{cand.name}: q in {{0,1}} at x = {x}")
+    return _e_coefficient_residual(pj, qj, _r_value(cand, x, pj, qj))
 
 
 def _anchor_r(cand: IdentityCandidate, x0: float) -> float:
@@ -202,8 +204,13 @@ def _anchor_r(cand: IdentityCandidate, x0: float) -> float:
 
 
 def _values_at(cand: IdentityCandidate, x: float) -> tuple[float, float]:
-    p = cand.p(float(x))
-    q = cand.q(float(x))
+    try:
+        p = cand.p(float(x))
+        q = cand.q(float(x))
+    except (ZeroDivisionError, ValueError, OverflowError) as exc:
+        raise SingularPointError(f"{cand.name}: p/q undefined at x = {x}: {exc}") from exc
+    if isinstance(p, complex) or isinstance(q, complex):
+        raise SingularPointError(f"{cand.name}: p/q undefined at x = {x}: p = {p}, q = {q}")
     if isinstance(p, Jet2) or isinstance(q, Jet2):  # pragma: no cover
         raise TypeError("candidate p/q must map floats to floats")
     if p >= 1.0:
@@ -221,7 +228,35 @@ def identity_lhs(cand: IdentityCandidate, x: float, r: float | None = None) -> f
     p, q = _values_at(cand, x)
     if r is None:
         r = eval_r(cand, x)
-    return ell_pi(p, q) + r * ell_k(q)
+    pi, k = ell_pi_k(p, q)
+    return pi + r * k
+
+
+def _residual_arrays(
+    cand: IdentityCandidate, xs: np.ndarray, p: np.ndarray, q: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """identity_lhs, ode_residual and e_coefficient_residual at every point
+    of xs in one array pass, given the float p(xs), q(xs), and the mask of
+    points where they must be replayed: some value is not finite, or a
+    scalar function meets a raise condition there."""
+    with np.errstate(all="ignore"):
+        pj, qj = cand.p(Jet2.seed(xs)), cand.q(Jet2.seed(xs))
+        rnum, rden = _r_num_den(pj.value, pj.d1, qj.value, qj.d1)
+        fnum, fden = _f_num_den(pj.value, pj.d1, qj.value, qj.d1)
+        r = rnum / rden
+        pi, k = ell_pi_k_array(p, q)
+        lhs = pi + r * k
+        ode = _ode_residual(fnum / fden, pj, qj, _r_jet(pj, qj))
+        ec = _e_coefficient_residual(pj, qj, r)
+    replay = (rden == 0.0) | (fden == 0.0) | (qj.value == 0.0) | (qj.value == 1.0)
+    for v in (rden, fden, lhs, ode, ec):
+        replay |= ~np.isfinite(v)
+    return lhs, ode, ec, replay
+
+
+def _max_abs(v: np.ndarray) -> float:
+    """max |v| with a running max's semantics: 0.0 when empty, NaN skipped."""
+    return float(np.fmax.reduce(np.abs(v), initial=0.0))
 
 
 def verify_identity(
@@ -237,10 +272,10 @@ def verify_identity(
     if x0 is None:
         x0 = cand.anchor_x0
     xs = sorted(grid) if grid is not None else list(default_grid(cand))
-    for x in xs:
-        _values_at(cand, x)  # regime gate before any reconstruction work
+    pq = [_values_at(cand, x) for x in xs]  # regime gate before any reconstruction work
     p0, q0 = _values_at(cand, x0)
-    C = ell_pi(p0, q0) + _anchor_r(cand, x0) * ell_k(q0)
+    pi0, k0 = ell_pi_k(p0, q0)
+    C = pi0 + _anchor_r(cand, x0) * k0
 
     # at a degenerate anchor the f-formula underflows to 0/0 while f itself
     # stays bounded; the NaN there makes the quadrature drop those nodes
@@ -256,27 +291,26 @@ def verify_identity(
     if x0 in xs:
         s_at[x0] = C
 
-    id_max = ode_max = ec_max = 0.0
-    for x in xs:
-        if x == x0:
-            lhs = C  # anchor: identity holds by construction
-        else:
-            # one p/q jet evaluation serves r, the ODE and the E-coefficient
-            pj, qj = _pq_jets(cand, x)
-            r = _r_value(cand, x, pj, qj)
-            lhs = identity_lhs(cand, x, r=r)
-            rj = _r_jet(cand, x, pj, qj)
-            ode_max = max(ode_max, abs(_ode_residual(cand, x, pj, qj, rj)))
-            ec_max = max(ec_max, abs(_e_coefficient_residual(cand, x, pj, qj, r)))
-        id_max = max(id_max, abs(lhs - s_at[x]))
+    # the anchor holds by construction; every other point in one array pass
+    off = [i for i, x in enumerate(xs) if x != x0]
+    pts = np.array([xs[i] for i in off], dtype=float)
+    p, q = (np.array([pq[i][j] for i in off], dtype=float) for j in (0, 1))
+    lhs, ode, ec, replay = _residual_arrays(cand, pts, p, q)
+    # in grid order, so the first point where a scalar function raises raises
+    for i in np.flatnonzero(replay):
+        x = xs[off[i]]
+        lhs[i] = identity_lhs(cand, x)
+        ode[i] = ode_residual(cand, x)
+        ec[i] = e_coefficient_residual(cand, x)
+    s = np.array([s_at[xs[i]] for i in off], dtype=float)
     return IdentityReport(
         name=cand.name,
         anchor_x0=x0,
         constant_C=C,
         grid=tuple(xs),
-        ode_residual_max=ode_max,
-        e_coeff_residual_max=ec_max,
-        identity_residual_max=id_max,
+        ode_residual_max=_max_abs(ode),
+        e_coeff_residual_max=_max_abs(ec),
+        identity_residual_max=_max_abs(lhs - s),
         identity_tol=tol,
         ode_tol=ode_tol,
         e_coeff_tol=e_coeff_tol,
@@ -297,11 +331,18 @@ def check_printed_variants(
     variants += list(cand.printed_r_alts)
     out = {}
     for label, rfn in variants:
-        worst = 0.0
+        # the scalar steps in identity_lhs's order: the Carlson kernels raise
+        # nowhere else on the regime gate's (p, q)
+        rows = []
         for x in xs:
-            lhs = identity_lhs(cand, x, r=rfn(x))
-            worst = max(worst, abs(lhs - cand.printed_rhs(x)))
-        out[label] = worst
+            r = rfn(x)
+            p, q = _values_at(cand, x)
+            if not math.isfinite(p):
+                ell_pi(p, q)  # raises its DomainError
+            rows.append((r, p, q, cand.printed_rhs(x)))
+        r, p, q, rhs = np.array(rows, dtype=float).reshape(-1, 4).T
+        pi, k = ell_pi_k_array(p, q)
+        out[label] = _max_abs(pi + r * k - rhs)
     return out
 
 

@@ -3,6 +3,7 @@ import functools
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -311,6 +312,20 @@ class TestVerify:
         assert err.startswith("mahlerlab: error: expression:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "p,q",
+        [("-x", "sqrt(x-0.5)"), ("-x", "(x-0.5)^(1/2)"), ("-1/(x-0.001000000000000334)", "x")],
+        ids=["sqrt-of-negative", "complex-power", "division-by-zero"],
+    )
+    def test_candidate_undefined_on_grid_is_one_line_error(self, capsys, tmp_path, p, q):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps([{"name": "bad", "p": p, "q": q, "domain": [0.0, 1.0],
+                                     "anchor_x0": 0.7}]))
+        code, out, err = run_main(capsys, "verify", "appendix", "--candidate-file", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("mahlerlab: error: bad: p/q undefined at x = 0.001000000000000334: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "content",
         [
             None,
@@ -596,6 +611,14 @@ class TestDeterminism:
         assert out1 == out2
 
 
+def _child_env() -> dict:
+    """Environment for a child interpreter that imports the same mahlerlab as
+    the tests, also when pytest alone put src/ on the path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_scipy_imported_only_by_the_2d_oracle():
     probe = (
         "import sys, mahlerlab.cli\n"
@@ -603,7 +626,8 @@ def test_scipy_imported_only_by_the_2d_oracle():
         "mahlerlab.cli.main(['verify', 'eta', '--format', 'json'])\n"
         "print('scipy' in sys.modules)"
     )
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_child_env())
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "False" and lines[-1] == "False"
@@ -614,6 +638,7 @@ def test_console_entry_point_subprocess():
         [sys.executable, "-m", "mahlerlab.cli", "ell", "--kind", "E", "--z", "0"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "1.5707963267948966" in proc.stdout

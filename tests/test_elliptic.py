@@ -1,7 +1,11 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from mahlerlab import elliptic
 from mahlerlab.elliptic import (
     carlson_rc,
     carlson_rd,
@@ -12,6 +16,8 @@ from mahlerlab.elliptic import (
     ell_k_imag,
     ell_pi,
     ell_pi_imag,
+    ell_pi_k,
+    ell_pi_k_array,
 )
 from mahlerlab.errors import DivergenceError, DomainError
 from mahlerlab.quadrature import quadrature_oracle
@@ -257,3 +263,168 @@ class TestImaginaryModulus:
             ell_k_imag(-1.0)
         with pytest.raises(DomainError):
             ell_pi_imag(1.2, 0.5)
+
+
+# ----------------------------------------------------------------------------
+# lockstep array kernels: bitwise equal to the scalar forms
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def _with_a_zero(mag, size: int = 3):
+    """size magnitudes drawn from mag, at most one of them set to zero."""
+    return st.tuples(st.tuples(*[mag] * size), st.sampled_from([None, *range(size)])).map(
+        lambda t: tuple(0.0 if i == t[1] else v for i, v in enumerate(t[0]))
+    )
+
+
+#: a Carlson argument's magnitude over 24 decades
+_mag = st.floats(-12.0, 12.0).map(lambda e: 10.0 ** e)
+#: equal arguments take no duplication step, spread ones take many
+_rf_triple = st.one_of(st.just((1.0, 1.0, 1.0)), _with_a_zero(_mag))
+
+
+@st.composite
+def _rj_quad(draw):
+    x, y, z = draw(_rf_triple)
+    # p far below x, y, z puts E near -1, where R_C(1, 1+E) is rewritten
+    low = min(v for v in (x, y, z) if v > 0.0) * 10.0 ** draw(st.floats(-12.0, -1.0))
+    return x, y, z, draw(st.one_of(_mag, st.just(low)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_rf_triple, min_size=1, max_size=12))
+def test_rf_array_equals_scalar_bitwise(triples):
+    x, y, z = (np.array(v) for v in zip(*triples))
+    assert _bits(elliptic._rf_array(x, y, z)) == _bits(carlson_rf(*t) for t in triples)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_rj_quad(), min_size=1, max_size=12))
+def test_rj_array_equals_scalar_bitwise(quads):
+    x, y, z, p = (np.array(v) for v in zip(*quads))
+    assert _bits(elliptic._rj_array(x, y, z, p)) == _bits(carlson_rj(*t) for t in quads)
+
+
+def test_rj_draws_reach_the_rc_rewrite():
+    # the first duplication step of R_J(1, 2, 3, 1e-6) has E in (-1.5, -0.5)
+    sx, sy, sz, sp = (math.sqrt(v) for v in (1.0, 2.0, 3.0, 1e-6))
+    delta = (1e-6 - 1.0) * (1e-6 - 2.0) * (1e-6 - 3.0)
+    D = (sp + sx) * (sp + sy) * (sp + sz)
+    assert -1.5 < delta / (D * D) < -0.5
+    args = [np.array([v]) for v in (1.0, 2.0, 3.0, 1e-6)]
+    assert _bits(elliptic._rj_array(*args)) == _bits([carlson_rj(1.0, 2.0, 3.0, 1e-6)])
+
+
+#: characteristics: 0, the regime interior, and n -> 1 (where E nears -1)
+_n = st.one_of(
+    st.just(0.0),
+    st.floats(-1e6, 0.999999),
+    st.integers(1, 15).map(lambda k: 1.0 - 10.0 ** -k),
+)
+#: moduli: 0, the interior, and q -> 1
+_z = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 0.999999),
+    st.integers(1, 16).map(lambda k: 1.0 - 10.0 ** -k),
+)
+_outside = st.sampled_from(
+    [(math.nan, 0.5), (-math.inf, 0.5), (1.0, 0.5), (2.0, 0.5), (0.5, 1.0), (0.5, -0.25),
+     (0.5, math.nan), (-1e308, 0.5)]
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.one_of(st.tuples(_n, _z), _outside), min_size=1, max_size=12), _n)
+def test_pi_plus_rk_array_equals_scalar_bitwise(pairs, r):
+    n, z = (np.array(v) for v in zip(*pairs))
+    pi, k = ell_pi_k_array(n, z)
+    lhs = pi + r * k
+    for i, (ni, zi) in enumerate(pairs):
+        try:
+            want_pi, want_k = ell_pi(ni, zi), ell_k(zi)
+        except DomainError:
+            assert math.isnan(lhs[i])  # NaN wherever the scalar forms raise
+            continue
+        assert _bits([pi[i], k[i], lhs[i]]) == _bits([want_pi, want_k, want_pi + r * want_k])
+
+
+def test_scalar_pi_k_shares_one_rf(monkeypatch):
+    calls = []
+    real = elliptic.carlson_rf
+    monkeypatch.setattr(elliptic, "carlson_rf", lambda *a: calls.append(a) or real(*a))
+    pi, k = ell_pi_k(-0.3, 0.7)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert (pi, k) == (ell_pi(-0.3, 0.7), ell_k(0.7))
+    assert ell_pi_k(0.0, 0.7) == (ell_k(0.7), ell_k(0.7))
+
+
+# ----------------------------------------------------------------------------
+# oracles: mpmath at 30 digits over the documented domains
+
+
+def _rel_err(value: float, ref) -> float:
+    return float(abs((value - ref) / ref))
+
+
+#: argument magnitudes over 300 decades, so every result stays a double
+_wide = st.floats(-150.0, 150.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    _with_a_zero(_wide),
+    _wide.map(lambda v: (v, v, v)),
+))
+def test_rf_against_mpmath(args):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        assert _rel_err(carlson_rf(*args), mpmath.elliprf(*args)) <= 1e-14
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.tuples(_with_a_zero(_wide, 2), _wide).map(lambda t: (*t[0], t[1])),
+    _wide.map(lambda v: (v, v, v)),
+))
+def test_rd_against_mpmath(args):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        assert _rel_err(carlson_rd(*args), mpmath.elliprd(*args)) <= 1e-14
+
+
+#: y / x - 1 over (-1, -1e-3] and [1e-15, 1e3): off the diagonal from below,
+#: next to it from above
+_rc_ratio = st.one_of(
+    st.floats(-15.0, 3.0).map(lambda e: 1.0 + 10.0 ** e),
+    st.floats(1e-3, 1.0, exclude_max=True).map(lambda d: 1.0 - d),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.tuples(st.one_of(st.just(0.0), _wide), _wide),
+    _wide.map(lambda v: (v, v)),
+    st.tuples(_wide, _rc_ratio).map(lambda t: (t[0], t[0] * t[1])),
+))
+def test_rc_against_mpmath(args):
+    x, y = args
+    # y just below x is the known cancellation, pinned by the xfail test below
+    assume(not 0.0 < x - y < 1e-3 * x)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        assert _rel_err(carlson_rc(*args), mpmath.elliprc(*args)) <= 1e-14
+
+
+@pytest.mark.xfail(strict=True, reason="log-branch cancellation for x just above y")
+@pytest.mark.parametrize("delta", [1e-6, 1e-9, 1e-12])
+def test_rc_just_below_the_diagonal_against_mpmath(delta):
+    # R_C(1, 1 - delta): log((1 + s)/sqrt(y))/s with s = sqrt(delta) loses
+    # about eps/s; 5e-11 relative at delta = 1e-12.  R_J sums R_C(1, 1 + E)
+    # with E -> 0 and inherits part of it.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        assert _rel_err(carlson_rc(1.0, 1.0 - delta), mpmath.elliprc(1.0, 1.0 - delta)) <= 1e-14
