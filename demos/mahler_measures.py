@@ -42,11 +42,12 @@ print("(the principal-branch labeling is the one that satisfies the identity)")
 
 print()
 print("=== The main identity and its corollary ===")
-for k in (4.5, 5.0, 8.0, 16.0, 50.0):
-    print(f"k = {k:5}:  residual = {M.verify_thm_main(k):.2e}")
+ks = (4.5, 5.0, 8.0, 16.0, 50.0)
+for k, res in zip(ks, M.verify_thm_main(ks)):
+    print(f"k = {k:5}:  residual = {res:.2e}")
 print(f"regime boundary for m- = 0: k = {M.K_LARGE:.10f}")
-for k in (7.0, 16.0):
-    mm, res = M.verify_corollary(k)
+ks = (7.0, 16.0)
+for k, (mm, res) in zip(ks, M.verify_corollary(ks)):
     print(f"k = {k}:  m- = {mm:.1e}, corollary residual = {res:.2e}")
 
 print()

@@ -45,11 +45,12 @@ from .mahler import (
     K_LARGE,
     dfdk,
     dhdk,
-    half_measures_pac_small_k,
-    half_measures_ptilde,
+    factor_p1k,
+    factor_pac_small,
+    factor_ptilde,
+    half_measures_lockstep,
     lsz_branch_verdict,
     m_generic_2d,
-    m_p1k,
     params_from_k,
     poly_p1k,
     sweep_measures,
@@ -199,16 +200,14 @@ def suite_ei(ks: Sequence[float], tol: float, args, verify) -> Report:
 
 def suite_thm_main(ks: Sequence[float], tol: float, args, verify) -> Report:
     rep = Report("verify thm-main", metadata={"tol": tol, "k_floor": THM_MAIN_K_FLOOR})
-    for k in ks:
-        res = verify_thm_main(k, tol)
+    for k, res in zip(ks, verify_thm_main(ks, tol)):
         rep.add(f"k={k:.6g}", 0.0, res, res, tol)
     return rep
 
 
 def suite_corollary(ks: Sequence[float], tol: float, args, verify) -> Report:
     rep = Report("verify corollary", metadata={"tol": tol, "m_minus_tol": 1e-12})
-    for k in ks:
-        m_minus, res = verify_corollary(k, tol)
+    for k, (m_minus, res) in zip(ks, verify_corollary(ks, tol)):
         rep.add(f"k={k:.6g} m_minus", 0.0, m_minus, abs(m_minus), 1e-12)
         rep.add(f"k={k:.6g} identity", 0.0, res, res, tol)
     return rep
@@ -262,20 +261,14 @@ def suite_jia(ks: Sequence[float], tol: float, args, verify) -> Report:
 
 def suite_lsz(ks: Sequence[float], tol: float, args, verify) -> Report:
     rep = Report("verify lsz", metadata={"log_tol": 1e-8, "lsz_tol": tol})
-    for k in ks:
-        fp = params_from_k(k)
-        hm = half_measures_pac_small_k(k, tol=1e-11)
-        target = m_p1k(k, tol=1e-11)
-        rep.add(
-            f"k={k:.6g} m_total = log a",
-            math.log(fp.a),
-            hm.m_total,
-            abs(hm.m_total - math.log(fp.a)),
-            1e-8,
-        )
-        lsz = hm.m_minus - 3.0 * hm.m_plus
+    # the branch verdict reads the measures at 1e-10, the other rows at 1e-11
+    for k, (fine, verdict) in zip(ks, lsz_branch_verdict(ks, (1e-11, 1e-10))):
+        log_a = math.log(params_from_k(k).a)
+        m_total = fine["m_plus"] + fine["m_minus"]
+        rep.add(f"k={k:.6g} m_total = log a", log_a, m_total, abs(m_total - log_a), 1e-8)
+        lsz = fine["m_minus"] - 3.0 * fine["m_plus"]
+        target = fine["m_p1k"]
         rep.add(f"k={k:.6g} m- - 3m+ = m(P_1k)", target, lsz, abs(lsz - target), tol)
-        verdict = lsz_branch_verdict(k)
         rep.rows.append(
             Row(
                 f"k={k:.6g} branch labeling",
@@ -371,16 +364,30 @@ def cmd_verify(args) -> Report:
     return combined
 
 
+#: k^2 of the table rows that state the total-measure corollary
+_COROLLARY_ROWS = (32, 64, 144, 256)
+
+
 def cmd_table(args) -> Report:
     rep = Report(
         "table",
         metadata={"digits_required": 6, "nt_tol": 1e-6, "measure_tol": 1e-9},
     )
+    # every row's m(P_k) at 1e-9 and, on the corollary rows, the
+    # half-measures of Ptilde_k at 1e-10, from one lockstep refinement
+    facs, ladders = [], []
+    for k2 in sorted(TABLE1):
+        facs.append(factor_p1k(math.sqrt(k2)))
+        ladders.append((1e-9,))
+        if k2 in _COROLLARY_ROWS:
+            facs.append(factor_ptilde(math.sqrt(k2)))
+            ladders.append((1e-10,))
+    measures = iter(half_measures_lockstep(facs, ladders))
     for k2 in sorted(TABLE1):
         k = math.sqrt(k2)
         N, r = TABLE1[k2]
         label = K_LABELS[k2]
-        m = m_p1k(k, tol=1e-9)
+        m = next(measures)[0].m_total
         _, data, res = lvalue_from_k(k, n_max=args.nmax)
         rl = float(r) * res.Lprime0
         rel = abs(m - rl) / abs(rl)
@@ -395,10 +402,10 @@ def cmd_table(args) -> Report:
             )
         )
         rep.metadata[f"digits[{label}]"] = digits
-        if k2 in (32, 64, 144, 256):
-            # the stated corollary rows; the 4*sqrt(2) one fails by 2*m_minus
-            # because that k is below the 2(1+sqrt(5)) regime boundary
-            hm = half_measures_ptilde(k, tol=1e-10)
+        if k2 in _COROLLARY_ROWS:
+            # the 4*sqrt(2) row fails by 2*m_minus because that k is below
+            # the 2(1+sqrt(5)) regime boundary
+            hm = next(measures)[0]
             target = float(r) / 2.0 * res.Lprime0 - 0.25 * math.log((k - 4.0) / (k + 4.0))
             rep.add(f"k={label} m(Pac) vs L'", target, hm.m_total, abs(hm.m_total - target), 1e-6)
             if k < K_LARGE:
@@ -482,12 +489,10 @@ def cmd_mahler(args) -> Report:
     rep = Report(f"mahler k={k!r}", metadata={"tol": tol})
     fp = params_from_k(k)
     rep.metadata["regime"] = fp.regime.value
-    m = m_p1k(k, tol)
+    half = factor_ptilde(k) if k > 4.0 else factor_pac_small(k)
+    [p1k], [hm] = half_measures_lockstep([factor_p1k(k), half], [(tol,), (tol,)])
+    m = p1k.m_total
     rep.rows.append(Row("m(P_1k)", "", m, tol, "PASS"))
-    if k > 4.0:
-        hm = half_measures_ptilde(k, tol)
-    else:
-        hm = half_measures_pac_small_k(k, tol)
     rep.rows.append(Row("m_plus", "", hm.m_plus, tol, "PASS"))
     rep.rows.append(Row("m_minus", "", hm.m_minus, tol, "PASS"))
     rep.rows.append(Row("m_total", "", hm.m_total, tol, "PASS"))

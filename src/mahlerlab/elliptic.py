@@ -18,9 +18,20 @@ import math
 import numpy as np
 
 from .errors import DivergenceError, DomainError
+from .quadrature import _each
 
 _EPS = 2.220446049250313e-16
 _HALF_PI = math.pi / 2.0
+#: largest argument R_F, R_D and R_J take as given: their stopping bounds,
+#: R_D's A^(3/2) and R_J's delta stay finite below these powers of 2
+_RF_BIG, _RD_BIG, _RJ_BIG = 2.0 ** 996, 2.0 ** 664, 2.0 ** 332
+#: smallest positive argument R_J takes as given: below it the square of its
+#: D = (sp + sx)(sp + sy)(sp + sz) can underflow
+_RJ_TINY = 2.0 ** -332
+#: p above this multiple of x, y and z: there R_J = 3 R_F(x, y, z)/p to
+#: within sqrt(max(x, y, z)/p), while the duplication's D^2 underflows once
+#: the ratio passes ~1e200 even after scaling
+_RJ_SPREAD = 2.0 ** 600
 
 
 def _check_finite(kind: str, *args: float) -> None:
@@ -36,12 +47,27 @@ def _check_nonneg(kind: str, *args: float) -> None:
         raise DivergenceError(f"{kind}: diverges with two or more zero arguments")
 
 
+def _scale_exponent(hi, big: float):
+    """The e for which 4**-e hi lies in [big/4, big), for floats or arrays."""
+    return (np.frexp(hi)[1] - math.frexp(big)[1] + 2) // 2
+
+
+def _scaled(fn, halves: int, big: float, args: tuple[float, ...]) -> float:
+    """fn(*args) for fn homogeneous of degree -halves/2, from fn at args
+    scaled by the power of 4 that brings their largest into [big/4, big):
+    powers of 2 scale exactly."""
+    e = int(_scale_exponent(max(args), big))
+    return math.ldexp(fn(*(math.ldexp(v, -2 * e) for v in args)), -halves * e)
+
+
 def carlson_rf(x: float, y: float, z: float) -> float:
     """Carlson R_F(x, y, z) = (1/2) int_0^inf dt / sqrt((t+x)(t+y)(t+z)).
 
     x, y, z >= 0 with at most one of them zero.  Relative error <= 1e-14.
     """
     _check_nonneg("carlson_rf", x, y, z)
+    if max(x, y, z) > _RF_BIG:
+        return _scaled(carlson_rf, 1, _RF_BIG, (x, y, z))
     A = (x + y + z) / 3.0
     Q = (3.0 * _EPS) ** (-0.125) * max(abs(A - x), abs(A - y), abs(A - z))
     f = 1.0
@@ -129,6 +155,8 @@ def carlson_rd(x: float, y: float, z: float) -> float:
     if z <= 0.0:
         raise DomainError(f"carlson_rd: requires z > 0, got {z}")
     _check_nonneg("carlson_rd", x, y, z)
+    if max(x, y, z) > _RD_BIG:
+        return _scaled(carlson_rd, 3, _RD_BIG, (x, y, z))
     A = (x + y + 3.0 * z) / 5.0
     Q = (0.25 * _EPS) ** (-0.125) * max(abs(A - x), abs(A - y), abs(A - z))
     f = 1.0
@@ -161,6 +189,28 @@ def carlson_rj(x: float, y: float, z: float, p: float) -> float:
     _check_nonneg("carlson_rj", x, y, z)
     if not 0.0 < p < math.inf:
         raise DomainError(f"carlson_rj: requires finite p > 0, got {p}")
+    value, e = _rj_scaled(x, y, z, p)
+    return math.ldexp(value, -3 * e)
+
+
+def _rj_scaled(x: float, y: float, z: float, p: float) -> tuple[float, int]:
+    """(v, e) with R_J(x, y, z, p) = 2**(-3e) v, for carlson_rj's domain:
+    v is R_J at the arguments times 4**-e, where e = 0 unless one of them
+    lies outside [_RJ_TINY, _RJ_BIG] (a zero x, y or z aside), and v is
+    3 R_F(x, y, z)/p with e = 0 where p exceeds _RJ_SPREAD times x, y and z.
+    Callers that scale the value further keep the 2**(-3e) to the end, since
+    R_J itself can underflow."""
+    args = (x, y, z, p)
+    if p > _RJ_SPREAD * max(x, y, z):
+        return 3.0 * carlson_rf(x, y, z) / p, 0
+    if max(args) <= _RJ_BIG and min(v for v in args if v) >= _RJ_TINY:
+        return _rj(*args), 0
+    e = int(_scale_exponent(max(args), _RJ_BIG))
+    return _rj(*(math.ldexp(v, -2 * e) for v in args)), e
+
+
+def _rj(x: float, y: float, z: float, p: float) -> float:
+    """R_J by duplication."""
     A = (x + y + z + 2.0 * p) / 5.0
     A0 = A
     x0, y0, z0 = x, y, z
@@ -197,12 +247,6 @@ def carlson_rj(x: float, y: float, z: float, p: float) -> float:
     return s / (f * A * math.sqrt(A)) + 6.0 * acc
 
 
-def _each(fn, v: np.ndarray) -> np.ndarray:
-    """fn from `math` per element: numpy's atan and log round differently
-    on some inputs."""
-    return np.array([fn(e) for e in v.tolist()])
-
-
 def _rc1_array(y: np.ndarray) -> np.ndarray:
     """carlson_rc(1.0, y) per element, bitwise; NaN where it raises."""
     out = np.where(y == 1.0, 1.0, math.nan)
@@ -233,10 +277,24 @@ def _rf_array(x, y, z) -> np.ndarray:
     return np.where(live, _rf_series(x, y, z, A) / np.sqrt(A), math.nan)
 
 
-def _rj_array(x, y, z, p) -> np.ndarray:
-    """carlson_rj per element, bitwise, in lockstep like `_rf_array`, for
-    arguments in its domain or NaN.  Elements where its R_C step would raise
-    or its stopping bound is not finite come back NaN."""
+def _rj_array(x, y, z, p) -> tuple[np.ndarray, np.ndarray]:
+    """`_rj_scaled` per element, bitwise, as the pair of arrays (v, e), for
+    arguments in carlson_rj's domain or NaN; the duplication steps run in
+    lockstep like `_rf_array`'s.  Elements where its R_C step would raise or
+    its stopping bound is not finite come back NaN."""
+    x, y, z, p = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z, p)))
+    far = p > _RJ_SPREAD * np.fmax(np.fmax(x, y), z)
+    hi = np.fmax(np.fmax(x, y), np.fmax(z, p))
+    lo = np.fmin.reduce([np.where(v > 0.0, v, np.inf) for v in (x, y, z, p)])
+    e = np.where(((hi > _RJ_BIG) | (lo < _RJ_TINY)) & ~far, _scale_exponent(hi, _RJ_BIG), 0)
+    # the far elements take 3 R_F/p; 1.0 keeps them out of the duplication
+    v = _rj_duplication_array(*(np.where(far, 1.0, np.ldexp(a, -2 * e)) for a in (x, y, z, p)))
+    if far.any():
+        v[far] = 3.0 * _rf_array(x[far], y[far], z[far]) / p[far]
+    return v, e
+
+
+def _rj_duplication_array(x, y, z, p) -> np.ndarray:
     A = (x + y + z + 2.0 * p) / 5.0
     A0 = A
     x0, y0, z0 = x, y, z
@@ -309,11 +367,38 @@ def ell_pi_k(n: float, z: float) -> tuple[float, float]:
         raise DomainError(f"ell_pi: modulus must be >= 0, got {z}")
     if z >= 1.0:
         raise DivergenceError(f"ell_pi: diverges as z -> 1, got z = {z}")
-    zc = (1.0 - z) * (1.0 + z)
+    return _pi_k(n, z * z, (1.0 - z) * (1.0 + z))
+
+
+def _pi_through_n(n, m, zc, rf, rj):
+    """Pi(n) at parameter m (z^2, or -m^2 at imaginary modulus) and zc =
+    1 - m by the characteristic N = (m - n)/(1 - n), whose 1 - N is
+    zc/(1 - n), from rf = R_F(0, zc, 1) and rj = R_J(0, zc, 1, zc/(1 - n)).
+    Floats or arrays.
+
+    Pi takes this route where n < -1 and m - n >= zc, which at real modulus
+    is wherever n < -1: there rf + (n/3) R_J(0, zc, 1, 1 - n) cancels,
+    losing about eps sqrt(-n/zc).  The callers take R_J at its arguments
+    times the 4**-e that brings max(zc, 1) into R_J's window, dividing by
+    1 - n only then: zc/(1 - n) itself can be subnormal."""
+    N = (m - n) / (1.0 - n)
+    # one division by m - n, last: zc/(m - n) alone can be subnormal
+    return ((-n / (1.0 - n)) * zc * (rf + (N / 3.0) * rj) + m * rf) / (m - n)
+
+
+def _pi_k(n: float, m: float, zc: float) -> tuple[float, float]:
+    """(Pi(n), R_F(0, zc, 1)) at parameter m and zc = 1 - m, from one R_F."""
     rf = carlson_rf(0.0, zc, 1.0)
     if n == 0.0:
         return rf, rf
-    return rf + (n / 3.0) * carlson_rj(0.0, zc, 1.0, 1.0 - n), rf
+    far = n < -1.0 and m - n >= zc
+    e = int(_scale_exponent(max(zc, 1.0), _RJ_BIG)) if far else 0
+    s = math.ldexp(1.0, -2 * e)
+    v, e_rj = _rj_scaled(0.0, zc * s, s, zc * s / (1.0 - n) if far else 1.0 - n)
+    e += e_rj
+    if far:
+        return _pi_through_n(n, m, zc, rf, math.ldexp(v, -3 * e)), rf
+    return rf + math.ldexp((n / 3.0) * v, -3 * e), rf
 
 
 def ell_pi_k_array(n: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -324,7 +409,16 @@ def ell_pi_k_array(n: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray
         # NaN keeps the elements outside the domain out of the duplication
         zc = np.where(ok, (1.0 - z) * (1.0 + z), math.nan)
         rf = _rf_array(0.0, zc, 1.0)
-        pi = np.where(n == 0.0, rf, rf + (n / 3.0) * _rj_array(0.0, zc, 1.0, 1.0 - n))
+        m = z * z
+        far = (n < -1.0) & (m - n >= zc)
+        # _pi_k's scaling of the far elements; e = 0 leaves the others as given
+        e = np.where(far, _scale_exponent(np.fmax(zc, 1.0), _RJ_BIG), 0)
+        s = np.ldexp(1.0, -2 * e)
+        v, e_rj = _rj_array(0.0, zc * s, s, np.where(far, zc * s / (1.0 - n), 1.0 - n))
+        e += e_rj
+        pi = np.where(far, _pi_through_n(n, m, zc, rf, np.ldexp(v, -3 * e)),
+                      rf + np.ldexp((n / 3.0) * v, -3 * e))
+        pi = np.where(n == 0.0, rf, pi)
     return pi, rf
 
 
@@ -344,7 +438,4 @@ def ell_pi_imag(n: float, m: float) -> float:
         raise DomainError(f"ell_pi_imag: characteristic n must be < 1, got {n}")
     if m < 0.0:
         raise DomainError(f"ell_pi_imag: requires m >= 0, got {m}")
-    rf = carlson_rf(0.0, 1.0 + m * m, 1.0)
-    if n == 0.0:
-        return rf
-    return rf + (n / 3.0) * carlson_rj(0.0, 1.0 + m * m, 1.0, 1.0 - n)
+    return _pi_k(n, -(m * m), 1.0 + m * m)[0]

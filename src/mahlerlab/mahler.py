@@ -30,10 +30,11 @@ from .elliptic import ell_k, ell_pi
 from .errors import (
     AccuracyError,
     DomainError,
+    MahlerLabError,
     RegimeError,
     SingularParameterError,
 )
-from .quadrature import tanh_sinh, tanh_sinh_panels
+from .quadrature import _each, quadrature_oracle, tanh_sinh_panels
 
 #: regime boundary: the root-modulus crossing leaves the unit circle here
 K_LARGE = 2.0 * (1.0 + math.sqrt(5.0))
@@ -148,25 +149,6 @@ def _check_tol(tol: float) -> None:
         )
 
 
-def _log_abs_root(fac: QuadraticFactorization, s: float) -> Callable[[float], float]:
-    """log|y| of the root that leaves the unit disc where b = s B(theta) is
-    large (b > 2 for sigma = +1, b > 0 for sigma = -1): y- for s = +1, y+ for
-    s = -1.  In terms of h = b/2 it is acosh(h)
-    for sigma = +1 (0 where h <= 1, which a node next to the crossing can
-    round onto) and asinh(h) for sigma = -1; neither overflows.  Each is one
-    flat closure, since this runs once per quadrature node.
-    """
-    hb, hg = 0.5 * s * fac.beta, 0.5 * s * fac.gamma
-    if fac.sigma > 0:
-        def f(th: float) -> float:
-            h = hb * math.cos(th) + hg
-            return math.acosh(h) if h > 1.0 else 0.0
-    else:
-        def f(th: float) -> float:
-            return math.asinh(hb * math.cos(th) + hg)
-    return f
-
-
 def _jensen_arcs(fac: QuadraticFactorization, tols: tuple[float, ...]) -> list[tuple]:
     """The non-empty Jensen arcs of `fac` as (slot, s, lo, hi, arc_tols),
     m- (slot 0, s = +1) before m+ (slot 1, s = -1).
@@ -194,18 +176,8 @@ def _jensen_arcs(fac: QuadraticFactorization, tols: tuple[float, ...]) -> list[t
 
 def half_measures(fac: QuadraticFactorization, tol: float = 1e-8) -> HalfMeasures:
     """Half-measures (m+, m-) of y^2 + B(theta) y + sigma by Jensen's formula,
-    one `tanh_sinh` per arc of `_jensen_arcs`; absolute error <= tol."""
-    m = [0.0, 0.0]
-    for slot, s, lo, hi, (arc_tol,) in _jensen_arcs(fac, (tol,)):
-        m[slot] = tanh_sinh(_log_abs_root(fac, s), lo, hi, arc_tol)[0] / math.pi
-    return HalfMeasures(m_plus=m[1], m_minus=m[0])
-
-
-def _each(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
-    """fn applied element by element.  The lockstep half-measures take
-    math.acosh and math.asinh this way because numpy's arccosh is 1-2 ulp
-    off them on ~15% of nodes, and they must give the scalar path's bits."""
-    return np.fromiter(map(fn, x), dtype=float, count=len(x))
+    absolute error <= tol: `half_measures_lockstep` of this one factorization."""
+    return half_measures_lockstep([fac], [(tol,)])[0][0]
 
 
 #: factorizations refined together.  Larger pieces were no faster on the
@@ -215,24 +187,32 @@ _LOCKSTEP_FACS = 32
 
 
 def half_measures_lockstep(
-    facs: Sequence[QuadraticFactorization], tols: tuple[float, ...]
+    facs: Sequence[QuadraticFactorization], ladders: Sequence[tuple[float, ...]]
 ) -> list[list[HalfMeasures]]:
-    """out[j][r] = `half_measures(facs[j], tols[r])` bit for bit, tols a
-    decreasing ladder, from one lockstep refinement of the arcs of each
-    _LOCKSTEP_FACS factorizations.  Raises the AccuracyError those calls
-    would raise first, one by one: first fac, then first tol, then the m-
-    arc before the m+ arc.
+    """out[j][r] holds the half-measures of facs[j] at tol ladders[j][r],
+    each ladder decreasing, from one lockstep refinement of the arcs of each
+    _LOCKSTEP_FACS factorizations; each value is bit for bit the one a
+    refinement of its arc at its tol alone stops at.  Raises the
+    AccuracyError that refining one by one would raise first: first fac,
+    then first tol, then the m- arc before the m+ arc.
     """
     if len(facs) > _LOCKSTEP_FACS:
         return [row for i in range(0, len(facs), _LOCKSTEP_FACS)
-                for row in half_measures_lockstep(facs[i:i + _LOCKSTEP_FACS], tols)]
-    panels = [(j, *arc) for j, fac in enumerate(facs) for arc in _jensen_arcs(fac, tols)]
-    # the coefficients of _log_abs_root, one entry per panel
+                for row in half_measures_lockstep(facs[i:i + _LOCKSTEP_FACS],
+                                                  ladders[i:i + _LOCKSTEP_FACS])]
+    panels = [(j, *arc) for j, (fac, tols) in enumerate(zip(facs, ladders))
+              for arc in _jensen_arcs(fac, tols)]
+    # the coefficients of log_abs_root, one entry per panel
     hb = np.array([0.5 * s * facs[j].beta for j, _, s, *_ in panels])
     hg = np.array([0.5 * s * facs[j].gamma for j, _, s, *_ in panels])
     plus = np.array([facs[j].sigma > 0 for j, *_ in panels], dtype=bool)
 
     def log_abs_root(th: np.ndarray, panel: np.ndarray) -> np.ndarray:
+        """log|y| of the root that leaves the unit disc where b = s B(theta)
+        is large (b > 2 for sigma = +1, b > 0 for sigma = -1): y- for s = +1,
+        y+ for s = -1.  In terms of h = b/2 it is acosh(h) for sigma = +1 (0
+        where h <= 1, which a node next to the crossing can round onto) and
+        asinh(h) for sigma = -1; neither overflows."""
         h = np.cos(th)
         h *= hb[panel]
         h += hg[panel]
@@ -249,7 +229,7 @@ def half_measures_lockstep(
     if failures:
         first = min(failures, key=lambda i: (panels[i][0], len(values[i]), panels[i][1]))
         raise failures[first]
-    m = [[[0.0, 0.0] for _ in tols] for _ in facs]
+    m = [[[0.0, 0.0] for _ in tols] for tols in ladders]
     for (j, slot, *_), vals in zip(panels, values):
         for r, v in enumerate(vals):
             m[j][r][slot] = v / math.pi
@@ -279,7 +259,8 @@ def sweep_measures(
     k < 4."""
     factor, value = _SWEPT[quantity]
     facs = [factor(k) for k in ks]
-    return [[value(hm) for hm in row] for row in half_measures_lockstep(facs, tols)]
+    rows = half_measures_lockstep(facs, [tols] * len(facs))
+    return [[value(hm) for hm in row] for row in rows]
 
 
 def m_p1k(k: float, tol: float = 1e-8) -> float:
@@ -345,34 +326,67 @@ def dhdk_integral_form(k: float, tol: float = 1e-10) -> float:
         t = math.cos(th)
         return (t - (k - 8.0) * sk4 / 16.0) / math.sqrt(t * t + k * t / sk4 + c0)
 
-    val, _, _ = tanh_sinh(g, 0.0, math.pi, 0.1 * min(tol, 1e-9))
+    val = quadrature_oracle(g, 0.0, math.pi, 0.1 * min(tol, 1e-9))
     return -4.0 / (k * k - 16.0) * val / math.pi
 
 
-def verify_thm_main(k: float, tol: float = 1e-8) -> float:
-    """Residual of m(P_k) = 2(m+ - m-) + (1/2) log((k-4)/(k+4)) for k > 4."""
-    if k <= 4.0:
-        raise DomainError(f"verify_thm_main: requires k > 4, got {k}")
-    hm = half_measures_ptilde(k, tol=0.01 * tol)
-    lhs = m_p1k(k, tol=0.01 * tol)
-    rhs = 2.0 * (hm.m_plus - hm.m_minus) + 0.5 * math.log((k - 4.0) / (k + 4.0))
-    return abs(lhs - rhs)
+def _with_p1k(
+    ks: Sequence[float], factor: Callable[[float], QuadraticFactorization], tols: Sequence[float]
+) -> list[list[tuple[HalfMeasures, HalfMeasures]]]:
+    """out[j][r] holds the half-measures of factor(ks[j]) and of P_k at
+    tols[r], all from one `half_measures_lockstep`.  They are refined in the
+    order of a loop over k, then tol, then the two, so the first error is
+    the one that loop raises: an error of factor(k) comes only once the k
+    before it are refined."""
+    jobs, error = [], None
+    for k in ks:
+        try:
+            pair = factor(k), factor_p1k(k)
+        except MahlerLabError as exc:
+            error = exc
+            break
+        jobs += [(fac, (tol,)) for tol in tols for fac in pair]
+    rows = half_measures_lockstep([fac for fac, _ in jobs], [tol for _, tol in jobs])
+    if error is not None:
+        raise error
+    pairs = [(hm, p1k) for [hm], [p1k] in zip(rows[::2], rows[1::2])]
+    return [pairs[i:i + len(tols)] for i in range(0, len(pairs), len(tols))]
 
 
-def verify_corollary(k: float, tol: float = 1e-8) -> tuple[float, float]:
-    """(m-, residual) of m(P_k) = 2 m(P_{a,c}) + (1/2) log((k-4)/(k+4)).
+def verify_thm_main(ks: Sequence[float], tol: float = 1e-8) -> list[float]:
+    """Residuals of m(P_k) = 2(m+ - m-) + (1/2) log((k-4)/(k+4)) at each
+    k > 4, from one lockstep refinement."""
+
+    def factor(k):
+        if k <= 4.0:
+            raise DomainError(f"verify_thm_main: requires k > 4, got {k}")
+        return factor_ptilde(k)
+
+    return [
+        abs(p1k.m_total - (2.0 * (hm.m_plus - hm.m_minus) + 0.5 * math.log((k - 4.0) / (k + 4.0))))
+        for k, [(hm, p1k)] in zip(ks, _with_p1k(ks, factor, (0.01 * tol,)))
+    ]
+
+
+def verify_corollary(ks: Sequence[float], tol: float = 1e-8) -> list[tuple[float, float]]:
+    """(m-, residual) of m(P_k) = 2 m(P_{a,c}) + (1/2) log((k-4)/(k+4)) at
+    each k, from one lockstep refinement.
 
     Only valid for k > 2(1+sqrt(5)), where m- vanishes identically; the MID
     regime is rejected.
     """
-    if k <= K_LARGE:
-        raise RegimeError(
-            f"verify_corollary: requires k > 2(1+sqrt(5)) = {K_LARGE:.6f}, got {k}"
-        )
-    hm = half_measures_ptilde(k, tol=0.01 * tol)
-    lhs = m_p1k(k, tol=0.01 * tol)
-    rhs = 2.0 * hm.m_total + 0.5 * math.log((k - 4.0) / (k + 4.0))
-    return hm.m_minus, abs(lhs - rhs)
+
+    def factor(k):
+        if k <= K_LARGE:
+            raise RegimeError(
+                f"verify_corollary: requires k > 2(1+sqrt(5)) = {K_LARGE:.6f}, got {k}"
+            )
+        return factor_ptilde(k)
+
+    return [
+        (hm.m_minus, abs(p1k.m_total - (2.0 * hm.m_total + 0.5 * math.log((k - 4.0) / (k + 4.0)))))
+        for k, [(hm, p1k)] in zip(ks, _with_p1k(ks, factor, (0.01 * tol,)))
+    ]
 
 
 # ----------------------------------------------------------------------------
@@ -593,19 +607,25 @@ def m_generic_2d(P: LaurentPoly2, tol: float = 1e-6) -> float:
     raise AccuracyError(msg, best_estimate=val, error_estimate=err)
 
 
-def lsz_branch_verdict(k: float, tol: float = 1e-8) -> dict:
-    """Try both branch labelings of the small-k identity and report which one
-    satisfies m(P_k) = m- - 3 m+; the family's principal-root convention wins.
+def lsz_branch_verdict(ks: Sequence[float], tols: Sequence[float] = (1e-10,)) -> list[list[dict]]:
+    """Try both branch labelings of the small-k identity m(P_k) = m- - 3 m+
+    and report which one holds; the family's principal-root convention wins.
+    out[j][r] is the verdict at ks[j] from the measures at tols[r], all from
+    one lockstep refinement.
     """
-    hm = half_measures_pac_small_k(k, tol=0.01 * tol)
-    target = m_p1k(k, tol=0.01 * tol)
-    res_principal = abs(hm.m_minus - 3.0 * hm.m_plus - target)
-    res_swapped = abs(hm.m_plus - 3.0 * hm.m_minus - target)
-    return {
-        "k": k,
-        "m_plus": hm.m_plus,
-        "m_minus": hm.m_minus,
-        "residual_principal": res_principal,
-        "residual_swapped": res_swapped,
-        "winner": "principal" if res_principal < res_swapped else "swapped",
-    }
+
+    def verdict(k, hm, target):
+        res_principal = abs(hm.m_minus - 3.0 * hm.m_plus - target)
+        res_swapped = abs(hm.m_plus - 3.0 * hm.m_minus - target)
+        return {
+            "k": k,
+            "m_plus": hm.m_plus,
+            "m_minus": hm.m_minus,
+            "m_p1k": target,
+            "residual_principal": res_principal,
+            "residual_swapped": res_swapped,
+            "winner": "principal" if res_principal < res_swapped else "swapped",
+        }
+
+    return [[verdict(k, hm, p1k.m_total) for hm, p1k in row]
+            for k, row in zip(ks, _with_p1k(ks, factor_pac_small, tols))]

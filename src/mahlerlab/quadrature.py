@@ -5,14 +5,18 @@ the trapezoid rule applied on a t-grid that is halved level by level.  Node
 offsets 1-|u| are generated in the cancellation-free form 2/(exp(2v)+1), so
 endpoint singularities at an endpoint equal to 0 are resolved to full double
 precision; algebraic singularities at a nonzero endpoint are limited to about
-1e-8 by abscissa rounding (logarithmic ones are unaffected).  Non-finite
-integrand values next to an endpoint are treated as 0, which is the correct
-limit for any integrable singularity.
+1e-8 by abscissa rounding (logarithmic ones are unaffected).  A node whose
+abscissa rounds onto an endpoint is not evaluated, and a non-finite
+integrand value at any node counts as 0, wherever the node lies: the correct
+limit for an integrable endpoint singularity, but a silent drop in the
+interior (ROADMAP item 4).
+
+`tanh_sinh_panels` is the one refinement loop; `quadrature_oracle` and
+`cumulative_integrals` are calls of it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from array import array
 from functools import cache
@@ -26,14 +30,18 @@ _HALF_PI = math.pi / 2.0
 _T_MAX = 6.8  # beyond this sinh overflows the weight computation
 _MAX_LEVEL = 10
 
-# _LEVEL_NODES[0] holds the nodes at t = k (k >= 1); _LEVEL_NODES[L] for L >= 1
-# holds the new nodes at odd multiples of h = 2**-L.  Entries are
-# (offset, weight) with offset = 1 - |u|.
-_LEVEL_NODES: list[list[tuple[float, float]]] = []
 
-
-def _make_nodes(ts: list[float]) -> list[tuple[float, float]]:
-    nodes = []
+@cache
+def _node_arrays(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes `level` adds, as an array of offsets 1 - |u| and one of
+    weights: t = 1, 2, ..., 6 at level 0, the odd multiples of h = 2**-level
+    up to _T_MAX above it."""
+    if level == 0:
+        ts = range(1, int(_T_MAX) + 1)
+    else:
+        h = 2.0 ** (-level)
+        ts = (h * j for j in range(1, int(_T_MAX / h) + 1, 2))
+    offsets, weights = [], []
     for t in ts:
         v = _HALF_PI * math.sinh(t)
         if v > 350.0:
@@ -41,38 +49,22 @@ def _make_nodes(ts: list[float]) -> list[tuple[float, float]]:
         offset = 2.0 / (math.exp(2.0 * v) + 1.0)
         if offset == 0.0:
             break
-        w = _HALF_PI * math.cosh(t) / math.cosh(v) ** 2
-        nodes.append((offset, w))
-    return nodes
+        offsets.append(offset)
+        weights.append(_HALF_PI * math.cosh(t) / math.cosh(v) ** 2)
+    return np.array(offsets), np.array(weights)
 
 
-def _nodes_for_level(level: int) -> list[tuple[float, float]]:
-    while len(_LEVEL_NODES) <= level:
-        lv = len(_LEVEL_NODES)
-        if lv == 0:
-            ts = [float(k) for k in range(1, int(_T_MAX) + 1)]
-        else:
-            h = 2.0 ** (-lv)
-            ts = []
-            t = h
-            while t <= _T_MAX:
-                ts.append(t)
-                t += 2.0 * h
-        _LEVEL_NODES.append(_make_nodes(ts))
-    return _LEVEL_NODES[level]
-
-
-@cache
-def _node_arrays(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """`_nodes_for_level(level)` as an array of offsets and one of weights."""
-    nodes = _nodes_for_level(level)
-    return np.array([o for o, _ in nodes]), np.array([w for _, w in nodes])
+def _each(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """fn applied to each element of x as a Python float.  Scalar integrands
+    go through it, and so do `math` functions whose numpy forms round
+    differently on some inputs (acosh, asinh, atan, log)."""
+    return np.fromiter(map(fn, x.tolist()), dtype=float, count=len(x))
 
 
 def _verdict(
     terms: Sequence[float], half: float, level: int, prev: float, tols: tuple[float, ...]
 ) -> tuple[float, float, int]:
-    """The stopping rule of every tanh-sinh driver in this module.
+    """The stopping rule of `tanh_sinh_panels`.
 
     terms are the weighted node values through `level` and prev the value at
     the level before; tols is a ladder of decreasing tolerances.  Returns
@@ -91,64 +83,6 @@ def _verdict(
     return value, est, met
 
 
-def _unconverged(tol: float, max_level: int, prev: float, est: float) -> AccuracyError:
-    """A refinement missed tol by level max_level; prev is the level before."""
-    return AccuracyError(
-        f"tanh-sinh did not reach tol={tol:g} after {max_level} levels "
-        f"(last change {est:g})",
-        best_estimate=prev,
-        error_estimate=est,
-    )
-
-
-def tanh_sinh(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-12,
-    max_level: int = _MAX_LEVEL,
-) -> tuple[float, float, int]:
-    """Integrate f over [a, b]; return (value, error_estimate, level).
-
-    Raises AccuracyError (with the best estimate attached) if successive
-    refinements do not agree to tol within max_level halvings (at least one).
-    """
-    if a == b:
-        return 0.0, 0.0, 0
-    if b < a:
-        value, est, lv = tanh_sinh(f, b, a, tol, max_level)
-        return -value, est, lv
-
-    half = 0.5 * (b - a)
-    mid = 0.5 * (b + a)
-
-    def pair_term(offset: float, w: float) -> float:
-        xl = a + half * offset
-        xr = b - half * offset
-        fl = f(xl) if xl > a else 0.0
-        fr = f(xr) if xr < b else 0.0
-        if not math.isfinite(fl):
-            fl = 0.0
-        if not math.isfinite(fr):
-            fr = 0.0
-        return w * (fl + fr)
-
-    f0 = f(mid)
-    if not math.isfinite(f0):
-        f0 = 0.0
-    terms = [_HALF_PI * f0]
-    terms.extend(pair_term(off, w) for off, w in _nodes_for_level(0))
-    prev = half * math.fsum(terms)
-    for level in itertools.count(1):
-        terms.extend(pair_term(off, w) for off, w in _nodes_for_level(level))
-        value, est, met = _verdict(terms, half, level, prev, (tol,))
-        if met:
-            return value, est, level
-        if level >= max_level:
-            raise _unconverged(tol, max_level, prev, est)
-        prev = value
-
-
 def tanh_sinh_panels(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     lo: Sequence[float],
@@ -161,11 +95,12 @@ def tanh_sinh_panels(
     so panels can carry their own parameters.  Each level calls f once, on
     the new nodes of every panel still refining.  Panel i climbs the ladder
     of decreasing tolerances tols[i]: a rung's value is the one at the first
-    level that meets it by `tanh_sinh`'s rule over the same terms, bit for
-    bit `tanh_sinh`'s value at that tol.  Returns (values, failures):
+    level that meets it by `_verdict`, so it is bit for bit the value a
+    refinement at that tol alone stops at.  Returns (values, failures):
     values[i] holds the values of the rungs panel i met, and failures[i] the
-    AccuracyError `tanh_sinh` raises at the first rung it missed by level
-    _MAX_LEVEL.  A zero-length panel is 0.0 on every rung.
+    AccuracyError, carrying the value at the level before, for the first
+    rung it missed by level _MAX_LEVEL.  A zero-length panel is 0.0 on every
+    rung.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     half = 0.5 * (hi - lo)
@@ -174,7 +109,7 @@ def tanh_sinh_panels(
     def refine(idx: np.ndarray, level: int) -> None:
         """Evaluate f once on the interior nodes of `level` in the panels
         idx, and on their midpoints at level 0, and append the new terms to
-        each panel's, non-finite values dropped as in tanh_sinh."""
+        each panel's; a non-finite value counts as 0."""
         off, w = _node_arrays(level)
         a, b, xl = lo[idx, None], hi[idx, None], half[idx, None] * off
         xr = b - xl
@@ -218,7 +153,12 @@ def tanh_sinh_panels(
                 del terms[i]
                 continue
             if level >= _MAX_LEVEL:
-                failures[i] = _unconverged(ladder[met], _MAX_LEVEL, prev[i], est)
+                failures[i] = AccuracyError(
+                    f"tanh-sinh did not reach tol={ladder[met]:g} after {_MAX_LEVEL} levels "
+                    f"(last change {est:g})",
+                    best_estimate=prev[i],
+                    error_estimate=est,
+                )
             else:
                 prev[i] = value
                 live.append(i)
@@ -229,13 +169,20 @@ def tanh_sinh_panels(
 def quadrature_oracle(
     integrand: Callable[[float], float], a: float, b: float, tol: float = 1e-12
 ) -> float:
-    """Adaptive tanh-sinh estimate of the integral of `integrand` on (a, b).
+    """Adaptive tanh-sinh estimate of the integral of the scalar `integrand`
+    on (a, b), negated for b < a: one panel of `tanh_sinh_panels`.
 
     Supports integrable endpoint singularities (algebraic or logarithmic).
     Raises AccuracyError with the best estimate attached on non-convergence.
     """
-    value, _, _ = tanh_sinh(integrand, a, b, tol)
-    return value
+    if a == b:
+        return 0.0
+    if b < a:
+        return -quadrature_oracle(integrand, b, a, tol)
+    values, failures = tanh_sinh_panels(lambda x, _: _each(integrand, x), [a], [b], [(tol,)])
+    if failures:
+        raise failures[0]
+    return values[0][0]
 
 
 def cumulative_integrals(
@@ -250,10 +197,10 @@ def cumulative_integrals(
     f maps an array of abscissae to the array of its values.  The panels
     [x0, xs[0]], [xs[0], xs[1]], ... go through `tanh_sinh_panels`; the
     result is the running `math.fsum` of their values, bit for bit (and
-    error for error) chaining `tanh_sinh` panel by panel.
+    error for error) chaining `quadrature_oracle` panel by panel.
     """
     ends = [x0, *xs]
-    # like tanh_sinh, integrate each panel upwards and negate reversed ones
+    # like quadrature_oracle, integrate each panel upwards and negate reversed ones
     values, failures = tanh_sinh_panels(
         lambda x, _: f(x),
         [min(u, v) for u, v in zip(ends, ends[1:])],

@@ -52,11 +52,10 @@ def test_02_main_theorem_and_corollary():
     # main identity residual <= 1e-8 at {4.5, 5, 6, 8, 12, 20}; corollary
     # residual <= 1e-8 and m_minus <= 1e-12 at {7, 8, 16, 50}; < 30 s total
     t0 = time.perf_counter()
-    worst_main = max(M.verify_thm_main(k, 1e-8) for k in cli.SUITES["thm-main"].ks)
+    worst_main = max(M.verify_thm_main(cli.SUITES["thm-main"].ks, 1e-8))
     worst_cor = 0.0
     worst_mm = 0.0
-    for k in cli.SUITES["corollary"].ks:
-        mm, res = M.verify_corollary(k, 1e-8)
+    for mm, res in M.verify_corollary(cli.SUITES["corollary"].ks, 1e-8):
         worst_cor = max(worst_cor, res)
         worst_mm = max(worst_mm, mm)
     elapsed = time.perf_counter() - t0
@@ -108,7 +107,8 @@ def test_04_small_k_identities():
         worst_log = max(worst_log, abs(hm.m_total - math.log(fp.a)))
         target = M.m_p1k(k, 1e-11)
         worst_lsz = max(worst_lsz, abs(hm.m_minus - 3.0 * hm.m_plus - target))
-        labelings.append(M.lsz_branch_verdict(k)["winner"])
+        [[verdict]] = M.lsz_branch_verdict([k])
+        labelings.append(verdict["winner"])
     elapsed = time.perf_counter() - t0
     _report(
         "small-k log/half-measure identities",

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import scalar_reference as R
 
 from mahlerlab import cli
 from mahlerlab import mahler as M
@@ -23,19 +24,16 @@ def run_main(capsys, *argv):
 
 def reference_sweep_one(quantity, k, tol):
     """One sweep row by the per-point route, the reference for the lockstep
-    sweep: the scalar half-measures at tol and again at tol/10."""
+    sweep: the scalar reference half-measures at tol and again at tol/10."""
     if quantity == "f":
-        v = M.m_p1k(k, tol)
-        v2 = M.m_p1k(k, tol * 0.1)
+        fac, value = M.factor_p1k(k), lambda hm: hm.m_total
     elif quantity == "h":
-        hm = M.half_measures_ptilde(k, tol)
-        hm2 = M.half_measures_ptilde(k, tol * 0.1)
-        v = hm.m_plus - hm.m_minus
-        v2 = hm2.m_plus - hm2.m_minus
+        fac, value = M.factor_ptilde(k), lambda hm: hm.m_plus - hm.m_minus
     else:
-        fn = M.half_measures_ptilde if k > 4.0 else M.half_measures_pac_small_k
-        v = getattr(fn(k, tol), quantity)
-        v2 = getattr(fn(k, tol * 0.1), quantity)
+        fac = M.factor_ptilde(k) if k > 4.0 else M.factor_pac_small(k)
+        value = lambda hm: getattr(hm, quantity)  # noqa: E731
+    v = value(R.half_measures(fac, tol))
+    v2 = value(R.half_measures(fac, tol * 0.1))
     est = abs(v - v2) if v != v2 else 1e-15 * abs(v)
     return k, v, est
 
@@ -73,6 +71,22 @@ class TestBasicCommands:
     def test_ell_pi_imag(self, capsys):
         code, out, _ = run_main(capsys, "ell", "--kind", "Pi-imag", "--n", "0.25", "--m", "0.5")
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv,param",
+        [(["Pi", "--n=-1e100", "--z", "0.5"], 0.25), (["Pi", "--n=-1e150", "--z", "0.5"], 0.25),
+         (["Pi-imag", "--n=-1e12", "--m", "0.5"], -0.25)],
+    )
+    def test_ell_pi_far_below_minus_one(self, capsys, argv, param):
+        # Pi(-1e100, 0.5) printed -8.9e-16 with exit 0, and n = -1e150 was a
+        # bogus R_C error
+        mpmath = pytest.importorskip("mpmath")
+        code, out, _ = run_main(capsys, "ell", "--kind", *argv, "--format", "json")
+        assert code == 0
+        value = json.loads(out)["rows"][0]["computed"]
+        with mpmath.workdps(60):
+            ref = mpmath.ellippi(float(argv[1][4:]), param)
+            assert abs((value - ref) / ref) <= 1e-15
 
     def test_ell_missing_arg_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -567,7 +581,7 @@ class TestSweep:
          ("m_minus", "0.5:3.5:2", 3), ("f", "0.5:3.5:2", 3)],
     )
     def test_lockstep_nonconvergence_matches_reference(self, capsys, monkeypatch, quantity, spec, max_level):
-        monkeypatch.setattr(M, "tanh_sinh", functools.partial(quadrature.tanh_sinh, max_level=max_level))
+        monkeypatch.setattr(R, "tanh_sinh", functools.partial(R.tanh_sinh, max_level=max_level))
         with pytest.raises(cli.MahlerLabError) as want:
             reference_sweep_csv(quantity, cli.parse_grid(spec), 1e-10)
         monkeypatch.setattr(quadrature, "_MAX_LEVEL", max_level)
@@ -588,15 +602,40 @@ class TestSweep:
 
             return real(counted, *args)
 
-        def scalar(*args, **kwargs):
-            raise AssertionError("a sweep integrates no arc on its own")
-
         monkeypatch.setattr(M, "tanh_sinh_panels", counting)
-        monkeypatch.setattr(M, "tanh_sinh", scalar)
         code, out, _ = run_main(capsys, "sweep", "m_plus", "--k-grid", "0.2:60:50")
         assert code == 0 and len(out.splitlines()) == 51
         # pieces of 32 and 18 grid points, each refined in lockstep
         assert len(runs) == 2 and all(0 < calls <= quadrature._MAX_LEVEL + 1 for calls in runs)
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "thm-main"],
+            ["verify", "corollary"],
+            ["verify", "lsz"],
+            ["table"],
+            ["mahler", "--k", "8"],
+            ["mahler", "--k", "2"],
+        ],
+        ids=" ".join,
+    )
+    def test_each_measure_caller_makes_one_lockstep_refinement(self, capsys, monkeypatch, argv):
+        runs = []
+        real = quadrature.tanh_sinh_panels
+
+        def counting(*args):
+            runs.append(args[1:])
+            return real(*args)
+
+        # mahler's own binding and the one quadrature_oracle and
+        # cumulative_integrals use
+        monkeypatch.setattr(M, "tanh_sinh_panels", counting)
+        monkeypatch.setattr(quadrature, "tanh_sinh_panels", counting)
+        code, _, _ = run_main(capsys, *argv, "--format", "json")
+        assert code in (0, 1)  # the table's known red row exits 1
+        assert len(runs) == 1
 
 
 class TestDeterminism:

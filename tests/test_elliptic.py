@@ -1,4 +1,9 @@
+import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,6 +278,12 @@ def _bits(values) -> list[str]:
     return [float(v).hex() for v in values]
 
 
+def _rj_array(x, y, z, p) -> np.ndarray:
+    """R_J from the array kernel's scaled pair (v, e)."""
+    v, e = elliptic._rj_array(x, y, z, p)
+    return np.ldexp(v, -3 * e)
+
+
 def _with_a_zero(mag, size: int = 3):
     """size magnitudes drawn from mag, at most one of them set to zero."""
     return st.tuples(st.tuples(*[mag] * size), st.sampled_from([None, *range(size)])).map(
@@ -305,7 +316,7 @@ def test_rf_array_equals_scalar_bitwise(triples):
 @given(st.lists(_rj_quad(), min_size=1, max_size=12))
 def test_rj_array_equals_scalar_bitwise(quads):
     x, y, z, p = (np.array(v) for v in zip(*quads))
-    assert _bits(elliptic._rj_array(x, y, z, p)) == _bits(carlson_rj(*t) for t in quads)
+    assert _bits(_rj_array(x, y, z, p)) == _bits(carlson_rj(*t) for t in quads)
 
 
 def test_rj_draws_reach_the_rc_rewrite():
@@ -315,14 +326,17 @@ def test_rj_draws_reach_the_rc_rewrite():
     D = (sp + sx) * (sp + sy) * (sp + sz)
     assert -1.5 < delta / (D * D) < -0.5
     args = [np.array([v]) for v in (1.0, 2.0, 3.0, 1e-6)]
-    assert _bits(elliptic._rj_array(*args)) == _bits([carlson_rj(1.0, 2.0, 3.0, 1e-6)])
+    assert _bits(_rj_array(*args)) == _bits([carlson_rj(1.0, 2.0, 3.0, 1e-6)])
 
 
-#: characteristics: 0, the regime interior, and n -> 1 (where E nears -1)
+#: characteristics: 0, the regime interior, n -> 1 (where E nears -1), and
+#: n at and below -1 down to -1e300 (the far branch of Pi)
 _n = st.one_of(
     st.just(0.0),
     st.floats(-1e6, 0.999999),
     st.integers(1, 15).map(lambda k: 1.0 - 10.0 ** -k),
+    st.sampled_from([-1.0, math.nextafter(-1.0, -2.0)]),
+    st.floats(0.0, 300.0).map(lambda e: -(10.0 ** e)),
 )
 #: moduli: 0, the interior, and q -> 1
 _z = st.one_of(
@@ -372,12 +386,19 @@ def _rel_err(value: float, ref) -> float:
 
 #: argument magnitudes over 300 decades, so every result stays a double
 _wide = st.floats(-150.0, 150.0).map(lambda e: 10.0 ** e)
+#: magnitudes up to 1e307 and the largest double, with the edges of the
+#: scaling thresholds of R_F and R_D among them
+_wide_up = st.one_of(
+    st.floats(-150.0, 307.0).map(lambda e: 10.0 ** e),
+    st.sampled_from([sys.float_info.max, elliptic._RF_BIG, math.nextafter(elliptic._RF_BIG, math.inf),
+                     elliptic._RD_BIG, math.nextafter(elliptic._RD_BIG, math.inf)]),
+)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(
-    _with_a_zero(_wide),
-    _wide.map(lambda v: (v, v, v)),
+    _with_a_zero(_wide_up),
+    _wide_up.map(lambda v: (v, v, v)),
 ))
 def test_rf_against_mpmath(args):
     mpmath = pytest.importorskip("mpmath")
@@ -387,13 +408,17 @@ def test_rf_against_mpmath(args):
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(
-    st.tuples(_with_a_zero(_wide, 2), _wide).map(lambda t: (*t[0], t[1])),
-    _wide.map(lambda v: (v, v, v)),
+    st.tuples(_with_a_zero(_wide_up, 2), _wide_up).map(lambda t: (*t[0], t[1])),
+    _wide_up.map(lambda v: (v, v, v)),
 ))
 def test_rd_against_mpmath(args):
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
-        assert _rel_err(carlson_rd(*args), mpmath.elliprd(*args)) <= 1e-14
+        ref = mpmath.elliprd(*args)
+        # R_D is homogeneous of degree -3/2: large arguments can put the
+        # value itself below the normal doubles
+        assume(ref > 1e-300)
+        assert _rel_err(carlson_rd(*args), ref) <= 1e-14
 
 
 #: y / x - 1 over (-1, -1e-3] and [1e-15, 1e3): off the diagonal from below,
@@ -428,3 +453,196 @@ def test_rc_just_below_the_diagonal_against_mpmath(delta):
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         assert _rel_err(carlson_rc(1.0, 1.0 - delta), mpmath.elliprc(1.0, 1.0 - delta)) <= 1e-14
+
+
+# ----------------------------------------------------------------------------
+# arguments that overflowed the duplication: scaled by a power of 4
+
+
+def _child_env() -> dict:
+    """Environment for a child interpreter that imports this mahlerlab."""
+    src = str(Path(elliptic.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _in_child(code: str) -> subprocess.CompletedProcess:
+    """Run code in a child interpreter; a hang fails the test at the timeout
+    instead of hanging the run."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=_child_env())
+
+
+@pytest.mark.parametrize(
+    "call,reference",
+    [
+        ("carlson_rf(1e308, 1e308, 1.0)", "elliprf(1e308, 1e308, 1.0)"),
+        ("carlson_rd(0.0, 1e308, 1.0)", "elliprd(0.0, 1e308, 1.0)"),
+        ("ell_k_imag(1.3e154)", "ellipk(-mpf(1.3e154) ** 2)"),
+    ],
+)
+def test_former_hangs_return(call, reference):
+    mpmath = pytest.importorskip("mpmath")
+    proc = _in_child(f"from mahlerlab.elliptic import *\nprint(repr({call}))")
+    assert proc.returncode == 0, proc.stderr
+    with mpmath.workdps(30):
+        ref = eval(reference, {**vars(mpmath), "mpf": mpmath.mpf})
+        assert _rel_err(float(proc.stdout), ref) <= 1e-14
+
+
+def test_former_hang_on_the_command_line():
+    mpmath = pytest.importorskip("mpmath")
+    proc = subprocess.run(
+        [sys.executable, "-m", "mahlerlab.cli", "ell", "--kind", "K-imag", "--m", "1.3e154",
+         "--format", "csv"],
+        capture_output=True, text=True, timeout=60, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    value = float(next(csv.DictReader(proc.stdout.splitlines()))["computed"])
+    with mpmath.workdps(30):
+        assert _rel_err(value, mpmath.ellipk(-mpmath.mpf(1.3e154) ** 2)) <= 1e-14
+
+
+@pytest.mark.parametrize("p", [1e103, 1e150, 1e200])
+def test_rj_large_p_against_mpmath(p):
+    # delta = (p - x)(p - y)(p - z) overflowed, and R_C raised on the NaN
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        assert _rel_err(carlson_rj(0.0, 0.5, 1.0, p), mpmath.elliprj(0.0, 0.5, 1.0, p)) <= 1e-13
+
+
+@pytest.mark.parametrize("p", [1e150, 1e205, 1e210, 1e300, 1.7e308])
+@pytest.mark.parametrize("xyz", [(1.0, 1.0, 1.0), (0.0, 1.0, 2.0), (1e-10, 1.0, 5.0)])
+def test_rj_p_far_above_the_others_against_mpmath(xyz, p):
+    # beyond a ratio of ~1e200 the duplication's D^2 underflowed: 1.4e-12
+    # off at 1e205, a ZeroDivisionError from 1e210
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        assert _rel_err(carlson_rj(*xyz, p), mpmath.elliprj(*xyz, p)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(0.0, 1e-110, 1e-110, 1e-110), (0.0, 1e-105, 2e-105, 1e-108), (0.0, 2.2e-16, 1.0, 1e-314),
+     (1e-200, 1e-200, 1e-200, 1e-200)],
+)
+def test_rj_small_arguments_against_mpmath(args):
+    # D^2 underflowed: a ZeroDivisionError, or a value 3e-7 off at 1e-105
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        assert _rel_err(carlson_rj(*args), mpmath.elliprj(*args)) <= 1e-13
+
+
+def test_arguments_inside_the_window_keep_their_bits():
+    # the scaling changes nothing for arguments in [2**-332, 2**332]; these
+    # are the values before it
+    assert carlson_rf(0.0, 1e99, 1.0).hex() == "0x1.553b8d8b49ca5p-158"
+    assert carlson_rd(0.0, 1e99, 1.0).hex() == "0x1.1bf4a56d385e8p-163"
+    assert carlson_rj(0.0, 0.5, 1.0, 1e99).hex() == "0x1.854fb23ced695p-327"
+
+
+_wide_rj = st.one_of(st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e), st.just(5e-324))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(_with_a_zero(_wide_rj), _wide_rj).map(lambda t: (*t[0], t[1])),
+                min_size=1, max_size=8))
+def test_rj_array_scaling_equals_scalar_bitwise(quads):
+    with np.errstate(all="ignore"):  # values beyond the doubles come back inf or NaN
+        got = _rj_array(*(np.array(v) for v in zip(*quads)))
+    for value, args in zip(got, quads):
+        try:
+            want = carlson_rj(*args)
+        except (ArithmeticError, DomainError):
+            # a value beyond the doubles, or x, y and z spread too far for
+            # the duplication even after scaling (see CHANGES.md)
+            assert not math.isfinite(value)
+            continue
+        assert _bits([value]) == _bits([want])
+
+
+# ----------------------------------------------------------------------------
+# Pi for n < -1: through the characteristic N = (m - n)/(1 - n)
+
+_far_n = st.tuples(st.floats(0.0, 300.0), st.floats(1.0, 10.0)).map(
+    lambda t: -t[1] * 10.0 ** t[0]).filter(lambda n: n < -1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_far_n, _z)
+def test_pi_below_minus_one_against_mpmath(n, z):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        assert _rel_err(ell_pi(n, z), mpmath.ellippi(n, mpmath.mpf(z) ** 2)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [-1e8, -1e16, -1e100, -1e103, -1e150, -1e300])
+def test_pi_at_large_negative_n_against_mpmath(n):
+    # relative error 6.4e-12 at -1e8 and 5e-8 at -1e16; negative at -1e100;
+    # a bogus R_C error from -1e103
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        assert _rel_err(ell_pi(n, 0.5), mpmath.ellippi(n, 0.25)) <= 1e-15
+
+
+def test_pi_at_and_above_minus_one_keeps_its_formula():
+    zc = (1.0 - 0.5) * (1.0 + 0.5)
+    for n in (-1.0, -0.5, 0.3):
+        assert ell_pi(n, 0.5) == carlson_rf(0.0, zc, 1.0) + (n / 3.0) * carlson_rj(0.0, zc, 1.0, 1.0 - n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)),
+       st.floats(0.0, 280.0))
+def test_pi_imag_below_minus_one_against_mpmath(m, e):
+    # the far branch at imaginary modulus: n < -1 with -n >= 1 + 2 m^2.  It
+    # is within 1e-15 from -n ~ 4(1 + m^2) on and 2-3e-15 off next to the
+    # switch (pinned below); rf + (n/3) R_J there is 1e-14 off
+    n = -(1.0 + 2.0 * m * m) * 10.0 ** e
+    assume(n < -1.0)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        assert _rel_err(ell_pi_imag(n, m), mpmath.ellippi(n, -mpmath.mpf(m) ** 2)) <= 4e-15
+
+
+@pytest.mark.xfail(strict=True, reason="Pi-imag next to the switch -n = 1 + 2 m^2 is 2-3e-15 off")
+def test_pi_imag_next_to_the_far_switch_against_mpmath():
+    m = 10.0 ** 2.75  # 2.0e-15 off
+    mpmath = pytest.importorskip("mpmath")
+    n = -(1.0 + 2.0 * m * m)
+    with mpmath.workdps(60):
+        assert _rel_err(ell_pi_imag(n, m), mpmath.ellippi(n, -mpmath.mpf(m) ** 2)) <= 1e-15
+
+
+@pytest.mark.parametrize("n,m", [(-1e12, 0.5), (-1e16, 1.3), (-1e100, 0.0), (-1e300, 10.0)])
+def test_pi_imag_at_large_negative_n_against_mpmath(n, m):
+    # relative error 4.7e-10 at n = -1e12, m = 0.5; a bogus R_C error from
+    # n = -1e103
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        assert _rel_err(ell_pi_imag(n, m), mpmath.ellippi(n, -mpmath.mpf(m) ** 2)) <= 1e-15
+
+
+@pytest.mark.xfail(strict=True, reason="R_J with arguments spread over ~1e290 is ~1e-14 off")
+@pytest.mark.parametrize(
+    "n,m", [(-1.541506041827849e247, 2.3405590482393124e124), (-9.491497277724949e290, 2.1744333565423205e145)]
+)
+def test_pi_imag_at_huge_modulus_against_mpmath(n, m):
+    # m^2 near 1e250-1e290: ell_pi_imag is 8.7e-14 and 2.6e-14 off, the first
+    # through rf + (n/3) R_J(0, 1 + m^2, 1, 1 - n), the second through the
+    # far branch; both used to raise a bogus R_C error
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        assert _rel_err(ell_pi_imag(n, m), mpmath.ellippi(n, -mpmath.mpf(m) ** 2)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "n,m", [(-7.856282676284721e231, 3.0978121932664864e120), (-1.541506041827849e247, 2.3405590482393124e124)]
+)
+def test_pi_imag_at_huge_modulus_within_rj_accuracy(n, m):
+    # R_J(0, 1 + m^2, 1, 1 - n) is below the doubles (3.3e-350 in the first
+    # case): its power-of-2 scale is applied only after the factor n/3, so
+    # the term is not lost (24x off) in the cancellation against R_F
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        assert _rel_err(ell_pi_imag(n, m), mpmath.ellippi(n, -mpmath.mpf(m) ** 2)) <= 1e-12

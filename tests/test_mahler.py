@@ -1,8 +1,10 @@
 import cmath
 import functools
+import json
 import math
 
 import pytest
+import scalar_reference as R
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +17,6 @@ from mahlerlab.errors import (
     RegimeError,
     SingularParameterError,
 )
-from mahlerlab.quadrature import tanh_sinh
 
 
 def poly_ptilde(k: float) -> M.LaurentPoly2:
@@ -207,7 +208,7 @@ class TestHalfMeasures:
 
     @pytest.mark.parametrize("k", [1.0, 2.0, 3.0])
     def test_lsz_branch_verdict(self, k):
-        v = M.lsz_branch_verdict(k)
+        [[v]] = M.lsz_branch_verdict([k])
         assert v["winner"] == "principal"
         assert v["residual_principal"] <= 1e-6
         assert v["residual_swapped"] > 1e-2
@@ -278,12 +279,18 @@ def _hm_bits(hm):
     return hm.m_plus.hex(), hm.m_minus.hex()
 
 
+@given(FACTORIZATIONS, st.floats(1e-13, 1e-6))
+@settings(max_examples=60, deadline=None)
+def test_half_measures_equal_scalar_reference_bitwise(fac, tol):
+    assert _hm_bits(M.half_measures(fac, tol)) == _hm_bits(R.half_measures(fac, tol))
+
+
 @given(st.lists(FACTORIZATIONS, min_size=1, max_size=6), st.floats(1e-12, 1e-6))
 @settings(max_examples=60, deadline=None)
 def test_lockstep_half_measures_equal_scalar_bitwise(facs, tol):
     tols = (tol, 0.1 * tol)
-    got = M.half_measures_lockstep(facs, tols)
-    want = [[M.half_measures(fac, t) for t in tols] for fac in facs]
+    got = M.half_measures_lockstep(facs, [tols] * len(facs))
+    want = [[R.half_measures(fac, t) for t in tols] for fac in facs]
     assert [[_hm_bits(hm) for hm in row] for row in got] == [
         [_hm_bits(hm) for hm in row] for row in want
     ]
@@ -295,8 +302,19 @@ def test_lockstep_pieces_equal_scalar_bitwise():
         M.factor_ptilde(4.0 + 0.5 * i) for i in range(1, 25)] + [
         M.factor_pac_small(0.2 * i) for i in range(1, 20)]
     tols = (1e-10, 1e-11)
-    got = M.half_measures_lockstep(facs, tols)
-    want = [[M.half_measures(fac, t) for t in tols] for fac in facs]
+    got = M.half_measures_lockstep(facs, [tols] * len(facs))
+    want = [[R.half_measures(fac, t) for t in tols] for fac in facs]
+    assert [[_hm_bits(hm) for hm in row] for row in got] == [
+        [_hm_bits(hm) for hm in row] for row in want
+    ]
+
+
+def test_lockstep_ladder_per_factorization():
+    # each factorization climbs its own ladder, as the table's measures do
+    facs = [M.factor_p1k(1.0), M.factor_ptilde(8.0), M.factor_pac_small(2.0), M.factor_ptilde(5.0)]
+    ladders = [(1e-9,), (1e-10,), (1e-6, 1e-12), (1e-8, 1e-9, 1e-13)]
+    got = M.half_measures_lockstep(facs, ladders)
+    want = [[R.half_measures(fac, t) for t in tols] for fac, tols in zip(facs, ladders)]
     assert [[_hm_bits(hm) for hm in row] for row in got] == [
         [_hm_bits(hm) for hm in row] for row in want
     ]
@@ -317,12 +335,12 @@ def test_lockstep_pieces_equal_scalar_bitwise():
 )
 def test_lockstep_nonconvergence_matches_one_by_one(monkeypatch, facs, max_level):
     tols = (1e-10, 1e-11)
-    monkeypatch.setattr(M, "tanh_sinh", functools.partial(tanh_sinh, max_level=max_level))
+    monkeypatch.setattr(R, "tanh_sinh", functools.partial(R.tanh_sinh, max_level=max_level))
     with pytest.raises(AccuracyError) as want:
-        [[M.half_measures(fac, t) for t in tols] for fac in facs]
+        [[R.half_measures(fac, t) for t in tols] for fac in facs]
     monkeypatch.setattr(Q, "_MAX_LEVEL", max_level)
     with pytest.raises(AccuracyError) as got:
-        M.half_measures_lockstep(facs, tols)
+        M.half_measures_lockstep(facs, [tols] * len(facs))
     assert str(got.value) == str(want.value)
     assert got.value.best_estimate.hex() == want.value.best_estimate.hex()
     assert got.value.error_estimate.hex() == want.value.error_estimate.hex()
@@ -383,7 +401,7 @@ class TestDerivatives:
                 return 0.0
             return x / (1.0 - x * x) / math.sqrt(w)
 
-        val, _, _ = tanh_sinh(odd_part, -beta, beta, 1e-10)
+        val = Q.quadrature_oracle(odd_part, -beta, beta, 1e-10)
         assert abs(val) <= 1e-12
 
     def test_domain_errors(self):
@@ -395,17 +413,127 @@ class TestDerivatives:
 class TestVerifiers:
     @pytest.mark.parametrize("k", [4.5, 5.0, 8.0, 20.0])
     def test_thm_main(self, k):
-        assert M.verify_thm_main(k, 1e-8) <= 1e-8
+        [residual] = M.verify_thm_main([k], 1e-8)
+        assert residual <= 1e-8
 
     @pytest.mark.parametrize("k", [7.0, 16.0])
     def test_corollary(self, k):
-        m_minus, residual = M.verify_corollary(k, 1e-8)
+        [(m_minus, residual)] = M.verify_corollary([k], 1e-8)
         assert m_minus <= 1e-12
         assert residual <= 1e-8
 
     def test_corollary_rejects_mid_regime(self):
         with pytest.raises(RegimeError):
-            M.verify_corollary(5.0)
+            M.verify_corollary([5.0])
+
+
+def reference_thm_main(k, tol=1e-8):
+    """The per-k verify_thm_main, on the scalar reference half-measures."""
+    if k <= 4.0:
+        raise DomainError(f"verify_thm_main: requires k > 4, got {k}")
+    hm = R.half_measures(M.factor_ptilde(k), tol=0.01 * tol)
+    lhs = R.half_measures(M.factor_p1k(k), tol=0.01 * tol).m_total
+    rhs = 2.0 * (hm.m_plus - hm.m_minus) + 0.5 * math.log((k - 4.0) / (k + 4.0))
+    return abs(lhs - rhs)
+
+
+def reference_corollary(k, tol=1e-8):
+    """The per-k verify_corollary, on the scalar reference half-measures."""
+    if k <= M.K_LARGE:
+        raise RegimeError(
+            f"verify_corollary: requires k > 2(1+sqrt(5)) = {M.K_LARGE:.6f}, got {k}"
+        )
+    hm = R.half_measures(M.factor_ptilde(k), tol=0.01 * tol)
+    lhs = R.half_measures(M.factor_p1k(k), tol=0.01 * tol).m_total
+    rhs = 2.0 * hm.m_total + 0.5 * math.log((k - 4.0) / (k + 4.0))
+    return hm.m_minus, abs(lhs - rhs)
+
+
+def reference_lsz_verdict(k, tol):
+    """The per-k branch verdict from the measures at tol, on the scalar
+    reference half-measures."""
+    hm = R.half_measures(M.factor_pac_small(k), tol)
+    target = R.half_measures(M.factor_p1k(k), tol).m_total
+    res_principal = abs(hm.m_minus - 3.0 * hm.m_plus - target)
+    res_swapped = abs(hm.m_plus - 3.0 * hm.m_minus - target)
+    return {
+        "k": k,
+        "m_plus": hm.m_plus,
+        "m_minus": hm.m_minus,
+        "m_p1k": target,
+        "residual_principal": res_principal,
+        "residual_swapped": res_swapped,
+        "winner": "principal" if res_principal < res_swapped else "swapped",
+    }
+
+
+def _outcome(fn):
+    """fn()'s value as hex bits, or its exception's type and message."""
+    try:
+        value = fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return repr(json.loads(json.dumps(value), parse_float=lambda t: float(t).hex()))
+
+
+class TestBatchedVerifiersEqualPerK:
+    @pytest.mark.parametrize("tol", [1e-8, 1e-6, 1e-11])
+    def test_thm_main(self, tol):
+        ks = [4.2, 4.5, 5.0, M.K_LARGE, 8.0, 20.0, 1e6]
+        assert _outcome(lambda: M.verify_thm_main(ks, tol)) == _outcome(
+            lambda: [reference_thm_main(k, tol) for k in ks])
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-6, 1e-11])
+    def test_corollary(self, tol):
+        ks = [6.48, 7.0, 16.0, 50.0, 1e6]
+        assert _outcome(lambda: M.verify_corollary(ks, tol)) == _outcome(
+            lambda: [reference_corollary(k, tol) for k in ks])
+
+    def test_lsz_two_tols(self):
+        # the lsz suite's order: the rows at 1e-11, then the verdict at 1e-10
+        ks = [0.5, 1.0, 2.0, 3.0, 3.9]
+        tols = (1e-11, 1e-10)
+        assert _outcome(lambda: M.lsz_branch_verdict(ks, tols)) == _outcome(
+            lambda: [[reference_lsz_verdict(k, t) for t in tols] for k in ks])
+
+    # the first error of the per-k loop: a domain error after the k before
+    # it are done, a tol below the floor at the first k, a non-convergence
+    @pytest.mark.parametrize(
+        "name,ks,tol",
+        [
+            ("thm_main", [5.0, 3.0], 1e-8),
+            ("thm_main", [5.0, 3.0], 1e-13),
+            ("thm_main", [3.0, 5.0], 1e-13),
+            ("thm_main", [5.0, math.inf], 1e-8),
+            ("corollary", [7.0, 5.0], 1e-8),
+            ("corollary", [7.0, 5.0], 1e-13),
+            ("corollary", [5.0, 7.0], 1e-13),
+        ],
+    )
+    def test_first_error_of_the_per_k_loop(self, name, ks, tol):
+        batched = {"thm_main": M.verify_thm_main, "corollary": M.verify_corollary}[name]
+        one = {"thm_main": reference_thm_main, "corollary": reference_corollary}[name]
+        want = _outcome(lambda: [one(k, tol) for k in ks])
+        assert want[0] in (DomainError, RegimeError, AccuracyError)
+        assert _outcome(lambda: batched(ks, tol)) == want
+
+    @pytest.mark.parametrize("name,ks", [("thm_main", [5.0, 4.3]), ("corollary", [7.0, 8.0]),
+                                         ("lsz", [1.0, 2.0])])
+    @pytest.mark.parametrize("max_level", [1, 2, 3])
+    def test_nonconvergence_of_the_per_k_loop(self, monkeypatch, name, ks, max_level):
+        # the lsz suite's tols: at max level 1 and 2 both miss, and the
+        # 1e-11 failure is the one the loop raises first
+        batched = {"thm_main": lambda ks: M.verify_thm_main(ks, 1e-8),
+                   "corollary": lambda ks: M.verify_corollary(ks, 1e-8),
+                   "lsz": lambda ks: M.lsz_branch_verdict(ks, (1e-11, 1e-10))}[name]
+        one = {"thm_main": lambda k: reference_thm_main(k, 1e-8),
+               "corollary": lambda k: reference_corollary(k, 1e-8),
+               "lsz": lambda k: [reference_lsz_verdict(k, t) for t in (1e-11, 1e-10)]}[name]
+        monkeypatch.setattr(R, "tanh_sinh", functools.partial(R.tanh_sinh, max_level=max_level))
+        want = _outcome(lambda: [one(k) for k in ks])
+        assert want[0] is AccuracyError
+        monkeypatch.setattr(Q, "_MAX_LEVEL", max_level)
+        assert _outcome(lambda: batched(ks)) == want
 
 
 class TestGeneric2D:

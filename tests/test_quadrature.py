@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scalar_reference import tanh_sinh
 
 from mahlerlab import identities as I
+from mahlerlab import quadrature as Q
 from mahlerlab.errors import AccuracyError, SingularPointError
-from mahlerlab.quadrature import cumulative_integrals, quadrature_oracle, tanh_sinh, tanh_sinh_panels
+from mahlerlab.quadrature import cumulative_integrals, quadrature_oracle, tanh_sinh_panels
 
 
 def test_arcsine_integral():
@@ -46,7 +50,7 @@ def test_nonconvergence_raises_with_best_estimate():
 
 
 def test_odd_integrand_cancels_exactly():
-    v, _, _ = tanh_sinh(lambda x: x / (1.0 - x * x + 1e-12) * math.cos(x), -0.7, 0.7, 1e-12)
+    v = quadrature_oracle(lambda x: x / (1.0 - x * x + 1e-12) * math.cos(x), -0.7, 0.7, 1e-12)
     assert v == 0.0
 
 
@@ -73,8 +77,8 @@ def test_nonfinite_near_endpoint_dropped():
 
 
 def chained(f, x0, xs, tol=1e-14):
-    """The reference cumulative_integrals: one scalar tanh_sinh per panel,
-    running sum by math.fsum."""
+    """The reference cumulative_integrals: one scalar reference tanh_sinh
+    per panel, running sum by math.fsum."""
     out, acc, prev = [], [], x0
     for x in xs:
         acc.append(tanh_sinh(f, prev, x, tol)[0])
@@ -179,3 +183,91 @@ def test_panel_integrand_sees_its_panels():
     values, _ = tanh_sinh_panels(lambda x, p: scale[p] * np.exp(x), [0.0] * 3, [1.0] * 3, [(1e-13,)] * 3)
     want = [tanh_sinh(lambda x: c * math.exp(x), 0.0, 1.0, 1e-13)[0] for c in scale.tolist()]
     assert [_bits(row[0]) for row in values] == [_bits(v) for v in want]
+
+
+#: scalar integrands of quadrature_oracle: smooth, endpoint singularities
+#: (algebraic at 0 and at a nonzero end, logarithmic), an odd one, one that
+#: is NaN on part of the interval, and one that is infinite at an endpoint
+ORACLE_INTEGRANDS = {
+    "exp": math.exp,
+    "lorentz": _lorentz(0.3, 0.05)[0],
+    "arcsine": lambda x: 1.0 / math.sqrt(1.0 - x * x) if abs(x) < 1.0 else math.inf,
+    "inverse sqrt": lambda x: x ** -0.5 if x > 0.0 else math.inf,
+    "log": lambda x: math.log(abs(x)) if x != 0.0 else -math.inf,
+    "odd": lambda x: x / (1.0 - x * x + 1e-12) * math.cos(x),
+    "nan below 0.3": _nan_below(0.3)[0],
+}
+
+#: (a, b): forward, reversed and zero-length intervals, and ones with an
+#: endpoint on a singularity
+ORACLE_INTERVALS = [(0.0, 1.0), (1.0, 0.0), (-0.7, 0.7), (0.5, 0.5), (0.0, 0.0), (-1.0, 0.25),
+                    (0.25, -1.0), (1e-3, 0.999)]
+
+
+def _assert_oracle_is_reference(f, a, b, tol):
+    """quadrature_oracle gives the scalar reference's value, or raises its
+    error with the same message and estimates, bit for bit."""
+    try:
+        want = tanh_sinh(f, a, b, tol)[0]
+    except AccuracyError as exc:
+        with pytest.raises(AccuracyError) as got:
+            quadrature_oracle(f, a, b, tol)
+        assert str(got.value) == str(exc)
+        assert _bits(got.value.best_estimate) == _bits(exc.best_estimate)
+        assert _bits(got.value.error_estimate) == _bits(exc.error_estimate)
+    else:
+        assert _bits(quadrature_oracle(f, a, b, tol)) == _bits(want)
+
+
+@pytest.mark.parametrize("name", ORACLE_INTEGRANDS)
+@pytest.mark.parametrize("a,b", ORACLE_INTERVALS)
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])
+def test_oracle_equals_scalar_reference_bitwise(name, a, b, tol):
+    _assert_oracle_is_reference(ORACLE_INTEGRANDS[name], a, b, tol)
+
+
+@given(
+    st.sampled_from(["exp", "lorentz", "odd", "nan below 0.3"]),
+    st.floats(-2.0, 2.0),
+    st.floats(-2.0, 2.0),
+    st.floats(1e-13, 1e-5),
+)
+@settings(max_examples=80, deadline=None)
+def test_oracle_equals_scalar_reference_on_random_intervals(name, a, b, tol):
+    _assert_oracle_is_reference(ORACLE_INTEGRANDS[name], a, b, tol)
+
+
+@pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 0.0)])
+@pytest.mark.parametrize("max_level", [2, Q._MAX_LEVEL])
+def test_oracle_nonconvergence_equals_scalar_reference(monkeypatch, a, b, max_level):
+    # a peak of width 1e-9 that no level resolves, forwards and reversed
+    f = _lorentz(0.2501, 1e-9)[0]
+    with pytest.raises(AccuracyError) as want:
+        tanh_sinh(f, a, b, 1e-10, max_level)
+    monkeypatch.setattr(Q, "_MAX_LEVEL", max_level)
+    with pytest.raises(AccuracyError) as got:
+        quadrature_oracle(f, a, b, 1e-10)
+    assert str(got.value) == str(want.value)
+    assert _bits(got.value.best_estimate) == _bits(want.value.best_estimate)
+    assert _bits(got.value.error_estimate) == _bits(want.value.error_estimate)
+
+
+def test_oracle_calls_the_integrand_on_floats():
+    seen = set()
+
+    def f(x):
+        seen.add(type(x))
+        return math.exp(x)
+
+    quadrature_oracle(f, 0.0, 1.0, 1e-12)
+    assert seen == {float}
+
+
+def test_node_table_equals_scalar_reference_nodes():
+    from scalar_reference import _nodes_for_level
+
+    for level in range(Q._MAX_LEVEL + 1):
+        off, w = Q._node_arrays(level)
+        nodes = _nodes_for_level(level)
+        assert [_bits(v) for v in off.tolist()] == [_bits(o) for o, _ in nodes]
+        assert [_bits(v) for v in w.tolist()] == [_bits(v) for _, v in nodes]
