@@ -24,7 +24,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -443,6 +442,9 @@ def cmd_sweep(args) -> Report:
     chunks = [(args.quantity, ks[i * len(ks) // workers:(i + 1) * len(ks) // workers], args.tol)
               for i in range(workers)]
     if workers > 1:
+        # imported here: the pool's modules cost every other command ~10 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_chunk, chunks))
     else:

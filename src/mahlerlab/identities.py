@@ -329,20 +329,23 @@ def check_printed_variants(
     xs = sorted(grid) if grid is not None else list(default_grid(cand))
     variants = [("printed", cand.printed_r)] if cand.printed_r else []
     variants += list(cand.printed_r_alts)
-    out = {}
+    out, rows = {}, []
     for label, rfn in variants:
-        # the scalar steps in identity_lhs's order: the Carlson kernels raise
-        # nowhere else on the regime gate's (p, q)
-        rows = []
+        # the scalar steps in identity_lhs's order; the regime gate, the
+        # Carlson pass and the RHS do not depend on the variant and run with
+        # the first.  The Carlson kernels raise nowhere else on the gate's (p, q)
+        r = []
         for x in xs:
-            r = rfn(x)
-            p, q = _values_at(cand, x)
-            if not math.isfinite(p):
-                ell_pi(p, q)  # raises its DomainError
-            rows.append((r, p, q, cand.printed_rhs(x)))
-        r, p, q, rhs = np.array(rows, dtype=float).reshape(-1, 4).T
-        pi, k = ell_pi_k_array(p, q)
-        out[label] = _max_abs(pi + r * k - rhs)
+            r.append(rfn(x))
+            if len(rows) < len(xs):
+                p, q = _values_at(cand, x)
+                if not math.isfinite(p):
+                    ell_pi(p, q)  # raises its DomainError
+                rows.append((p, q, cand.printed_rhs(x)))
+        if not out:
+            p, q, rhs = np.array(rows, dtype=float).reshape(-1, 3).T
+            pi, k = ell_pi_k_array(p, q)
+        out[label] = _max_abs(pi + np.array(r, dtype=float) * k - rhs)
     return out
 
 

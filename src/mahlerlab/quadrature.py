@@ -12,13 +12,14 @@ limit for an integrable endpoint singularity, but a silent drop in the
 interior (ROADMAP item 4).
 
 `tanh_sinh_panels` is the one refinement loop; `quadrature_oracle` and
-`cumulative_integrals` are calls of it.
+`cumulative_integrals` are calls of it.  At each level, numpy sums and a
+bound on their rounding show which panels surely refine on; only the others
+take the stopping rule over `math.fsum`.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from functools import cache
 from typing import Callable, Sequence
 
@@ -61,26 +62,10 @@ def _each(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist()), dtype=float, count=len(x))
 
 
-def _verdict(
-    terms: Sequence[float], half: float, level: int, prev: float, tols: tuple[float, ...]
-) -> tuple[float, float, int]:
-    """The stopping rule of `tanh_sinh_panels`.
-
-    terms are the weighted node values through `level` and prev the value at
-    the level before; tols is a ladder of decreasing tolerances.  Returns
-    (value, error_estimate, met), met counting the leading tols that the
-    change is within.  A change within the rounding noise of the sum meets
-    every rung; the noise is summed only when the change misses a rung.
-    """
-    h = 2.0 ** (-level)
-    value = half * h * math.fsum(terms)
-    est = abs(value - prev)
-    met = sum(est <= tol for tol in tols)
-    if met < len(tols) and est <= 30.0 * 2.2e-16 * (
-        abs(value) + half * math.fsum(map(abs, terms)) * h
-    ):
-        met = len(tols)
-    return value, est, met
+#: the unit roundoff (tests widen the rounding bound through it), the noise
+#: rule's factor, the sums beyond which the rule over `math.fsum` decides (it
+#: may overflow), and the bound's allowance for underflow
+_U, _NOISE, _BIG, _TINY = 2.0 ** -53, 30.0 * 2.2e-16, 1e300, 1e-300
 
 
 def tanh_sinh_panels(
@@ -94,22 +79,27 @@ def tanh_sinh_panels(
     f(x, panel) maps abscissae and the panel of each onto integrand values,
     so panels can carry their own parameters.  Each level calls f once, on
     the new nodes of every panel still refining.  Panel i climbs the ladder
-    of decreasing tolerances tols[i]: a rung's value is the one at the first
-    level that meets it by `_verdict`, so it is bit for bit the value a
-    refinement at that tol alone stops at.  Returns (values, failures):
-    values[i] holds the values of the rungs panel i met, and failures[i] the
-    AccuracyError, carrying the value at the level before, for the first
-    rung it missed by level _MAX_LEVEL.  A zero-length panel is 0.0 on every
-    rung.
+    of decreasing tolerances tols[i].  With terms t the weighted node values
+    through level L, h = 2**-L and prev the value at level L - 1, the value
+    is half h fsum(t) and est = |value - prev|; a rung is met at the first
+    level where est <= tol, and every rung where est is within the rounding
+    noise 30 eps (|value| + half h fsum|t|) of the sum.  So a rung's value is
+    bit for bit the one a refinement at that tol alone stops at.  A panel
+    whose est, by numpy sums, is above its largest tol left and the noise
+    by more than the sums' rounding bound refines on without `math.fsum`.
+    Returns (values, failures): values[i] holds the values of the rungs
+    panel i met, and failures[i] the AccuracyError, carrying prev, for the
+    first rung it missed by level _MAX_LEVEL.  A zero-length panel is 0.0 on
+    every rung.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     half = 0.5 * (hi - lo)
     halves = half.tolist()
 
-    def refine(idx: np.ndarray, level: int) -> None:
-        """Evaluate f once on the interior nodes of `level` in the panels
-        idx, and on their midpoints at level 0, and append the new terms to
-        each panel's; a non-finite value counts as 0."""
+    def refine(idx: np.ndarray, level: int) -> np.ndarray:
+        """The terms `level` adds to the panels idx, one row per panel: f
+        once on their interior nodes of `level`, and on their midpoints at
+        level 0; a non-finite value counts as 0."""
         off, w = _node_arrays(level)
         a, b, xl = lo[idx, None], hi[idx, None], half[idx, None] * off
         xr = b - xl
@@ -128,41 +118,79 @@ def tanh_sinh_panels(
         xr[inr] = y[n_m + n_l:]
         xl += xr
         xl *= w
-        if n_m:
-            xl = np.column_stack([_HALF_PI * y[:n_m], xl])
-        for i, row in zip(idx.tolist(), xl):
-            terms[i].frombytes(row.tobytes())
+        return np.column_stack([_HALF_PI * y[:n_m], xl]) if n_m else xl
 
-    values = [[0.0] * len(t) if a == b else [] for a, b, t in zip(lo, hi, tols)]
+    values = [[0.0] * len(t) if a == b else [] for a, b, t in zip(lo.tolist(), hi.tolist(), tols)]
     failures = {}
     idx = np.flatnonzero(lo != hi)
-    # each panel's terms as packed doubles, a quarter of the memory of floats
-    terms = {i: array("d") for i in idx.tolist()}
-    refine(idx, 0)
-    prev = {i: halves[i] * math.fsum(t) for i, t in terms.items()}
-    level = 0
+    # the largest tol each live panel has left to meet
+    top = np.array([max(t, default=math.nan) for t in tols], dtype=float)[idx]
+
+    def approx() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(c a, v, rv) for the live panels at `level`, c = half h: the value
+        v = c s by numpy sums, and rv >= |v - c fsum(t)|.  n terms summed in
+        any order are within gamma_(n-1) sum|t| (Higham, Accuracy and
+        Stability of Numerical Algorithms, 4.2), rounding adds 3u, and one u
+        more covers the rest, the noise threshold's error included.  rv is
+        inf where the sums or c are out of scale."""
+        c = half[idx] * 2.0 ** -level
+        ca = c * a
+        fits = (np.maximum(a, ca) <= _BIG) & (c > _TINY)
+        return ca, c * s, np.where(fits, (n + 3) * _U * ca + _TINY, math.inf)
+
+    # each level's terms, one row per live panel, and their running sums
+    blocks, level = [refine(idx, 0)], 0
+    n = blocks[0].shape[1]
+    with np.errstate(all="ignore"):  # inf and NaN in the bound leave decisions to fsum
+        s, a = blocks[0].sum(axis=1), abs(blocks[0]).sum(axis=1)
+        _, p, rp = approx()
+    for t in blocks[0][~(a <= _BIG)].tolist():
+        math.fsum(t)  # raises here on such terms, as the per-panel rule did
     while idx.size:
         level += 1
-        refine(idx, level)
-        live = []
-        for i in idx.tolist():
+        blocks.append(refine(idx, level))
+        n += blocks[-1].shape[1]
+        with np.errstate(all="ignore"):
+            s += blocks[-1].sum(axis=1)
+            a += abs(blocks[-1]).sum(axis=1)
+            ca, v, rv = approx()
+            # a panel surely refines on where est, less a bound on its
+            # distance from the per-panel rule's (rounding held twice over),
+            # exceeds both its largest tol left and the noise threshold
+            est = abs(v - p)
+            lim = np.maximum(top, _NOISE * (abs(v) + ca))
+            on = est - lim - (rv + rp + 8.0 * _U * (est + lim)) > 0.0
+        # the per-panel rule, by fsum, for the others
+        last, done = level >= _MAX_LEVEL, np.zeros(idx.size, dtype=bool)
+        rows = np.flatnonzero(~on | last)
+        h, n_prev = 2.0 ** -level, n - blocks[-1].shape[1]
+        gathered = np.hstack([b[rows] for b in blocks]) if rows.size else ()
+        for row, i, t in zip(rows.tolist(), idx[rows].tolist(), gathered):
+            t = t.tolist()
+            value = halves[i] * h * math.fsum(t)
+            prev = halves[i] * (2.0 * h) * math.fsum(t[:n_prev])
+            est_i = abs(value - prev)
             ladder = tols[i][len(values[i]):]
-            value, est, met = _verdict(terms[i], halves[i], level, prev[i], ladder)
+            met = sum(est_i <= tol for tol in ladder)
+            if met < len(ladder) and est_i <= _NOISE * (abs(value) + halves[i] * math.fsum(map(abs, t)) * h):
+                met = len(ladder)
             values[i] += [value] * met
             if met == len(ladder):
-                del terms[i]
-                continue
-            if level >= _MAX_LEVEL:
+                done[row] = True
+            elif last:
                 failures[i] = AccuracyError(
                     f"tanh-sinh did not reach tol={ladder[met]:g} after {_MAX_LEVEL} levels "
-                    f"(last change {est:g})",
-                    best_estimate=prev[i],
-                    error_estimate=est,
+                    f"(last change {est_i:g})",
+                    best_estimate=prev,
+                    error_estimate=est_i,
                 )
             else:
-                prev[i] = value
-                live.append(i)
-        idx = np.array(live, dtype=int)
+                top[row] = max(ladder[met:])
+        keep = ~done & (not last)
+        if not keep.all():
+            idx, s, a, v, rv, top = (x[keep] for x in (idx, s, a, v, rv, top))
+            blocks = [b[keep] for b in blocks]
+        p, rp = v, rv
     return values, failures
 
 
@@ -210,4 +238,27 @@ def cumulative_integrals(
     if failures:
         raise failures[min(failures)]
     signed = [-v if x < u else v for (v,), u, x in zip(values, ends, xs)]
-    return [math.fsum(signed[:n]) for n in range(1, len(signed) + 1)]
+    return _running_fsums(signed)
+
+
+def _running_fsums(values: list[float]) -> list[float]:
+    """[math.fsum(values[:n]) for n = 1, 2, ...] in linear time, by fsum of
+    Shewchuk's partials of each prefix; values beyond _BIG or not finite take
+    the prefix sums, which raise as fsum does."""
+    if not all(abs(v) <= _BIG for v in values):
+        return [math.fsum(values[:n]) for n in range(1, len(values) + 1)]
+    out, partials = [], []
+    for x in values:
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x]
+        out.append(math.fsum(partials))
+    return out

@@ -1,21 +1,21 @@
 """The scalar tanh-sinh path, kept as the reference for the lockstep driver.
 
-`tanh_sinh` (its list-of-tuples node cache and pair loop), `_log_abs_root`
-and the per-arc `half_measures` are the one-call-per-node implementations
-that `quadrature.tanh_sinh_panels` and `mahler.half_measures_lockstep`
-replaced.  The tests assert that the lockstep driver gives their values and
-errors bit for bit.
+`tanh_sinh` (its list-of-tuples node cache, pair loop and per-panel stopping
+rule `_verdict`), `_log_abs_root` and the per-arc `half_measures` are the
+one-call-per-node implementations that `quadrature.tanh_sinh_panels` and
+`mahler.half_measures_lockstep` replaced.  The tests assert that the
+lockstep driver gives their values and errors bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 from mahlerlab import mahler as M
 from mahlerlab.errors import AccuracyError
-from mahlerlab.quadrature import _HALF_PI, _MAX_LEVEL, _T_MAX, _verdict
+from mahlerlab.quadrature import _HALF_PI, _MAX_LEVEL, _T_MAX
 
 # _LEVEL_NODES[0] holds the nodes at t = k (k >= 1); _LEVEL_NODES[L] for L >= 1
 # holds the new nodes at odd multiples of h = 2**-L.  Entries are
@@ -61,6 +61,28 @@ def _unconverged(tol: float, max_level: int, prev: float, est: float) -> Accurac
         best_estimate=prev,
         error_estimate=est,
     )
+
+
+def _verdict(
+    terms: Sequence[float], half: float, level: int, prev: float, tols: tuple[float, ...]
+) -> tuple[float, float, int]:
+    """The stopping rule of `tanh_sinh_panels`, one panel at a time.
+
+    terms are the weighted node values through `level` and prev the value at
+    the level before; tols is a ladder of decreasing tolerances.  Returns
+    (value, error_estimate, met), met counting the leading tols that the
+    change is within.  A change within the rounding noise of the sum meets
+    every rung; the noise is summed only when the change misses a rung.
+    """
+    h = 2.0 ** (-level)
+    value = half * h * math.fsum(terms)
+    est = abs(value - prev)
+    met = sum(est <= tol for tol in tols)
+    if met < len(tols) and est <= 30.0 * 2.2e-16 * (
+        abs(value) + half * math.fsum(map(abs, terms)) * h
+    ):
+        met = len(tols)
+    return value, est, met
 
 
 def tanh_sinh(

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import functools
 import io
@@ -492,7 +493,7 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
         run_main(capsys, "sweep", "dhdk", "--k-grid", "5:20:3", "--jobs", "1000000")
         run_main(capsys, "sweep", "dhdk", "--k-grid", "5:20:8", "--jobs", "1000000")
@@ -658,18 +659,28 @@ def _child_env() -> dict:
     return {**os.environ, "PYTHONPATH": path}
 
 
-def test_scipy_imported_only_by_the_2d_oracle():
+def _imported_by_verify_eta(module: str) -> list[str]:
+    """Whether `module` is imported after `import mahlerlab.cli`, then after
+    a `verify eta` run, in a child interpreter."""
     probe = (
         "import sys, mahlerlab.cli\n"
-        "print('scipy' in sys.modules)\n"
+        f"print({module!r} in sys.modules)\n"
         "mahlerlab.cli.main(['verify', 'eta', '--format', 'json'])\n"
-        "print('scipy' in sys.modules)"
+        f"print({module!r} in sys.modules)"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=_child_env())
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "False" and lines[-1] == "False"
+    return [lines[0], lines[-1]]
+
+
+def test_scipy_imported_only_by_the_2d_oracle():
+    assert _imported_by_verify_eta("scipy") == ["False", "False"]
+
+
+def test_process_pool_imported_only_by_sweep_jobs():
+    assert _imported_by_verify_eta("concurrent.futures.process") == ["False", "False"]
 
 
 def test_console_entry_point_subprocess():

@@ -8,7 +8,7 @@ import pytest
 from mahlerlab import identities as I
 from mahlerlab.elliptic import ell_k, ell_pi
 from mahlerlab.errors import DomainError, RegimeError, SingularPointError
-from mahlerlab.expressions import parse_expression
+from mahlerlab.expressions import load_candidates, parse_expression
 from mahlerlab.jets import Jet2, sqrt
 from mahlerlab.quadrature import cumulative_integrals
 
@@ -402,6 +402,22 @@ class TestVariantResolution:
         with pytest.raises(DomainError) as got:
             I.check_printed_variants(cand, grid)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("pole,error", [(0.9, RegimeError), (0.3, ZeroDivisionError)])
+    def test_printed_variants_raise_in_point_order(self, tmp_path, pole, error):
+        # p leaves the regime at x = 0.6, the printed r has a pole at `pole`
+        # and the alternative one at 0.1: at each x the printed r raises
+        # before the gate, and the first variant runs over the grid first
+        path = tmp_path / "cands.json"
+        path.write_text('[{"name": "steep", "p": "4*x - 0.5", "q": "x", "domain": [0, 1]}]')
+        (cand,) = load_candidates(str(path))
+        cand = dataclasses.replace(
+            cand, printed_r=lambda x: 1.0 / (x - pole), printed_rhs=lambda x: 0.0,
+            printed_r_alts=(("alt", lambda x: 1.0 / (x - 0.1)),))
+        with pytest.raises(error) as err:
+            I.check_printed_variants(cand, [0.1, 0.3, 0.6, 0.9])
+        if error is RegimeError:
+            assert "at x = 0.6" in str(err.value)
 
     def test_cubic_discrepancy_resolved(self, cands):
         verdicts = I.check_printed_variants(cands["cubic"])

@@ -1,4 +1,5 @@
 import math
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -271,3 +272,132 @@ def test_node_table_equals_scalar_reference_nodes():
         nodes = _nodes_for_level(level)
         assert [_bits(v) for v in off.tolist()] == [_bits(o) for o, _ in nodes]
         assert [_bits(v) for v in w.tolist()] == [_bits(v) for _, v in nodes]
+
+
+# ----------------------------------------------------------------------------
+# the stopping rule's two routes: numpy sums with a rounding bound, and fsum
+# where the bound leaves the decision open
+
+
+@pytest.mark.parametrize("label,fns,x0,xs", CHAINS, ids=[c[0] for c in CHAINS])
+def test_unsure_decisions_equal_scalar_chain_bitwise(monkeypatch, label, fns, x0, xs):
+    # a bound of infinite width leaves every decision to the fsum route
+    monkeypatch.setattr(Q, "_U", math.inf)
+    test_lockstep_equals_scalar_chain_bitwise(label, fns, x0, xs)
+
+
+def test_unsure_decisions_equal_scalar_ladders_and_failures(monkeypatch):
+    monkeypatch.setattr(Q, "_U", math.inf)
+    test_panel_ladder_equals_scalar_at_each_tol()
+    test_lockstep_nonconvergence_matches_scalar_chain()
+
+
+@st.composite
+def _panel(draw):
+    """(lo, hi, centre, width, ladder): a Lorentz peak on a panel, some
+    zero-length, with a decreasing ladder of 1-3 tols in [1e-13, 1e-5]."""
+    lo = draw(st.floats(-2.0, 2.0))
+    hi = draw(st.one_of(st.just(lo), st.floats(lo, lo + 2.0)))
+    centre = draw(st.floats(-2.5, 2.5))
+    width = 10.0 ** draw(st.floats(-4.0, 0.0))
+    ladder = sorted(draw(st.lists(st.floats(-13.0, -5.0), min_size=1, max_size=3)), reverse=True)
+    return lo, hi, centre, width, tuple(10.0 ** e for e in ladder)
+
+
+def _reference_rungs(f, a, b, ladder, max_level):
+    """The scalar reference at each tol of the ladder up to the first it
+    misses: (values, error or None)."""
+    values = []
+    for tol in ladder:
+        try:
+            values.append(tanh_sinh(f, a, b, tol, max_level)[0])
+        except AccuracyError as exc:
+            return values, exc
+    return values, None
+
+
+@given(st.lists(_panel(), min_size=1, max_size=4), st.sampled_from([2, Q._MAX_LEVEL]))
+@settings(max_examples=40, deadline=None)
+def test_panels_equal_scalar_reference_on_random_ladders(panels, max_level):
+    lo, hi, centre, width, ladders = (list(v) for v in zip(*panels))
+    c, w = np.array(centre), np.array(width)
+    with unittest.mock.patch.object(Q, "_MAX_LEVEL", max_level):
+        values, failures = tanh_sinh_panels(
+            lambda x, p: 1.0 / ((x - c[p]) * (x - c[p]) + w[p] * w[p]), lo, hi, ladders)
+    for i, (a, b, ci, wi, ladder) in enumerate(panels):
+        want, error = _reference_rungs(_lorentz(ci, wi)[0], a, b, ladder, max_level)
+        assert [_bits(v) for v in values[i]] == [_bits(v) for v in want]
+        if error is None:
+            assert i not in failures
+        else:
+            got = failures[i]
+            assert str(got) == str(error)
+            assert _bits(got.best_estimate) == _bits(error.best_estimate)
+            assert _bits(got.error_estimate) == _bits(error.error_estimate)
+
+
+#: signed magnitudes from 1e-300 to 1e300, zeros, and values whose sums
+#: overflow or are not finite
+_summand = st.one_of(
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 300.0)).map(lambda t: t[0] * 10.0 ** t[1]),
+    st.just(0.0),
+    st.sampled_from([1.7e308, -1.7e308, math.inf, -math.inf, math.nan]),
+)
+
+
+def _outcome(fn):
+    try:
+        return [_bits(v) for v in fn()]
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@given(st.lists(_summand, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_running_fsums_equal_prefix_fsums(values):
+    assert _outcome(lambda: Q._running_fsums(values)) == _outcome(
+        lambda: [math.fsum(values[:n]) for n in range(1, len(values) + 1)])
+
+
+def _change_at(f, a, b, level):
+    """The scalar rule's change est at `level`, or at the level before where
+    the noise rule stops it."""
+    try:
+        return tanh_sinh(f, a, b, -1.0, level)[1]
+    except AccuracyError as exc:
+        return exc.error_estimate
+
+
+@pytest.mark.parametrize("level", range(1, 8))
+@pytest.mark.parametrize("name", ORACLE_INTEGRANDS)
+def test_tols_on_the_change_equal_scalar_reference(name, level):
+    # tols on the scalar rule's est and one ulp either side: numpy sums sit
+    # a few ulp of the value off fsum, so only a sound bound decides these
+    f = ORACLE_INTEGRANDS[name]
+    est = _change_at(f, -0.7, 0.9, level)
+    ladder = (math.nextafter(est, math.inf), est, math.nextafter(est, 0.0))
+    values, failures = tanh_sinh_panels(lambda x, _: Q._each(f, x), [-0.7], [0.9], [ladder])
+    want, error = _reference_rungs(f, -0.7, 0.9, ladder, Q._MAX_LEVEL)
+    assert [_bits(v) for v in values[0]] == [_bits(v) for v in want]
+    assert (str(failures[0]) if failures else None) == (str(error) if error else None)
+
+
+@pytest.mark.parametrize("f,error", [
+    (lambda x: math.copysign(1e308, abs(x) - 0.99), ValueError),  # +inf and -inf at level 0
+    (lambda x: 1e307, OverflowError),  # finite terms whose sum overflows at a later level
+])
+def test_fsum_errors_surface_like_the_scalar_reference(f, error):
+    # fsum raises at the level where the per-panel rule's sum raised, after
+    # the same integrand calls
+    seen = []
+
+    def counted(x):
+        seen.append(x)
+        return f(x)
+
+    with pytest.raises(error) as want:
+        tanh_sinh(counted, -1.0, 1.0, 1e-10)
+    calls, seen[:] = len(seen), []
+    with pytest.raises(error) as got, np.errstate(over="ignore"):  # the pair sums overflow
+        quadrature_oracle(counted, -1.0, 1.0, 1e-10)
+    assert (str(got.value), len(seen)) == (str(want.value), calls)
