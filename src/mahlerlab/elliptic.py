@@ -116,6 +116,9 @@ def carlson_rc(x: float, y: float) -> float:
         s = math.sqrt(y - x)
         return math.atan(s / math.sqrt(x)) / s
     s = math.sqrt(x - y)
+    if y > 0.5 * x:
+        # the log's argument nears 1 as y nears x; x - y is exact here
+        return math.atanh(s / math.sqrt(x)) / s
     return math.log((math.sqrt(x) + s) / math.sqrt(y)) / s
 
 
@@ -253,9 +256,12 @@ def _rc1_array(y: np.ndarray) -> np.ndarray:
     up = (1.0 < y) & (y < math.inf)
     s = np.sqrt(y[up] - 1.0)
     out[up] = _each(math.atan, s) / s
-    down = (0.0 < y) & (y < 1.0)
+    down = (0.0 < y) & (y <= 0.5)
     s = np.sqrt(1.0 - y[down])
     out[down] = _each(math.log, (1.0 + s) / np.sqrt(y[down])) / s
+    near = (0.5 < y) & (y < 1.0)
+    s = np.sqrt(1.0 - y[near])
+    out[near] = _each(math.atanh, s) / s
     return out
 
 

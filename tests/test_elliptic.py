@@ -421,11 +421,12 @@ def test_rd_against_mpmath(args):
         assert _rel_err(carlson_rd(*args), ref) <= 1e-14
 
 
-#: y / x - 1 over (-1, -1e-3] and [1e-15, 1e3): off the diagonal from below,
-#: next to it from above
+#: y / x - 1 over [-0.98, -1e-15] and [1e-15, 1e3): up to the diagonal from either
+#: side, and across the switch to the log form at y = x/2
 _rc_ratio = st.one_of(
     st.floats(-15.0, 3.0).map(lambda e: 1.0 + 10.0 ** e),
-    st.floats(1e-3, 1.0, exclude_max=True).map(lambda d: 1.0 - d),
+    st.floats(-15.0, -0.01).map(lambda e: 1.0 - 10.0 ** e),
+    st.floats(0.4, 0.6).map(lambda d: 1.0 - d),
 )
 
 
@@ -436,23 +437,31 @@ _rc_ratio = st.one_of(
     st.tuples(_wide, _rc_ratio).map(lambda t: (t[0], t[0] * t[1])),
 ))
 def test_rc_against_mpmath(args):
-    x, y = args
-    # y just below x is the known cancellation, pinned by the xfail test below
-    assume(not 0.0 < x - y < 1e-3 * x)
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         assert _rel_err(carlson_rc(*args), mpmath.elliprc(*args)) <= 1e-14
 
 
-@pytest.mark.xfail(strict=True, reason="log-branch cancellation for x just above y")
 @pytest.mark.parametrize("delta", [1e-6, 1e-9, 1e-12])
 def test_rc_just_below_the_diagonal_against_mpmath(delta):
-    # R_C(1, 1 - delta): log((1 + s)/sqrt(y))/s with s = sqrt(delta) loses
-    # about eps/s; 5e-11 relative at delta = 1e-12.  R_J sums R_C(1, 1 + E)
-    # with E -> 0 and inherits part of it.
+    # R_C(1, 1 - delta): the log form log((1 + s)/sqrt(y))/s with s =
+    # sqrt(delta) lost about eps/s, 5e-11 relative at delta = 1e-12; the
+    # atanh form keeps full precision.  R_J sums R_C(1, 1 + E) with E -> 0.
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         assert _rel_err(carlson_rc(1.0, 1.0 - delta), mpmath.elliprc(1.0, 1.0 - delta)) <= 1e-14
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    _rj_quad(),
+    st.just((412665.3810905248, 9112.09532768465, 0.07307015104767212, 0.07305435888602277)),
+))
+def test_rj_against_mpmath(args):
+    # the pinned draw was 3.0e-13 off while R_C lost precision below the diagonal
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        assert _rel_err(carlson_rj(*args), mpmath.elliprj(*args)) <= 1e-13
 
 
 # ----------------------------------------------------------------------------

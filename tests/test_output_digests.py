@@ -53,7 +53,7 @@ DIGESTS = [
     ("ell --kind E --z 0.5 --format json", "f435c003001fc885cb3cea44016d0d2d231b50adee22fb272bd614daad7117bb"),
     ("ell --kind Pi --n -0.5 --z 0.5 --format json", "94fe7958e8103e43f974b12d2a6188f899e1110d50f2432329f456e70d69f266"),
     ("ell --kind K-imag --m 1.3 --format json", "39d15302502cdc2add25e1b3376ef814eca846662be552df7185e71a8ce7be55"),
-    ("ell --kind Pi-imag --n -0.5 --m 1.3 --format json", "a6b5f0014bd70f101cd14feb6e2b155f2f9f27b9e544ee2f2890f5d84c87a00c"),
+    ("ell --kind Pi-imag --n -0.5 --m 1.3 --format json", "e6d78b7d284591596e6165c37a2555c651a54a04b87389a6f67152a06b5bb844"),
     ("verify thm-main --tol 1e-13 --format json", "fdd7a1b7d146d680e4c18a857abfa29f3bc9f20bd84eaf9f9e10458c9b763e39"),
     ("verify corollary --k 6 --format json", "e6ca46a9fda175d658e69230eee2ecbc5c41593bd587ad8443af280dfda43e44"),
     ("mahler --k 4 --format json", "03252098a1c74d0eab16964e760e3dd1cf9d273e525dfb0103ac5ca3c5612673"),
