@@ -60,6 +60,11 @@ DIGESTS = [
     ("sweep h --k-grid 3:5:3", "dc88fdf5ee4028f87a673e1cef98fa7a2b1a17855c8b280c7639c1ee8c3ec60b"),
     ("table --nmax 10 --format json", "e5206698ae03b05ad9ffcabe2afa3806bfb0202cd3c42b0b98b4e54508849721"),
     ("ell --kind Pi --n 1 --z 0.5 --format json", "04c266f79df028fc64b79b4d1ee2a5959f2fd91cde78c5de72a7a67260b64c3f"),
+    ("sweep dfdk --k-grid 3:5:3", "ce1ca63fbd55bcabde7fc36cc61d7ebc80cf5acc11c10fe7ad1fc3d1e508f27f"),
+    ("sweep dhdk --k-grid 3:5:3", "a7a7f741c3b324f2f694ada306f173d466666f519b1b77e089bb608987af0103"),
+    ("ell --kind E --z 1.5", "e5c9ebab52d2349aef0ef9731023c63efafe8352f36694ef128269dff97a8519"),
+    ("ell --kind K --z 1", "97e72af6dc160c91f0d914b44728ddaec5f03dcdb613442a94f0bec4744ea58e"),
+    ("ell --kind Pi-imag --n 2 --m 0.5", "4bd66c3b24938a7b6420c5f486d3e2355a40b35368e726c3c4af9a1dca8592aa"),
 ]
 
 
