@@ -27,9 +27,11 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
+import numpy as np
+
 from . import __version__
 from .curves import K_LABELS, TABLE1
-from .elliptic import ell_e, ell_k, ell_k_imag, ell_pi, ell_pi_imag
+from .elliptic import ell_e, ell_k, ell_k_imag, ell_pi, ell_pi_imag, ell_pi_k_array
 from .errors import MahlerLabError
 from .eta import verify_eta_param
 from .identities import (
@@ -42,8 +44,7 @@ from .expressions import load_candidates
 from .lseries import an_table_text, lvalue_from_k, split_point_spread, summary_record
 from .mahler import (
     K_LARGE,
-    dfdk,
-    dhdk,
+    derivative_grid,
     factor_p1k,
     factor_pac_small,
     factor_ptilde,
@@ -189,9 +190,10 @@ def parse_nmax(text: str) -> int:
 
 def suite_ei(ks: Sequence[float], tol: float, args, verify) -> Report:
     rep = Report("verify ei", metadata={"tol": tol})
-    for k in ks:
-        z = 4.0 / k
-        lhs = ell_pi(-z, z) - 0.5 * ell_k(z)
+    # Pi and K at every k from one R_F each; k > 4 keeps z = 4/k in [0, 1)
+    z = 4.0 / np.array(ks, dtype=float)
+    pi, kz = ell_pi_k_array(-z, z)
+    for k, lhs in zip(ks, (pi - 0.5 * kz).tolist()):
         rhs = k * math.pi / (4.0 * (k + 4.0))
         rep.add(f"k={k:.6g}", rhs, lhs, abs(lhs - rhs), tol)
     return rep
@@ -426,8 +428,7 @@ def _sweep_chunk(task) -> list[tuple[float, float, float]]:
     grid; a measure's est_error is |v(tol) - v(tol/10)|."""
     quantity, ks, tol = task
     if quantity in ("dfdk", "dhdk"):
-        closed_form = dfdk if quantity == "dfdk" else dhdk
-        pairs = [(closed_form(k),) * 2 for k in ks]
+        pairs = [(v, v) for v in derivative_grid(quantity, ks).tolist()]
     else:
         pairs = sweep_measures(quantity, ks, (tol, tol * 0.1))
     return [(k, v, abs(v - v2) if v != v2 else 1e-15 * abs(v)) for k, (v, v2) in zip(ks, pairs)]

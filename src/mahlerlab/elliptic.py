@@ -7,8 +7,13 @@ characteristic n with the sign convention
     Pi(n, z) = int_0^1 dx / ((1 - n x^2) sqrt((1-x^2)(1-z^2 x^2))).
 
 The Carlson forms R_F, R_C, R_D, R_J are evaluated by the duplication
-algorithm (Carlson 1994), which converges at AGM rate and is uniformly
-accurate up to the z -> 1 divergence.
+algorithm (Carlson 1995), which converges at AGM rate and is uniformly
+accurate up to the z -> 1 divergence.  R_F, R_C and R_J each have one
+kernel, a lockstep numpy loop over arrays of arguments (`_rf_array`,
+`_rc_array`, `_rj_array`), and Pi/K one core over them (`_pi_k_array`).
+The scalar entry points check their arguments and make a one-element call
+of these kernels; callers with many arguments use `ell_k_array` and
+`ell_pi_k_array`.  R_D, used only by `ell_e`, is a scalar loop.
 """
 
 from __future__ import annotations
@@ -66,20 +71,7 @@ def carlson_rf(x: float, y: float, z: float) -> float:
     x, y, z >= 0 with at most one of them zero.  Relative error <= 1e-14.
     """
     _check_nonneg("carlson_rf", x, y, z)
-    if max(x, y, z) > _RF_BIG:
-        return _scaled(carlson_rf, 1, _RF_BIG, (x, y, z))
-    A = (x + y + z) / 3.0
-    Q = (3.0 * _EPS) ** (-0.125) * max(abs(A - x), abs(A - y), abs(A - z))
-    f = 1.0
-    while Q >= f * abs(A):
-        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
-        lam = sx * sy + sx * sz + sy * sz
-        x = 0.25 * (x + lam)
-        y = 0.25 * (y + lam)
-        z = 0.25 * (z + lam)
-        A = 0.25 * (A + lam)
-        f *= 4.0
-    return _rf_series(x, y, z, A) / math.sqrt(A)
+    return _at(_rf_array, x, y, z)
 
 
 def _rf_series(x, y, z, A):
@@ -105,21 +97,9 @@ def _rf_series(x, y, z, A):
 
 def carlson_rc(x: float, y: float) -> float:
     """Degenerate form R_C(x, y) = R_F(x, y, y), for finite x >= 0, y > 0."""
-    # comparisons rather than _check_finite: R_J calls this in its loop
     if not (0.0 <= x < math.inf and 0.0 < y < math.inf):
         raise DomainError(f"carlson_rc: requires finite x >= 0, y > 0, got ({x}, {y})")
-    if x == 0.0:
-        return _HALF_PI / math.sqrt(y)
-    if x == y:
-        return 1.0 / math.sqrt(x)
-    if y > x:
-        s = math.sqrt(y - x)
-        return math.atan(s / math.sqrt(x)) / s
-    s = math.sqrt(x - y)
-    if y > 0.5 * x:
-        # the log's argument nears 1 as y nears x; x - y is exact here
-        return math.atanh(s / math.sqrt(x)) / s
-    return math.log((math.sqrt(x) + s) / math.sqrt(y)) / s
+    return _at(_rc_array, x, y)
 
 
 def _cube(v):
@@ -192,85 +172,50 @@ def carlson_rj(x: float, y: float, z: float, p: float) -> float:
     _check_nonneg("carlson_rj", x, y, z)
     if not 0.0 < p < math.inf:
         raise DomainError(f"carlson_rj: requires finite p > 0, got {p}")
-    value, e = _rj_scaled(x, y, z, p)
+    value, e = _at(_rj_array, x, y, z, p)
     return math.ldexp(value, -3 * e)
 
 
-def _rj_scaled(x: float, y: float, z: float, p: float) -> tuple[float, int]:
-    """(v, e) with R_J(x, y, z, p) = 2**(-3e) v, for carlson_rj's domain:
-    v is R_J at the arguments times 4**-e, where e = 0 unless one of them
-    lies outside [_RJ_TINY, _RJ_BIG] (a zero x, y or z aside), and v is
-    3 R_F(x, y, z)/p with e = 0 where p exceeds _RJ_SPREAD times x, y and z.
-    Callers that scale the value further keep the 2**(-3e) to the end, since
-    R_J itself can underflow."""
-    args = (x, y, z, p)
-    if p > _RJ_SPREAD * max(x, y, z):
-        return 3.0 * carlson_rf(x, y, z) / p, 0
-    if max(args) <= _RJ_BIG and min(v for v in args if v) >= _RJ_TINY:
-        return _rj(*args), 0
-    e = int(_scale_exponent(max(args), _RJ_BIG))
-    return _rj(*(math.ldexp(v, -2 * e) for v in args)), e
+def _at(kernel, *args: float):
+    """A lockstep kernel at one point: its value, or its tuple of values, as
+    Python scalars."""
+    with np.errstate(all="ignore"):
+        out = kernel(*(np.array([a], dtype=float) for a in args))
+    return tuple(v.item(0) for v in out) if isinstance(out, tuple) else out.item(0)
 
 
-def _rj(x: float, y: float, z: float, p: float) -> float:
-    """R_J by duplication."""
-    A = (x + y + z + 2.0 * p) / 5.0
-    A0 = A
-    x0, y0, z0 = x, y, z
-    delta = (p - x) * (p - y) * (p - z)
-    Q = (0.2 * _EPS) ** (-0.125) * max(
-        abs(A - x), abs(A - y), abs(A - z), abs(A - p)
-    )
-    f = 1.0
-    acc = 0.0
-    while Q >= f * abs(A):
-        sx, sy, sz, sp = math.sqrt(x), math.sqrt(y), math.sqrt(z), math.sqrt(p)
-        D = (sp + sx) * (sp + sy) * (sp + sz)
-        E = delta / (D * D)
-        if -1.5 < E < -0.5:
-            # rewrite R_C(1, 1+E) to dodge cancellation near E = -1
-            acc += (1.0 / (f * D)) * carlson_rc(
-                1.0, 2.0 * sp * (p + sx * (sy + sz) + sy * sz) / D
-            )
-        else:
-            acc += (1.0 / (f * D)) * carlson_rc(1.0, 1.0 + E)
-        lam = sx * sy + sx * sz + sy * sz
-        x = 0.25 * (x + lam)
-        y = 0.25 * (y + lam)
-        z = 0.25 * (z + lam)
-        p = 0.25 * (p + lam)
-        A = 0.25 * (A + lam)
-        delta /= 64.0
-        f *= 4.0
-    X = (A0 - x0) / (f * A)
-    Y = (A0 - y0) / (f * A)
-    Z = (A0 - z0) / (f * A)
-    P = -0.5 * (X + Y + Z)
-    s = _rd_rj_series(X, Y, Z, P)
-    return s / (f * A * math.sqrt(A)) + 6.0 * acc
-
-
-def _rc1_array(y: np.ndarray) -> np.ndarray:
-    """carlson_rc(1.0, y) per element, bitwise; NaN where it raises."""
-    out = np.where(y == 1.0, 1.0, math.nan)
-    up = (1.0 < y) & (y < math.inf)
-    s = np.sqrt(y[up] - 1.0)
-    out[up] = _each(math.atan, s) / s
-    down = (0.0 < y) & (y <= 0.5)
-    s = np.sqrt(1.0 - y[down])
-    out[down] = _each(math.log, (1.0 + s) / np.sqrt(y[down])) / s
-    near = (0.5 < y) & (y < 1.0)
-    s = np.sqrt(1.0 - y[near])
-    out[near] = _each(math.atanh, s) / s
+def _rc_array(x, y) -> np.ndarray:
+    """R_C(x, y) per element for finite x >= 0, y > 0; NaN elsewhere."""
+    x, y = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y)))
+    ok = (0.0 <= x) & (x < math.inf) & (0.0 < y) & (y < math.inf)
+    sx = np.sqrt(x)
+    out = np.where(ok & (x == y), 1.0 / sx, math.nan)
+    # at x = 0 the quotient is inf and its atan pi/2
+    up = ok & (x < y)
+    s = np.sqrt(y[up] - x[up])
+    out[up] = _each(math.atan, s / sx[up]) / s
+    down = ok & (y <= 0.5 * x)
+    s = np.sqrt(x[down] - y[down])
+    out[down] = _each(math.log, (sx[down] + s) / np.sqrt(y[down])) / s
+    # the log's argument nears 1 as y nears x; x - y is exact here
+    near = ok & (0.5 * x < y) & (y < x)
+    s = np.sqrt(x[near] - y[near])
+    out[near] = _each(math.atanh, s / sx[near]) / s
     return out
 
 
 def _rf_array(x, y, z) -> np.ndarray:
-    """carlson_rf per element, bitwise, for arguments in its domain or NaN.
+    """R_F per element for arguments in carlson_rf's domain; NaN where the
+    stopping bound is not finite.
 
-    The duplication steps run in lockstep and each element stops at its own
-    step count.  Elements whose stopping bound is not finite come back NaN.
+    Arguments above 2^996 are scaled by the power of 4 that brings the
+    largest into [2^994, 2^996): powers of 2 scale exactly.  The duplication
+    steps run in lockstep and each element stops at its own step count.
     """
+    x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z)))
+    hi = np.fmax(np.fmax(x, y), z)
+    e = np.where(hi > _RF_BIG, _scale_exponent(hi, _RF_BIG), 0)
+    x, y, z = (np.ldexp(v, -2 * e) for v in (x, y, z))
     A = (x + y + z) / 3.0
     Q = (3.0 * _EPS) ** (-0.125) * np.maximum(np.maximum(abs(A - x), abs(A - y)), abs(A - z))
     live = np.isfinite(Q)
@@ -280,14 +225,20 @@ def _rf_array(x, y, z) -> np.ndarray:
         lam = sx * sy + sx * sz + sy * sz
         x, y, z, A = (np.where(active, 0.25 * (v + lam), v) for v in (x, y, z, A))
         f = np.where(active, f * 4.0, f)
-    return np.where(live, _rf_series(x, y, z, A) / np.sqrt(A), math.nan)
+    return np.ldexp(np.where(live, _rf_series(x, y, z, A) / np.sqrt(A), math.nan), -e)
 
 
 def _rj_array(x, y, z, p) -> tuple[np.ndarray, np.ndarray]:
-    """`_rj_scaled` per element, bitwise, as the pair of arrays (v, e), for
-    arguments in carlson_rj's domain or NaN; the duplication steps run in
-    lockstep like `_rf_array`'s.  Elements where its R_C step would raise or
-    its stopping bound is not finite come back NaN."""
+    """R_J per element as the pair (v, e) with R_J = 2**(-3e) v, for
+    arguments in carlson_rj's domain or NaN.
+
+    v is R_J at the arguments times 4**-e, where e = 0 unless one of them
+    lies outside [_RJ_TINY, _RJ_BIG] (a zero x, y or z aside), and v is
+    3 R_F(x, y, z)/p with e = 0 where p exceeds _RJ_SPREAD times x, y and z.
+    Callers that scale the value further keep the 2**(-3e) to the end, since
+    R_J itself can underflow.  Elements whose stopping bound is not finite
+    come back NaN.
+    """
     x, y, z, p = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z, p)))
     far = p > _RJ_SPREAD * np.fmax(np.fmax(x, y), z)
     hi = np.fmax(np.fmax(x, y), np.fmax(z, p))
@@ -315,11 +266,11 @@ def _rj_duplication_array(x, y, z, p) -> np.ndarray:
         sx, sy, sz, sp = np.sqrt(x), np.sqrt(y), np.sqrt(z), np.sqrt(p)
         D = (sp + sx) * (sp + sy) * (sp + sz)
         E = delta / (D * D)
-        # carlson_rj's rewrite of R_C(1, 1+E) near E = -1
+        # R_C(1, 1+E) rewritten to dodge cancellation near E = -1
         y_rc = np.where(
             (-1.5 < E) & (E < -0.5), 2.0 * sp * (p + sx * (sy + sz) + sy * sz) / D, 1.0 + E
         )
-        acc[active] += (1.0 / (f * D))[active] * _rc1_array(y_rc[active])
+        acc[active] += (1.0 / (f * D))[active] * _rc_array(1.0, y_rc[active])
         lam = sx * sy + sx * sz + sy * sz
         x, y, z, p, A = (np.where(active, 0.25 * (v + lam), v) for v in (x, y, z, p, A))
         delta = np.where(active, delta / 64.0, delta)
@@ -373,18 +324,17 @@ def ell_pi_k(n: float, z: float) -> tuple[float, float]:
         raise DomainError(f"ell_pi: modulus must be >= 0, got {z}")
     if z >= 1.0:
         raise DivergenceError(f"ell_pi: diverges as z -> 1, got z = {z}")
-    return _pi_k(n, z * z, (1.0 - z) * (1.0 + z))
+    return _at(_pi_k_array, n, z * z, (1.0 - z) * (1.0 + z))
 
 
 def _pi_through_n(n, m, zc, rf, rj):
     """Pi(n) at parameter m (z^2, or -m^2 at imaginary modulus) and zc =
     1 - m by the characteristic N = (m - n)/(1 - n), whose 1 - N is
     zc/(1 - n), from rf = R_F(0, zc, 1) and rj = R_J(0, zc, 1, zc/(1 - n)).
-    Floats or arrays.
 
     Pi takes this route where n < -1 and m - n >= zc, which at real modulus
     is wherever n < -1: there rf + (n/3) R_J(0, zc, 1, 1 - n) cancels,
-    losing about eps sqrt(-n/zc).  The callers take R_J at its arguments
+    losing about eps sqrt(-n/zc).  `_pi_k_array` takes R_J at its arguments
     times the 4**-e that brings max(zc, 1) into R_J's window, dividing by
     1 - n only then: zc/(1 - n) itself can be subnormal."""
     N = (m - n) / (1.0 - n)
@@ -392,40 +342,35 @@ def _pi_through_n(n, m, zc, rf, rj):
     return ((-n / (1.0 - n)) * zc * (rf + (N / 3.0) * rj) + m * rf) / (m - n)
 
 
-def _pi_k(n: float, m: float, zc: float) -> tuple[float, float]:
-    """(Pi(n), R_F(0, zc, 1)) at parameter m and zc = 1 - m, from one R_F."""
-    rf = carlson_rf(0.0, zc, 1.0)
-    if n == 0.0:
-        return rf, rf
-    far = n < -1.0 and m - n >= zc
-    e = int(_scale_exponent(max(zc, 1.0), _RJ_BIG)) if far else 0
-    s = math.ldexp(1.0, -2 * e)
-    v, e_rj = _rj_scaled(0.0, zc * s, s, zc * s / (1.0 - n) if far else 1.0 - n)
+def _pi_k_array(n, m, zc) -> tuple[np.ndarray, np.ndarray]:
+    """(Pi(n), R_F(0, zc, 1)) per element at parameter m and zc = 1 - m,
+    from one R_F; NaN where zc is NaN."""
+    rf = _rf_array(0.0, zc, 1.0)
+    far = (n < -1.0) & (m - n >= zc)
+    # e = 0 leaves the other elements as given
+    e = np.where(far, _scale_exponent(np.fmax(zc, 1.0), _RJ_BIG), 0)
+    s = np.ldexp(1.0, -2 * e)
+    v, e_rj = _rj_array(0.0, zc * s, s, np.where(far, zc * s / (1.0 - n), 1.0 - n))
     e += e_rj
-    if far:
-        return _pi_through_n(n, m, zc, rf, math.ldexp(v, -3 * e)), rf
-    return rf + math.ldexp((n / 3.0) * v, -3 * e), rf
+    pi = np.where(far, _pi_through_n(n, m, zc, rf, np.ldexp(v, -3 * e)),
+                  rf + np.ldexp((n / 3.0) * v, -3 * e))
+    return np.where(n == 0.0, rf, pi), rf
+
+
+def ell_k_array(z: np.ndarray) -> np.ndarray:
+    """ell_k per element; NaN where ell_k raises."""
+    with np.errstate(all="ignore"):
+        zc = np.where((0.0 <= z) & (z < 1.0), (1.0 - z) * (1.0 + z), math.nan)
+        return _rf_array(0.0, zc, 1.0)
 
 
 def ell_pi_k_array(n: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ell_pi_k per element, bitwise, on lockstep Carlson kernels; NaN where
-    ell_pi_k raises."""
+    """ell_pi_k per element; NaN where ell_pi_k raises."""
     with np.errstate(all="ignore"):
         ok = np.isfinite(n) & (n < 1.0) & (0.0 <= z) & (z < 1.0)
         # NaN keeps the elements outside the domain out of the duplication
         zc = np.where(ok, (1.0 - z) * (1.0 + z), math.nan)
-        rf = _rf_array(0.0, zc, 1.0)
-        m = z * z
-        far = (n < -1.0) & (m - n >= zc)
-        # _pi_k's scaling of the far elements; e = 0 leaves the others as given
-        e = np.where(far, _scale_exponent(np.fmax(zc, 1.0), _RJ_BIG), 0)
-        s = np.ldexp(1.0, -2 * e)
-        v, e_rj = _rj_array(0.0, zc * s, s, np.where(far, zc * s / (1.0 - n), 1.0 - n))
-        e += e_rj
-        pi = np.where(far, _pi_through_n(n, m, zc, rf, np.ldexp(v, -3 * e)),
-                      rf + np.ldexp((n / 3.0) * v, -3 * e))
-        pi = np.where(n == 0.0, rf, pi)
-    return pi, rf
+        return _pi_k_array(n, z * z, zc)
 
 
 def ell_k_imag(m: float) -> float:
@@ -444,4 +389,4 @@ def ell_pi_imag(n: float, m: float) -> float:
         raise DomainError(f"ell_pi_imag: characteristic n must be < 1, got {n}")
     if m < 0.0:
         raise DomainError(f"ell_pi_imag: requires m >= 0, got {m}")
-    return _pi_k(n, -(m * m), 1.0 + m * m)[0]
+    return _at(_pi_k_array, n, -(m * m), 1.0 + m * m)[0]

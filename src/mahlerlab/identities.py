@@ -233,18 +233,17 @@ def identity_lhs(cand: IdentityCandidate, x: float, r: float | None = None) -> f
 
 
 def _residual_arrays(
-    cand: IdentityCandidate, xs: np.ndarray, p: np.ndarray, q: np.ndarray
+    cand: IdentityCandidate, xs: np.ndarray, pi: np.ndarray, k: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """identity_lhs, ode_residual and e_coefficient_residual at every point
-    of xs in one array pass, given the float p(xs), q(xs), and the mask of
-    points where they must be replayed: some value is not finite, or a
-    scalar function meets a raise condition there."""
+    of xs in one array pass, given Pi and K at the float p(xs), q(xs), and
+    the mask of points where they must be replayed: some value is not
+    finite, or a scalar function meets a raise condition there."""
     with np.errstate(all="ignore"):
         pj, qj = cand.p(Jet2.seed(xs)), cand.q(Jet2.seed(xs))
         rnum, rden = _r_num_den(pj.value, pj.d1, qj.value, qj.d1)
         fnum, fden = _f_num_den(pj.value, pj.d1, qj.value, qj.d1)
         r = rnum / rden
-        pi, k = ell_pi_k_array(p, q)
         lhs = pi + r * k
         ode = _ode_residual(fnum / fden, pj, qj, _r_jet(pj, qj))
         ec = _e_coefficient_residual(pj, qj, r)
@@ -274,8 +273,14 @@ def verify_identity(
     xs = sorted(grid) if grid is not None else list(default_grid(cand))
     pq = [_values_at(cand, x) for x in xs]  # regime gate before any reconstruction work
     p0, q0 = _values_at(cand, x0)
-    pi0, k0 = ell_pi_k(p0, q0)
-    C = pi0 + _anchor_r(cand, x0) * k0
+    if not math.isfinite(p0):
+        ell_pi(p0, q0)  # raises its DomainError
+    # Pi and K at every grid point but the anchor, and last at the anchor,
+    # from one call of the Carlson kernels; the anchor holds by construction
+    off = [i for i, x in enumerate(xs) if x != x0]
+    p, q = (np.array([pq[i][j] for i in off] + [(p0, q0)[j]], dtype=float) for j in (0, 1))
+    pi, k = ell_pi_k_array(p, q)
+    C = pi[-1].item() + _anchor_r(cand, x0) * k[-1].item()
 
     # at a degenerate anchor the f-formula underflows to 0/0 while f itself
     # stays bounded; the NaN there makes the quadrature drop those nodes
@@ -291,11 +296,8 @@ def verify_identity(
     if x0 in xs:
         s_at[x0] = C
 
-    # the anchor holds by construction; every other point in one array pass
-    off = [i for i, x in enumerate(xs) if x != x0]
     pts = np.array([xs[i] for i in off], dtype=float)
-    p, q = (np.array([pq[i][j] for i in off], dtype=float) for j in (0, 1))
-    lhs, ode, ec, replay = _residual_arrays(cand, pts, p, q)
+    lhs, ode, ec, replay = _residual_arrays(cand, pts, pi[:-1], k[:-1])
     # in grid order, so the first point where a scalar function raises raises
     for i in np.flatnonzero(replay):
         x = xs[off[i]]

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .elliptic import ell_k, ell_pi
+from .elliptic import ell_k_array, ell_pi_k_array
 from .errors import (
     AccuracyError,
     DomainError,
@@ -295,20 +295,29 @@ def half_measures_pac_small_k(k: float, tol: float = 1e-8) -> HalfMeasures:
     return half_measures(factor_pac_small(k), tol)
 
 
+def derivative_grid(quantity: str, ks: Sequence[float]) -> np.ndarray:
+    """`dfdk` or `dhdk` (the quantity) at every k of ks from one Carlson
+    kernel call; raises their DomainError at the first k not above 4."""
+    for k in ks:
+        if not k > 4.0:
+            raise DomainError(f"{quantity}: closed form requires k > 4, got {k}")
+    k = np.array(ks, dtype=float)
+    z = 4.0 / k
+    if quantity == "dfdk":
+        return 2.0 / (k * math.pi) * ell_k_array(z)
+    pi, kz = ell_pi_k_array(-z, z)
+    return (kz - 2.0 * z * pi) / ((k - 4.0) * math.pi)
+
+
 def dfdk(k: float) -> float:
     """d/dk of m_p1k in closed form, (2/(k pi)) K(4/k), for k > 4."""
-    if k <= 4.0:
-        raise DomainError(f"dfdk: closed form requires k > 4, got {k}")
-    return 2.0 / (k * math.pi) * ell_k(4.0 / k)
+    return derivative_grid("dfdk", [k]).item(0)
 
 
 def dhdk(k: float) -> float:
     """d/dk of m+ - m- for Ptilde_k in closed form, for k > 4:
     (K(4/k) - (8/k) Pi(-4/k, 4/k)) / ((k-4) pi)."""
-    if k <= 4.0:
-        raise DomainError(f"dhdk: closed form requires k > 4, got {k}")
-    z = 4.0 / k
-    return (ell_k(z) - 2.0 * z * ell_pi(-z, z)) / ((k - 4.0) * math.pi)
+    return derivative_grid("dhdk", [k]).item(0)
 
 
 def dhdk_integral_form(k: float, tol: float = 1e-10) -> float:

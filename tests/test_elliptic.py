@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scalar_reference as R
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -271,7 +272,8 @@ class TestImaginaryModulus:
 
 
 # ----------------------------------------------------------------------------
-# lockstep array kernels: bitwise equal to the scalar forms
+# lockstep array kernels: bitwise equal to the scalar duplication loops of
+# the reference
 
 
 def _bits(values) -> list[str]:
@@ -309,14 +311,14 @@ def _rj_quad(draw):
 @given(st.lists(_rf_triple, min_size=1, max_size=12))
 def test_rf_array_equals_scalar_bitwise(triples):
     x, y, z = (np.array(v) for v in zip(*triples))
-    assert _bits(elliptic._rf_array(x, y, z)) == _bits(carlson_rf(*t) for t in triples)
+    assert _bits(elliptic._rf_array(x, y, z)) == _bits(R.carlson_rf(*t) for t in triples)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_rj_quad(), min_size=1, max_size=12))
 def test_rj_array_equals_scalar_bitwise(quads):
     x, y, z, p = (np.array(v) for v in zip(*quads))
-    assert _bits(_rj_array(x, y, z, p)) == _bits(carlson_rj(*t) for t in quads)
+    assert _bits(_rj_array(x, y, z, p)) == _bits(R.carlson_rj(*t) for t in quads)
 
 
 def test_rj_draws_reach_the_rc_rewrite():
@@ -326,7 +328,7 @@ def test_rj_draws_reach_the_rc_rewrite():
     D = (sp + sx) * (sp + sy) * (sp + sz)
     assert -1.5 < delta / (D * D) < -0.5
     args = [np.array([v]) for v in (1.0, 2.0, 3.0, 1e-6)]
-    assert _bits(_rj_array(*args)) == _bits([carlson_rj(1.0, 2.0, 3.0, 1e-6)])
+    assert _bits(_rj_array(*args)) == _bits([R.carlson_rj(1.0, 2.0, 3.0, 1e-6)])
 
 
 #: characteristics: 0, the regime interior, n -> 1 (where E nears -1), and
@@ -358,7 +360,7 @@ def test_pi_plus_rk_array_equals_scalar_bitwise(pairs, r):
     lhs = pi + r * k
     for i, (ni, zi) in enumerate(pairs):
         try:
-            want_pi, want_k = ell_pi(ni, zi), ell_k(zi)
+            want_pi, want_k = R.ell_pi(ni, zi), R.ell_k(zi)
         except DomainError:
             assert math.isnan(lhs[i])  # NaN wherever the scalar forms raise
             continue
@@ -366,11 +368,13 @@ def test_pi_plus_rk_array_equals_scalar_bitwise(pairs, r):
 
 
 def test_scalar_pi_k_shares_one_rf(monkeypatch):
+    # the scalar Pi is a one-element call of the Pi/K core, which takes R_F
+    # from the R_F kernel once for Pi and K together
     calls = []
-    real = elliptic.carlson_rf
-    monkeypatch.setattr(elliptic, "carlson_rf", lambda *a: calls.append(a) or real(*a))
+    real = elliptic._rf_array
+    monkeypatch.setattr(elliptic, "_rf_array", lambda *a: calls.append(a) or real(*a))
     pi, k = ell_pi_k(-0.3, 0.7)
-    assert len(calls) == 1
+    assert len(calls) == 1 and calls[0][1].shape == (1,)
     monkeypatch.undo()
     assert (pi, k) == (ell_pi(-0.3, 0.7), ell_k(0.7))
     assert ell_pi_k(0.0, 0.7) == (ell_k(0.7), ell_k(0.7))
@@ -561,7 +565,7 @@ def test_rj_array_scaling_equals_scalar_bitwise(quads):
         got = _rj_array(*(np.array(v) for v in zip(*quads)))
     for value, args in zip(got, quads):
         try:
-            want = carlson_rj(*args)
+            want = R.carlson_rj(*args)
         except (ArithmeticError, DomainError):
             # a value beyond the doubles, or x, y and z spread too far for
             # the duplication even after scaling (see CHANGES.md)

@@ -452,12 +452,13 @@ class TestUndefinedFloatValues:
 
     def test_identity_lhs_computes_one_rf(self, cands, monkeypatch):
         from mahlerlab import elliptic
+        # Pi and K come from one one-element call of the R_F kernel
         calls = []
-        real = elliptic.carlson_rf
-        monkeypatch.setattr(elliptic, "carlson_rf", lambda *a: calls.append(a) or real(*a))
+        real = elliptic._rf_array
+        monkeypatch.setattr(elliptic, "_rf_array", lambda *a: calls.append(a) or real(*a))
         cubic = cands["cubic"]
         lhs = I.identity_lhs(cubic, 0.4, r=-0.3)
-        assert len(calls) == 1
+        assert len(calls) == 1 and calls[0][1].shape == (1,)
         p, q = cubic.p(0.4), cubic.q(0.4)
         assert lhs == ell_pi(p, q) + -0.3 * ell_k(q)
 
