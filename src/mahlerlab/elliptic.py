@@ -30,9 +30,15 @@ _HALF_PI = math.pi / 2.0
 #: largest argument R_F, R_D and R_J take as given: their stopping bounds,
 #: R_D's A^(3/2) and R_J's delta stay finite below these powers of 2
 _RF_BIG, _RD_BIG, _RJ_BIG = 2.0 ** 996, 2.0 ** 664, 2.0 ** 332
-#: smallest positive argument R_J takes as given: below it the square of its
-#: D = (sp + sx)(sp + sy)(sp + sz) can underflow
-_RJ_TINY = 2.0 ** -332
+#: smallest argument R_F takes as given as the largest of its three, and
+#: smallest positive argument R_D and R_J take as given: below it R_F's sums,
+#: R_D's z^(3/2) and the square of R_J's D = (sp + sx)(sp + sy)(sp + sz) can
+#: underflow
+_RF_TINY = _RD_TINY = _RJ_TINY = 2.0 ** -332
+#: the smallest normal double: a duplication whose scaled arguments, or
+#: R_J's D^2, fall below it has lost bits.  That happens only where the
+#: nonzero arguments spread over more than ~1e300 (R_J) or ~1e500 (R_D)
+_NORMAL = 2.0 ** -1022
 #: p above this multiple of x, y and z: there R_J = 3 R_F(x, y, z)/p to
 #: within sqrt(max(x, y, z)/p), while the duplication's D^2 underflows once
 #: the ratio passes ~1e200 even after scaling
@@ -57,12 +63,16 @@ def _scale_exponent(hi, big: float):
     return (np.frexp(hi)[1] - math.frexp(big)[1] + 2) // 2
 
 
-def _scaled(fn, halves: int, big: float, args: tuple[float, ...]) -> float:
-    """fn(*args) for fn homogeneous of degree -halves/2, from fn at args
-    scaled by the power of 4 that brings their largest into [big/4, big):
-    powers of 2 scale exactly."""
-    e = int(_scale_exponent(max(args), big))
-    return math.ldexp(fn(*(math.ldexp(v, -2 * e) for v in args)), -halves * e)
+def _checked(kind: str, args: tuple[float, ...], value: float, e: int = 0) -> float:
+    """value * 2**e, a Carlson form at args; a DomainError where the kernel
+    came back NaN (see the Carlson limits in the README) or that overflows."""
+    if math.isnan(value):
+        raise DomainError(f"{kind}: arguments spread too far apart for double precision, "
+                          f"got {args}")
+    try:
+        return math.ldexp(value, e)
+    except OverflowError:
+        raise DomainError(f"{kind}: the value overflows the doubles, got {args}") from None
 
 
 def carlson_rf(x: float, y: float, z: float) -> float:
@@ -71,7 +81,7 @@ def carlson_rf(x: float, y: float, z: float) -> float:
     x, y, z >= 0 with at most one of them zero.  Relative error <= 1e-14.
     """
     _check_nonneg("carlson_rf", x, y, z)
-    return _at(_rf_array, x, y, z)
+    return _checked("carlson_rf", (x, y, z), _at(_rf_array, x, y, z))
 
 
 def _rf_series(x, y, z, A):
@@ -134,12 +144,22 @@ def _rd_rj_series(X, Y, Z, P):
 
 
 def carlson_rd(x: float, y: float, z: float) -> float:
-    """Carlson R_D(x, y, z) = R_J(x, y, z, z); z > 0, at most one of x, y zero."""
+    """Carlson R_D(x, y, z) = R_J(x, y, z, z); z > 0, at most one of x, y zero.
+
+    Relative error <= 1e-14.  Arguments outside [2^-332, 2^664] are scaled by
+    the power of 4 that brings the largest into [2^662, 2^664); a DomainError
+    where that leaves a nonzero argument below the normal doubles, or where
+    the value overflows.
+    """
     if z <= 0.0:
         raise DomainError(f"carlson_rd: requires z > 0, got {z}")
     _check_nonneg("carlson_rd", x, y, z)
-    if max(x, y, z) > _RD_BIG:
-        return _scaled(carlson_rd, 3, _RD_BIG, (x, y, z))
+    args, e = (x, y, z), 0
+    if max(args) > _RD_BIG or min(v for v in args if v) < _RD_TINY:
+        e = int(_scale_exponent(max(args), _RD_BIG))
+        x, y, z = (math.ldexp(v, -2 * e) for v in args)
+        if e > 0 and math.ldexp(min(v for v in args if v), -2 * e) < _NORMAL:
+            return _checked("carlson_rd", args, math.nan)
     A = (x + y + 3.0 * z) / 5.0
     Q = (0.25 * _EPS) ** (-0.125) * max(abs(A - x), abs(A - y), abs(A - z))
     f = 1.0
@@ -160,20 +180,22 @@ def carlson_rd(x: float, y: float, z: float) -> float:
     Z = -(X + Y) / 3.0
     # R_D series is the R_J series with P = Z
     s = _rd_rj_series(X, Y, Z, Z)
-    return 3.0 * acc + s / (f * A * math.sqrt(A))
+    return _checked("carlson_rd", args, 3.0 * acc + s / (f * A * math.sqrt(A)), -3 * e)
 
 
 def carlson_rj(x: float, y: float, z: float, p: float) -> float:
     """Carlson R_J(x, y, z, p) = (3/2) int_0^inf dt / ((t+p) sqrt((t+x)(t+y)(t+z))).
 
     Requires x, y, z >= 0 with at most one zero, and p > 0 (the principal-value
-    case p < 0 is rejected).  Relative error <= 1e-13.
+    case p < 0 is rejected).  Relative error <= 1e-13.  A DomainError where
+    the arguments spread too far for the duplication to keep its bits (see
+    `_rj_array`), or where the value overflows.
     """
     _check_nonneg("carlson_rj", x, y, z)
     if not 0.0 < p < math.inf:
         raise DomainError(f"carlson_rj: requires finite p > 0, got {p}")
     value, e = _at(_rj_array, x, y, z, p)
-    return math.ldexp(value, -3 * e)
+    return _checked("carlson_rj", (x, y, z, p), value, -3 * e)
 
 
 def _at(kernel, *args: float):
@@ -184,41 +206,52 @@ def _at(kernel, *args: float):
     return tuple(v.item(0) for v in out) if isinstance(out, tuple) else out.item(0)
 
 
-def _rc_array(x, y) -> np.ndarray:
-    """R_C(x, y) per element for finite x >= 0, y > 0; NaN elsewhere."""
-    x, y = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y)))
-    ok = (0.0 <= x) & (x < math.inf) & (0.0 < y) & (y < math.inf)
+def _rc_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """R_C(x, y) per element of two arrays of one shape, for finite x >= 0,
+    y > 0; NaN at NaN arguments."""
     sx = np.sqrt(x)
-    out = np.where(ok & (x == y), 1.0 / sx, math.nan)
+    out = np.where(x == y, 1.0 / sx, math.nan)
     # at x = 0 the quotient is inf and its atan pi/2
-    up = ok & (x < y)
+    up = x < y
     s = np.sqrt(y[up] - x[up])
     out[up] = _each(math.atan, s / sx[up]) / s
-    down = ok & (y <= 0.5 * x)
-    s = np.sqrt(x[down] - y[down])
-    out[down] = _each(math.log, (sx[down] + s) / np.sqrt(y[down])) / s
+    down = (0.0 < y) & (y <= 0.5 * x)
+    s, sy = np.sqrt(x[down] - y[down]), np.sqrt(y[down])
+    q = (sx[down] + s) / sy
+    log_q = _each(math.log, q)
+    # the quotient overflows where y < ~x/2^1024: its log is taken in parts there
+    if (split := q == math.inf).any():
+        log_q[split] = _each(math.log, (sx[down] + s)[split]) - _each(math.log, sy[split])
+    out[down] = log_q / s
     # the log's argument nears 1 as y nears x; x - y is exact here
-    near = ok & (0.5 * x < y) & (y < x)
+    near = (0.5 * x < y) & (y < x)
     s = np.sqrt(x[near] - y[near])
     out[near] = _each(math.atanh, s / sx[near]) / s
     return out
+
+
+def _smallest_nonzero(*args: np.ndarray) -> np.ndarray:
+    return np.fmin.reduce([np.where(v > 0.0, v, np.inf) for v in args])
 
 
 def _rf_array(x, y, z) -> np.ndarray:
     """R_F per element for arguments in carlson_rf's domain; NaN where the
     stopping bound is not finite.
 
-    Arguments above 2^996 are scaled by the power of 4 that brings the
-    largest into [2^994, 2^996): powers of 2 scale exactly.  The duplication
-    steps run in lockstep and each element stops at its own step count.
+    Arguments whose largest lies outside [2^-332, 2^996] are scaled by the
+    power of 4 that brings it into [2^994, 2^996): powers of 2 scale exactly.
+    NaN also where that puts a nonzero argument below the normal doubles.
+    The duplication steps run in lockstep and each element stops at its own
+    step count.
     """
     x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z)))
     hi = np.fmax(np.fmax(x, y), z)
-    e = np.where(hi > _RF_BIG, _scale_exponent(hi, _RF_BIG), 0)
+    e = np.where((hi > _RF_BIG) | (hi < _RF_TINY), _scale_exponent(hi, _RF_BIG), 0)
+    lost = (e > 0) & (np.ldexp(_smallest_nonzero(x, y, z), -2 * e) < _NORMAL)
     x, y, z = (np.ldexp(v, -2 * e) for v in (x, y, z))
     A = (x + y + z) / 3.0
     Q = (3.0 * _EPS) ** (-0.125) * np.maximum(np.maximum(abs(A - x), abs(A - y)), abs(A - z))
-    live = np.isfinite(Q)
+    live = np.isfinite(Q) & ~lost
     f = np.ones_like(A)
     while (active := live & (Q >= f * abs(A))).any():
         sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
@@ -237,25 +270,26 @@ def _rj_array(x, y, z, p) -> tuple[np.ndarray, np.ndarray]:
     3 R_F(x, y, z)/p with e = 0 where p exceeds _RJ_SPREAD times x, y and z.
     Callers that scale the value further keep the 2**(-3e) to the end, since
     R_J itself can underflow.  Elements whose stopping bound is not finite
-    come back NaN.
+    come back NaN, and so do those that would lose bits below the normal
+    doubles: a nonzero argument scaled below them, or a duplication step's
+    D^2 (nonzero arguments more than ~1e300 apart).
     """
-    x, y, z, p = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z, p)))
+    given = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z, p)))
+    x, y, z, p = given
     far = p > _RJ_SPREAD * np.fmax(np.fmax(x, y), z)
     hi = np.fmax(np.fmax(x, y), np.fmax(z, p))
-    lo = np.fmin.reduce([np.where(v > 0.0, v, np.inf) for v in (x, y, z, p)])
+    lo = _smallest_nonzero(x, y, z, p)
     e = np.where(((hi > _RJ_BIG) | (lo < _RJ_TINY)) & ~far, _scale_exponent(hi, _RJ_BIG), 0)
+    lost = (e > 0) & (np.ldexp(lo, -2 * e) < _NORMAL)
     # the far elements take 3 R_F/p; 1.0 keeps them out of the duplication
-    v = _rj_duplication_array(*(np.where(far, 1.0, np.ldexp(a, -2 * e)) for a in (x, y, z, p)))
-    if far.any():
-        v[far] = 3.0 * _rf_array(x[far], y[far], z[far]) / p[far]
-    return v, e
-
-
-def _rj_duplication_array(x, y, z, p) -> np.ndarray:
+    x, y, z, p = (np.where(far, 1.0, np.where(lost, math.nan, np.ldexp(a, -2 * e))) for a in given)
     A = (x + y + z + 2.0 * p) / 5.0
     A0 = A
     x0, y0, z0 = x, y, z
-    delta = (p - x) * (p - y) * (p - z)
+    # (p - x)(p - y) underflows only where p, x and y lie far below z: the
+    # product is then taken with p - z first
+    pxy = (p - x) * (p - y)
+    delta = np.where(abs(pxy) < _NORMAL, (p - x) * ((p - y) * (p - z)), pxy * (p - z))
     Q = (0.2 * _EPS) ** (-0.125) * np.maximum(
         np.maximum(abs(A - x), abs(A - y)), np.maximum(abs(A - z), abs(A - p))
     )
@@ -265,12 +299,15 @@ def _rj_duplication_array(x, y, z, p) -> np.ndarray:
     while (active := live & (Q >= f * abs(A))).any():
         sx, sy, sz, sp = np.sqrt(x), np.sqrt(y), np.sqrt(z), np.sqrt(p)
         D = (sp + sx) * (sp + sy) * (sp + sz)
-        E = delta / (D * D)
+        DD = D * D
+        live &= (DD >= _NORMAL) | ~active
+        E = delta / DD
         # R_C(1, 1+E) rewritten to dodge cancellation near E = -1
         y_rc = np.where(
             (-1.5 < E) & (E < -0.5), 2.0 * sp * (p + sx * (sy + sz) + sy * sz) / D, 1.0 + E
         )
-        acc[active] += (1.0 / (f * D))[active] * _rc_array(1.0, y_rc[active])
+        y_rc = y_rc[active]
+        acc[active] += (1.0 / (f * D))[active] * _rc_array(np.ones_like(y_rc), y_rc)
         lam = sx * sy + sx * sz + sy * sz
         x, y, z, p, A = (np.where(active, 0.25 * (v + lam), v) for v in (x, y, z, p, A))
         delta = np.where(active, delta / 64.0, delta)
@@ -279,8 +316,11 @@ def _rj_duplication_array(x, y, z, p) -> np.ndarray:
     Y = (A0 - y0) / (f * A)
     Z = (A0 - z0) / (f * A)
     P = -0.5 * (X + Y + Z)
-    s = _rd_rj_series(X, Y, Z, P)
-    return np.where(live, s / (f * A * np.sqrt(A)) + 6.0 * acc, math.nan)
+    v = np.where(live, _rd_rj_series(X, Y, Z, P) / (f * A * np.sqrt(A)) + 6.0 * acc, math.nan)
+    if far.any():
+        x, y, z, p = (a[far] for a in given)
+        v[far] = 3.0 * _rf_array(x, y, z) / p
+    return v, e
 
 
 def ell_k(z: float) -> float:
@@ -378,6 +418,9 @@ def ell_k_imag(m: float) -> float:
     _check_finite("ell_k_imag", m)
     if m < 0.0:
         raise DomainError(f"ell_k_imag: requires m >= 0, got {m}")
+    if 1.0 + m * m == math.inf:
+        # K = log(4m)/m to within a relative log(m)/m^2, below 1e-300 here
+        return (math.log(4.0) + math.log(m)) / m
     return carlson_rf(0.0, 1.0 + m * m, 1.0)
 
 
@@ -389,4 +432,9 @@ def ell_pi_imag(n: float, m: float) -> float:
         raise DomainError(f"ell_pi_imag: characteristic n must be < 1, got {n}")
     if m < 0.0:
         raise DomainError(f"ell_pi_imag: requires m >= 0, got {m}")
-    return _at(_pi_k_array, n, -(m * m), 1.0 + m * m)[0]
+    pi = _at(_pi_k_array, n, -(m * m), 1.0 + m * m)[0]
+    if math.isnan(pi):
+        # 1 + m^2 overflows, or R_J's D^2 underflows: its arguments 1 + m^2,
+        # 1 and 1 - n spread too far apart (m beyond ~1e148 to ~1e151)
+        raise DomainError(f"ell_pi_imag: m = {m} too large for double precision at n = {n}")
+    return pi

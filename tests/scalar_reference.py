@@ -22,7 +22,9 @@ from typing import Callable, Sequence
 from mahlerlab import mahler as M
 from mahlerlab.elliptic import (
     _EPS,
+    _NORMAL,
     _RF_BIG,
+    _RF_TINY,
     _RJ_BIG,
     _RJ_SPREAD,
     _RJ_TINY,
@@ -32,7 +34,7 @@ from mahlerlab.elliptic import (
     _rd_rj_series,
     _rf_series,
     _scale_exponent,
-    _scaled,
+    _checked,
 )
 from mahlerlab.errors import AccuracyError, DivergenceError, DomainError
 from mahlerlab.quadrature import _HALF_PI, _MAX_LEVEL, _T_MAX
@@ -182,13 +184,25 @@ def half_measures(fac: M.QuadraticFactorization, tol: float = 1e-8) -> M.HalfMea
 
 
 # ----------------------------------------------------------------------------
-# the scalar Carlson duplication loops
+# the scalar Carlson duplication loops, with the kernels' limits: DomainError
+# where a kernel comes back NaN on arguments its entry point accepts
+
+
+def _scaled(fn, halves: int, big: float, args: tuple[float, ...]) -> float:
+    """fn(*args) for fn homogeneous of degree -halves/2, from fn at args
+    scaled by the power of 4 that brings their largest into [big/4, big):
+    powers of 2 scale exactly."""
+    e = int(_scale_exponent(max(args), big))
+    return math.ldexp(fn(*(math.ldexp(v, -2 * e) for v in args)), -halves * e)
 
 
 def carlson_rf(x: float, y: float, z: float) -> float:
     """Carlson R_F(x, y, z) = (1/2) int_0^inf dt / sqrt((t+x)(t+y)(t+z))."""
     _check_nonneg("carlson_rf", x, y, z)
-    if max(x, y, z) > _RF_BIG:
+    if max(x, y, z) > _RF_BIG or max(x, y, z) < _RF_TINY:
+        e = int(_scale_exponent(max(x, y, z), _RF_BIG))
+        if e > 0 and math.ldexp(min(v for v in (x, y, z) if v), -2 * e) < _NORMAL:
+            return _checked("carlson_rf", (x, y, z), math.nan)
         return _scaled(carlson_rf, 1, _RF_BIG, (x, y, z))
     A = (x + y + z) / 3.0
     Q = (3.0 * _EPS) ** (-0.125) * max(abs(A - x), abs(A - y), abs(A - z))
@@ -218,7 +232,10 @@ def carlson_rc(x: float, y: float) -> float:
     s = math.sqrt(x - y)
     if y > 0.5 * x:
         return math.atanh(s / math.sqrt(x)) / s
-    return math.log((math.sqrt(x) + s) / math.sqrt(y)) / s
+    q = (math.sqrt(x) + s) / math.sqrt(y)
+    if q == math.inf:
+        return (math.log(math.sqrt(x) + s) - math.log(math.sqrt(y))) / s
+    return math.log(q) / s
 
 
 def carlson_rj(x: float, y: float, z: float, p: float) -> float:
@@ -226,30 +243,39 @@ def carlson_rj(x: float, y: float, z: float, p: float) -> float:
     _check_nonneg("carlson_rj", x, y, z)
     if not 0.0 < p < math.inf:
         raise DomainError(f"carlson_rj: requires finite p > 0, got {p}")
-    value, e = _rj_scaled(x, y, z, p)
-    return math.ldexp(value, -3 * e)
+    try:
+        value, e = _rj_scaled(x, y, z, p)
+    except DomainError:
+        value, e = math.nan, 0
+    return _checked("carlson_rj", (x, y, z, p), value, -3 * e)
 
 
 def _rj_scaled(x: float, y: float, z: float, p: float) -> tuple[float, int]:
     """(v, e) with R_J(x, y, z, p) = 2**(-3e) v: v is R_J at the arguments
     times 4**-e, where e = 0 unless one of them lies outside [_RJ_TINY,
     _RJ_BIG] (a zero x, y or z aside), and v is 3 R_F(x, y, z)/p with e = 0
-    where p exceeds _RJ_SPREAD times x, y and z."""
+    where p exceeds _RJ_SPREAD times x, y and z.  DomainError where a
+    nonzero argument is scaled below the normal doubles."""
     args = (x, y, z, p)
     if p > _RJ_SPREAD * max(x, y, z):
         return 3.0 * carlson_rf(x, y, z) / p, 0
     if max(args) <= _RJ_BIG and min(v for v in args if v) >= _RJ_TINY:
         return _rj(*args), 0
     e = int(_scale_exponent(max(args), _RJ_BIG))
+    if e > 0 and math.ldexp(min(v for v in args if v), -2 * e) < _NORMAL:
+        raise DomainError("spread")
     return _rj(*(math.ldexp(v, -2 * e) for v in args)), e
 
 
 def _rj(x: float, y: float, z: float, p: float) -> float:
-    """R_J by duplication."""
+    """R_J by duplication; DomainError where a step's D^2 falls below the
+    normal doubles."""
     A = (x + y + z + 2.0 * p) / 5.0
     A0 = A
     x0, y0, z0 = x, y, z
     delta = (p - x) * (p - y) * (p - z)
+    if abs((p - x) * (p - y)) < _NORMAL:
+        delta = (p - x) * ((p - y) * (p - z))
     Q = (0.2 * _EPS) ** (-0.125) * max(
         abs(A - x), abs(A - y), abs(A - z), abs(A - p)
     )
@@ -258,6 +284,8 @@ def _rj(x: float, y: float, z: float, p: float) -> float:
     while Q >= f * abs(A):
         sx, sy, sz, sp = math.sqrt(x), math.sqrt(y), math.sqrt(z), math.sqrt(p)
         D = (sp + sx) * (sp + sy) * (sp + sz)
+        if D * D < _NORMAL:
+            raise DomainError("spread")
         E = delta / (D * D)
         if -1.5 < E < -0.5:
             # rewrite R_C(1, 1+E) to dodge cancellation near E = -1
@@ -333,6 +361,8 @@ def ell_k_imag(m: float) -> float:
     _check_finite("ell_k_imag", m)
     if m < 0.0:
         raise DomainError(f"ell_k_imag: requires m >= 0, got {m}")
+    if 1.0 + m * m == math.inf:
+        return (math.log(4.0) + math.log(m)) / m
     return carlson_rf(0.0, 1.0 + m * m, 1.0)
 
 
@@ -343,4 +373,9 @@ def ell_pi_imag(n: float, m: float) -> float:
         raise DomainError(f"ell_pi_imag: characteristic n must be < 1, got {n}")
     if m < 0.0:
         raise DomainError(f"ell_pi_imag: requires m >= 0, got {m}")
-    return _pi_k(n, -(m * m), 1.0 + m * m)[0]
+    try:
+        return _pi_k(n, -(m * m), 1.0 + m * m)[0]
+    except DomainError:
+        raise DomainError(
+            f"ell_pi_imag: m = {m} too large for double precision at n = {n}"
+        ) from None

@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -367,6 +368,62 @@ def test_pi_plus_rk_array_equals_scalar_bitwise(pairs, r):
         assert _bits([pi[i], k[i], lhs[i]]) == _bits([want_pi, want_k, want_pi + r * want_k])
 
 
+def _outcome(fn, args):
+    """fn(*args) as the bits of its value or values, or its error's type
+    and message."""
+    try:
+        value = fn(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return _bits(value if isinstance(value, tuple) else [value])
+
+
+#: magnitudes over the whole normal range of the doubles, and the edges
+_any_mag = st.one_of(st.floats(-307.0, 307.0).map(lambda e: 10.0 ** e),
+                     st.sampled_from([5e-324, sys.float_info.min, sys.float_info.max]))
+#: the entry points over the lockstep kernels, with draws across their domains
+_ENTRY_DRAWS = {
+    "carlson_rf": _with_a_zero(_any_mag),
+    "carlson_rj": st.tuples(_with_a_zero(_any_mag), _any_mag).map(lambda t: (*t[0], t[1])),
+    "carlson_rc": st.tuples(st.one_of(st.just(0.0), _any_mag), _any_mag),
+    "ell_k": _z.map(lambda z: (z,)),
+    "ell_pi": st.tuples(_n, _z),
+    "ell_pi_k": st.tuples(_n, _z),
+    "ell_k_imag": st.one_of(st.just(0.0), _any_mag).map(lambda m: (m,)),
+    "ell_pi_imag": st.tuples(_n, st.one_of(st.just(0.0), _any_mag)),
+}
+
+
+@pytest.mark.parametrize("name", list(_ENTRY_DRAWS))
+def test_entry_points_give_the_reference_bits(name):
+    # each scalar entry point is a one-element call of the kernels: the
+    # scalar loops' bits, or their error's type and message
+    @settings(max_examples=30, deadline=None)
+    @given(_ENTRY_DRAWS[name])
+    def check(args):
+        assert _outcome(getattr(elliptic, name), args) == _outcome(getattr(R, name), args)
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "name,args",
+    [("carlson_rf", (0.0, 0.0, 1.0)), ("carlson_rf", (-1.0, 1.0, 1.0)),
+     ("carlson_rf", (0.0, 1.0, math.inf)), ("carlson_rj", (1.0, 1.0, 1.0, 0.0)),
+     ("carlson_rj", (1.0, 1.0, 1.0, -0.5)), ("carlson_rj", (0.0, 0.75, 1.0, math.inf)),
+     ("carlson_rc", (1.0, 0.0)), ("carlson_rc", (-1.0, 1.0)), ("carlson_rc", (1.0, math.nan)),
+     ("ell_k", (1.0,)), ("ell_k", (-0.25,)), ("ell_k", (math.nan,)),
+     ("ell_pi", (1.0, 0.5)), ("ell_pi", (0.5, 1.0)), ("ell_pi", (0.5, -0.25)),
+     ("ell_pi", (-math.inf, 0.5)), ("ell_pi_k", (1.5, 0.5)), ("ell_k_imag", (-1.0,)),
+     ("ell_k_imag", (math.inf,)), ("ell_pi_imag", (1.2, 0.5)), ("ell_pi_imag", (0.2, -1.0)),
+     ("ell_pi_imag", (0.2, math.nan))],
+)
+def test_entry_points_raise_like_the_reference(name, args):
+    got = _outcome(getattr(elliptic, name), args)
+    assert got == _outcome(getattr(R, name), args)
+    assert got[0] in ("DomainError", "DivergenceError")
+
+
 def test_scalar_pi_k_shares_one_rf(monkeypatch):
     # the scalar Pi is a one-element call of the Pi/K core, which takes R_F
     # from the R_F kernel once for Pi and K together
@@ -468,6 +525,84 @@ def test_rj_against_mpmath(args):
         assert _rel_err(carlson_rj(*args), mpmath.elliprj(*args)) <= 1e-13
 
 
+@pytest.mark.parametrize(
+    "fn,args,bound",
+    [
+        # mpmath's own elliprj loses digits here at 40 digits (6.5e-10 and 5%
+        # off); at 100 digits it agrees with carlson_rj to 1e-16
+        (carlson_rj, (1.0, 2.0, 3.0, 1e-80), 1e-13),
+        (carlson_rj, (1.0, 2.0, 3.0, 1e-100), 1e-13),
+        # (sqrt(x) + s)/sqrt(y) overflowed to inf
+        (carlson_rc, (1e308, 1e-308), 1e-14),
+        # delta's first two factors underflowed: 27% off
+        (carlson_rj, (0.0, 5.3311068685123795e85, 6.314179330859353e263, 2.0098344086380988e-107), 1e-13),
+    ],
+)
+def test_carlson_pinned_cases_against_mpmath(fn, args, bound):
+    mpmath = pytest.importorskip("mpmath")
+    ref = getattr(mpmath, {carlson_rj: "elliprj", carlson_rc: "elliprc"}[fn])
+    with mpmath.workdps(100):
+        assert _rel_err(fn(*args), ref(*args)) <= bound
+
+
+@pytest.mark.parametrize(
+    "fn,args,why",
+    [
+        # 5.6% off: the scaling put 6.14e-267 into the subnormals
+        (carlson_rd, (8.66e255, 9.35e-289, 6.14e-267), "spread too far"),
+        # a bare ZeroDivisionError; the value, 3.0e150, needs a D^2 below the doubles
+        (carlson_rj, (0.0, 1e-300, 1e300, 1e-300), "spread too far"),
+        # bare ZeroDivisionError and OverflowError; the values are 8.8e422 and 6.9e345
+        (carlson_rd, (0.0, 7.3e-273, 4.0e-287), "value overflows"),
+        (carlson_rj, (0.0, 7.30e-273, 4.01e-287, 9.02e-209), "value overflows"),
+        # 0.0 and 5e-324 were scaled to two zeros
+        (carlson_rf, (0.0, 5e-324, sys.float_info.max), "spread too far"),
+    ],
+)
+def test_carlson_pinned_cases_beyond_the_doubles_are_domain_errors(fn, args, why):
+    with pytest.raises(DomainError, match=why):
+        fn(*args)
+
+
+#: magnitudes log-uniform over [1e-307, 1e307]
+_log_uniform = st.floats(-307.0, 307.0).map(lambda e: 10.0 ** e)
+#: form, its mpmath name, draws over its domain, and its documented bound
+_ORACLE = {
+    "rf": (carlson_rf, "elliprf", _with_a_zero(_log_uniform), 1e-14),
+    "rj": (carlson_rj, "elliprj",
+           st.tuples(_with_a_zero(_log_uniform), _log_uniform).map(lambda t: (*t[0], t[1])), 1e-13),
+    "rd": (carlson_rd, "elliprd",
+           st.tuples(_with_a_zero(_log_uniform, 2), _log_uniform).map(lambda t: (*t[0], t[1])), 1e-14),
+    "rc": (carlson_rc, "elliprc", st.tuples(st.one_of(st.just(0.0), _log_uniform), _log_uniform), 1e-14),
+}
+
+
+@pytest.mark.parametrize("form", list(_ORACLE))
+def test_carlson_log_uniform_within_bound_or_domain_error(form):
+    # every draw is within the documented bound, or a DomainError names the
+    # spread or the overflow; draws whose value underflows are skipped
+    mpmath = pytest.importorskip("mpmath")
+    fn, name, draws, bound = _ORACLE[form]
+
+    @settings(max_examples=40, deadline=None)
+    @given(draws)
+    def check(args):
+        try:
+            value = fn(*args)
+        except DomainError:
+            return
+        # mpmath's duplication loses about as many digits as the arguments
+        # spread over: R_J(1, 1, 1e22, 1e-193) is 1e-13 off at 100 digits
+        nonzero = [v for v in args if v]
+        with mpmath.workdps(50 + math.ceil(math.log10(max(nonzero)) - math.log10(min(nonzero)))):
+            ref = getattr(mpmath, name)(*args)
+        assert abs(ref) <= sys.float_info.max  # a value beyond the doubles raises
+        assume(abs(ref) >= sys.float_info.min)
+        assert _rel_err(value, ref) <= bound
+
+    check()
+
+
 # ----------------------------------------------------------------------------
 # arguments that overflowed the duplication: scaled by a power of 4
 
@@ -514,6 +649,30 @@ def test_former_hang_on_the_command_line():
     value = float(next(csv.DictReader(proc.stdout.splitlines()))["computed"])
     with mpmath.workdps(30):
         assert _rel_err(value, mpmath.ellipk(-mpmath.mpf(1.3e154) ** 2)) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [1.35e154, 1e160, 1e250, 1.7e308])
+def test_k_imag_where_one_plus_m_squared_overflows_equals_mpmath(m):
+    # 1 + m^2 overflowed, and R_F rejected its infinite argument; there K is
+    # log(4m)/m to far below an ulp
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        assert ell_k_imag(m) == float(mpmath.ellipk(-mpmath.mpf(m) ** 2))
+
+
+@pytest.mark.parametrize("n,m", [(0.5, 1e160), (-0.5, 1.7e308), (0.99, 1.3e154), (0.5, 1e153)])
+def test_pi_imag_beyond_its_range_names_m(n, m):
+    # 1 + m^2 overflowed in the first two, and R_J's D^2 underflows in the
+    # last two, which came out 4.5e-8 and 3.2e-14 off
+    with pytest.raises(DomainError, match=re.escape(f"m = {m!r} too large")):
+        ell_pi_imag(n, m)
+
+
+@pytest.mark.parametrize("n,m", [(0.5, 1e150), (0.99, 1e140), (-0.9, 1e151)])
+def test_pi_imag_at_large_modulus_within_range_against_mpmath(n, m):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        assert _rel_err(ell_pi_imag(n, m), mpmath.ellippi(n, -mpmath.mpf(m) ** 2)) <= 2e-15
 
 
 @pytest.mark.parametrize("p", [1e103, 1e150, 1e200])
@@ -566,9 +725,9 @@ def test_rj_array_scaling_equals_scalar_bitwise(quads):
     for value, args in zip(got, quads):
         try:
             want = R.carlson_rj(*args)
-        except (ArithmeticError, DomainError):
-            # a value beyond the doubles, or x, y and z spread too far for
-            # the duplication even after scaling (see CHANGES.md)
+        except DomainError:
+            # a value beyond the doubles, or arguments spread too far for
+            # the duplication to keep its bits even after scaling
             assert not math.isfinite(value)
             continue
         assert _bits([value]) == _bits([want])

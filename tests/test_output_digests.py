@@ -65,6 +65,9 @@ DIGESTS = [
     ("ell --kind E --z 1.5", "e5c9ebab52d2349aef0ef9731023c63efafe8352f36694ef128269dff97a8519"),
     ("ell --kind K --z 1", "97e72af6dc160c91f0d914b44728ddaec5f03dcdb613442a94f0bec4744ea58e"),
     ("ell --kind Pi-imag --n 2 --m 0.5", "4bd66c3b24938a7b6420c5f486d3e2355a40b35368e726c3c4af9a1dca8592aa"),
+    # where 1 + m^2 overflows: K(i m) = log(4m)/m, and a DomainError naming m for Pi
+    ("ell --kind K-imag --m 1e160 --format json", "331a6428815633724bebbbd1f26952b6252f679aa3e831e1c5c29edac319ebdb"),
+    ("ell --kind Pi-imag --n 0.5 --m 1e160", "9232b663a84613de89da9202c4ac5ff5fcb9822d6bce02e8de9de3f03f0f283b"),
 ]
 
 
