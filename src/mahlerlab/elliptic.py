@@ -27,17 +27,13 @@ from .quadrature import _each
 
 _EPS = 2.220446049250313e-16
 _HALF_PI = math.pi / 2.0
-#: largest argument R_F, R_D and R_J take as given: their stopping bounds,
-#: R_D's A^(3/2) and R_J's delta stay finite below these powers of 2
+#: the window R_F, R_D and R_J take their arguments in as given: above it
+#: their stopping bounds, R_D's A^(3/2) and R_J's delta overflow; below it
+#: R_F's sums (of its largest argument), R_D's z^(3/2) and R_J's D^2 underflow
 _RF_BIG, _RD_BIG, _RJ_BIG = 2.0 ** 996, 2.0 ** 664, 2.0 ** 332
-#: smallest argument R_F takes as given as the largest of its three, and
-#: smallest positive argument R_D and R_J take as given: below it R_F's sums,
-#: R_D's z^(3/2) and the square of R_J's D = (sp + sx)(sp + sy)(sp + sz) can
-#: underflow
 _RF_TINY = _RD_TINY = _RJ_TINY = 2.0 ** -332
-#: the smallest normal double: a duplication whose scaled arguments, or
-#: R_J's D^2, fall below it has lost bits.  That happens only where the
-#: nonzero arguments spread over more than ~1e300 (R_J) or ~1e500 (R_D)
+#: the smallest normal double: a duplication whose scaled arguments, or R_J's
+#: D^2, fall below it has lost bits
 _NORMAL = 2.0 ** -1022
 #: p above this multiple of x, y and z: there R_J = 3 R_F(x, y, z)/p to
 #: within sqrt(max(x, y, z)/p), while the duplication's D^2 underflows once
@@ -269,10 +265,9 @@ def _rj_array(x, y, z, p) -> tuple[np.ndarray, np.ndarray]:
     lies outside [_RJ_TINY, _RJ_BIG] (a zero x, y or z aside), and v is
     3 R_F(x, y, z)/p with e = 0 where p exceeds _RJ_SPREAD times x, y and z.
     Callers that scale the value further keep the 2**(-3e) to the end, since
-    R_J itself can underflow.  Elements whose stopping bound is not finite
-    come back NaN, and so do those that would lose bits below the normal
-    doubles: a nonzero argument scaled below them, or a duplication step's
-    D^2 (nonzero arguments more than ~1e300 apart).
+    R_J itself can underflow.  NaN where the stopping bound is not finite,
+    or where a nonzero argument is scaled, or a step's D^2 falls, below the
+    normal doubles (nonzero arguments more than ~1e300 apart).
     """
     given = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z, p)))
     x, y, z, p = given
@@ -371,12 +366,9 @@ def _pi_through_n(n, m, zc, rf, rj):
     """Pi(n) at parameter m (z^2, or -m^2 at imaginary modulus) and zc =
     1 - m by the characteristic N = (m - n)/(1 - n), whose 1 - N is
     zc/(1 - n), from rf = R_F(0, zc, 1) and rj = R_J(0, zc, 1, zc/(1 - n)).
-
-    Pi takes this route where n < -1 and m - n >= zc, which at real modulus
-    is wherever n < -1: there rf + (n/3) R_J(0, zc, 1, 1 - n) cancels,
-    losing about eps sqrt(-n/zc).  `_pi_k_array` takes R_J at its arguments
-    times the 4**-e that brings max(zc, 1) into R_J's window, dividing by
-    1 - n only then: zc/(1 - n) itself can be subnormal."""
+    Pi takes this route where n < -1 and m - n >= zc (at real modulus,
+    wherever n < -1): there rf + (n/3) R_J(0, zc, 1, 1 - n) cancels, losing
+    about eps sqrt(-n/zc)."""
     N = (m - n) / (1.0 - n)
     # one division by m - n, last: zc/(m - n) alone can be subnormal
     return ((-n / (1.0 - n)) * zc * (rf + (N / 3.0) * rj) + m * rf) / (m - n)
@@ -387,7 +379,9 @@ def _pi_k_array(n, m, zc) -> tuple[np.ndarray, np.ndarray]:
     from one R_F; NaN where zc is NaN."""
     rf = _rf_array(0.0, zc, 1.0)
     far = (n < -1.0) & (m - n >= zc)
-    # e = 0 leaves the other elements as given
+    # R_J of the far elements at its arguments times the 4**-e that brings
+    # max(zc, 1) into its window, dividing by 1 - n only then: zc/(1 - n)
+    # itself can be subnormal; e = 0 leaves the other elements as given
     e = np.where(far, _scale_exponent(np.fmax(zc, 1.0), _RJ_BIG), 0)
     s = np.ldexp(1.0, -2 * e)
     v, e_rj = _rj_array(0.0, zc * s, s, np.where(far, zc * s / (1.0 - n), 1.0 - n))
