@@ -26,7 +26,6 @@ from .errors import DivergenceError, DomainError
 from .quadrature import _each
 
 _EPS = 2.220446049250313e-16
-_HALF_PI = math.pi / 2.0
 #: the window R_F, R_D and R_J take their arguments in as given: above it
 #: their stopping bounds, R_D's A^(3/2) and R_J's delta overflow; below it
 #: R_F's sums (of its largest argument), R_D's z^(3/2) and R_J's D^2 underflow
@@ -202,27 +201,27 @@ def _at(kernel, *args: float):
     return tuple(v.item(0) for v in out) if isinstance(out, tuple) else out.item(0)
 
 
-def _rc_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """R_C(x, y) per element of two arrays of one shape, for finite x >= 0,
-    y > 0; NaN at NaN arguments."""
+def _rc_array(x, y: np.ndarray) -> np.ndarray:
+    """R_C(x, y) per element, x a float or an array like y, for finite
+    x >= 0, y > 0; NaN at NaN arguments."""
     sx = np.sqrt(x)
-    out = np.where(x == y, 1.0 / sx, math.nan)
+    s = np.sqrt(abs(x - y))
     # at x = 0 the quotient is inf and its atan pi/2
+    r = s / sx
+    out = np.where(x == y, 1.0 / sx, math.nan)
     up = x < y
-    s = np.sqrt(y[up] - x[up])
-    out[up] = _each(math.atan, s / sx[up]) / s
+    out[up] = _each(math.atan, r[up]) / s[up]
+    # the log's argument nears 1 as y nears x; x - y is exact here
+    near = (0.5 * x < y) & (y < x)
+    out[near] = _each(math.atanh, r[near]) / s[near]
     down = (0.0 < y) & (y <= 0.5 * x)
-    s, sy = np.sqrt(x[down] - y[down]), np.sqrt(y[down])
-    q = (sx[down] + s) / sy
+    num, sy = (sx + s)[down], np.sqrt(y[down])
+    q = num / sy
     log_q = _each(math.log, q)
     # the quotient overflows where y < ~x/2^1024: its log is taken in parts there
     if (split := q == math.inf).any():
-        log_q[split] = _each(math.log, (sx[down] + s)[split]) - _each(math.log, sy[split])
-    out[down] = log_q / s
-    # the log's argument nears 1 as y nears x; x - y is exact here
-    near = (0.5 * x < y) & (y < x)
-    s = np.sqrt(x[near] - y[near])
-    out[near] = _each(math.atanh, s / sx[near]) / s
+        log_q[split] = _each(math.log, num[split]) - _each(math.log, sy[split])
+    out[down] = log_q / s[down]
     return out
 
 
@@ -249,11 +248,14 @@ def _rf_array(x, y, z) -> np.ndarray:
     Q = (3.0 * _EPS) ** (-0.125) * np.maximum(np.maximum(abs(A - x), abs(A - y)), abs(A - z))
     live = np.isfinite(Q) & ~lost
     f = np.ones_like(A)
-    while (active := live & (Q >= f * abs(A))).any():
-        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+    # the rows x, y, z and A take each duplication step together
+    V = np.array([x, y, z, A])
+    while (active := live & (Q >= f * abs(V[3]))).any():
+        sx, sy, sz = np.sqrt(V[:3])
         lam = sx * sy + sx * sz + sy * sz
-        x, y, z, A = (np.where(active, 0.25 * (v + lam), v) for v in (x, y, z, A))
+        V = np.where(active, 0.25 * (V + lam), V)
         f = np.where(active, f * 4.0, f)
+    x, y, z, A = V
     return np.ldexp(np.where(live, _rf_series(x, y, z, A) / np.sqrt(A), math.nan), -e)
 
 
@@ -291,8 +293,11 @@ def _rj_array(x, y, z, p) -> tuple[np.ndarray, np.ndarray]:
     live = np.isfinite(Q)
     f = np.ones_like(A)
     acc = np.zeros_like(A)
-    while (active := live & (Q >= f * abs(A))).any():
-        sx, sy, sz, sp = np.sqrt(x), np.sqrt(y), np.sqrt(z), np.sqrt(p)
+    # the rows x, y, z, p and A take each duplication step together
+    V = np.array([x, y, z, p, A])
+    while (active := live & (Q >= f * abs(V[4]))).any():
+        sx, sy, sz, sp = np.sqrt(V[:4])
+        p = V[3]
         D = (sp + sx) * (sp + sy) * (sp + sz)
         DD = D * D
         live &= (DD >= _NORMAL) | ~active
@@ -301,12 +306,12 @@ def _rj_array(x, y, z, p) -> tuple[np.ndarray, np.ndarray]:
         y_rc = np.where(
             (-1.5 < E) & (E < -0.5), 2.0 * sp * (p + sx * (sy + sz) + sy * sz) / D, 1.0 + E
         )
-        y_rc = y_rc[active]
-        acc[active] += (1.0 / (f * D))[active] * _rc_array(np.ones_like(y_rc), y_rc)
+        acc[active] += (1.0 / (f * D))[active] * _rc_array(1.0, y_rc[active])
         lam = sx * sy + sx * sz + sy * sz
-        x, y, z, p, A = (np.where(active, 0.25 * (v + lam), v) for v in (x, y, z, p, A))
+        V = np.where(active, 0.25 * (V + lam), V)
         delta = np.where(active, delta / 64.0, delta)
         f = np.where(active, f * 4.0, f)
+    A = V[4]
     X = (A0 - x0) / (f * A)
     Y = (A0 - y0) / (f * A)
     Z = (A0 - z0) / (f * A)

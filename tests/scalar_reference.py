@@ -30,11 +30,11 @@ from mahlerlab.elliptic import (
     _RJ_TINY,
     _check_finite,
     _check_nonneg,
+    _checked,
     _pi_through_n,
     _rd_rj_series,
     _rf_series,
     _scale_exponent,
-    _checked,
 )
 from mahlerlab.errors import AccuracyError, DivergenceError, DomainError
 from mahlerlab.quadrature import _HALF_PI, _MAX_LEVEL, _T_MAX
