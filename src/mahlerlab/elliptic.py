@@ -194,8 +194,7 @@ def carlson_rj(x: float, y: float, z: float, p: float) -> float:
 
 
 def _at(kernel, *args: float):
-    """A lockstep kernel at one point: its value, or its tuple of values, as
-    Python scalars."""
+    """A lockstep kernel at one point, its value or values as Python scalars."""
     with np.errstate(all="ignore"):
         out = kernel(*(np.array([a], dtype=float) for a in args))
     return tuple(v.item(0) for v in out) if isinstance(out, tuple) else out.item(0)
@@ -255,8 +254,7 @@ def _rf_array(x, y, z) -> np.ndarray:
         lam = sx * sy + sx * sz + sy * sz
         V = np.where(active, 0.25 * (V + lam), V)
         f = np.where(active, f * 4.0, f)
-    x, y, z, A = V
-    return np.ldexp(np.where(live, _rf_series(x, y, z, A) / np.sqrt(A), math.nan), -e)
+    return np.ldexp(np.where(live, _rf_series(*V) / np.sqrt(V[3]), math.nan), -e)
 
 
 def _rj_array(x, y, z, p) -> tuple[np.ndarray, np.ndarray]:
@@ -281,8 +279,6 @@ def _rj_array(x, y, z, p) -> tuple[np.ndarray, np.ndarray]:
     # the far elements take 3 R_F/p; 1.0 keeps them out of the duplication
     x, y, z, p = (np.where(far, 1.0, np.where(lost, math.nan, np.ldexp(a, -2 * e))) for a in given)
     A = (x + y + z + 2.0 * p) / 5.0
-    A0 = A
-    x0, y0, z0 = x, y, z
     # (p - x)(p - y) underflows only where p, x and y lie far below z: the
     # product is then taken with p - z first
     pxy = (p - x) * (p - y)
@@ -297,26 +293,24 @@ def _rj_array(x, y, z, p) -> tuple[np.ndarray, np.ndarray]:
     V = np.array([x, y, z, p, A])
     while (active := live & (Q >= f * abs(V[4]))).any():
         sx, sy, sz, sp = np.sqrt(V[:4])
-        p = V[3]
         D = (sp + sx) * (sp + sy) * (sp + sz)
         DD = D * D
         live &= (DD >= _NORMAL) | ~active
         E = delta / DD
         # R_C(1, 1+E) rewritten to dodge cancellation near E = -1
         y_rc = np.where(
-            (-1.5 < E) & (E < -0.5), 2.0 * sp * (p + sx * (sy + sz) + sy * sz) / D, 1.0 + E
+            (-1.5 < E) & (E < -0.5), 2.0 * sp * (V[3] + sx * (sy + sz) + sy * sz) / D, 1.0 + E
         )
         acc[active] += (1.0 / (f * D))[active] * _rc_array(1.0, y_rc[active])
         lam = sx * sy + sx * sz + sy * sz
         V = np.where(active, 0.25 * (V + lam), V)
         delta = np.where(active, delta / 64.0, delta)
         f = np.where(active, f * 4.0, f)
-    A = V[4]
-    X = (A0 - x0) / (f * A)
-    Y = (A0 - y0) / (f * A)
-    Z = (A0 - z0) / (f * A)
+    # x, y, z and A still hold their values before the steps
+    fA = f * V[4]
+    X, Y, Z = ((A - v) / fA for v in (x, y, z))
     P = -0.5 * (X + Y + Z)
-    v = np.where(live, _rd_rj_series(X, Y, Z, P) / (f * A * np.sqrt(A)) + 6.0 * acc, math.nan)
+    v = np.where(live, _rd_rj_series(X, Y, Z, P) / (fA * np.sqrt(V[4])) + 6.0 * acc, math.nan)
     if far.any():
         x, y, z, p = (a[far] for a in given)
         v[far] = 3.0 * _rf_array(x, y, z) / p
@@ -433,7 +427,6 @@ def ell_pi_imag(n: float, m: float) -> float:
         raise DomainError(f"ell_pi_imag: requires m >= 0, got {m}")
     pi = _at(_pi_k_array, n, -(m * m), 1.0 + m * m)[0]
     if math.isnan(pi):
-        # 1 + m^2 overflows, or R_J's D^2 underflows: its arguments 1 + m^2,
-        # 1 and 1 - n spread too far apart (m beyond ~1e148 to ~1e151)
+        # 1 + m^2 overflows, or R_J's D^2 underflows (m beyond ~1e148-1e151)
         raise DomainError(f"ell_pi_imag: m = {m} too large for double precision at n = {n}")
     return pi
