@@ -241,8 +241,10 @@ def _rf_array(x, y, z) -> np.ndarray:
     x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z)))
     hi = np.fmax(np.fmax(x, y), z)
     e = np.where((hi > _RF_BIG) | (hi < _RF_TINY), _scale_exponent(hi, _RF_BIG), 0)
-    lost = (e > 0) & (np.ldexp(_smallest_nonzero(x, y, z), -2 * e) < _NORMAL)
-    x, y, z = (np.ldexp(v, -2 * e) for v in (x, y, z))
+    lost = e > 0
+    if e.any():
+        lost &= np.ldexp(_smallest_nonzero(x, y, z), -2 * e) < _NORMAL
+        x, y, z = (np.ldexp(v, -2 * e) for v in (x, y, z))
     A = (x + y + z) / 3.0
     Q = (3.0 * _EPS) ** (-0.125) * np.maximum(np.maximum(abs(A - x), abs(A - y)), abs(A - z))
     live = np.isfinite(Q) & ~lost
@@ -277,7 +279,7 @@ def _rj_array(x, y, z, p) -> tuple[np.ndarray, np.ndarray]:
     e = np.where(((hi > _RJ_BIG) | (lo < _RJ_TINY)) & ~far, _scale_exponent(hi, _RJ_BIG), 0)
     lost = (e > 0) & (np.ldexp(lo, -2 * e) < _NORMAL)
     # the far elements take 3 R_F/p; 1.0 keeps them out of the duplication
-    x, y, z, p = (np.where(far, 1.0, np.where(lost, math.nan, np.ldexp(a, -2 * e))) for a in given)
+    x, y, z, p = (np.where(far, 1.0, np.ldexp(a, -2 * e)) for a in given)
     A = (x + y + z + 2.0 * p) / 5.0
     # (p - x)(p - y) underflows only where p, x and y lie far below z: the
     # product is then taken with p - z first
@@ -286,7 +288,7 @@ def _rj_array(x, y, z, p) -> tuple[np.ndarray, np.ndarray]:
     Q = (0.2 * _EPS) ** (-0.125) * np.maximum(
         np.maximum(abs(A - x), abs(A - y)), np.maximum(abs(A - z), abs(A - p))
     )
-    live = np.isfinite(Q)
+    live = np.isfinite(Q) & ~lost
     f = np.ones_like(A)
     acc = np.zeros_like(A)
     # the rows x, y, z, p and A take each duplication step together
