@@ -37,7 +37,6 @@ from .eta import verify_eta_param
 from .identities import (
     builtin_candidates,
     check_printed_variants,
-    identity_lhs,
     verify_identity,
 )
 from .expressions import load_candidates
@@ -251,7 +250,7 @@ def suite_jia(ks: Sequence[float], tol: float, args, verify) -> Report:
     jia = next(c for c in builtin_candidates() if c.name == "jia")
     r = verify(jia, tol=tol)
     rep.add("grid residual [-10,-1]", 0.0, r.identity_residual_max, r.identity_residual_max, tol)
-    lhs = identity_lhs(jia, -1.0, r=jia.printed_r(-1.0))
+    lhs = r.constant_C  # Pi + r K at the anchor x = -1, pinned with the printed r
     rhs = jia.printed_rhs(-1.0)
     rep.add("x=-1 lhs = pi/3", math.pi / 3.0, lhs, abs(lhs - math.pi / 3.0), 1e-12)
     rep.add("x=-1 rhs = pi/3", math.pi / 3.0, rhs, abs(rhs - math.pi / 3.0), 1e-12)
