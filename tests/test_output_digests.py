@@ -1,7 +1,8 @@
-"""Byte-identity guard: SHA-256 digests of what commands print.
+"""Byte-identity guard: SHA-256 digests of what commands and demos print.
 
 Each case runs one command line through `cli.main` in process and hashes its
-exit code, stdout and stderr together.  The digests were recorded before the
+exit code, stdout and stderr together; each demo under `demos/` runs in
+process too, and its stdout is hashed.  The digests were recorded before the
 quadrature layer became one lockstep driver, so a refactor that changes any
 printed byte, on a result or an error path, fails here.  A deliberate change
 of a payload updates its digest and says so in CHANGES.md.
@@ -11,6 +12,8 @@ import contextlib
 import hashlib
 import io
 import json
+import pathlib
+import runpy
 
 import pytest
 
@@ -84,3 +87,27 @@ def _digest(argv: str) -> str:
 @pytest.mark.parametrize("argv,digest", DIGESTS, ids=[a for a, _ in DIGESTS])
 def test_output_is_byte_identical(argv, digest):
     assert _digest(argv) == digest
+
+
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+
+#: (demo file, digest of its stdout)
+DEMO_DIGESTS = [
+    ("elliptic_integrals.py", "5e4e914fcdd7e994f3f7e4281b3320ea928ab75645de58c573c8586d7fcb8daf"),
+    ("eta_parametrization.py", "965ab4cfd9b55a3a1b6972cb809f884507caede98ea934cc358abd0770ede9f6"),
+    ("identity_engine.py", "104f30db465d23c894878954d1f350ebe31ee3ceb24f3836de1824a20d565026"),
+    ("lvalues_and_table.py", "22723ecc02a09151827ce62027c4127fed8902f3741750b3963695a0341743d5"),
+    ("mahler_measures.py", "6c80827c2de93fba0c526b0eb0440b2a182ac0224c0f9580fcfc775e557913bb"),
+]
+
+
+@pytest.mark.parametrize("demo,digest", DEMO_DIGESTS, ids=[d for d, _ in DEMO_DIGESTS])
+def test_demo_output_is_byte_identical(demo, digest):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(DEMOS / demo), run_name="__main__")
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+def test_every_demo_is_pinned():
+    assert sorted(p.name for p in DEMOS.glob("*.py")) == [d for d, _ in DEMO_DIGESTS]
