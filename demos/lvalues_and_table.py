@@ -58,7 +58,7 @@ print("=== The total-measure corollary, and where it breaks ===")
 for k2, label in ((32, "4*sqrt(2)"), (64, "8"), (144, "12"), (256, "16")):
     k = math.sqrt(k2)
     curve, data, res = L.lvalue_from_k(k)
-    hm = M.half_measures_ptilde(k, 1e-10)
+    hm = M.half_measures(M.factor_ptilde(k), 1e-10)
     rhs = float(curve.r_k) / 2 * res.Lprime0 - 0.25 * math.log((k - 4) / (k + 4))
     flag = "OK " if abs(hm.m_total - rhs) < 1e-9 else "BAD"
     print(
@@ -67,7 +67,7 @@ for k2, label in ((32, "4*sqrt(2)"), (64, "8"), (144, "12"), (256, "16")):
 print("the 4*sqrt(2) row misses by exactly 2 m- (that k is below 2(1+sqrt(5)),")
 print("so the minus half-measure has not died yet); the difference form works:")
 k = math.sqrt(32)
-hm = M.half_measures_ptilde(k, 1e-11)
+hm = M.half_measures(M.factor_ptilde(k), 1e-11)
 curve, data, res = L.lvalue_from_k(k)
 rhs = 0.5 * res.Lprime0 - 0.25 * math.log((k - 4) / (k + 4))
 print(f"k = 4*sqrt(2): m+ - m- = {hm.m_plus - hm.m_minus:.15f}  vs  rhs = {rhs:.15f}")

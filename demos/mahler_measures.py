@@ -17,25 +17,21 @@ from mahlerlab import mahler as M
 
 print("=== Measures across the regimes ===")
 for k in (1.0, 2.0, 3.0, 4.5, 5.0, 8.0, 20.0):
-    fp = M.params_from_k(k)
     m = M.m_p1k(k, 1e-10)
-    if fp.regime is M.Regime.SMALL:
-        hm = M.half_measures_pac_small_k(k, 1e-10)
-    else:
-        hm = M.half_measures_ptilde(k, 1e-10)
+    hm = M.half_measures(M.factor_member(k), 1e-10)
     print(
-        f"k = {k:4}  regime {fp.regime.value:5}  m(P_k) = {m:.12f}   "
+        f"k = {k:4}  regime {M.regime(k):5}  m(P_k) = {m:.12f}   "
         f"m+ = {hm.m_plus:.12f}  m- = {hm.m_minus:.12f}"
     )
 
 print()
 print("=== Small k: closed forms ===")
 for k in (1.0, 2.0, 3.0):
-    fp = M.params_from_k(k)
-    hm = M.half_measures_pac_small_k(k, 1e-11)
+    fac = M.factor_pac_small(k)
+    hm = M.half_measures(fac, 1e-11)
     lsz = hm.m_minus - 3 * hm.m_plus
     print(
-        f"k = {k}:  m+ + m- = {hm.m_total:.12f}  vs log a = {math.log(fp.a):.12f}   "
+        f"k = {k}:  m+ + m- = {hm.m_total:.12f}  vs log a = {math.log(fac.beta / 2):.12f}   "
         f"m- - 3m+ = {lsz:.12f}  vs m(P_k) = {M.m_p1k(k, 1e-11):.12f}"
     )
 print("(the principal-branch labeling is the one that satisfies the identity)")
@@ -72,7 +68,7 @@ print(f"k = 8:  Jensen route {v1:.12f}   2D quadrature {v2:.12f}   diff {abs(v1 
 print()
 print("=== The regime-boundary finding at k = 4 sqrt(2) ===")
 k = math.sqrt(32)
-hm = M.half_measures_ptilde(k, 1e-11)
+hm = M.half_measures(M.factor_ptilde(k), 1e-11)
 print(f"k = 4 sqrt(2) = {k:.6f} < {M.K_LARGE:.6f}, so m- = {hm.m_minus:.12f} > 0;")
 print("the published total-measure corollary misses here by exactly 2 m- =",
       f"{2 * hm.m_minus:.12f} (see the L-value demo).")

@@ -40,18 +40,15 @@ from .identities import (
 from .jets import Jet2
 from .lseries import LFunctionData, LValueResult, an_table, l2, lvalue_from_k
 from .mahler import (
-    FamilyPoint,
     HalfMeasures,
     LaurentPoly2,
-    Regime,
     dfdk,
     dhdk,
     dhdk_integral_form,
-    half_measures_pac_small_k,
-    half_measures_ptilde,
+    factor_member,
+    half_measures,
     m_generic_2d,
     m_p1k,
-    params_from_k,
     verify_corollary,
     verify_thm_main,
 )
@@ -64,7 +61,6 @@ __all__ = [
     "CurveModel",
     "DivergenceError",
     "DomainError",
-    "FamilyPoint",
     "HalfMeasures",
     "IdentityCandidate",
     "IdentityReport",
@@ -74,7 +70,6 @@ __all__ = [
     "LValueResult",
     "LaurentPoly2",
     "MahlerLabError",
-    "Regime",
     "RegimeError",
     "SingularParameterError",
     "SingularPointError",
@@ -95,13 +90,12 @@ __all__ = [
     "ell_k_imag",
     "ell_pi",
     "ell_pi_imag",
-    "half_measures_pac_small_k",
-    "half_measures_ptilde",
+    "factor_member",
+    "half_measures",
     "l2",
     "lvalue_from_k",
     "m_generic_2d",
     "m_p1k",
-    "params_from_k",
     "quadrature_oracle",
     "verify_corollary",
     "verify_eta_param",

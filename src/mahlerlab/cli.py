@@ -44,14 +44,15 @@ from .lseries import an_table_text, lvalue_from_k, split_point_spread, summary_r
 from .mahler import (
     K_LARGE,
     derivative_grid,
+    factor_member,
     factor_p1k,
     factor_pac_small,
     factor_ptilde,
     half_measures_lockstep,
     lsz_branch_verdict,
     m_generic_2d,
-    params_from_k,
     poly_p1k,
+    regime,
     sweep_measures,
     verify_corollary,
     verify_thm_main,
@@ -263,7 +264,7 @@ def suite_lsz(ks: Sequence[float], tol: float, args, verify) -> Report:
     rep = Report("verify lsz", metadata={"log_tol": 1e-8, "lsz_tol": tol})
     # the branch verdict reads the measures at 1e-10, the other rows at 1e-11
     for k, (fine, verdict) in zip(ks, lsz_branch_verdict(ks, (1e-11, 1e-10))):
-        log_a = math.log(params_from_k(k).a)
+        log_a = math.log(factor_pac_small(k).beta / 2.0)
         m_total = fine["m_plus"] + fine["m_minus"]
         rep.add(f"k={k:.6g} m_total = log a", log_a, m_total, abs(m_total - log_a), 1e-8)
         lsz = fine["m_minus"] - 3.0 * fine["m_plus"]
@@ -489,10 +490,8 @@ def cmd_ell(args) -> Report:
 def cmd_mahler(args) -> Report:
     k, tol = args.k, args.tol
     rep = Report(f"mahler k={k!r}", metadata={"tol": tol})
-    fp = params_from_k(k)
-    rep.metadata["regime"] = fp.regime.value
-    half = factor_ptilde(k) if k > 4.0 else factor_pac_small(k)
-    [p1k], [hm] = half_measures_lockstep([factor_p1k(k), half], [(tol,), (tol,)])
+    rep.metadata["regime"] = regime(k)
+    [p1k], [hm] = half_measures_lockstep([factor_p1k(k), factor_member(k)], [(tol,), (tol,)])
     m = p1k.m_total
     rep.rows.append(Row("m(P_1k)", "", m, tol, "PASS"))
     rep.rows.append(Row("m_plus", "", hm.m_plus, tol, "PASS"))

@@ -19,7 +19,6 @@ Everything here is a pure function; tolerances are absolute.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -40,29 +39,6 @@ from .quadrature import _each, quadrature_oracle, tanh_sinh_panels
 K_LARGE = 2.0 * (1.0 + math.sqrt(5.0))
 
 _MIN_TOL = 1e-13
-
-
-class Regime(enum.Enum):
-    SMALL = "small"  # 0 < k < 4
-    MID = "mid"      # 4 < k <= 2(1+sqrt(5))
-    LARGE = "large"  # k > 2(1+sqrt(5))
-
-
-@dataclass(frozen=True)
-class FamilyPoint:
-    """Parameter k with derived coefficients and regime.
-
-    For 0 < k < 4, (a, c) are the real coefficients of the two-parameter
-    member.  For k > 4 they are imaginary and (a_tilde, c_tilde) hold the real
-    coefficients sqrt((k+4)/(k-4)) and k/sqrt(k-4) of the tilde polynomial.
-    """
-
-    k: float
-    regime: Regime
-    a: float | None
-    c: float | None
-    a_tilde: float | None
-    c_tilde: float | None
 
 
 @dataclass(frozen=True)
@@ -100,46 +76,51 @@ def factor_p1k(k: float) -> QuadraticFactorization:
 
 
 def factor_ptilde(k: float) -> QuadraticFactorization:
-    """y Ptilde_k: B = 2 a_tilde cos(theta) - c_tilde, sigma = -1, for finite k > 4."""
+    """y Ptilde_k: B = 2 a_tilde cos(theta) - c_tilde, sigma = -1, for finite
+    k > 4, with a_tilde = sqrt((k+4)/(k-4)) and c_tilde = k/sqrt(k-4).
+
+    The roots satisfy y+ y- = -1 and |y-| crosses 1 at
+    theta* = arccos(k / (2 sqrt(k+4))); for k > 2(1+sqrt(5)) the crossing
+    leaves [-1, 1] and m- = 0 identically.
+    """
     if not 4.0 < k < math.inf:
         raise DomainError(f"factor_ptilde: requires finite k > 4, got {k}")
-    fp = params_from_k(k)
-    return QuadraticFactorization(beta=2.0 * fp.a_tilde, gamma=-fp.c_tilde, sigma=-1)
+    return QuadraticFactorization(
+        beta=2.0 * math.sqrt((k + 4.0) / (k - 4.0)), gamma=-k / math.sqrt(k - 4.0), sigma=-1
+    )
 
 
 def factor_pac_small(k: float) -> QuadraticFactorization:
     """y P_{a,c}: B = 2 a cos(theta) + c, sigma = +1, for the real-coefficient
-    member 0 < k < 4."""
+    member 0 < k < 4, with a = sqrt((4+k)/(4-k)) and c = k/sqrt(4-k).
+
+    With principal square roots, the root y- = (-B - sqrt(B^2-4))/2 exceeds
+    1 in modulus on the arc B > 2 near theta = 0 and y+ does on the arc
+    B < -2 near theta = pi; in between the roots sit on the unit circle and
+    contribute nothing.  The B < -2 arc is nonempty for every k in (0, 4),
+    shrinking to a point as k -> 0.
+    """
     if not 0.0 < k < 4.0:
         raise DomainError(f"factor_pac_small: requires 0 < k < 4, got {k}")
-    fp = params_from_k(k)
-    return QuadraticFactorization(beta=2.0 * fp.a, gamma=fp.c, sigma=1)
+    return QuadraticFactorization(
+        beta=2.0 * math.sqrt((4.0 + k) / (4.0 - k)), gamma=k / math.sqrt(4.0 - k), sigma=1
+    )
 
 
-def params_from_k(k: float) -> FamilyPoint:
-    """Coefficients and regime for the family member at parameter k."""
+def factor_member(k: float) -> QuadraticFactorization:
+    """The family member at k: `factor_ptilde` for k > 4, else
+    `factor_pac_small`."""
+    return factor_ptilde(k) if k > 4.0 else factor_pac_small(k)
+
+
+def regime(k: float) -> str:
+    """The regime of k: "small" for 0 < k < 4, "mid" for
+    4 < k <= 2(1+sqrt(5)), and "large" past that, where m- vanishes."""
     if not math.isfinite(k):
-        raise DomainError(f"params_from_k: requires finite k, got {k}")
+        raise DomainError(f"regime: requires finite k, got {k}")
     if k <= 0.0 or k == 4.0:
         raise SingularParameterError(f"k must be positive and != 4, got {k}")
-    if k < 4.0:
-        return FamilyPoint(
-            k=k,
-            regime=Regime.SMALL,
-            a=math.sqrt((4.0 + k) / (4.0 - k)),
-            c=k / math.sqrt(4.0 - k),
-            a_tilde=None,
-            c_tilde=None,
-        )
-    regime = Regime.LARGE if k > K_LARGE else Regime.MID
-    return FamilyPoint(
-        k=k,
-        regime=regime,
-        a=None,
-        c=None,
-        a_tilde=math.sqrt((k + 4.0) / (k - 4.0)),
-        c_tilde=k / math.sqrt(k - 4.0),
-    )
+    return "small" if k < 4.0 else "large" if k > K_LARGE else "mid"
 
 
 def _check_tol(tol: float) -> None:
@@ -180,9 +161,10 @@ def half_measures(fac: QuadraticFactorization, tol: float = 1e-8) -> HalfMeasure
     return half_measures_lockstep([fac], [(tol,)])[0][0]
 
 
-#: factorizations refined together.  Larger pieces were no faster on the
-#: sweep benchmark, but their bigger per-level arrays raised its peak RSS by
-#: ~0.8 MB (whole 20-100 point grids against pieces of 32)
+#: factorizations refined together: the pieces bound the per-level arrays
+#: of large grids.  In process on a 2-CPU host, `sweep h --k-grid
+#: 5:50:10000` peaks at 38.8 MB RSS in pieces of 32 against 111 MB as one
+#: piece, for 1.0 s against 0.84 s
 _LOCKSTEP_FACS = 32
 
 
@@ -236,17 +218,13 @@ def half_measures_lockstep(
     return [[HalfMeasures(m_plus=p, m_minus=q) for q, p in row] for row in m]
 
 
-def _sweep_factor(k: float) -> QuadraticFactorization:
-    return factor_ptilde(k) if k > 4.0 else factor_pac_small(k)
-
-
 #: the measures `sweep_measures` traces: the factorization at k and the
 #: value read off its half-measures
 _SWEPT = {
     "f": (factor_p1k, lambda hm: hm.m_total),
     "h": (factor_ptilde, lambda hm: hm.m_plus - hm.m_minus),
-    "m_plus": (_sweep_factor, lambda hm: hm.m_plus),
-    "m_minus": (_sweep_factor, lambda hm: hm.m_minus),
+    "m_plus": (factor_member, lambda hm: hm.m_plus),
+    "m_minus": (factor_member, lambda hm: hm.m_minus),
 }
 
 
@@ -270,29 +248,6 @@ def m_p1k(k: float, tol: float = 1e-8) -> float:
     0 < k <= 4 it does only where 2 cos(theta) + k > 2.  Absolute error <= tol.
     """
     return half_measures(factor_p1k(k), tol).m_total
-
-
-def half_measures_ptilde(k: float, tol: float = 1e-8) -> HalfMeasures:
-    """Half-measures (m+, m-) of Ptilde_k (equivalently of the (a, c) member)
-    for finite k > 4.
-
-    The roots satisfy y+ y- = -1 and |y-| crosses 1 at
-    theta* = arccos(k / (2 sqrt(k+4))); for k > 2(1+sqrt(5)) the crossing
-    leaves [-1, 1] and m- = 0 identically.
-    """
-    return half_measures(factor_ptilde(k), tol)
-
-
-def half_measures_pac_small_k(k: float, tol: float = 1e-8) -> HalfMeasures:
-    """Half-measures of the (a, c) member for 0 < k < 4 (real coefficients).
-
-    With B(theta) = 2 a cos(theta) + c and principal square roots, the root
-    y- = (-B - sqrt(B^2-4))/2 exceeds 1 in modulus on the arc B > 2 near
-    theta = 0 and y+ does on the arc B < -2 near theta = pi; in between the
-    roots sit on the unit circle and contribute nothing.  The B < -2 arc is
-    nonempty for every k in (0, 4), shrinking to a point as k -> 0.
-    """
-    return half_measures(factor_pac_small(k), tol)
 
 
 def derivative_grid(quantity: str, ks: Sequence[float]) -> np.ndarray:

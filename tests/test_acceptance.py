@@ -77,7 +77,7 @@ def test_03_derivative_formulas():
         worst_fd = max(worst_fd, abs(M.dfdk(k) - fd_f))
 
         def hval(kk):
-            hm = M.half_measures_ptilde(kk, 1e-12)
+            hm = M.half_measures(M.factor_ptilde(kk), 1e-12)
             return hm.m_plus - hm.m_minus
 
         fd_h = (hval(k + h) - hval(k - h)) / (2.0 * h)
@@ -102,9 +102,9 @@ def test_04_small_k_identities():
     worst_lsz = 0.0
     labelings = []
     for k in cli.SUITES["lsz"].inputs:
-        fp = M.params_from_k(k)
-        hm = M.half_measures_pac_small_k(k, 1e-11)
-        worst_log = max(worst_log, abs(hm.m_total - math.log(fp.a)))
+        fac = M.factor_pac_small(k)
+        hm = M.half_measures(fac, 1e-11)
+        worst_log = max(worst_log, abs(hm.m_total - math.log(fac.beta / 2.0)))
         target = M.m_p1k(k, 1e-11)
         worst_lsz = max(worst_lsz, abs(hm.m_minus - 3.0 * hm.m_plus - target))
         [[verdict]] = M.lsz_branch_verdict([k])
@@ -186,7 +186,7 @@ def test_06b_nt_corollary_as_stated(k2, label):
     # stated, not weakened.
     k = math.sqrt(k2)
     curve, data, res = L.lvalue_from_k(k)
-    hm = M.half_measures_ptilde(k, 1e-10)
+    hm = M.half_measures(M.factor_ptilde(k), 1e-10)
     rhs = float(curve.r_k) / 2.0 * res.Lprime0 - 0.25 * math.log((k - 4.0) / (k + 4.0))
     residual = abs(hm.m_total - rhs)
     _report(f"nt corollary as stated at k={label}", residual <= 1e-6, f"residual={residual:.3e}")

@@ -31,7 +31,7 @@ def reference_sweep_one(quantity, k, tol):
     elif quantity == "h":
         fac, value = M.factor_ptilde(k), lambda hm: hm.m_plus - hm.m_minus
     else:
-        fac = M.factor_ptilde(k) if k > 4.0 else M.factor_pac_small(k)
+        fac = M.factor_member(k)
         value = lambda hm: getattr(hm, quantity)  # noqa: E731
     v = value(R.half_measures(fac, tol))
     v2 = value(R.half_measures(fac, tol * 0.1))

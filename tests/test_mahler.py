@@ -52,22 +52,24 @@ M_MINUS_LOGK = {10.0: -0.020973507, 20.0: -0.0050573162, 50.0: -0.00080144428, 1
 
 class TestParams:
     def test_small_k(self):
-        fp = M.params_from_k(2.0)
-        assert fp.regime is M.Regime.SMALL
-        assert fp.a == pytest.approx(math.sqrt(3.0), rel=1e-15)
-        assert fp.c == pytest.approx(math.sqrt(2.0), rel=1e-15)
-        assert fp.a_tilde is None
+        # below 4 the member is the real (a, c) one: beta = 2a, gamma = c
+        assert M.regime(2.0) == "small"
+        fac = M.factor_member(2.0)
+        assert fac.beta / 2.0 == pytest.approx(math.sqrt(3.0), rel=1e-15)
+        assert fac.gamma == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert fac.sigma == 1
 
     def test_large_k(self):
-        fp = M.params_from_k(8.0)
-        assert fp.regime is M.Regime.LARGE
-        assert fp.a_tilde == pytest.approx(math.sqrt(3.0), rel=1e-15)
-        assert fp.c_tilde == pytest.approx(4.0, rel=1e-15)
-        assert fp.a is None
+        # past 4 it is the tilde form: beta = 2 a_tilde, gamma = -c_tilde
+        assert M.regime(8.0) == "large"
+        fac = M.factor_member(8.0)
+        assert fac.beta / 2.0 == pytest.approx(math.sqrt(3.0), rel=1e-15)
+        assert -fac.gamma == pytest.approx(4.0, rel=1e-15)
+        assert fac.sigma == -1
 
     def test_mid_k(self):
-        assert M.params_from_k(5.0).regime is M.Regime.MID
-        assert M.params_from_k(6.5).regime is M.Regime.LARGE
+        assert M.regime(5.0) == "mid"
+        assert M.regime(6.5) == "large"
 
     def test_regime_boundary_value(self):
         assert M.K_LARGE == pytest.approx(6.47213595499958, abs=1e-12)
@@ -76,15 +78,15 @@ class TestParams:
     def test_non_finite_k_is_domain_error(self, k):
         # NaN used to fall through every comparison into the MID regime
         with pytest.raises(DomainError, match="finite"):
-            M.params_from_k(k)
+            M.regime(k)
 
     def test_singular_parameters(self):
         with pytest.raises(SingularParameterError):
-            M.params_from_k(4.0)
+            M.regime(4.0)
         with pytest.raises(SingularParameterError):
-            M.params_from_k(0.0)
+            M.regime(0.0)
         with pytest.raises(SingularParameterError):
-            M.params_from_k(-2.0)
+            M.regime(-2.0)
 
 
 def _roots(fac, theta):
@@ -117,8 +119,7 @@ class TestFactorization:
         fac = M.factor_pac_small(2.0)
         yp, ym = _roots(fac, theta)
         assert abs(yp * ym - fac.sigma) < 1e-14
-        fp = M.params_from_k(2.0)
-        poly, x = M.poly_pac(fp.a, fp.c), cmath.exp(1j * theta)
+        poly, x = M.poly_pac(fac.beta / 2.0, fac.gamma), cmath.exp(1j * theta)
         assert abs(poly(x, yp)) < 1e-13 and abs(poly(x, ym)) < 1e-13
 
     def test_unimodular_roots_between_crossings(self):
@@ -160,7 +161,7 @@ class TestMeasure1D:
         with pytest.raises(DomainError):
             M.m_p1k(-1.0)
         for bad in (math.nan, math.inf):
-            for fn in (M.m_p1k, M.half_measures_ptilde, M.half_measures_pac_small_k):
+            for fn in (M.m_p1k, M.factor_ptilde, M.factor_pac_small):
                 with pytest.raises(DomainError):
                     fn(bad)
         with pytest.raises(AccuracyError):
@@ -170,41 +171,41 @@ class TestMeasure1D:
 class TestHalfMeasures:
     @pytest.mark.parametrize("k,ref", sorted(HALF_PTILDE.items()))
     def test_ptilde_frozen(self, k, ref):
-        hm = M.half_measures_ptilde(k, 1e-11)
+        hm = M.half_measures(M.factor_ptilde(k), 1e-11)
         assert hm.m_plus == pytest.approx(ref[0], abs=1e-10)
         assert hm.m_minus == pytest.approx(ref[1], abs=1e-10)
         assert hm.m_total == hm.m_plus + hm.m_minus
 
     def test_m_minus_zero_in_large_regime(self):
-        assert M.half_measures_ptilde(7.0, 1e-11).m_minus == 0.0
-        assert M.half_measures_ptilde(M.K_LARGE + 0.01, 1e-11).m_minus <= 1e-10
+        assert M.half_measures(M.factor_ptilde(7.0), 1e-11).m_minus == 0.0
+        assert M.half_measures(M.factor_ptilde(M.K_LARGE + 0.01), 1e-11).m_minus <= 1e-10
 
     def test_nonnegative(self):
         for k in (4.3, 5.0, 6.0, 6.4, 7.0, 30.0):
-            hm = M.half_measures_ptilde(k, 1e-10)
+            hm = M.half_measures(M.factor_ptilde(k), 1e-10)
             assert hm.m_plus >= 0.0 and hm.m_minus >= 0.0
 
     def test_rejects_small_k(self):
         with pytest.raises(DomainError):
-            M.half_measures_ptilde(3.0)
+            M.half_measures(M.factor_ptilde(3.0))
 
     def test_consistency_with_m_p1k_mid_regime(self):
         # rearranged main identity: m+ - m- = (m(P_1k) - log((k-4)/(k+4))/2)/2
         k = 5.0
-        hm = M.half_measures_ptilde(k, 1e-11)
+        hm = M.half_measures(M.factor_ptilde(k), 1e-11)
         rhs = 0.5 * (M.m_p1k(k, 1e-11) - 0.5 * math.log((k - 4.0) / (k + 4.0)))
         assert hm.m_plus - hm.m_minus == pytest.approx(rhs, abs=1e-9)
 
     def test_pac_small_frozen(self):
-        hm = M.half_measures_pac_small_k(2.0, 1e-11)
+        hm = M.half_measures(M.factor_pac_small(2.0), 1e-11)
         assert hm.m_plus == pytest.approx(HALF_PAC_K2[0], abs=1e-11)
         assert hm.m_minus == pytest.approx(HALF_PAC_K2[1], abs=1e-11)
 
     @pytest.mark.parametrize("k", [1.0, 2.0, 3.0])
     def test_pac_small_total_is_log_a(self, k):
-        fp = M.params_from_k(k)
-        hm = M.half_measures_pac_small_k(k, 1e-11)
-        assert hm.m_total == pytest.approx(math.log(fp.a), abs=1e-10)
+        fac = M.factor_pac_small(k)
+        hm = M.half_measures(fac, 1e-11)
+        assert hm.m_total == pytest.approx(math.log(fac.beta / 2.0), abs=1e-10)
 
     @pytest.mark.parametrize("k", [1.0, 2.0, 3.0])
     def test_lsz_branch_verdict(self, k):
@@ -215,9 +216,9 @@ class TestHalfMeasures:
 
     def test_pac_rejects_out_of_range(self):
         with pytest.raises(DomainError):
-            M.half_measures_pac_small_k(4.5)
+            M.half_measures(M.factor_pac_small(4.5))
         with pytest.raises(DomainError):
-            M.half_measures_pac_small_k(0.0)
+            M.half_measures(M.factor_pac_small(0.0))
 
 
 def _jensen_mp(mpmath, coeff, sigma):
@@ -247,10 +248,10 @@ def test_jensen_regime_edges_against_mpmath(k):
         p1k = _jensen_mp(mpmath, (1, kk), 1)
         if k < 4.0:
             pair = _jensen_mp(mpmath, (mpmath.sqrt((4 + kk) / (4 - kk)), kk / mpmath.sqrt(4 - kk)), 1)
-            hm = M.half_measures_pac_small_k(k, 1e-13)
+            hm = M.half_measures(M.factor_pac_small(k), 1e-13)
         else:
             pair = _jensen_mp(mpmath, (mpmath.sqrt((kk + 4) / (kk - 4)), -kk / mpmath.sqrt(kk - 4)), -1)
-            hm = M.half_measures_ptilde(k, 1e-13)
+            hm = M.half_measures(M.factor_ptilde(k), 1e-13)
         assert abs(M.m_p1k(k, 1e-13) - float(sum(p1k))) <= 1e-13
         assert abs(hm.m_plus - float(pair[0])) <= 1e-13
         assert abs(hm.m_minus - float(pair[1])) <= 1e-13
@@ -368,7 +369,7 @@ class TestDerivatives:
         h = 1e-3
 
         def hval(kk):
-            hm = M.half_measures_ptilde(kk, 1e-12)
+            hm = M.half_measures(M.factor_ptilde(kk), 1e-12)
             return hm.m_plus - hm.m_minus
 
         fd = (hval(k + h) - hval(k - h)) / (2.0 * h)
@@ -561,13 +562,9 @@ class TestGeneric2D:
     )
     def test_jensen_split_against_2d_oracle(self, k):
         # half-measure route vs brute-force 2D quadrature, regime-appropriate
-        if k < 4.0:
-            hm = M.half_measures_pac_small_k(k, 1e-10)
-            fp = M.params_from_k(k)
-            poly = M.poly_pac(fp.a, fp.c)
-        else:
-            hm = M.half_measures_ptilde(k, 1e-10)
-            poly = poly_ptilde(k)
+        fac = M.factor_member(k)
+        hm = M.half_measures(fac, 1e-10)
+        poly = M.poly_pac(fac.beta / 2.0, fac.gamma) if k < 4.0 else poly_ptilde(k)
         assert M.m_generic_2d(poly, 1e-6) == pytest.approx(hm.m_total, abs=1e-6)
 
     # k < 4: the inner integral kinks where y-roots enter and leave the circle;
@@ -586,10 +583,11 @@ class TestGeneric2D:
     @pytest.mark.parametrize("k", [0.5, 2.0, 3.0, 3.9])
     def test_breaks_pac_both_arcs(self, k):
         # B = 2 a cos(theta) + c crosses +2 near theta = 0 and -2 near pi
-        fp = M.params_from_k(k)
-        ts = [math.acos((b - fp.c) / (2.0 * fp.a)) / (2.0 * math.pi) for b in (2.0, -2.0)]
+        fac = M.factor_pac_small(k)
+        a, c = fac.beta / 2.0, fac.gamma
+        ts = [math.acos((b - c) / (2.0 * a)) / (2.0 * math.pi) for b in (2.0, -2.0)]
         want = sorted(ts + [1.0 - t for t in ts])
-        assert _breaks(M.poly_pac(fp.a, fp.c)) == pytest.approx(want, abs=1e-10)
+        assert _breaks(M.poly_pac(a, c)) == pytest.approx(want, abs=1e-10)
 
     @pytest.mark.parametrize("k", [4.001, 4.5, 5.0, 6.0, 6.47])
     def test_breaks_ptilde_swap(self, k):
