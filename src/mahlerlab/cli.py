@@ -542,8 +542,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mahlerlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tol_default=None):
-        p.add_argument("--tol", type=finite_float, default=tol_default)
+    def common(p, tol_default=None, tol=True):
+        # ell and table read no tol, so they take no --tol
+        if tol:
+            p.add_argument("--tol", type=finite_float, default=tol_default)
         p.add_argument("--format", choices=("text", "csv", "json"), default="text")
         p.add_argument("--jobs", type=int, default=1)
 
@@ -552,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=finite_float)
     p.add_argument("--n", type=finite_float)
     p.add_argument("--m", type=finite_float)
-    common(p)
+    common(p, tol=False)
     p.set_defaults(fn=cmd_ell)
 
     p = sub.add_parser("mahler", help="Mahler and half-Mahler measures at k")
@@ -578,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="reproduce the published k-table")
     p.add_argument("--nmax", type=parse_nmax, default=None)
-    common(p)
+    common(p, tol=False)
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("sweep", help="CSV sweep of a quantity over a k-grid")
@@ -593,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.tol is not None and args.tol < 1e-13:
+    if getattr(args, "tol", None) is not None and args.tol < 1e-13:
         parser.exit(2, "mahlerlab: --tol below the 1e-13 double-precision floor\n")
     if args.jobs < 1:
         parser.exit(2, f"mahlerlab: --jobs must be at least 1, got {args.jobs}\n")

@@ -111,6 +111,24 @@ class TestBasicCommands:
         assert exc.value.code == 2
         assert f"ell --kind {argv[1]}: does not use" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["ell", "--kind", "K", "--z", "0.5"], ["table"]], ids=" ".join)
+    def test_tol_is_usage_error_where_no_tol_is_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--tol", "1e-3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["mahler", "--k", "8"], ["lvalue", "--k", "8"], ["verify", "ei"], ["sweep", "dfdk", "--k-grid", "5:6:2"]],
+        ids=" ".join,
+    )
+    def test_tol_floor_where_tol_is_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--tol", "1e-14"])
+        assert exc.value.code == 2
+        assert "--tol below the 1e-13 double-precision floor" in capsys.readouterr().err
+
     def test_mahler_large_k(self, capsys):
         code, out, _ = run_main(capsys, "mahler", "--k", "8", "--format", "json")
         assert code == 0
