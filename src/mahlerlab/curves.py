@@ -184,10 +184,10 @@ def _count_ap_short(c4: int, c6: int, p: int) -> int:
 def ap_bad(curve: CurveModel, p: int) -> tuple[int, str]:
     """(a_p, route) at a bad or locally delicate prime.
 
-    Returns route "consistency" with a_p unset (None-like 0 placeholder is not
-    used; callers must resolve) when the value is left to the
-    functional-equation search: p = 2 when 2 does not divide N or v2(N) = 1,
-    and p = 3 when the model is non-minimal at 3 with v3(N) <= 1.
+    Raises DomainError where the value is left to the functional-equation
+    search: p = 2 when 2 does not divide N or v2(N) = 1, and p = 3 when the
+    model is non-minimal at 3 with v3(N) <= 1.  `ap_with_route` catches it
+    and marks the prime (None, "consistency").
     """
     N = curve.conductor_N
     vN = _vp(N, p)

@@ -9,7 +9,7 @@ precision; algebraic singularities at a nonzero endpoint are limited to about
 abscissa rounds onto an endpoint is not evaluated, and a non-finite
 integrand value at any node counts as 0, wherever the node lies: the correct
 limit for an integrable endpoint singularity, but a silent drop in the
-interior (ROADMAP item 4).
+interior (ROADMAP item 3).
 
 `tanh_sinh_panels` is the one refinement loop; `quadrature_oracle` and
 `cumulative_integrals` are calls of it.  At each level, numpy sums and a
