@@ -34,11 +34,7 @@ from .curves import K_LABELS, TABLE1
 from .elliptic import ell_e, ell_k, ell_k_imag, ell_pi, ell_pi_imag, ell_pi_k_array
 from .errors import MahlerLabError
 from .eta import verify_eta_param
-from .identities import (
-    builtin_candidates,
-    check_printed_variants,
-    verify_identity,
-)
+from .identities import E_COEFF_TOL, ODE_TOL, builtin_candidates, verify_identity
 from .expressions import load_candidates
 from .lseries import an_table_text, lvalue_from_k, split_point_spread, summary_record
 from .mahler import (
@@ -68,7 +64,13 @@ MAX_NMAX = 10_000
 #: again at tol/10, which must stay above the 1e-13 double-precision floor
 SWEEP_TOL_FLOOR = 1e-12
 
-_QUANTITIES = ("f", "h", "m_plus", "m_minus", "dfdk", "dhdk")
+#: per `sweep` quantity: the k it rejects, and its domain as the usage error states it
+_QUANTITIES = {
+    "f": (lambda k: k <= 0.0, "not above 0 (requires k > 0)"),
+    "h": (lambda k: k <= 4.0, "not above 4 (requires k > 4)"),
+    "m_plus": (lambda k: k <= 0.0 or k == 4.0, "not above 0 or equal to 4 (requires k > 0, k != 4)"),
+}
+_QUANTITIES.update(m_minus=_QUANTITIES["m_plus"], dfdk=_QUANTITIES["h"], dhdk=_QUANTITIES["h"])
 
 _IMAGINARY_ROWS = ("i", "2i", "3i", "4i", "sqrt(2)i")
 
@@ -217,7 +219,7 @@ def suite_corollary(ks: Sequence[float], tol: float, args, verify) -> Report:
 def suite_appendix(ks: Sequence[float], tol: float, args, verify) -> Report:
     rep = Report(
         "verify appendix",
-        metadata={"identity_tol": tol, "ode_tol": 1e-10, "e_coeff_tol": 1e-11},
+        metadata={"identity_tol": tol, "ode_tol": ODE_TOL, "e_coeff_tol": E_COEFF_TOL},
     )
     cands = builtin_candidates()
     if args.candidate_file:
@@ -232,7 +234,7 @@ def suite_appendix(ks: Sequence[float], tol: float, args, verify) -> Report:
             f"{cand.name} identity", 0.0, r.identity_residual_max, r.identity_residual_max, r.identity_tol
         )
         if cand.printed_r_alts:
-            verdicts = check_printed_variants(cand)
+            verdicts = dict(r.printed_residual_max)
             winners = [lbl for lbl, res in verdicts.items() if res <= tol]
             rep.rows.append(
                 Row(
@@ -255,7 +257,7 @@ def suite_jia(ks: Sequence[float], tol: float, args, verify) -> Report:
     rhs = jia.printed_rhs(-1.0)
     rep.add("x=-1 lhs = pi/3", math.pi / 3.0, lhs, abs(lhs - math.pi / 3.0), 1e-12)
     rep.add("x=-1 rhs = pi/3", math.pi / 3.0, rhs, abs(rhs - math.pi / 3.0), 1e-12)
-    printed = check_printed_variants(jia)["printed"]
+    printed = dict(r.printed_residual_max)["printed"]
     rep.add("printed closed form", 0.0, printed, printed, tol)
     return rep
 
@@ -436,6 +438,10 @@ def _sweep_chunk(task) -> list[tuple[float, float, float]]:
 
 def cmd_sweep(args) -> Report:
     ks = args.k_grid
+    bad_k, domain = _QUANTITIES[args.quantity]
+    bad = [k for k in ks if bad_k(k)]
+    if bad:
+        raise UsageError(f"sweep {args.quantity}: k values {bad} {domain}")
     if args.quantity not in ("dfdk", "dhdk") and args.tol < SWEEP_TOL_FLOOR:
         raise UsageError(f"sweep {args.quantity}: --tol below the {SWEEP_TOL_FLOOR:g} floor of "
                          "the integrated quantities (est_error integrates again at tol/10)")

@@ -8,7 +8,8 @@ engine computes r and f from their closed forms, checks the ODE and the
 vanishing of the E-coefficient pointwise via second-order jets, reconstructs
 s(x) = C exp(int f) with the constant pinned at an anchor, and reports the
 residual of the identity over a grid.  The residuals at every grid point come
-from one pass over numpy arrays, bitwise equal to the per-point scalar step.
+from one pass over numpy arrays; the pointwise functions are one-element
+calls of the same pass.
 
 Four built-in (p, q) pairs are shipped, including Jia's identity; candidates
 can also be loaded from expression strings (see `expressions`).
@@ -29,6 +30,10 @@ from .jets import Jet2, sqrt
 from .quadrature import cumulative_integrals
 
 Scalar = Callable[[float], float]
+
+#: bounds on the ODE and E-coefficient residuals over the grid
+ODE_TOL = 1e-10
+E_COEFF_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -63,6 +68,8 @@ class IdentityReport:
     ode_residual_max: float
     e_coeff_residual_max: float
     identity_residual_max: float
+    # (label, max |Pi + r_printed K - printed RHS|) per printed coefficient
+    printed_residual_max: tuple[tuple[str, float], ...]
     identity_tol: float
     ode_tol: float
     e_coeff_tol: float
@@ -91,35 +98,47 @@ def _r_num_den(P, dP, Q, dQ):
     return num, den
 
 
-def _r_value(cand: IdentityCandidate, x: float, pj: Jet2, qj: Jet2) -> float:
-    num, den = _r_num_den(pj.value, pj.d1, qj.value, qj.d1)
-    if den == 0.0 or not math.isfinite(den):
-        raise SingularPointError(f"{cand.name}: r denominator vanishes at x = {x}")
-    return num / den
-
-
-def eval_r(cand: IdentityCandidate, x: float) -> float:
-    """K-coefficient r(x) forced by (p, q); raises SingularPointError on a
-    vanishing denominator."""
-    return _r_value(cand, x, *_pq_jets(cand, x))
-
-
 def _f_num_den(p, dp, q, dq):
     num = dp * (p * p - q * q) - 2.0 * dq * q * p * (p - 1.0)
     den = 2.0 * p * (p - 1.0) * (q * q - p)
     return num, den
 
 
-def _f_value(cand: IdentityCandidate, x: float, pj: Jet2, qj: Jet2) -> float:
-    num, den = _f_num_den(pj.value, pj.d1, qj.value, qj.d1)
-    if den == 0.0 or not math.isfinite(den):
-        raise SingularPointError(f"{cand.name}: f denominator vanishes at x = {x}")
-    return num / den
+def _coefficients(cand: IdentityCandidate, xs: Sequence[float], faults: str):
+    """(p jet, q jet, r, f) over xs from one array-jet evaluation.  At the
+    first point where one fires, raises SingularPointError for undefined p/q
+    jets (from the scalar `_pq_jets`), then for each of `faults` in order:
+    "r" or "f", that denominator vanishes or is not finite; "q", q in {0, 1}.
+    A NaN that the jets carry without raising stays in place."""
+    with np.errstate(all="ignore"):
+        seed = Jet2.seed(np.array(xs, dtype=float))
+        pj, qj = cand.p(seed), cand.q(seed)
+        rnum, rden = _r_num_den(pj.value, pj.d1, qj.value, qj.d1)
+        fnum, fden = _f_num_den(pj.value, pj.d1, qj.value, qj.d1)
+        r, f = rnum / rden, fnum / fden
+    fired = {
+        "r": ((rden == 0.0) | ~np.isfinite(rden), "r denominator vanishes"),
+        "f": ((fden == 0.0) | ~np.isfinite(fden), "f denominator vanishes"),
+        "q": ((qj.value == 0.0) | (qj.value == 1.0), "q in {0,1}"),
+    }
+    flagged = np.logical_or.reduce([fired[c][0] for c in faults])
+    if flagged.any():
+        i = int(np.argmax(flagged))
+        _pq_jets(cand, xs[i])
+        what = next(fired[c][1] for c in faults if fired[c][0][i])
+        raise SingularPointError(f"{cand.name}: {what} at x = {xs[i]}")
+    return pj, qj, r, f
+
+
+def eval_r(cand: IdentityCandidate, x: float) -> float:
+    """K-coefficient r(x) forced by (p, q); raises SingularPointError on a
+    vanishing denominator."""
+    return _coefficients(cand, [x], "r")[2].item()
 
 
 def eval_f(cand: IdentityCandidate, x: float) -> float:
     """Logarithmic derivative f(x) = s'(x)/s(x) forced by (p, q)."""
-    return _f_value(cand, x, *_pq_jets(cand, x))
+    return _coefficients(cand, [x], "f")[3].item()
 
 
 def _f_array(cand: IdentityCandidate, xs: np.ndarray) -> np.ndarray:
@@ -133,9 +152,7 @@ def _f_array(cand: IdentityCandidate, xs: np.ndarray) -> np.ndarray:
 
 def _r_jet(pj: Jet2, qj: Jet2) -> Jet2:
     """(r, r') as a first-order jet, obtained by pushing the p/q jets
-    through the r-formula one derivative order higher.  Where the r
-    denominator vanishes, scalar jets raise ZeroDivisionError and array jets
-    give NaN."""
+    through the r-formula one derivative order higher."""
     P = Jet2(pj.value, pj.d1)
     dP = Jet2(pj.d1, pj.d2)
     Q = Jet2(qj.value, qj.d1)
@@ -160,19 +177,14 @@ def ode_residual(
     substitutes a different coefficient (a constant or a callable evaluated
     through jets) to demonstrate that non-solutions fail.
     """
-    pj, qj = _pq_jets(cand, x)
+    pj, qj, _, f = _coefficients(cand, [x], "rfq" if r_override is None else "fq")
     if r_override is None:
-        try:
-            rj = _r_jet(pj, qj)
-        except ZeroDivisionError:
-            raise SingularPointError(f"{cand.name}: r denominator vanishes at x = {x}") from None
-    elif callable(r_override):
-        rj = r_override(Jet2.seed(x))
-        if not isinstance(rj, Jet2):
-            rj = Jet2(float(rj))
+        rj = _r_jet(pj, qj)
     else:
-        rj = Jet2(float(r_override))
-    return _ode_residual(_f_value(cand, x, pj, qj), pj, qj, rj)
+        rj = r_override(Jet2.seed(x)) if callable(r_override) else r_override
+        rj = rj if isinstance(rj, Jet2) else Jet2(float(rj))
+    with np.errstate(all="ignore"):
+        return _ode_residual(f, pj, qj, rj).item()
 
 
 def _e_coefficient_residual(pj: Jet2, qj: Jet2, r):
@@ -188,10 +200,9 @@ def _e_coefficient_residual(pj: Jet2, qj: Jet2, r):
 def e_coefficient_residual(cand: IdentityCandidate, x: float) -> float:
     """The E(q(x)) coefficient in d/dx [Pi + r K]; zero exactly when r takes
     its forced value."""
-    pj, qj = _pq_jets(cand, x)
-    if qj.value in (0.0, 1.0):
-        raise SingularPointError(f"{cand.name}: q in {{0,1}} at x = {x}")
-    return _e_coefficient_residual(pj, qj, _r_value(cand, x, pj, qj))
+    pj, qj, r, _ = _coefficients(cand, [x], "qr")
+    with np.errstate(all="ignore"):
+        return _e_coefficient_residual(pj, qj, r).item()
 
 
 def _anchor_r(cand: IdentityCandidate, x0: float) -> float:
@@ -204,6 +215,8 @@ def _anchor_r(cand: IdentityCandidate, x0: float) -> float:
 
 
 def _values_at(cand: IdentityCandidate, x: float) -> tuple[float, float]:
+    """The float p(x), q(x) through the regime gate: p < 1, q in [0, 1),
+    and a non-finite p refused with ell_pi's DomainError."""
     try:
         p = cand.p(float(x))
         q = cand.q(float(x))
@@ -219,6 +232,8 @@ def _values_at(cand: IdentityCandidate, x: float) -> tuple[float, float]:
         )
     if not 0.0 <= q < 1.0:
         raise RegimeError(f"{cand.name}: modulus q(x) = {q} outside [0,1) at x = {x}")
+    if not math.isfinite(p):
+        ell_pi(p, q)  # raises its DomainError
     return p, q
 
 
@@ -232,27 +247,6 @@ def identity_lhs(cand: IdentityCandidate, x: float, r: float | None = None) -> f
     return pi + r * k
 
 
-def _residual_arrays(
-    cand: IdentityCandidate, xs: np.ndarray, pi: np.ndarray, k: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """identity_lhs, ode_residual and e_coefficient_residual at every point
-    of xs in one array pass, given Pi and K at the float p(xs), q(xs), and
-    the mask of points where they must be replayed: some value is not
-    finite, or a scalar function meets a raise condition there."""
-    with np.errstate(all="ignore"):
-        pj, qj = cand.p(Jet2.seed(xs)), cand.q(Jet2.seed(xs))
-        rnum, rden = _r_num_den(pj.value, pj.d1, qj.value, qj.d1)
-        fnum, fden = _f_num_den(pj.value, pj.d1, qj.value, qj.d1)
-        r = rnum / rden
-        lhs = pi + r * k
-        ode = _ode_residual(fnum / fden, pj, qj, _r_jet(pj, qj))
-        ec = _e_coefficient_residual(pj, qj, r)
-    replay = (rden == 0.0) | (fden == 0.0) | (qj.value == 0.0) | (qj.value == 1.0)
-    for v in (rden, fden, lhs, ode, ec):
-        replay |= ~np.isfinite(v)
-    return lhs, ode, ec, replay
-
-
 def _max_abs(v: np.ndarray) -> float:
     """max |v| with a running max's semantics: 0.0 when empty, NaN skipped."""
     return float(np.fmax.reduce(np.abs(v), initial=0.0))
@@ -263,48 +257,46 @@ def verify_identity(
     x0: float | None = None,
     grid: Sequence[float] | None = None,
     tol: float = 1e-10,
-    ode_tol: float = 1e-10,
-    e_coeff_tol: float = 1e-11,
 ) -> IdentityReport:
     """Pin C = Pi + r K at the anchor, rebuild s(x) = C exp(int_x0^x f) by
-    cumulative quadrature, and report max residuals over the grid."""
+    cumulative quadrature, and report max residuals over the grid, with
+    those of the printed coefficients against the printed RHS."""
     if x0 is None:
         x0 = cand.anchor_x0
-    xs = sorted(grid) if grid is not None else list(default_grid(cand))
-    pq = [_values_at(cand, x) for x in xs]  # regime gate before any reconstruction work
-    p0, q0 = _values_at(cand, x0)
-    if not math.isfinite(p0):
-        ell_pi(p0, q0)  # raises its DomainError
-    # Pi and K at every grid point but the anchor, and last at the anchor,
-    # from one call of the Carlson kernels; the anchor holds by construction
-    off = [i for i, x in enumerate(xs) if x != x0]
-    p, q = (np.array([pq[i][j] for i in off] + [(p0, q0)[j]], dtype=float) for j in (0, 1))
-    pi, k = ell_pi_k_array(p, q)
+    xs = sorted(grid) if grid is not None else default_grid(cand)
+    # the regime gate at every grid point, then at the anchor, before any
+    # reconstruction work; Pi and K there, anchor last, from one call of the
+    # Carlson kernels
+    pq = [_values_at(cand, x) for x in (*xs, x0)]
+    pi, k = ell_pi_k_array(*np.array(pq, dtype=float).T)
     C = pi[-1].item() + _anchor_r(cand, x0) * k[-1].item()
 
     # at a degenerate anchor the f-formula underflows to 0/0 while f itself
     # stays bounded; the NaN there makes the quadrature drop those nodes
     f = functools.partial(_f_array, cand)
     s_at: dict[float, float] = {}
-    above = [x for x in xs if x > x0]
-    below = [x for x in xs if x < x0]
-    below.reverse()
-    for chain in (above, below):
+    for chain in ([x for x in xs if x > x0], [x for x in reversed(xs) if x < x0]):
         if chain:
             for x, integral in zip(chain, cumulative_integrals(f, x0, chain)):
                 s_at[x] = C * math.exp(integral)
-    if x0 in xs:
-        s_at[x0] = C
 
-    pts = np.array([xs[i] for i in off], dtype=float)
-    lhs, ode, ec, replay = _residual_arrays(cand, pts, pi[:-1], k[:-1])
-    # in grid order, so the first point where a scalar function raises raises
-    for i in np.flatnonzero(replay):
-        x = xs[off[i]]
-        lhs[i] = identity_lhs(cand, x)
-        ode[i] = ode_residual(cand, x)
-        ec[i] = e_coefficient_residual(cand, x)
-    s = np.array([s_at[xs[i]] for i in off], dtype=float)
+    # the identity holds at the anchor by construction
+    off = np.array(xs, dtype=float) != x0
+    pts = [x for x in xs if x != x0]
+    pj, qj, r, fx = _coefficients(cand, pts, "rfq")
+    with np.errstate(all="ignore"):
+        lhs = pi[:-1][off] + r * k[:-1][off]
+        ode = _ode_residual(fx, pj, qj, _r_jet(pj, qj))
+        ec = _e_coefficient_residual(pj, qj, r)
+    s = np.array([s_at[x] for x in pts], dtype=float)
+
+    printed = []
+    if cand.printed_rhs is not None:
+        rhs = np.array([cand.printed_rhs(x) for x in xs], dtype=float)
+        variants = [("printed", cand.printed_r)] if cand.printed_r else []
+        for label, rfn in variants + list(cand.printed_r_alts):
+            r_printed = np.array([rfn(x) for x in xs], dtype=float)
+            printed.append((label, _max_abs(pi[:-1] + r_printed * k[:-1] - rhs)))
     return IdentityReport(
         name=cand.name,
         anchor_x0=x0,
@@ -313,42 +305,24 @@ def verify_identity(
         ode_residual_max=_max_abs(ode),
         e_coeff_residual_max=_max_abs(ec),
         identity_residual_max=_max_abs(lhs - s),
+        printed_residual_max=tuple(printed),
         identity_tol=tol,
-        ode_tol=ode_tol,
-        e_coeff_tol=e_coeff_tol,
+        ode_tol=ODE_TOL,
+        e_coeff_tol=E_COEFF_TOL,
     )
 
 
 def check_printed_variants(
-    cand: IdentityCandidate, grid: Sequence[float] | None = None, tol: float = 1e-10
+    cand: IdentityCandidate, grid: Sequence[float] | None = None
 ) -> dict[str, float]:
-    """Max |Pi + r_printed K - printed RHS| per printed coefficient variant.
+    """Max |Pi + r_printed K - printed RHS| per printed coefficient variant,
+    as `verify_identity` reports it over the grid.
 
     Resolves self-inconsistent sources: exactly one variant should pass.
     """
     if cand.printed_rhs is None:
         raise DomainError(f"{cand.name}: no printed closed form to check against")
-    xs = sorted(grid) if grid is not None else list(default_grid(cand))
-    variants = [("printed", cand.printed_r)] if cand.printed_r else []
-    variants += list(cand.printed_r_alts)
-    out, rows = {}, []
-    for label, rfn in variants:
-        # the scalar steps in identity_lhs's order; the regime gate, the
-        # Carlson pass and the RHS do not depend on the variant and run with
-        # the first.  The Carlson kernels raise nowhere else on the gate's (p, q)
-        r = []
-        for x in xs:
-            r.append(rfn(x))
-            if len(rows) < len(xs):
-                p, q = _values_at(cand, x)
-                if not math.isfinite(p):
-                    ell_pi(p, q)  # raises its DomainError
-                rows.append((p, q, cand.printed_rhs(x)))
-        if not out:
-            p, q, rhs = np.array(rows, dtype=float).reshape(-1, 3).T
-            pi, k = ell_pi_k_array(p, q)
-        out[label] = _max_abs(pi + np.array(r, dtype=float) * k - rhs)
-    return out
+    return dict(verify_identity(cand, grid=grid).printed_residual_max)
 
 
 # ----------------------------------------------------------------------------

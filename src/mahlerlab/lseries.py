@@ -141,9 +141,9 @@ def _tail_bound(weights, n_max: int, N: int) -> float:
     return 2.0 * total
 
 
-def _probe_weights(N: int, n_max: int, probes=_SPLIT_PROBES) -> list:
+def _probe_weights(N: int, n_max: int) -> list:
     rootN = math.sqrt(N)
-    return [_split_weights(N, c / rootN, n_max) for c in probes]
+    return [_split_weights(N, c / rootN, n_max) for c in _SPLIT_PROBES]
 
 
 def _spread(sums, eps: int) -> float:
@@ -151,29 +151,22 @@ def _spread(sums, eps: int) -> float:
     return max(abs(u - v) for u in vals for v in vals)
 
 
-def split_point_spread(data: LFunctionData, probes=_SPLIT_PROBES) -> float:
+def split_point_spread(data: LFunctionData) -> float:
     """Max pairwise difference of L(E,2) across split points; the numerical
     certificate for eps and the delicate a_p."""
-    weights = _probe_weights(data.N, data.n_max, probes)
+    weights = _probe_weights(data.N, data.n_max)
     return _spread([_split_sums(data.an, w, data.N) for w in weights], data.eps)
 
 
-def l2(
-    curve: CurveModel,
-    data: LFunctionData,
-    tol: float = 1e-12,
-    split: float | None = None,
-) -> LValueResult:
-    """L(E, 2) and L'(E, 0) from the coefficient table.
-
-    `split` overrides the split point A (default 1/sqrt(N)); the tail bound
-    must come in under tol or the caller is asked for a larger table.
+def l2(curve: CurveModel, data: LFunctionData, tol: float = 1e-12) -> LValueResult:
+    """L(E, 2) and L'(E, 0) from the coefficient table, split at
+    A = 1/sqrt(N); the tail bound must come in under tol or the caller is
+    asked for a larger table.
     """
     N = curve.conductor_N
     if data.N != N:
         raise DomainError("l2: data and curve disagree on the conductor")
-    A = split if split is not None else 1.0 / math.sqrt(N)
-    weights = _split_weights(N, A, data.n_max + 60)
+    weights = _split_weights(N, 1.0 / math.sqrt(N), data.n_max + 60)
     tail = _tail_bound(weights, data.n_max, N)
     if tail > tol:
         raise AccuracyError(

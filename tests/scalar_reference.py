@@ -8,7 +8,9 @@ one-call-per-node implementations that `quadrature.tanh_sinh_panels` and
 `carlson_rj` (with `_rj_scaled` and `_rj`), `_pi_k` and the scalar entry
 points over them (`ell_k`, `ell_pi`, `ell_pi_k`, `ell_k_imag`,
 `ell_pi_imag`) are the duplication loops, one call per argument tuple, that
-the lockstep kernels of `elliptic` replaced.  The tests assert that the
+the lockstep kernels of `elliptic` replaced.  `r_value` and `f_value` are
+the per-point steps of the identity coefficients r and f, from scalar jets,
+that the array pass of `identities` replaced.  The tests assert that the
 lockstep kernels and the scalar entry points over them give their values
 and errors bit for bit.
 """
@@ -19,6 +21,7 @@ import itertools
 import math
 from typing import Callable, Sequence
 
+from mahlerlab import identities as I
 from mahlerlab import mahler as M
 from mahlerlab.elliptic import (
     _EPS,
@@ -36,7 +39,7 @@ from mahlerlab.elliptic import (
     _rf_series,
     _scale_exponent,
 )
-from mahlerlab.errors import AccuracyError, DivergenceError, DomainError
+from mahlerlab.errors import AccuracyError, DivergenceError, DomainError, SingularPointError
 from mahlerlab.quadrature import _HALF_PI, _MAX_LEVEL, _T_MAX
 
 # _LEVEL_NODES[0] holds the nodes at t = k (k >= 1); _LEVEL_NODES[L] for L >= 1
@@ -379,3 +382,25 @@ def ell_pi_imag(n: float, m: float) -> float:
         raise DomainError(
             f"ell_pi_imag: m = {m} too large for double precision at n = {n}"
         ) from None
+
+
+# ----------------------------------------------------------------------------
+# the identity coefficients at one point, from its scalar p/q jets
+
+
+def r_value(cand: I.IdentityCandidate, x: float, pj, qj) -> float:
+    """r at x; SingularPointError where its denominator vanishes or is not
+    finite."""
+    num, den = I._r_num_den(pj.value, pj.d1, qj.value, qj.d1)
+    if den == 0.0 or not math.isfinite(den):
+        raise SingularPointError(f"{cand.name}: r denominator vanishes at x = {x}")
+    return num / den
+
+
+def f_value(cand: I.IdentityCandidate, x: float, pj, qj) -> float:
+    """f at x; SingularPointError where its denominator vanishes or is not
+    finite."""
+    num, den = I._f_num_den(pj.value, pj.d1, qj.value, qj.d1)
+    if den == 0.0 or not math.isfinite(den):
+        raise SingularPointError(f"{cand.name}: f denominator vanishes at x = {x}")
+    return num / den

@@ -13,6 +13,7 @@ import pytest
 import scalar_reference as R
 
 from mahlerlab import cli
+from mahlerlab import identities
 from mahlerlab import mahler as M
 from mahlerlab import quadrature
 
@@ -358,6 +359,16 @@ class TestVerify:
         assert err.startswith("mahlerlab: error: bad: p/q undefined at x = 0.001000000000000334: ")
         assert err.count("\n") == 1
 
+    def test_candidate_q_zero_on_grid_is_one_line_error(self, capsys, tmp_path):
+        # q vanishes at the first point of the default grid, where the ODE
+        # residual divides by q: a bare ZeroDivisionError escaped from there
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps([{"name": "qzero", "p": "-x-0.1", "q": "x-0.001000000000000334",
+                                     "domain": [0.0, 1.0]}]))
+        code, out, err = run_main(capsys, "verify", "appendix", "--candidate-file", str(path))
+        assert code == 1 and out == ""
+        assert err == "mahlerlab: error: qzero: q in {0,1} at x = 0.001000000000000334\n"
+
     @pytest.mark.parametrize(
         "content",
         [
@@ -393,6 +404,16 @@ class TestVerify:
         code, _, _ = run_main(capsys, "verify", "all", "--format", "json")
         assert code == 0
         assert sorted(seen) == ["cubic", "jia", "linear", "surd"]
+
+    @pytest.mark.parametrize("suite,calls", [("all", 4), ("appendix", 4), ("jia", 1)])
+    def test_one_carlson_call_per_candidate_and_grid(self, capsys, monkeypatch, suite, calls):
+        # Pi and K at the grid, the anchor and for the printed coefficients
+        # come from one call of the Carlson kernels per verified candidate
+        seen = []
+        real = identities.ell_pi_k_array
+        monkeypatch.setattr(identities, "ell_pi_k_array", lambda *a: seen.append(a) or real(*a))
+        code, _, _ = run_main(capsys, "verify", suite, "--format", "json")
+        assert code == 0 and len(seen) == calls
 
     def test_file_candidate_named_like_a_builtin_is_verified(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "c.json"
@@ -494,6 +515,25 @@ class TestSweep:
         with pytest.raises(SystemExit) as exc:
             cli.main(["sweep", "dfdk"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "quantity,spec,bad,domain",
+        [
+            ("f", "-1:1:3", [-1.0, 0.0], "not above 0 (requires k > 0)"),
+            ("h", "3:5:3", [3.0, 4.0], "not above 4 (requires k > 4)"),
+            ("dfdk", "3:5:3", [3.0, 4.0], "not above 4 (requires k > 4)"),
+            ("dhdk", "4:8:2", [4.0], "not above 4 (requires k > 4)"),
+            ("m_plus", "3:5:3", [4.0], "not above 0 or equal to 4 (requires k > 0, k != 4)"),
+            ("m_minus", "-1:4:6", [-1.0, 0.0, 4.0],
+             "not above 0 or equal to 4 (requires k > 0, k != 4)"),
+        ],
+        ids=["f", "h", "dfdk", "dhdk", "m_plus", "m_minus"],
+    )
+    def test_k_outside_the_quantity_domain_is_usage_error(self, capsys, quantity, spec, bad, domain):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", quantity, f"--k-grid={spec}"])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", f"mahlerlab: sweep {quantity}: k values {bad} {domain}\n")
 
     def test_pool_clamped_to_cpus_and_tasks(self, capsys, monkeypatch):
         sizes = []

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 # the per-point references take Pi and K from the scalar Carlson loops, which
-# the entry points of `elliptic` equal bit for bit
-from scalar_reference import ell_k, ell_pi
+# the entry points of `elliptic` equal bit for bit, and r and f from scalar jets
+from scalar_reference import ell_k, ell_pi, f_value, r_value
 
 from mahlerlab import identities as I
 from mahlerlab.errors import DomainError, RegimeError, SingularPointError
@@ -28,10 +28,10 @@ def integrating_factor_residual(cand: I.IdentityCandidate, x: float) -> float:
             f"{cand.name}: integrating factor argument {arg.value} <= 0 at x = {x}"
         )
     u = sqrt(arg)
-    return u.d1 / u.value + I._f_value(cand, x, pj, qj) + qj.d1 / qj.value
+    return u.d1 / u.value + f_value(cand, x, pj, qj) + qj.d1 / qj.value
 
 
-def reference_verify(cand, x0=None, grid=None, tol=1e-10, ode_tol=1e-10, e_coeff_tol=1e-11):
+def reference_verify(cand, x0=None, grid=None, tol=1e-10):
     """verify_identity with the per-point residual loop, the reference for
     the array pass: scalar jets, r' and Carlson forms at each grid point."""
     if x0 is None:
@@ -58,20 +58,21 @@ def reference_verify(cand, x0=None, grid=None, tol=1e-10, ode_tol=1e-10, e_coeff
             lhs = C
         else:
             pj, qj = I._pq_jets(cand, x)
-            r = I._r_value(cand, x, pj, qj)
+            r = r_value(cand, x, pj, qj)
             p, q = I._values_at(cand, x)
             lhs = ell_pi(p, q) + r * ell_k(q)
             P, dP = Jet2(pj.value, pj.d1), Jet2(pj.d1, pj.d2)
             Q, dQ = Jet2(qj.value, qj.d1), Jet2(qj.d1, qj.d2)
             num, den = I._r_num_den(P, dP, Q, dQ)
             rj = num / den
-            fx = I._f_value(cand, x, pj, qj)
+            fx = f_value(cand, x, pj, qj)
+            p, dp, q, dq = pj.value, pj.d1, qj.value, qj.d1
+            # before the ODE divides by q
+            if q in (0.0, 1.0):
+                raise SingularPointError(f"{cand.name}: q in {{0,1}} at x = {x}")
             ode = rj.d1 - (fx + qj.d1 / qj.value) * rj.value + pj.d1 / (
                 2.0 * pj.value * (pj.value - 1.0)
             )
-            p, dp, q, dq = pj.value, pj.d1, qj.value, qj.d1
-            if q in (0.0, 1.0):
-                raise SingularPointError(f"{cand.name}: q in {{0,1}} at x = {x}")
             ec = (
                 dp / (2.0 * (p - 1.0) * (q * q - p))
                 + dq * q / ((1.0 - q * q) * (q * q - p))
@@ -80,13 +81,15 @@ def reference_verify(cand, x0=None, grid=None, tol=1e-10, ode_tol=1e-10, e_coeff
             ode_max = max(ode_max, abs(ode))
             ec_max = max(ec_max, abs(ec))
         id_max = max(id_max, abs(lhs - s_at[x]))
+    printed = reference_printed_variants(cand, xs) if cand.printed_rhs else {}
     return I.IdentityReport(cand.name, x0, C, tuple(xs), ode_max, ec_max, id_max,
-                            tol, ode_tol, e_coeff_tol)
+                            tuple(printed.items()), tol, I.ODE_TOL, I.E_COEFF_TOL)
 
 
 def reference_printed_variants(cand, grid=None):
     """check_printed_variants point by point through the scalar forms."""
-    variants = [("printed", cand.printed_r)] + list(cand.printed_r_alts)
+    variants = [("printed", cand.printed_r)] if cand.printed_r else []
+    variants += list(cand.printed_r_alts)
     out = {}
     for label, rfn in variants:
         worst = 0.0
@@ -99,7 +102,12 @@ def reference_printed_variants(cand, grid=None):
 
 
 def _bits(report):
-    return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(report)]
+    """The report's fields with every float, nested ones included, as hex."""
+    def bits(v):
+        if isinstance(v, float):
+            return v.hex()
+        return tuple(map(bits, v)) if isinstance(v, tuple) else v
+    return bits(dataclasses.astuple(report))
 
 
 def _parsed(name, p, q, x0):
@@ -296,8 +304,9 @@ class TestVerifyIdentity:
         probe = dataclasses.replace(cubic, p=recording("p", cubic.p), q=recording("q", cubic.q))
         I.verify_identity(probe, grid=grid)
         for evals in calls.values():
-            # the anchor's scalar r, then one array call for the whole grid;
-            # the other array calls are the chains' quadrature nodes
+            # one scalar call, naming the undefined jets of the anchor's r,
+            # and one array call for the whole grid; the other array calls
+            # are the anchor's r and the chains' quadrature nodes
             assert [v for v in evals if not isinstance(v, list)] == [cubic.anchor_x0]
             assert sum(v == grid for v in evals) == 1
 
@@ -341,8 +350,9 @@ class TestVerifyIdentity:
             (I.IdentityCandidate("nan-p", _minus_x_except_at_half(math.nan, jets=False),
                                  lambda x: x, (0.0, 1.0), 0.3),
              [0.1, 0.2, 0.5, 0.7, 0.9], "ell_pi: arguments must be finite"),
-            # q = 0 at 0.2: the ODE residual divides by q
-            (_parsed("q-zero", "-x-0.1", "x-0.2", 0.5), [0.2, 0.3, 0.7], "float division by zero"),
+            # q = 0 at 0.2, where the ODE residual divides by q
+            (_parsed("q-zero", "-x-0.1", "x-0.2", 0.5), [0.2, 0.3, 0.7],
+             r"q-zero: q in \{0,1\} at x = 0.2"),
         ],
         ids=["r-denominator", "f-denominator", "undefined-jets", "nan-p", "q-zero"],
     )
@@ -405,11 +415,11 @@ class TestVariantResolution:
             I.check_printed_variants(cand, grid)
         assert str(got.value) == str(want.value)
 
-    @pytest.mark.parametrize("pole,error", [(0.9, RegimeError), (0.3, ZeroDivisionError)])
+    @pytest.mark.parametrize("pole,error", [(0.9, RegimeError), (0.3, RegimeError)])
     def test_printed_variants_raise_in_point_order(self, tmp_path, pole, error):
         # p leaves the regime at x = 0.6, the printed r has a pole at `pole`
-        # and the alternative one at 0.1: at each x the printed r raises
-        # before the gate, and the first variant runs over the grid first
+        # and the alternative one at 0.1: the regime gate covers the whole
+        # grid before any printed r is evaluated, as in verify_identity
         path = tmp_path / "cands.json"
         path.write_text('[{"name": "steep", "p": "4*x - 0.5", "q": "x", "domain": [0, 1]}]')
         (cand,) = load_candidates(str(path))

@@ -60,11 +60,11 @@ DIGESTS = [
     ("verify thm-main --tol 1e-13 --format json", "fdd7a1b7d146d680e4c18a857abfa29f3bc9f20bd84eaf9f9e10458c9b763e39"),
     ("verify corollary --k 6 --format json", "e6ca46a9fda175d658e69230eee2ecbc5c41593bd587ad8443af280dfda43e44"),
     ("mahler --k 4 --format json", "03252098a1c74d0eab16964e760e3dd1cf9d273e525dfb0103ac5ca3c5612673"),
-    ("sweep h --k-grid 3:5:3", "dc88fdf5ee4028f87a673e1cef98fa7a2b1a17855c8b280c7639c1ee8c3ec60b"),
+    ("sweep h --k-grid 3:5:3", "98cdc3732330b82b3693205dc5ea400f957f703f798cdcbff5a5417fd8443d94"),
     ("table --nmax 10 --format json", "e5206698ae03b05ad9ffcabe2afa3806bfb0202cd3c42b0b98b4e54508849721"),
     ("ell --kind Pi --n 1 --z 0.5 --format json", "04c266f79df028fc64b79b4d1ee2a5959f2fd91cde78c5de72a7a67260b64c3f"),
-    ("sweep dfdk --k-grid 3:5:3", "ce1ca63fbd55bcabde7fc36cc61d7ebc80cf5acc11c10fe7ad1fc3d1e508f27f"),
-    ("sweep dhdk --k-grid 3:5:3", "a7a7f741c3b324f2f694ada306f173d466666f519b1b77e089bb608987af0103"),
+    ("sweep dfdk --k-grid 3:5:3", "ceb073bbcc9dc81d5d43045a80aa944c4917f52788d30da42dce77ac53b709fe"),
+    ("sweep dhdk --k-grid 3:5:3", "89b531246db046a8c3b3bebd5f24054552a8558992328597cb4a88bbca695756"),
     ("ell --kind E --z 1.5", "e5c9ebab52d2349aef0ef9731023c63efafe8352f36694ef128269dff97a8519"),
     ("ell --kind K --z 1", "97e72af6dc160c91f0d914b44728ddaec5f03dcdb613442a94f0bec4744ea58e"),
     ("ell --kind Pi-imag --n 2 --m 0.5", "4bd66c3b24938a7b6420c5f486d3e2355a40b35368e726c3c4af9a1dca8592aa"),
