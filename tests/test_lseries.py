@@ -115,9 +115,12 @@ class TestPipeline:
         assert an[10] == an[2] * an[5]
 
     def test_split_point_independence(self):
-        # L(E, 2) split at A = 0.8/sqrt(N), 1/sqrt(N) and 1.3/sqrt(N) agrees
         _, data, _ = L.lvalue_from_k(8.0)
         assert L.split_point_spread(data) <= 1e-10
+
+    def test_generalized_split_values_match(self):
+        # L(E, 2) by the per-term split formula at A = 0.8/sqrt(N) and 1.3/sqrt(N)
+        _, data, _ = L.lvalue_from_k(8.0)
         rootn = math.sqrt(data.N)
         a, b = (_l2_split_reference(data.an, data.N, data.eps, c / rootn) for c in (0.8, 1.3))
         assert abs(a - b) <= 1e-10
