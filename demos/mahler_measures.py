@@ -38,13 +38,15 @@ print("(the principal-branch labeling is the one that satisfies the identity)")
 
 print()
 print("=== The main identity and its corollary ===")
-ks = (4.5, 5.0, 8.0, 16.0, 50.0)
-for k, res in zip(ks, M.verify_thm_main(ks)):
-    print(f"k = {k:5}:  residual = {res:.2e}")
+for k in (4.5, 5.0, 8.0, 16.0, 50.0):
+    hm = M.half_measures(M.factor_ptilde(k), 1e-10)
+    rhs = 2 * (hm.m_plus - hm.m_minus) + 0.5 * math.log((k - 4) / (k + 4))
+    print(f"k = {k:5}:  residual = {abs(M.m_p1k(k, 1e-10) - rhs):.2e}")
 print(f"regime boundary for m- = 0: k = {M.K_LARGE:.10f}")
-ks = (7.0, 16.0)
-for k, (mm, res) in zip(ks, M.verify_corollary(ks)):
-    print(f"k = {k}:  m- = {mm:.1e}, corollary residual = {res:.2e}")
+for k in (7.0, 16.0):
+    hm = M.half_measures(M.factor_ptilde(k), 1e-10)
+    rhs = 2 * hm.m_total + 0.5 * math.log((k - 4) / (k + 4))
+    print(f"k = {k}:  m- = {hm.m_minus:.1e}, corollary residual = {abs(M.m_p1k(k, 1e-10) - rhs):.2e}")
 
 print()
 print("=== Derivatives in closed form ===")

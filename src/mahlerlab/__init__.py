@@ -49,8 +49,6 @@ from .mahler import (
     half_measures,
     m_generic_2d,
     m_p1k,
-    verify_corollary,
-    verify_thm_main,
 )
 from .quadrature import quadrature_oracle
 
@@ -97,9 +95,7 @@ __all__ = [
     "m_generic_2d",
     "m_p1k",
     "quadrature_oracle",
-    "verify_corollary",
     "verify_eta_param",
     "verify_identity",
-    "verify_thm_main",
     "__version__",
 ]

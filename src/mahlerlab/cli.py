@@ -45,13 +45,9 @@ from .mahler import (
     factor_pac_small,
     factor_ptilde,
     half_measures_lockstep,
-    lsz_branch_verdict,
     m_generic_2d,
     poly_p1k,
     regime,
-    sweep_measures,
-    verify_corollary,
-    verify_thm_main,
 )
 
 #: documented safety floor for the main-theorem verification grid
@@ -64,13 +60,19 @@ MAX_NMAX = 10_000
 #: again at tol/10, which must stay above the 1e-13 double-precision floor
 SWEEP_TOL_FLOOR = 1e-12
 
-#: per `sweep` quantity: the k it rejects, and its domain as the usage error states it
+_ABOVE_4 = (lambda k: k <= 4.0, "not above 4 (requires k > 4)")
+_MEMBER = (lambda k: k <= 0.0 or k == 4.0, "not above 0 or equal to 4 (requires k > 0, k != 4)")
+#: per `sweep` quantity: the k it rejects, its domain as the usage error
+#: states it, the factorization at k and the value read off its
+#: half-measures; the closed forms dfdk and dhdk take `derivative_grid`
 _QUANTITIES = {
-    "f": (lambda k: k <= 0.0, "not above 0 (requires k > 0)"),
-    "h": (lambda k: k <= 4.0, "not above 4 (requires k > 4)"),
-    "m_plus": (lambda k: k <= 0.0 or k == 4.0, "not above 0 or equal to 4 (requires k > 0, k != 4)"),
+    "f": (lambda k: k <= 0.0, "not above 0 (requires k > 0)", factor_p1k, lambda hm: hm.m_total),
+    "h": (*_ABOVE_4, factor_ptilde, lambda hm: hm.m_plus - hm.m_minus),
+    "m_plus": (*_MEMBER, factor_member, lambda hm: hm.m_plus),
+    "m_minus": (*_MEMBER, factor_member, lambda hm: hm.m_minus),
+    "dfdk": (*_ABOVE_4, None, None),
+    "dhdk": (*_ABOVE_4, None, None),
 }
-_QUANTITIES.update(m_minus=_QUANTITIES["m_plus"], dfdk=_QUANTITIES["h"], dhdk=_QUANTITIES["h"])
 
 _IMAGINARY_ROWS = ("i", "2i", "3i", "4i", "sqrt(2)i")
 
@@ -185,12 +187,22 @@ def parse_nmax(text: str) -> int:
 
 
 # ----------------------------------------------------------------------------
-# suites: each takes (ks, tol, args, verify), where `verify` is the run's
-# shared verify_identity.  They look up the checks they run in this module's
-# namespace when called, so a patch of one of those names takes effect
+# suites: each takes (ks, tol, args, run), where `run(fn, *args, **kwargs)`
+# is fn's result shared by the whole run.  They look up the checks they run
+# in this module's namespace when called, so a patch of one of those names
+# takes effect
 
 
-def suite_ei(ks: Sequence[float], tol: float, args, verify) -> Report:
+def slice_pairs(factor, ks: Sequence[float], tols: tuple[float, ...]) -> list[list[tuple]]:
+    """out[j][r] holds the half-measures of factor(ks[j]) and of P_k at
+    tols[r], from one lockstep refinement ordered by k, then tol, then the
+    two, so its first AccuracyError is the one a loop over them raises."""
+    jobs = [(fac, (tol,)) for k in ks for tol in tols for fac in (factor(k), factor_p1k(k))]
+    rows = iter(half_measures_lockstep(*zip(*jobs)))
+    return [[(next(rows)[0], next(rows)[0]) for _ in tols] for _ in ks]
+
+
+def suite_ei(ks: Sequence[float], tol: float, args, run) -> Report:
     rep = Report("verify ei", metadata={"tol": tol})
     # Pi and K at every k from one R_F each; k > 4 keeps z = 4/k in [0, 1)
     z = 4.0 / np.array(ks, dtype=float)
@@ -201,22 +213,26 @@ def suite_ei(ks: Sequence[float], tol: float, args, verify) -> Report:
     return rep
 
 
-def suite_thm_main(ks: Sequence[float], tol: float, args, verify) -> Report:
+def suite_thm_main(ks: Sequence[float], tol: float, args, run) -> Report:
+    # m(P_k) = 2(m+ - m-) + (1/2) log((k-4)/(k+4)) for k > 4
     rep = Report("verify thm-main", metadata={"tol": tol, "k_floor": THM_MAIN_K_FLOOR})
-    for k, res in zip(ks, verify_thm_main(ks, tol)):
+    for k, [(hm, p1k)] in zip(ks, run(slice_pairs, factor_ptilde, ks, (0.01 * tol,))):
+        res = abs(p1k.m_total - (2.0 * (hm.m_plus - hm.m_minus) + 0.5 * math.log((k - 4.0) / (k + 4.0))))
         rep.add(f"k={k:.6g}", 0.0, res, res, tol)
     return rep
 
 
-def suite_corollary(ks: Sequence[float], tol: float, args, verify) -> Report:
+def suite_corollary(ks: Sequence[float], tol: float, args, run) -> Report:
+    # past 2(1+sqrt(5)) m- = 0, and m(P_k) = 2 m(Ptilde_k) + (1/2) log((k-4)/(k+4))
     rep = Report("verify corollary", metadata={"tol": tol, "m_minus_tol": 1e-12})
-    for k, (m_minus, res) in zip(ks, verify_corollary(ks, tol)):
-        rep.add(f"k={k:.6g} m_minus", 0.0, m_minus, abs(m_minus), 1e-12)
+    for k, [(hm, p1k)] in zip(ks, run(slice_pairs, factor_ptilde, ks, (0.01 * tol,))):
+        res = abs(p1k.m_total - (2.0 * hm.m_total + 0.5 * math.log((k - 4.0) / (k + 4.0))))
+        rep.add(f"k={k:.6g} m_minus", 0.0, hm.m_minus, abs(hm.m_minus), 1e-12)
         rep.add(f"k={k:.6g} identity", 0.0, res, res, tol)
     return rep
 
 
-def suite_appendix(ks: Sequence[float], tol: float, args, verify) -> Report:
+def suite_appendix(ks: Sequence[float], tol: float, args, run) -> Report:
     rep = Report(
         "verify appendix",
         metadata={"identity_tol": tol, "ode_tol": ODE_TOL, "e_coeff_tol": E_COEFF_TOL},
@@ -225,7 +241,7 @@ def suite_appendix(ks: Sequence[float], tol: float, args, verify) -> Report:
     if args.candidate_file:
         cands += load_candidates(args.candidate_file)
     for cand in cands:
-        r = verify(cand, tol=tol)
+        r = run(verify_identity, cand, tol=tol)
         rep.add(f"{cand.name} ode", 0.0, r.ode_residual_max, r.ode_residual_max, r.ode_tol)
         rep.add(
             f"{cand.name} e-coeff", 0.0, r.e_coeff_residual_max, r.e_coeff_residual_max, r.e_coeff_tol
@@ -248,10 +264,10 @@ def suite_appendix(ks: Sequence[float], tol: float, args, verify) -> Report:
     return rep
 
 
-def suite_jia(ks: Sequence[float], tol: float, args, verify) -> Report:
+def suite_jia(ks: Sequence[float], tol: float, args, run) -> Report:
     rep = Report("verify jia", metadata={"tol": tol, "anchor_tol": 1e-12})
     jia = next(c for c in builtin_candidates() if c.name == "jia")
-    r = verify(jia, tol=tol)
+    r = run(verify_identity, jia, tol=tol)
     rep.add("grid residual [-10,-1]", 0.0, r.identity_residual_max, r.identity_residual_max, tol)
     lhs = r.constant_C  # Pi + r K at the anchor x = -1, pinned with the printed r
     rhs = jia.printed_rhs(-1.0)
@@ -262,29 +278,26 @@ def suite_jia(ks: Sequence[float], tol: float, args, verify) -> Report:
     return rep
 
 
-def suite_lsz(ks: Sequence[float], tol: float, args, verify) -> Report:
+def suite_lsz(ks: Sequence[float], tol: float, args, run) -> Report:
+    # m(P_k) = m- - 3 m+ of the (a, c) member for 0 < k < 4; the swapped
+    # labeling of the two roots must miss it
     rep = Report("verify lsz", metadata={"log_tol": 1e-8, "lsz_tol": tol})
     # the branch verdict reads the measures at 1e-10, the other rows at 1e-11
-    for k, (fine, verdict) in zip(ks, lsz_branch_verdict(ks, (1e-11, 1e-10))):
+    pairs = run(slice_pairs, factor_pac_small, ks, (1e-11, 1e-10))
+    for k, [(fine, fine_p1k), (hm, p1k)] in zip(ks, pairs):
         log_a = math.log(factor_pac_small(k).beta / 2.0)
-        m_total = fine["m_plus"] + fine["m_minus"]
-        rep.add(f"k={k:.6g} m_total = log a", log_a, m_total, abs(m_total - log_a), 1e-8)
-        lsz = fine["m_minus"] - 3.0 * fine["m_plus"]
-        target = fine["m_p1k"]
+        rep.add(f"k={k:.6g} m_total = log a", log_a, fine.m_total, abs(fine.m_total - log_a), 1e-8)
+        lsz, target = fine.m_minus - 3.0 * fine.m_plus, fine_p1k.m_total
         rep.add(f"k={k:.6g} m- - 3m+ = m(P_1k)", target, lsz, abs(lsz - target), tol)
-        rep.rows.append(
-            Row(
-                f"k={k:.6g} branch labeling",
-                "principal",
-                verdict["winner"],
-                verdict["residual_principal"],
-                "PASS" if verdict["winner"] == "principal" else "FAIL",
-            )
-        )
+        principal = abs(hm.m_minus - 3.0 * hm.m_plus - p1k.m_total)
+        swapped = abs(hm.m_plus - 3.0 * hm.m_minus - p1k.m_total)
+        winner = "principal" if principal < swapped else "swapped"
+        rep.rows.append(Row(f"k={k:.6g} branch labeling", "principal", winner, principal,
+                            "PASS" if winner == "principal" else "FAIL"))
     return rep
 
 
-def suite_eta(ts: Sequence[float], tol: float, args, verify) -> Report:
+def suite_eta(ts: Sequence[float], tol: float, args, run) -> Report:
     rep = Report("verify eta", metadata={"tol": tol})
     for t in ts:
         res = verify_eta_param(t)
@@ -348,19 +361,21 @@ def cmd_verify(args) -> Report:
         raise UsageError(f"verify {args.suite}: takes no --candidate-file (only appendix reads one)")
     specs = [SUITES[args.suite]] if single else list(SUITES.values())
     # every suite's k values are checked before any suite runs
-    runs = [(spec, spec.ks_for(args, single)) for spec in specs]
-    reports = {}
+    runs = [(spec, tuple(spec.ks_for(args, single))) for spec in specs]
+    results = {}
 
-    def verify(cand, tol):
-        # one report per candidate and tol for the whole run: `verify all`
-        # checks the same built-in candidate in more than one suite
-        if (cand, tol) not in reports:
-            reports[cand, tol] = verify_identity(cand, tol=tol)
-        return reports[cand, tol]
+    def run(fn, *fn_args, **kwargs):
+        # one result per function and arguments for the whole run: `verify
+        # all` checks the same built-in candidate in more than one suite,
+        # and thm-main and corollary refine the same slice pairs
+        key = (fn, fn_args, *kwargs.items())
+        if key not in results:
+            results[key] = fn(*fn_args, **kwargs)
+        return results[key]
 
     combined = Report("verify all", metadata={"suites": list(SUITES)})
     for spec, ks in runs:
-        sub = spec.rows(ks, spec.tol if args.tol is None else args.tol, args, verify)
+        sub = spec.rows(ks, spec.tol if args.tol is None else args.tol, args, run)
         if single:
             return sub
         combined.rows += [replace(row, input=f"{spec.name}: {row.input}") for row in sub.rows]
@@ -429,20 +444,22 @@ def _sweep_chunk(task) -> list[tuple[float, float, float]]:
     """(k, value, est_error) at each k of one contiguous piece of a sweep
     grid; a measure's est_error is |v(tol) - v(tol/10)|."""
     quantity, ks, tol = task
-    if quantity in ("dfdk", "dhdk"):
+    _, _, factor, value = _QUANTITIES[quantity]
+    if value is None:
         pairs = [(v, v) for v in derivative_grid(quantity, ks).tolist()]
     else:
-        pairs = sweep_measures(quantity, ks, (tol, tol * 0.1))
+        rows = half_measures_lockstep([factor(k) for k in ks], [(tol, tol * 0.1)] * len(ks))
+        pairs = [[value(hm) for hm in row] for row in rows]
     return [(k, v, abs(v - v2) if v != v2 else 1e-15 * abs(v)) for k, (v, v2) in zip(ks, pairs)]
 
 
 def cmd_sweep(args) -> Report:
     ks = args.k_grid
-    bad_k, domain = _QUANTITIES[args.quantity]
+    bad_k, domain, _, value = _QUANTITIES[args.quantity]
     bad = [k for k in ks if bad_k(k)]
     if bad:
         raise UsageError(f"sweep {args.quantity}: k values {bad} {domain}")
-    if args.quantity not in ("dfdk", "dhdk") and args.tol < SWEEP_TOL_FLOOR:
+    if value is not None and args.tol < SWEEP_TOL_FLOOR:
         raise UsageError(f"sweep {args.quantity}: --tol below the {SWEEP_TOL_FLOOR:g} floor of "
                          "the integrated quantities (est_error integrates again at tol/10)")
     workers = min(args.jobs, os.cpu_count() or 1, len(ks))

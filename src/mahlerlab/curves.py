@@ -80,8 +80,9 @@ def curve_from_k(k: float) -> CurveModel:
     if k <= 0:
         raise UnsupportedCurveError(f"curve_from_k: requires k > 0, got {k}")
     k2f = float(k) * float(k)
-    k2 = round(k2f)
-    if abs(k2f - k2) > 1e-9 * max(1.0, k2) or k2 not in TABLE1:
+    # k^2 overflows to inf from k ~ 1.34e154, which round() refuses
+    k2 = round(k2f) if math.isfinite(k2f) else None
+    if k2 not in TABLE1 or abs(k2f - k2) > 1e-9 * max(1.0, k2):
         raise UnsupportedCurveError(
             f"curve_from_k: k = {k} (k^2 = {k2f:.12g}) is not a supported table row"
         )

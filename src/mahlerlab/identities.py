@@ -83,13 +83,17 @@ class IdentityReport:
         )
 
 
-def _pq_jets(cand: IdentityCandidate, x: float) -> tuple[Jet2, Jet2]:
+def _pq_jets(cand: IdentityCandidate, x) -> tuple[Jet2, Jet2]:
+    """p and q as jets at x, a float or an array; an expression without x,
+    which gives a plain float, becomes a constant jet of x's shape."""
+    seed = Jet2.seed(x)
     try:
-        return cand.p(Jet2.seed(x)), cand.q(Jet2.seed(x))
+        pq = cand.p(seed), cand.q(seed)
     except (DomainError, ZeroDivisionError, ValueError) as exc:
         raise SingularPointError(
             f"{cand.name}: p/q jets undefined at x = {x}: {exc}"
         ) from exc
+    return tuple(v if isinstance(v, Jet2) else Jet2(v + 0.0 * seed.value) for v in pq)
 
 
 def _r_num_den(P, dP, Q, dQ):
@@ -111,8 +115,7 @@ def _coefficients(cand: IdentityCandidate, xs: Sequence[float], faults: str):
     "r" or "f", that denominator vanishes or is not finite; "q", q in {0, 1}.
     A NaN that the jets carry without raising stays in place."""
     with np.errstate(all="ignore"):
-        seed = Jet2.seed(np.array(xs, dtype=float))
-        pj, qj = cand.p(seed), cand.q(seed)
+        pj, qj = _pq_jets(cand, np.array(xs, dtype=float))
         rnum, rden = _r_num_den(pj.value, pj.d1, qj.value, qj.d1)
         fnum, fden = _f_num_den(pj.value, pj.d1, qj.value, qj.d1)
         r, f = rnum / rden, fnum / fden
@@ -145,7 +148,7 @@ def _f_array(cand: IdentityCandidate, xs: np.ndarray) -> np.ndarray:
     """f at every point of xs in one jet evaluation, NaN wherever eval_f
     raises SingularPointError."""
     with np.errstate(all="ignore"):
-        pj, qj = cand.p(Jet2.seed(xs)), cand.q(Jet2.seed(xs))
+        pj, qj = _pq_jets(cand, xs)
         num, den = _f_num_den(pj.value, pj.d1, qj.value, qj.d1)
         return np.where((den == 0.0) | ~np.isfinite(den), math.nan, num / den)
 

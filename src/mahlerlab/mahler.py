@@ -26,13 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .elliptic import ell_k_array, ell_pi_k_array
-from .errors import (
-    AccuracyError,
-    DomainError,
-    MahlerLabError,
-    RegimeError,
-    SingularParameterError,
-)
+from .errors import AccuracyError, DomainError, SingularParameterError
 from .quadrature import _each, quadrature_oracle, tanh_sinh_panels
 
 #: regime boundary: the root-modulus crossing leaves the unit circle here
@@ -218,29 +212,6 @@ def half_measures_lockstep(
     return [[HalfMeasures(m_plus=p, m_minus=q) for q, p in row] for row in m]
 
 
-#: the measures `sweep_measures` traces: the factorization at k and the
-#: value read off its half-measures
-_SWEPT = {
-    "f": (factor_p1k, lambda hm: hm.m_total),
-    "h": (factor_ptilde, lambda hm: hm.m_plus - hm.m_minus),
-    "m_plus": (factor_member, lambda hm: hm.m_plus),
-    "m_minus": (factor_member, lambda hm: hm.m_minus),
-}
-
-
-def sweep_measures(
-    quantity: str, ks: Sequence[float], tols: tuple[float, ...]
-) -> list[list[float]]:
-    """out[j][r] is `quantity` at ks[j] and tols[r] (a decreasing ladder),
-    by `half_measures_lockstep`: f = m(P_k), h = m+ - m- of Ptilde_k, and
-    m_plus or m_minus of Ptilde_k for k > 4 and of the (a, c) member for
-    k < 4."""
-    factor, value = _SWEPT[quantity]
-    facs = [factor(k) for k in ks]
-    rows = half_measures_lockstep(facs, [tols] * len(facs))
-    return [[value(hm) for hm in row] for row in rows]
-
-
 def m_p1k(k: float, tol: float = 1e-8) -> float:
     """Mahler measure of x + 1/x + y + 1/y + k for finite k > 0.
 
@@ -292,65 +263,6 @@ def dhdk_integral_form(k: float, tol: float = 1e-10) -> float:
 
     val = quadrature_oracle(g, 0.0, math.pi, 0.1 * min(tol, 1e-9))
     return -4.0 / (k * k - 16.0) * val / math.pi
-
-
-def _with_p1k(
-    ks: Sequence[float], factor: Callable[[float], QuadraticFactorization], tols: Sequence[float]
-) -> list[list[tuple[HalfMeasures, HalfMeasures]]]:
-    """out[j][r] holds the half-measures of factor(ks[j]) and of P_k at
-    tols[r], all from one `half_measures_lockstep`.  They are refined in the
-    order of a loop over k, then tol, then the two, so the first error is
-    the one that loop raises: an error of factor(k) comes only once the k
-    before it are refined."""
-    jobs, error = [], None
-    for k in ks:
-        try:
-            pair = factor(k), factor_p1k(k)
-        except MahlerLabError as exc:
-            error = exc
-            break
-        jobs += [(fac, (tol,)) for tol in tols for fac in pair]
-    rows = half_measures_lockstep([fac for fac, _ in jobs], [tol for _, tol in jobs])
-    if error is not None:
-        raise error
-    pairs = [(hm, p1k) for [hm], [p1k] in zip(rows[::2], rows[1::2])]
-    return [pairs[i:i + len(tols)] for i in range(0, len(pairs), len(tols))]
-
-
-def verify_thm_main(ks: Sequence[float], tol: float = 1e-8) -> list[float]:
-    """Residuals of m(P_k) = 2(m+ - m-) + (1/2) log((k-4)/(k+4)) at each
-    k > 4, from one lockstep refinement."""
-
-    def factor(k):
-        if k <= 4.0:
-            raise DomainError(f"verify_thm_main: requires k > 4, got {k}")
-        return factor_ptilde(k)
-
-    return [
-        abs(p1k.m_total - (2.0 * (hm.m_plus - hm.m_minus) + 0.5 * math.log((k - 4.0) / (k + 4.0))))
-        for k, [(hm, p1k)] in zip(ks, _with_p1k(ks, factor, (0.01 * tol,)))
-    ]
-
-
-def verify_corollary(ks: Sequence[float], tol: float = 1e-8) -> list[tuple[float, float]]:
-    """(m-, residual) of m(P_k) = 2 m(P_{a,c}) + (1/2) log((k-4)/(k+4)) at
-    each k, from one lockstep refinement.
-
-    Only valid for k > 2(1+sqrt(5)), where m- vanishes identically; the MID
-    regime is rejected.
-    """
-
-    def factor(k):
-        if k <= K_LARGE:
-            raise RegimeError(
-                f"verify_corollary: requires k > 2(1+sqrt(5)) = {K_LARGE:.6f}, got {k}"
-            )
-        return factor_ptilde(k)
-
-    return [
-        (hm.m_minus, abs(p1k.m_total - (2.0 * hm.m_total + 0.5 * math.log((k - 4.0) / (k + 4.0)))))
-        for k, [(hm, p1k)] in zip(ks, _with_p1k(ks, factor, (0.01 * tol,)))
-    ]
 
 
 # ----------------------------------------------------------------------------
@@ -569,27 +481,3 @@ def m_generic_2d(P: LaurentPoly2, tol: float = 1e-6) -> float:
     else:
         return val
     raise AccuracyError(msg, best_estimate=val, error_estimate=err)
-
-
-def lsz_branch_verdict(ks: Sequence[float], tols: Sequence[float] = (1e-10,)) -> list[list[dict]]:
-    """Try both branch labelings of the small-k identity m(P_k) = m- - 3 m+
-    and report which one holds; the family's principal-root convention wins.
-    out[j][r] is the verdict at ks[j] from the measures at tols[r], all from
-    one lockstep refinement.
-    """
-
-    def verdict(k, hm, target):
-        res_principal = abs(hm.m_minus - 3.0 * hm.m_plus - target)
-        res_swapped = abs(hm.m_plus - 3.0 * hm.m_minus - target)
-        return {
-            "k": k,
-            "m_plus": hm.m_plus,
-            "m_minus": hm.m_minus,
-            "m_p1k": target,
-            "residual_principal": res_principal,
-            "residual_swapped": res_swapped,
-            "winner": "principal" if res_principal < res_swapped else "swapped",
-        }
-
-    return [[verdict(k, hm, p1k.m_total) for hm, p1k in row]
-            for k, row in zip(ks, _with_p1k(ks, factor_pac_small, tols))]

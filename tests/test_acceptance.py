@@ -12,6 +12,7 @@ below the 2(1+sqrt(5)) regime boundary; the identity fails there by exactly
 decisions ledger).  The assert is kept as stated rather than weakened.
 """
 
+import json
 import math
 import time
 
@@ -24,6 +25,12 @@ from mahlerlab import lseries as L
 from mahlerlab import mahler as M
 from mahlerlab.elliptic import ell_k, ell_pi
 from mahlerlab.eta import verify_eta_param
+
+
+def _verify_rows(capsys, suite: str) -> list[dict]:
+    """The JSON rows of `mahlerlab verify suite` on the suite's own inputs."""
+    cli.main(["verify", suite, "--format", "json"])
+    return json.loads(capsys.readouterr().out)["rows"]
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -48,16 +55,14 @@ def test_01_pi_k_identity():
     )
 
 
-def test_02_main_theorem_and_corollary():
+def test_02_main_theorem_and_corollary(capsys):
     # main identity residual <= 1e-8 at {4.5, 5, 6, 8, 12, 20}; corollary
     # residual <= 1e-8 and m_minus <= 1e-12 at {7, 8, 16, 50}; < 30 s total
     t0 = time.perf_counter()
-    worst_main = max(M.verify_thm_main(cli.SUITES["thm-main"].ks, 1e-8))
-    worst_cor = 0.0
-    worst_mm = 0.0
-    for mm, res in M.verify_corollary(cli.SUITES["corollary"].ks, 1e-8):
-        worst_cor = max(worst_cor, res)
-        worst_mm = max(worst_mm, mm)
+    worst_main = max(r["residual"] for r in _verify_rows(capsys, "thm-main"))
+    corollary = _verify_rows(capsys, "corollary")
+    worst_mm = max(r["computed"] for r in corollary[0::2])
+    worst_cor = max(r["residual"] for r in corollary[1::2])
     elapsed = time.perf_counter() - t0
     _report(
         "main theorem + vanishing-m_minus corollary",
@@ -94,21 +99,19 @@ def test_03_derivative_formulas():
     )
 
 
-def test_04_small_k_identities():
+def test_04_small_k_identities(capsys):
     # at k in {1, 2, 3}: m(P_ac) = log a to 1e-8 and m- - 3 m+ = m(P_1k) to
     # 1e-6 with the branch labeling recorded; < 20 s
     t0 = time.perf_counter()
     worst_log = 0.0
     worst_lsz = 0.0
-    labelings = []
+    labelings = [r["computed"] for r in _verify_rows(capsys, "lsz") if "branch" in r["input"]]
     for k in cli.SUITES["lsz"].inputs:
         fac = M.factor_pac_small(k)
         hm = M.half_measures(fac, 1e-11)
         worst_log = max(worst_log, abs(hm.m_total - math.log(fac.beta / 2.0)))
         target = M.m_p1k(k, 1e-11)
         worst_lsz = max(worst_lsz, abs(hm.m_minus - 3.0 * hm.m_plus - target))
-        [[verdict]] = M.lsz_branch_verdict([k])
-        labelings.append(verdict["winner"])
     elapsed = time.perf_counter() - t0
     _report(
         "small-k log/half-measure identities",

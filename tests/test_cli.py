@@ -190,6 +190,13 @@ class TestBasicCommands:
         assert lines[0] == "1 1"
         assert doc["metadata"]["ap_routes"]["2"] == "additive"
 
+    @pytest.mark.parametrize("k", ["1e200", "1.4e154", "1e-200"])
+    def test_lvalue_k_squared_off_the_doubles_is_one_line_error(self, capsys, k):
+        # k^2 overflows to inf past ~1.34e154 and underflows to 0 near 1e-200
+        code, out, err = run_main(capsys, "lvalue", "--k", k)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"mahlerlab: error: curve_from_k: k = {float(k)}") and err.count("\n") == 1
+
     def test_lvalue_dump_to_missing_dir_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "missing" / "an.txt"
         with pytest.raises(SystemExit) as exc:
@@ -369,6 +376,25 @@ class TestVerify:
         assert code == 1 and out == ""
         assert err == "mahlerlab: error: qzero: q in {0,1} at x = 0.001000000000000334\n"
 
+    def test_candidate_constant_q_is_one_line_error(self, capsys, tmp_path):
+        # a constant q has q' = 0, so the forced r's denominator vanishes
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps([{"name": "qconst", "p": "-x", "q": "0.5", "domain": [0.0, 1.0]}]))
+        code, out, err = run_main(capsys, "verify", "appendix", "--candidate-file", str(path))
+        assert (code, out) == (1, "")
+        assert err == "mahlerlab: error: qconst: r denominator vanishes at x = 0.5\n"
+
+    def test_candidate_constant_p_is_verified(self, capsys, tmp_path):
+        # Pi(-1/2, x) + r K(x) is no identity: its rows fail like any other
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps([{"name": "pconst", "p": "-0.5", "q": "x", "domain": [0.0, 1.0]}]))
+        code, out, err = run_main(capsys, "verify", "appendix", "--candidate-file", str(path),
+                                  "--format", "json")
+        rows = {r["input"]: r for r in json.loads(out)["rows"]}
+        assert (code, err) == (1, "")
+        assert rows["pconst e-coeff"]["status"] == "PASS"
+        assert rows["pconst ode"]["status"] == rows["pconst identity"]["status"] == "FAIL"
+
     @pytest.mark.parametrize(
         "content",
         [
@@ -414,6 +440,26 @@ class TestVerify:
         monkeypatch.setattr(identities, "ell_pi_k_array", lambda *a: seen.append(a) or real(*a))
         code, _, _ = run_main(capsys, "verify", suite, "--format", "json")
         assert code == 0 and len(seen) == calls
+
+    def test_thm_main_and_corollary_share_one_slice_refinement(self, capsys, monkeypatch):
+        # with one --k-grid, thm-main and corollary ask for the same
+        # (Ptilde_k, P_k) pairs at the same tol; lsz makes the other call
+        calls, depth = [], [0]
+        real = M.half_measures_lockstep
+
+        def counting(*args):
+            calls.append(depth[0])
+            depth[0] += 1
+            try:
+                return real(*args)
+            finally:
+                depth[0] -= 1
+
+        # the CLI's binding and mahler's own, which its pieces recurse through
+        monkeypatch.setattr(cli, "half_measures_lockstep", counting)
+        monkeypatch.setattr(M, "half_measures_lockstep", counting)
+        code, _, _ = run_main(capsys, "verify", "all", "--k-grid", "7:90:12", "--format", "json")
+        assert code == 0 and calls.count(0) == 2
 
     def test_file_candidate_named_like_a_builtin_is_verified(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "c.json"

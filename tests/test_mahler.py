@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import functools
 import json
 import math
@@ -8,6 +9,7 @@ import scalar_reference as R
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mahlerlab import cli
 from mahlerlab import mahler as M
 from mahlerlab import quadrature as Q
 from mahlerlab.elliptic import ell_k, ell_pi
@@ -17,6 +19,17 @@ from mahlerlab.errors import (
     RegimeError,
     SingularParameterError,
 )
+
+
+def run_suite(capsys, monkeypatch, suite, ks, *argv):
+    """(exit code, JSON rows or None, stderr) of `mahlerlab verify suite`
+    run with ks as the suite's default k values (its inputs for lsz)."""
+    spec = cli.SUITES[suite]
+    ks_field = "ks" if spec.ks is not None else "inputs"
+    monkeypatch.setitem(cli.SUITES, suite, dataclasses.replace(spec, **{ks_field: tuple(ks)}))
+    code = cli.main(["verify", suite, "--format", "json", *argv])
+    out, err = capsys.readouterr()
+    return code, json.loads(out)["rows"] if out else None, err
 
 
 def poly_ptilde(k: float) -> M.LaurentPoly2:
@@ -208,11 +221,13 @@ class TestHalfMeasures:
         assert hm.m_total == pytest.approx(math.log(fac.beta / 2.0), abs=1e-10)
 
     @pytest.mark.parametrize("k", [1.0, 2.0, 3.0])
-    def test_lsz_branch_verdict(self, k):
-        [[v]] = M.lsz_branch_verdict([k])
-        assert v["winner"] == "principal"
-        assert v["residual_principal"] <= 1e-6
-        assert v["residual_swapped"] > 1e-2
+    def test_lsz_branch_verdict(self, capsys, monkeypatch, k):
+        code, rows, _ = run_suite(capsys, monkeypatch, "lsz", [k])
+        verdict = reference_lsz_verdict(k, 1e-10)
+        assert code == 0 and rows[2]["input"] == f"k={k:.6g} branch labeling"
+        assert rows[2]["computed"] == verdict["winner"] == "principal"
+        assert rows[2]["residual"] == verdict["residual_principal"] <= 1e-6
+        assert verdict["residual_swapped"] > 1e-2
 
     def test_pac_rejects_out_of_range(self):
         with pytest.raises(DomainError):
@@ -412,26 +427,32 @@ class TestDerivatives:
 
 
 class TestVerifiers:
+    """The slice identities as `mahlerlab verify` states them."""
+
     @pytest.mark.parametrize("k", [4.5, 5.0, 8.0, 20.0])
-    def test_thm_main(self, k):
-        [residual] = M.verify_thm_main([k], 1e-8)
-        assert residual <= 1e-8
+    def test_thm_main(self, capsys, k):
+        assert cli.main(["verify", "thm-main", "--k", repr(k), "--format", "json"]) == 0
+        [row] = json.loads(capsys.readouterr().out)["rows"]
+        assert row["residual"] <= 1e-8 and row["status"] == "PASS"
 
     @pytest.mark.parametrize("k", [7.0, 16.0])
-    def test_corollary(self, k):
-        [(m_minus, residual)] = M.verify_corollary([k], 1e-8)
-        assert m_minus <= 1e-12
-        assert residual <= 1e-8
+    def test_corollary(self, capsys, k):
+        assert cli.main(["verify", "corollary", "--k", repr(k), "--format", "json"]) == 0
+        m_minus, identity = json.loads(capsys.readouterr().out)["rows"]
+        assert m_minus["computed"] <= 1e-12
+        assert identity["residual"] <= 1e-8
 
-    def test_corollary_rejects_mid_regime(self):
-        with pytest.raises(RegimeError):
-            M.verify_corollary([5.0])
+    def test_corollary_rejects_mid_regime(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "corollary", "--k", "5"])
+        assert exc.value.code == 2
+        assert "verify corollary: k values [5.0] not above 2(1+sqrt(5))" in capsys.readouterr().err
 
 
 def reference_thm_main(k, tol=1e-8):
-    """The per-k verify_thm_main, on the scalar reference half-measures."""
+    """The per-k main-theorem residual, on the scalar reference half-measures."""
     if k <= 4.0:
-        raise DomainError(f"verify_thm_main: requires k > 4, got {k}")
+        raise DomainError(f"reference_thm_main: requires k > 4, got {k}")
     hm = R.half_measures(M.factor_ptilde(k), tol=0.01 * tol)
     lhs = R.half_measures(M.factor_p1k(k), tol=0.01 * tol).m_total
     rhs = 2.0 * (hm.m_plus - hm.m_minus) + 0.5 * math.log((k - 4.0) / (k + 4.0))
@@ -439,10 +460,11 @@ def reference_thm_main(k, tol=1e-8):
 
 
 def reference_corollary(k, tol=1e-8):
-    """The per-k verify_corollary, on the scalar reference half-measures."""
+    """The per-k (m-, corollary residual), on the scalar reference
+    half-measures."""
     if k <= M.K_LARGE:
         raise RegimeError(
-            f"verify_corollary: requires k > 2(1+sqrt(5)) = {M.K_LARGE:.6f}, got {k}"
+            f"reference_corollary: requires k > 2(1+sqrt(5)) = {M.K_LARGE:.6f}, got {k}"
         )
     hm = R.half_measures(M.factor_ptilde(k), tol=0.01 * tol)
     lhs = R.half_measures(M.factor_p1k(k), tol=0.01 * tol).m_total
@@ -468,37 +490,75 @@ def reference_lsz_verdict(k, tol):
     }
 
 
-def _outcome(fn):
-    """fn()'s value as hex bits, or its exception's type and message."""
+def _hex(values):
+    """values as hex bits, strings kept."""
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+def _printed(rows):
+    """What the suite rows print: each row's computed value, and the
+    residual of an lsz branch row."""
+    return _hex(v for r in rows
+                for v in ((r["computed"], r["residual"]) if "branch" in r["input"] else (r["computed"],)))
+
+
+def reference_lsz_rows(k):
+    """The values the lsz rows print at k: two rows from the measures at
+    1e-11, then the branch verdict and its residual at 1e-10."""
+    fine, verdict = reference_lsz_verdict(k, 1e-11), reference_lsz_verdict(k, 1e-10)
+    return [fine["m_plus"] + fine["m_minus"], fine["m_minus"] - 3.0 * fine["m_plus"],
+            verdict["winner"], verdict["residual_principal"]]
+
+
+#: per suite, the values its rows print at one k, from the per-k references
+REFERENCE_ROWS = {
+    "thm-main": lambda k, tol: [reference_thm_main(k, tol)],
+    "corollary": lambda k, tol: list(reference_corollary(k, tol)),
+    "lsz": lambda k, tol: reference_lsz_rows(k),
+}
+
+
+def _outcome(suite, ks, tol):
+    """What a loop over ks of the per-k references prints: each row's
+    values as hex bits, or the CLI's error line for its first error."""
     try:
-        value = fn()
-    except Exception as exc:
-        return type(exc), str(exc)
-    return repr(json.loads(json.dumps(value), parse_float=lambda t: float(t).hex()))
+        return _hex(v for k in ks for v in REFERENCE_ROWS[suite](k, tol))
+    except AccuracyError as exc:
+        return f"mahlerlab: error: {exc}\n"
+
+
+def _suite_outcome(capsys, monkeypatch, suite, ks, *argv):
+    """What `mahlerlab verify suite` prints for ks, in `_outcome`'s terms."""
+    code, rows, err = run_suite(capsys, monkeypatch, suite, ks, *argv)
+    return _printed(rows) if rows is not None else err
 
 
 class TestBatchedVerifiersEqualPerK:
+    """Each suite's rows, from one lockstep refinement, bit for bit the
+    per-k loop over the scalar reference half-measures."""
+
     @pytest.mark.parametrize("tol", [1e-8, 1e-6, 1e-11])
-    def test_thm_main(self, tol):
+    def test_thm_main(self, capsys, monkeypatch, tol):
         ks = [4.2, 4.5, 5.0, M.K_LARGE, 8.0, 20.0, 1e6]
-        assert _outcome(lambda: M.verify_thm_main(ks, tol)) == _outcome(
-            lambda: [reference_thm_main(k, tol) for k in ks])
+        assert _suite_outcome(capsys, monkeypatch, "thm-main", ks, "--tol", repr(tol)) == _outcome(
+            "thm-main", ks, tol)
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-6, 1e-11])
-    def test_corollary(self, tol):
+    def test_corollary(self, capsys, monkeypatch, tol):
         ks = [6.48, 7.0, 16.0, 50.0, 1e6]
-        assert _outcome(lambda: M.verify_corollary(ks, tol)) == _outcome(
-            lambda: [reference_corollary(k, tol) for k in ks])
+        assert _suite_outcome(capsys, monkeypatch, "corollary", ks, "--tol", repr(tol)) == _outcome(
+            "corollary", ks, tol)
 
-    def test_lsz_two_tols(self):
+    def test_lsz_two_tols(self, capsys, monkeypatch):
         # the lsz suite's order: the rows at 1e-11, then the verdict at 1e-10
         ks = [0.5, 1.0, 2.0, 3.0, 3.9]
-        tols = (1e-11, 1e-10)
-        assert _outcome(lambda: M.lsz_branch_verdict(ks, tols)) == _outcome(
-            lambda: [[reference_lsz_verdict(k, t) for t in tols] for k in ks])
+        _, rows, _ = run_suite(capsys, monkeypatch, "lsz", ks)
+        assert _printed(rows) == _hex(v for k in ks for v in reference_lsz_rows(k))
+        assert [r["expected"] for r in rows[1::3]] == [
+            reference_lsz_verdict(k, 1e-11)["m_p1k"] for k in ks]
 
-    # the first error of the per-k loop: a domain error after the k before
-    # it are done, a tol below the floor at the first k, a non-convergence
+    # the CLI rejects every k outside the suite's domain, as a usage error,
+    # before any suite runs
     @pytest.mark.parametrize(
         "name,ks,tol",
         [
@@ -511,30 +571,31 @@ class TestBatchedVerifiersEqualPerK:
             ("corollary", [5.0, 7.0], 1e-13),
         ],
     )
-    def test_first_error_of_the_per_k_loop(self, name, ks, tol):
-        batched = {"thm_main": M.verify_thm_main, "corollary": M.verify_corollary}[name]
-        one = {"thm_main": reference_thm_main, "corollary": reference_corollary}[name]
-        want = _outcome(lambda: [one(k, tol) for k in ks])
-        assert want[0] in (DomainError, RegimeError, AccuracyError)
-        assert _outcome(lambda: batched(ks, tol)) == want
+    def test_first_error_of_the_per_k_loop(self, capsys, name, ks, tol):
+        suite = name.replace("_", "-")
+        spec = cli.SUITES[suite]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", suite, "--k-grid", f"{min(ks)}:{max(ks)}:2", "--tol", repr(tol)])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        if all(map(math.isfinite, ks)):
+            bad = [k for k in sorted(ks) if spec.bad_k(k)]
+            assert captured.err == f"mahlerlab: verify {suite}: k values {bad} {spec.domain}\n"
+        else:
+            assert "argument --k-grid: must be finite, got 'inf'" in captured.err
 
     @pytest.mark.parametrize("name,ks", [("thm_main", [5.0, 4.3]), ("corollary", [7.0, 8.0]),
                                          ("lsz", [1.0, 2.0])])
     @pytest.mark.parametrize("max_level", [1, 2, 3])
-    def test_nonconvergence_of_the_per_k_loop(self, monkeypatch, name, ks, max_level):
+    def test_nonconvergence_of_the_per_k_loop(self, capsys, monkeypatch, name, ks, max_level):
         # the lsz suite's tols: at max level 1 and 2 both miss, and the
         # 1e-11 failure is the one the loop raises first
-        batched = {"thm_main": lambda ks: M.verify_thm_main(ks, 1e-8),
-                   "corollary": lambda ks: M.verify_corollary(ks, 1e-8),
-                   "lsz": lambda ks: M.lsz_branch_verdict(ks, (1e-11, 1e-10))}[name]
-        one = {"thm_main": lambda k: reference_thm_main(k, 1e-8),
-               "corollary": lambda k: reference_corollary(k, 1e-8),
-               "lsz": lambda k: [reference_lsz_verdict(k, t) for t in (1e-11, 1e-10)]}[name]
+        suite = name.replace("_", "-")
         monkeypatch.setattr(R, "tanh_sinh", functools.partial(R.tanh_sinh, max_level=max_level))
-        want = _outcome(lambda: [one(k) for k in ks])
-        assert want[0] is AccuracyError
+        want = _outcome(suite, ks, 1e-8)
+        assert want.startswith("mahlerlab: error: ")
         monkeypatch.setattr(Q, "_MAX_LEVEL", max_level)
-        assert _outcome(lambda: batched(ks)) == want
+        assert _suite_outcome(capsys, monkeypatch, suite, ks) == want
 
 
 class TestGeneric2D:
