@@ -2,10 +2,13 @@
 
 Each case runs one command line through `cli.main` in process and hashes its
 exit code, stdout and stderr together; each demo under `demos/` runs in
-process too, and its stdout is hashed.  The digests were recorded before the
-quadrature layer became one lockstep driver, so a refactor that changes any
-printed byte, on a result or an error path, fails here.  A deliberate change
-of a payload updates its digest and says so in CHANGES.md.
+process too, and its stdout is hashed.  Each block of digests was recorded
+before the refactor it guards: the first before the quadrature layer became
+one lockstep driver, the last (the L-value block) before the consistency
+search's sums began to give L(E, 2), its tail bound and its split-point
+spread.  So a refactor that changes any printed byte, on a result or an error
+path, fails here.  A deliberate change of a payload updates its digest and
+says so in CHANGES.md.
 """
 
 import contextlib
@@ -71,6 +74,22 @@ DIGESTS = [
     # where 1 + m^2 overflows: K(i m) = log(4m)/m, and a DomainError naming m for Pi
     ("ell --kind K-imag --m 1e160 --format json", "331a6428815633724bebbbd1f26952b6252f679aa3e831e1c5c29edac319ebdb"),
     ("ell --kind Pi-imag --n 0.5 --m 1e160", "9232b663a84613de89da9202c4ac5ff5fcb9822d6bce02e8de9de3f03f0f283b"),
+    # every other table row's L-values, the CSV form, and the three L-value
+    # refusals: the tail bound (lvalue and table) and the consistency search
+    ("lvalue --k 1.0 --format json", "ebdc63d795b8b64cd5f7719445136c492d8be4c33697750121c081ae3f811b2b"),
+    ("lvalue --k 1.4142135623730951 --format json", "f394452e889436f6da95acede87b548c8d0d4f5c7d31430dd38f63c100cec803"),
+    ("lvalue --k 2.0 --format json", "49933a360cce58e9d36ec4d3a768aaf79d2e233329d0c9e2ed3336f83801888d"),
+    ("lvalue --k 2.8284271247461903 --format json", "8f257cc793f01e97b3145979884b21f8278746649aaecf51ac216ba2c50d2a54"),
+    ("lvalue --k 3.0 --format json", "419ccc0a99b33fa136a99eb41b99f80dbb7f6b1b69539020cf6d273f155ac916"),
+    ("lvalue --k 4.242640687119285 --format json", "92fc8e8c0a314fcdad00aa97c9e6260b0116fe456d54953497214631717924bb"),
+    ("lvalue --k 5.0 --format json", "105e21ae6fbafaa734bbee47d18c953557ea97b5c44344e8c093171a94b7e921"),
+    ("lvalue --k 5.656854249492381 --format json", "8fd4a5b9a8f86de7d3cf5caa1737cf6a1b7449981b11355ce527a262f1ec75e9"),
+    ("lvalue --k 12.0 --format json", "7da598c68d202e9b145744e733e5a84c2dbc0fab5bcfd0033f8f60c1e179681d"),
+    ("lvalue --k 16.0 --format json", "468ac382a80fe2a6a7d7d2f2a204815bf5c1447c01a00ea307bec7d47fa6f37d"),
+    ("lvalue --k 8 --format csv", "eabe49634b2b1c0af2b0b5b11df1e498f4ae11611d014138f1e0439c19bd162b"),
+    ("lvalue --k 8 --nmax 22", "58fd59810ecebba4e61c06d85f807da0d71130d6317e76eb0595c56a234f8393"),
+    ("lvalue --k 8 --nmax 18", "4c8f6b793d55bdd85bf19e648c95805fb0b5960a12e0153cbd827100e71cffb4"),
+    ("table --nmax 38 --format json", "7eb5f1b50061b4be7b0bb273d7f5995ef63267b60278a56e9aec1e5ca9074473"),
 ]
 
 
