@@ -26,7 +26,7 @@ for k2 in sorted(C.TABLE1):
 
 print()
 print("=== Coefficient routes and the consistency search ===")
-curve, data, res = L.lvalue_from_k(1.0)
+curve, data = L.lvalue_from_k(1.0)
 routes = {}
 for p, route in sorted(data.ap_routes.items()):
     routes.setdefault(route, []).append(p)
@@ -34,10 +34,8 @@ for route, ps in routes.items():
     shown = ", ".join(map(str, ps[:8])) + (", ..." if len(ps) > 8 else "")
     print(f"k = 1: {route:12} -> p in {{{shown}}}")
 print(f"resolved by split-point independence: a_2 = {data.an[2]}, eps = {data.eps}")
-spread_good = L.split_point_spread(data)
-flipped = L.LFunctionData(an=data.an, eps=-1, N=data.N, k_label=1.0, ap_routes={})
-print(f"spread with the detected sign: {spread_good:.2e};  flipped sign: "
-      f"{L.split_point_spread(flipped):.2e}  (that contrast IS the detector)")
+print(f"spread with the detected sign: {data.spread():.2e};  flipped sign: "
+      f"{data.spread(-data.eps):.2e}  (that contrast IS the detector)")
 
 print()
 print("=== The table, reproduced ===")
@@ -45,8 +43,8 @@ print(f"{'k':9} {'N':>3} {'r':>4}   {'m(P_k) by quadrature':>22} {'r * L-engine'
 for k2 in sorted(C.TABLE1):
     k = math.sqrt(k2)
     m = M.m_p1k(k, 1e-9)
-    curve, data, res = L.lvalue_from_k(k)
-    rl = float(curve.r_k) * res.Lprime0
+    curve, data = L.lvalue_from_k(k)
+    rl = float(curve.r_k) * data.Lprime0
     digits = -math.log10(abs(m - rl) / rl) if m != rl else 16
     print(
         f"{C.K_LABELS[k2]:9} {curve.conductor_N:3} {str(curve.r_k):>4}   "
@@ -57,9 +55,9 @@ print()
 print("=== The total-measure corollary, and where it breaks ===")
 for k2, label in ((32, "4*sqrt(2)"), (64, "8"), (144, "12"), (256, "16")):
     k = math.sqrt(k2)
-    curve, data, res = L.lvalue_from_k(k)
+    curve, data = L.lvalue_from_k(k)
     hm = M.half_measures(M.factor_ptilde(k), 1e-10)
-    rhs = float(curve.r_k) / 2 * res.Lprime0 - 0.25 * math.log((k - 4) / (k + 4))
+    rhs = float(curve.r_k) / 2 * data.Lprime0 - 0.25 * math.log((k - 4) / (k + 4))
     flag = "OK " if abs(hm.m_total - rhs) < 1e-9 else "BAD"
     print(
         f"k = {label:9}: m+ + m- = {hm.m_total:.12f}  vs  (r/2) L' - log/4 = {rhs:.12f}  [{flag}]"
@@ -68,6 +66,6 @@ print("the 4*sqrt(2) row misses by exactly 2 m- (that k is below 2(1+sqrt(5)),")
 print("so the minus half-measure has not died yet); the difference form works:")
 k = math.sqrt(32)
 hm = M.half_measures(M.factor_ptilde(k), 1e-11)
-curve, data, res = L.lvalue_from_k(k)
-rhs = 0.5 * res.Lprime0 - 0.25 * math.log((k - 4) / (k + 4))
+curve, data = L.lvalue_from_k(k)
+rhs = 0.5 * data.Lprime0 - 0.25 * math.log((k - 4) / (k + 4))
 print(f"k = 4*sqrt(2): m+ - m- = {hm.m_plus - hm.m_minus:.15f}  vs  rhs = {rhs:.15f}")

@@ -38,7 +38,7 @@ from .identities import (
     verify_identity,
 )
 from .jets import Jet2
-from .lseries import LFunctionData, LValueResult, an_table, l2, lvalue_from_k
+from .lseries import LFunctionData, an_table, lvalue_from_k
 from .mahler import (
     HalfMeasures,
     LaurentPoly2,
@@ -65,7 +65,6 @@ __all__ = [
     "Jet2",
     "LDataError",
     "LFunctionData",
-    "LValueResult",
     "LaurentPoly2",
     "MahlerLabError",
     "RegimeError",
@@ -90,7 +89,6 @@ __all__ = [
     "ell_pi_imag",
     "factor_member",
     "half_measures",
-    "l2",
     "lvalue_from_k",
     "m_generic_2d",
     "m_p1k",

@@ -36,7 +36,7 @@ from .errors import MahlerLabError
 from .eta import verify_eta_param
 from .identities import E_COEFF_TOL, ODE_TOL, builtin_candidates, verify_identity
 from .expressions import load_candidates
-from .lseries import an_table_text, lvalue_from_k, split_point_spread, summary_record
+from .lseries import SPREAD_ACCEPT, an_table_text, lvalue_from_k, summary_record
 from .mahler import (
     K_LARGE,
     derivative_grid,
@@ -406,8 +406,8 @@ def cmd_table(args) -> Report:
         N, r = TABLE1[k2]
         label = K_LABELS[k2]
         m = next(measures)[0].m_total
-        _, data, res = lvalue_from_k(k, n_max=args.nmax)
-        rl = float(r) * res.Lprime0
+        _, data = lvalue_from_k(k, n_max=args.nmax)
+        rl = float(r) * data.Lprime0
         rel = abs(m - rl) / abs(rl)
         digits = math.floor(-math.log10(rel)) if rel > 0 else 16
         rep.rows.append(
@@ -424,7 +424,7 @@ def cmd_table(args) -> Report:
             # the 4*sqrt(2) row fails by 2*m_minus because that k is below
             # the 2(1+sqrt(5)) regime boundary
             hm = next(measures)[0]
-            target = float(r) / 2.0 * res.Lprime0 - 0.25 * math.log((k - 4.0) / (k + 4.0))
+            target = float(r) / 2.0 * data.Lprime0 - 0.25 * math.log((k - 4.0) / (k + 4.0))
             rep.add(f"k={label} m(Pac) vs L'", target, hm.m_total, abs(hm.m_total - target), 1e-6)
             if k < K_LARGE:
                 diff = hm.m_plus - hm.m_minus
@@ -528,13 +528,13 @@ def cmd_mahler(args) -> Report:
 
 def cmd_lvalue(args) -> Report:
     k, tol = args.k, args.tol
-    curve, data, res = lvalue_from_k(k, n_max=args.nmax, tol=tol)
+    curve, data = lvalue_from_k(k, n_max=args.nmax, tol=tol)
     rep = Report(f"lvalue k={k!r}", metadata={"tol": tol})
-    rec = summary_record(curve, data, res)
-    spread = split_point_spread(data)
+    rec = summary_record(curve, data)
+    spread = data.spread()
     for key in ("k", "N", "eps", "L2", "Lprime0", "n_used", "r_k"):
         rep.rows.append(Row(key, "", rec[key], 0.0, "PASS"))
-    rep.add("split-point spread", 0.0, spread, spread, 1e-10)
+    rep.add("split-point spread", 0.0, spread, spread, SPREAD_ACCEPT)
     rep.metadata["ap_routes"] = rec["ap_routes"]
     if args.dump_an:
         try:

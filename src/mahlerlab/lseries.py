@@ -12,7 +12,8 @@ certificate: a wrong sign or a wrong bad-prime coefficient makes the two
 half-sums disagree at the 1e-4 level while the true data agree to 1e-10, so
 the sign (and any coefficient local analysis could not fix) is *detected*,
 never assumed.  L'(E, 0) = eps N/(4 pi^2) L(E, 2) then follows from the
-Gamma-factor pole at s = 0.
+Gamma-factor pole at s = 0.  The search's winning sums give L(E, 2), its
+tail bound and its certificate, so each call builds its weights once.
 """
 
 from __future__ import annotations
@@ -34,9 +35,12 @@ from .errors import AccuracyError, DomainError, LDataError
 
 _EULER_GAMMA = 0.5772156649015328606065
 
-#: split points (in units of 1/sqrt(N)) probed by the independence test
+#: split points (in units of 1/sqrt(N)) probed by the independence test;
+#: 1.0 is the default split point A = 1/sqrt(N), where L(E, 2) is read
 _SPLIT_PROBES = (0.8, 1.0, 1.3)
-_SPREAD_ACCEPT = 1e-10
+_DEFAULT_PROBE = _SPLIT_PROBES.index(1.0)
+#: the search's winner spreads at most SPREAD_ACCEPT, its runner-up at least _SPREAD_REJECT
+SPREAD_ACCEPT = 1e-10
 _SPREAD_REJECT = 1e-6
 
 
@@ -77,25 +81,34 @@ def exp_integral_e1(x: float) -> float:
 
 @dataclass(frozen=True)
 class LFunctionData:
-    """Hecke coefficients a_1..a_nmax with conductor, sign, and audit trail."""
+    """Hecke coefficients a_1..a_nmax with conductor, sign and audit trail,
+    and the consistency search's winning split sums with their tail bound."""
 
     an: tuple[int, ...]  # an[n] for n >= 1; an[0] unused
     eps: int
     N: int
     k_label: float
     ap_routes: dict[int, str]
+    sums: tuple[tuple[float, float], ...]  # (direct, folded) per split probe
+    tail_bound: float
 
     @property
     def n_max(self) -> int:
         return len(self.an) - 1
 
+    @property
+    def L2(self) -> float:
+        direct, folded = self.sums[_DEFAULT_PROBE]
+        return direct + self.eps * folded
 
-@dataclass(frozen=True)
-class LValueResult:
-    L2: float
-    Lprime0: float
-    n_used: int
-    tail_bound: float
+    @property
+    def Lprime0(self) -> float:
+        return self.eps * self.N / (4.0 * math.pi**2) * self.L2
+
+    def spread(self, eps: int | None = None) -> float:
+        """Max pairwise difference of L(E, 2) across the split points, the
+        certificate for eps and the delicate a_p; pass -eps for the contrast."""
+        return _spread(self.sums, self.eps if eps is None else eps)
 
 
 def default_n_max(N: int) -> int:
@@ -141,51 +154,14 @@ def _tail_bound(weights, n_max: int, N: int) -> float:
     return 2.0 * total
 
 
-def _probe_weights(N: int, n_max: int) -> list:
-    rootN = math.sqrt(N)
-    return [_split_weights(N, c / rootN, n_max) for c in _SPLIT_PROBES]
-
-
 def _spread(sums, eps: int) -> float:
     vals = [direct + eps * folded for direct, folded in sums]
     return max(abs(u - v) for u in vals for v in vals)
 
 
-def split_point_spread(data: LFunctionData) -> float:
-    """Max pairwise difference of L(E,2) across split points; the numerical
-    certificate for eps and the delicate a_p."""
-    weights = _probe_weights(data.N, data.n_max)
-    return _spread([_split_sums(data.an, w, data.N) for w in weights], data.eps)
-
-
-def l2(curve: CurveModel, data: LFunctionData, tol: float = 1e-12) -> LValueResult:
-    """L(E, 2) and L'(E, 0) from the coefficient table, split at
-    A = 1/sqrt(N); the tail bound must come in under tol or the caller is
-    asked for a larger table.
-    """
-    N = curve.conductor_N
-    if data.N != N:
-        raise DomainError("l2: data and curve disagree on the conductor")
-    weights = _split_weights(N, 1.0 / math.sqrt(N), data.n_max + 60)
-    tail = _tail_bound(weights, data.n_max, N)
-    if tail > tol:
-        raise AccuracyError(
-            f"l2: tail bound {tail:g} exceeds tol {tol:g}; raise n_max",
-            error_estimate=tail,
-        )
-    direct, folded = _split_sums(data.an, weights, N)
-    val = direct + data.eps * folded
-    return LValueResult(
-        L2=val,
-        Lprime0=data.eps * N / (4.0 * math.pi**2) * val,
-        n_used=data.n_max,
-        tail_bound=tail,
-    )
-
-
 def an_table(curve: CurveModel, n_max: int | None = None) -> LFunctionData:
     """Full coefficient table with eps and any delicate a_p resolved by the
-    split-point-independence search."""
+    split-point-independence search, carrying the winner's sums."""
     if n_max is None:
         n_max = default_n_max(curve.conductor_N)
     if n_max < 1:
@@ -206,8 +182,10 @@ def an_table(curve: CurveModel, n_max: int | None = None) -> LFunctionData:
 
     # a_n once per choice of the unresolved a_p, then both signs from the
     # same sums; the stable sort keeps the first of equal spreads in
-    # (eps, choice) order
-    weights = _probe_weights(N, n_max)
+    # (eps, choice) order.  The default probe runs 60 terms past n_max for
+    # the tail bound; the sums zip against an and stop at n_max.
+    rootN = math.sqrt(N)
+    weights = [_split_weights(N, c / rootN, n_max + 60 * (c == 1.0)) for c in _SPLIT_PROBES]
     tables = []
     for choice in itertools.product(*[c for _, c in unresolved]):
         trial_ap = dict(known)
@@ -219,28 +197,35 @@ def an_table(curve: CurveModel, n_max: int | None = None) -> LFunctionData:
         key=lambda score: score[0],
     )
     (spread, eps, an, sums), runner = scores[0], scores[1][0]
-    if spread > _SPREAD_ACCEPT or runner < _SPREAD_REJECT:
+    if spread > SPREAD_ACCEPT or runner < _SPREAD_REJECT:
         raise LDataError(
             f"an_table: consistency search failed (winner {spread:g}, "
             f"runner-up {runner:g}) for k = {curve.k_label}"
         )
-    # positivity: L(E,2) is an absolutely convergent Euler product; probe
-    # 1.0 is the default split point A = 1/sqrt(N)
-    direct, folded = sums[_SPLIT_PROBES.index(1.0)]
-    if direct + eps * folded <= 0.0:
-        raise LDataError(f"an_table: nonpositive L(E,2) for k = {curve.k_label}")
-    return LFunctionData(
-        an=tuple(an), eps=eps, N=N, k_label=curve.k_label, ap_routes=routes
+    data = LFunctionData(
+        an=tuple(an), eps=eps, N=N, k_label=curve.k_label, ap_routes=routes,
+        sums=tuple(sums), tail_bound=_tail_bound(weights[_DEFAULT_PROBE], n_max, N),
     )
+    # positivity: L(E,2) is an absolutely convergent Euler product
+    if data.L2 <= 0.0:
+        raise LDataError(f"an_table: nonpositive L(E,2) for k = {curve.k_label}")
+    return data
 
 
 def lvalue_from_k(
     k: float, n_max: int | None = None, tol: float = 1e-12
-) -> tuple[CurveModel, LFunctionData, LValueResult]:
-    """Convenience pipeline: curve, coefficients, and L-values for one k."""
+) -> tuple[CurveModel, LFunctionData]:
+    """Curve and certified coefficient table for one k; the table's tail
+    bound must come in under tol or the caller is asked for a larger one."""
     curve = curve_from_k(k)
     data = an_table(curve, n_max)
-    return curve, data, l2(curve, data, tol)
+    # the "l2:" prefix names the L(E, 2) stage in the CLI's error line
+    if data.tail_bound > tol:
+        raise AccuracyError(
+            f"l2: tail bound {data.tail_bound:g} exceeds tol {tol:g}; raise n_max",
+            error_estimate=data.tail_bound,
+        )
+    return curve, data
 
 
 # ----------------------------------------------------------------------------
@@ -253,17 +238,15 @@ def an_table_text(data: LFunctionData) -> str:
     return "\n".join(lines) + "\n"
 
 
-def summary_record(
-    curve: CurveModel, data: LFunctionData, result: LValueResult
-) -> dict:
+def summary_record(curve: CurveModel, data: LFunctionData) -> dict:
     return {
         "k": curve.k_label,
         "k_squared": curve.k_squared,
         "N": curve.conductor_N,
         "eps": data.eps,
-        "L2": result.L2,
-        "Lprime0": result.Lprime0,
-        "n_used": result.n_used,
+        "L2": data.L2,
+        "Lprime0": data.Lprime0,
+        "n_used": data.n_max,
         "r_k": str(Fraction(curve.r_k)),
         "ap_routes": {str(p): r for p, r in sorted(data.ap_routes.items())},
     }

@@ -167,10 +167,10 @@ def test_06_lvalue_closure():
     for k2 in sorted(C.TABLE1):
         k = math.sqrt(k2)
         m = M.m_p1k(k, 1e-9)
-        curve, data, res = L.lvalue_from_k(k)
-        rl = float(curve.r_k) * res.Lprime0
+        curve, data = L.lvalue_from_k(k)
+        rl = float(curve.r_k) * data.Lprime0
         worst_rel = max(worst_rel, abs(m - rl) / abs(rl))
-        worst_spread = max(worst_spread, L.split_point_spread(data))
+        worst_spread = max(worst_spread, data.spread())
     elapsed = time.perf_counter() - t0
     _report(
         "measure = r * L' closure over all 11 table rows",
@@ -188,9 +188,9 @@ def test_06b_nt_corollary_as_stated(k2, label):
     # exactly 2*m_minus = 0.0389780 (see decisions ledger); asserted as
     # stated, not weakened.
     k = math.sqrt(k2)
-    curve, data, res = L.lvalue_from_k(k)
+    curve, data = L.lvalue_from_k(k)
     hm = M.half_measures(M.factor_ptilde(k), 1e-10)
-    rhs = float(curve.r_k) / 2.0 * res.Lprime0 - 0.25 * math.log((k - 4.0) / (k + 4.0))
+    rhs = float(curve.r_k) / 2.0 * data.Lprime0 - 0.25 * math.log((k - 4.0) / (k + 4.0))
     residual = abs(hm.m_total - rhs)
     _report(f"nt corollary as stated at k={label}", residual <= 1e-6, f"residual={residual:.3e}")
 

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
 
+from mahlerlab import cli
 from mahlerlab import curves as C
 from mahlerlab import lseries as L
 from mahlerlab.errors import AccuracyError, DomainError, LDataError
@@ -31,10 +34,6 @@ LPRIME0_SQRT = {
 }
 
 
-def _with_eps(data, eps):
-    return L.LFunctionData(an=data.an, eps=eps, N=data.N, k_label=data.k_label, ap_routes={})
-
-
 def _l2_split_reference(an, N, eps, A):
     """The per-term split formula, E1 evaluated afresh for every term."""
     direct = 0.0
@@ -47,6 +46,17 @@ def _l2_split_reference(an, N, eps, A):
         direct += a / (n * n) * math.exp(-x1) * (1.0 + x1)
         folded += a * L.exp_integral_e1(2.0 * math.pi * n / (N * A))
     return direct + eps * (4.0 * math.pi**2 / N) * folded
+
+
+def _count_e1(monkeypatch, argv):
+    """The E1 arguments of one CLI op, run in process with its output dropped
+    (table exits 1 on its deliberate 4*sqrt(2) corollary row)."""
+    calls = []
+    e1 = L.exp_integral_e1
+    monkeypatch.setattr(L, "exp_integral_e1", lambda x: calls.append(x) or e1(x))
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv.split())
+    return calls
 
 
 TABLE_KS = [math.sqrt(k2) for k2 in sorted(C.TABLE1)]
@@ -76,38 +86,38 @@ class TestExpIntegral:
 class TestPipeline:
     @pytest.mark.parametrize("k,ref", sorted(LPRIME0.items()))
     def test_lprime_integer_rows(self, k, ref):
-        _, data, res = L.lvalue_from_k(k)
+        _, data = L.lvalue_from_k(k)
         assert data.eps == 1
-        assert res.Lprime0 == pytest.approx(ref, abs=1e-12)
-        assert res.tail_bound < 1e-12
+        assert data.Lprime0 == pytest.approx(ref, abs=1e-12)
+        assert data.tail_bound < 1e-12
 
     @pytest.mark.parametrize("k2,ref", sorted(LPRIME0_SQRT.items()))
     def test_lprime_sqrt_rows(self, k2, ref):
-        _, data, res = L.lvalue_from_k(math.sqrt(k2))
+        _, data = L.lvalue_from_k(math.sqrt(k2))
         assert data.eps == 1
-        assert res.Lprime0 == pytest.approx(ref, abs=1e-12)
+        assert data.Lprime0 == pytest.approx(ref, abs=1e-12)
 
     def test_lprime_relation_to_l2(self):
-        curve, data, res = L.lvalue_from_k(8.0)
-        assert res.Lprime0 == pytest.approx(
-            data.eps * curve.conductor_N / (4.0 * math.pi**2) * res.L2, rel=1e-15
+        curve, data = L.lvalue_from_k(8.0)
+        assert data.Lprime0 == pytest.approx(
+            data.eps * curve.conductor_N / (4.0 * math.pi**2) * data.L2, rel=1e-15
         )
 
     def test_resolved_coefficients(self):
         # consistency search lands on the known newform coefficients
         for k in (1.0, 5.0, 16.0):
-            _, data, _ = L.lvalue_from_k(k)
+            _, data = L.lvalue_from_k(k)
             assert data.an[2] == -1  # conductor-15 form
             assert data.ap_routes[2] == "consistency"
-        _, data, _ = L.lvalue_from_k(3.0)
+        _, data = L.lvalue_from_k(3.0)
         assert data.an[2] == -1 and data.an[3] == 1
-        _, data, _ = L.lvalue_from_k(12.0)
+        _, data = L.lvalue_from_k(12.0)
         assert data.an[3] == 1
-        _, data, _ = L.lvalue_from_k(math.sqrt(18.0))
+        _, data = L.lvalue_from_k(math.sqrt(18.0))
         assert data.an[3] == -1
 
     def test_an_multiplicative_identities(self):
-        _, data, _ = L.lvalue_from_k(1.0)
+        _, data = L.lvalue_from_k(1.0)
         an = data.an
         assert an[1] == 1
         assert an[6] == an[2] * an[3]
@@ -115,71 +125,76 @@ class TestPipeline:
         assert an[10] == an[2] * an[5]
 
     def test_split_point_independence(self):
-        _, data, _ = L.lvalue_from_k(8.0)
-        assert L.split_point_spread(data) <= 1e-10
+        _, data = L.lvalue_from_k(8.0)
+        assert data.spread() <= 1e-10
 
     def test_generalized_split_values_match(self):
         # L(E, 2) by the per-term split formula at A = 0.8/sqrt(N) and 1.3/sqrt(N)
-        _, data, _ = L.lvalue_from_k(8.0)
+        _, data = L.lvalue_from_k(8.0)
         rootn = math.sqrt(data.N)
         a, b = (_l2_split_reference(data.an, data.N, data.eps, c / rootn) for c in (0.8, 1.3))
         assert abs(a - b) <= 1e-10
 
     def test_sign_flip_breaks_independence(self):
-        _, data, _ = L.lvalue_from_k(8.0)
-        flipped = L.LFunctionData(
-            an=data.an, eps=-data.eps, N=data.N, k_label=data.k_label, ap_routes={}
-        )
-        assert L.split_point_spread(flipped) > 1e-4
+        _, data = L.lvalue_from_k(8.0)
+        assert data.spread(-data.eps) > 1e-4
 
     def test_sign_detect(self):
         # the spread itself detects eps: the true sign agrees to 1e-10 across
         # split points, the flipped one does not
         for k in (1.0, 8.0):
-            _, data, _ = L.lvalue_from_k(k)
+            _, data = L.lvalue_from_k(k)
             assert data.eps == 1
-            assert L.split_point_spread(data) <= 1e-10
-            assert L.split_point_spread(_with_eps(data, -1)) > 1e-6
+            assert data.spread() <= 1e-10
+            assert data.spread(-data.eps) > 1e-6
 
-    def test_sign_detect_rejects_corrupt_data(self):
-        curve, data, _ = L.lvalue_from_k(8.0)
+    def test_sign_detect_rejects_corrupt_data(self, monkeypatch):
+        curve, data = L.lvalue_from_k(8.0)
         ap = {p: C.ap_good(curve, p) for p in C.primes_up_to(data.n_max) if p > 3}
         ap[2] = 0
         ap[3] = -1
         ap[5] += 2  # corrupt one good coefficient
         an = C.extend_multiplicatively(ap, curve.conductor_N, data.n_max)
-        bad = L.LFunctionData(
-            an=tuple(an), eps=1, N=curve.conductor_N, k_label=8.0, ap_routes={}
-        )
         # no sign certifies the corrupt table (measured 2.6e-3 and 0.41)
+        rootn = math.sqrt(curve.conductor_N)
         for eps in (1, -1):
-            assert L.split_point_spread(_with_eps(bad, eps)) > 1e-10
+            vals = [_l2_split_reference(an, curve.conductor_N, eps, c / rootn) for c in (0.8, 1.0, 1.3)]
+            assert max(vals) - min(vals) > 1e-10
+        # and the search refuses it: no (eps, a_2, a_3) choice certifies a_5 + 2
+        route = L.ap_with_route
+
+        def corrupt_a5(curve, p):
+            value, how = route(curve, p)
+            return (value + 2 if p == 5 else value), how
+
+        monkeypatch.setattr(L, "ap_with_route", corrupt_a5)
+        with pytest.raises(LDataError):
+            L.an_table(curve)
 
     @pytest.mark.parametrize("k", TABLE_KS)
     def test_shared_weights_match_per_term_formula(self, k):
-        curve, data, res = L.lvalue_from_k(k)
+        _, data = L.lvalue_from_k(k)
         rootn = math.sqrt(data.N)
-        assert res.L2 == _l2_split_reference(data.an, data.N, data.eps, 1.0 / rootn)
+        assert data.L2 == _l2_split_reference(data.an, data.N, data.eps, 1.0 / rootn)
         for eps in (1, -1):
             vals = [_l2_split_reference(data.an, data.N, eps, c / rootn) for c in (0.8, 1.0, 1.3)]
             spread = max(abs(u - v) for u in vals for v in vals)
-            assert L.split_point_spread(_with_eps(data, eps)) == spread
+            assert data.spread(eps) == spread
 
     def test_e1_weights_computed_once_per_split_point(self, monkeypatch):
-        calls = []
-        e1 = L.exp_integral_e1
-        monkeypatch.setattr(L, "exp_integral_e1", lambda x: calls.append(x) or e1(x))
-        _, data, _ = L.lvalue_from_k(3.0)  # k^2 = 9: 20 scored candidates
-        assert len(calls) <= 5 * (data.n_max + 60)
+        # one lvalue op: n_max E1 weights at each of the three split points,
+        # and 60 more at A = 1/sqrt(N) for the tail bound
+        calls = _count_e1(monkeypatch, "lvalue --k 3 --format json")  # k^2 = 9: 20 candidates
+        assert len(calls) == 3 * L.default_n_max(C.curve_from_k(3.0).conductor_N) + 60
+
+    def test_table_e1_calls_are_the_rows_sum(self, monkeypatch):
+        calls = _count_e1(monkeypatch, "table --format json")
+        per_row = [3 * L.default_n_max(N) + 60 for N, _ in C.TABLE1.values()]
+        assert len(calls) == sum(per_row)  # 2,841 over the eleven rows
 
     def test_tail_bound_enforced(self):
-        curve = C.curve_from_k(8.0)
-        full = L.an_table(curve)
-        short = L.LFunctionData(
-            an=full.an[:9], eps=full.eps, N=full.N, k_label=full.k_label, ap_routes={}
-        )
-        with pytest.raises(AccuracyError):
-            L.l2(curve, short, tol=1e-12)
+        with pytest.raises(AccuracyError, match="tail bound"):
+            L.lvalue_from_k(8.0, n_max=22)
 
     def test_an_table_refuses_uncertifiable_length(self):
         # 8 terms cannot reach split-point independence at 1e-10
@@ -192,7 +207,7 @@ class TestPipeline:
 
 class TestExports:
     def test_an_table_text(self):
-        _, data, _ = L.lvalue_from_k(8.0)
+        _, data = L.lvalue_from_k(8.0)
         lines = L.an_table_text(data).splitlines()
         assert lines[0] == "1 1"
         n, a = lines[5].split()
@@ -200,8 +215,8 @@ class TestExports:
         assert len(lines) == data.n_max
 
     def test_summary_record_and_json(self):
-        curve, data, res = L.lvalue_from_k(8.0)
-        rec = L.summary_record(curve, data, res)
+        curve, data = L.lvalue_from_k(8.0)
+        rec = L.summary_record(curve, data)
         assert rec["N"] == 24 and rec["eps"] == 1 and rec["r_k"] == "4"
         assert json.loads(json.dumps(rec)) == rec  # the lvalue CLI serializes it
-        assert rec["Lprime0"] == res.Lprime0
+        assert rec["Lprime0"] == data.Lprime0 and rec["n_used"] == data.n_max
