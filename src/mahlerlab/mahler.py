@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -278,11 +279,13 @@ class LaurentPoly2:
     def __post_init__(self):
         if not self.terms:
             raise DomainError("LaurentPoly2: needs at least one term")
+        for i, j, c in self.terms:
+            if not (isinstance(i, numbers.Integral) and isinstance(j, numbers.Integral)):
+                raise DomainError(f"LaurentPoly2: exponents must be integers, got ({i!r}, {j!r})")
+            if not cmath.isfinite(c):
+                raise DomainError(f"LaurentPoly2: coefficient of x^{i} y^{j} is not finite: {c!r}")
         if all(abs(c) == 0.0 for _, _, c in self.terms):
             raise DomainError("LaurentPoly2: all coefficients vanish")
-
-    def __call__(self, x: complex, y: complex) -> complex:
-        return sum(c * x**i * y**j for i, j, c in self.terms)
 
 
 def poly_p1k(k: float) -> LaurentPoly2:
@@ -298,6 +301,10 @@ def poly_pac(a: complex, c: complex) -> LaurentPoly2:
 #: the break-point search counts a y-root with ||y| - 1| below this as on
 #: the unit circle: well above the eigenvalue noise of a root on the circle
 _ON_CIRCLE = 1e-10
+#: the inner integral breaks at each y-root with ||y| - 1| below this: np.roots
+#: puts a double root on the circle up to ~sqrt(eps) off it, and a spare break
+#: point costs only one more subinterval
+_NEAR_CIRCLE = 1e-7
 #: grid intervals of the outer break-point search, and bisection steps per
 #: break (1/256 halved 40 times is below 1e-14)
 _SEARCH_INTERVALS = 256
@@ -336,7 +343,7 @@ def _circle_roots_in_y(coeffs: list[complex]) -> list[float]:
     roots = np.roots(arr)
     out = []
     for r in roots:
-        if abs(abs(r) - 1.0) < 1e-7:
+        if abs(abs(r) - 1.0) < _NEAR_CIRCLE:
             out.append((cmath.phase(r) / (2.0 * math.pi)) % 1.0)
     return sorted(out)
 
@@ -416,6 +423,24 @@ def _quadpack_failure(out: tuple) -> str | None:
     return " ".join(out[3].split(".")[0].split()) if len(out) > 3 else None
 
 
+def _half_widths(P: LaurentPoly2) -> tuple[float, float]:
+    """(h_x, h_y): 1/2 on an axis whose integrand is even in t (period 1),
+    so that its integral over [0, 1] is twice that over [0, 1/2]; else 1.
+
+    With duplicate terms summed into c[i, j], the outer integral over t1 is
+    even when every c is real (|P(conj x, conj y)| = |P(x, y)|) or when
+    c[i, j] == c[-i, j] (P(1/x, y) = P(x, y)); the inner one over t2 when
+    c[i, j] == c[i, -j] (P(x, 1/y) = P(x, y)).  The comparisons are exact.
+    """
+    c: dict[tuple[int, int], complex] = {}
+    for i, j, v in P.terms:
+        c[i, j] = c.get((i, j), 0) + v
+    real = all(complex(v).imag == 0.0 for v in c.values())
+    x_even = real or all(c.get((-i, j), 0) == v for (i, j), v in c.items())
+    y_even = all(c.get((i, -j), 0) == v for (i, j), v in c.items())
+    return (0.5 if x_even else 1.0), (0.5 if y_even else 1.0)
+
+
 def m_generic_2d(P: LaurentPoly2, tol: float = 1e-6) -> float:
     """Brute-force Mahler measure: nested adaptive quadrature of
     log|P(e^{2 pi i t1}, e^{2 pi i t2})| over the unit square.
@@ -425,10 +450,14 @@ def m_generic_2d(P: LaurentPoly2, tol: float = 1e-6) -> float:
     inner one, over t2, breaks at the y-roots on the unit circle.  The outer
     one, over t1, breaks where a y-root enters, leaves or crosses the unit
     circle (found on a grid of t1 by following each root, then bisected),
-    because the inner integral has a kink there.  A non-zero QUADPACK ier in
-    either integral, or an outer error estimate above tol, raises
-    `AccuracyError` carrying the outer value as `best_estimate`.  Supports
-    tol >= 1e-6; cost grows quadratically as tol shrinks.
+    because the inner integral has a kink there.  Each integral is folded
+    onto [0, 1/2] and doubled where P's symmetries make its integrand even
+    (see `_half_widths`); its epsabs shrinks with the width, so the error
+    targets over the whole square stay 0.5 tol (outer) and 0.02 tol (inner).  A
+    non-zero QUADPACK ier in either integral, or an outer error estimate
+    above tol, raises `AccuracyError` carrying the outer value as
+    `best_estimate`.  tol below 1e-8 raises `AccuracyError`; cost grows
+    quadratically as tol shrinks.
     """
     if tol < 1e-8:
         raise AccuracyError(f"m_generic_2d: tol={tol:g} below supported range")
@@ -436,6 +465,7 @@ def m_generic_2d(P: LaurentPoly2, tol: float = 1e-6) -> float:
     from scipy import integrate as _spi
 
     coeffs_at = _y_coefficients(P)
+    hx, hy = _half_widths(P)
     inner_failures = []
 
     def inner(t1: float) -> float:
@@ -452,22 +482,22 @@ def m_generic_2d(P: LaurentPoly2, tol: float = 1e-6) -> float:
         out = _spi.quad(
             g,
             0.0,
-            1.0,
+            hy,
             points=pts or None,
             limit=200,
-            epsabs=0.02 * tol,
+            epsabs=0.02 * tol * hy,
             epsrel=1e-10,
             full_output=1,
         )
         failure = _quadpack_failure(out)
         if failure:
             inner_failures.append(f"t1={t1!r}: {failure}")
-        return out[0]
+        return out[0] / hy
 
     breaks = _outer_break_points(coeffs_at)
-    out = _spi.quad(inner, 0.0, 1.0, points=breaks or None, limit=200,
-                    epsabs=0.5 * tol, epsrel=1e-10, full_output=1)
-    val, err = out[0], out[1]
+    out = _spi.quad(inner, 0.0, hx, points=breaks or None, limit=200,
+                    epsabs=0.5 * tol * hx, epsrel=1e-10, full_output=1)
+    val, err = out[0] / hx, out[1] / hx
     failure = _quadpack_failure(out)
     if failure:
         msg = f"m_generic_2d: outer QUADPACK integral failed: {failure}"

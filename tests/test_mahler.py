@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import json
 import math
+import types
 
 import pytest
 import scalar_reference as R
@@ -41,6 +42,35 @@ def poly_ptilde(k: float) -> M.LaurentPoly2:
     return M.LaurentPoly2(((1, 0, at), (-1, 0, at), (0, 1, 1.0), (0, -1, -1.0), (0, 0, -ct)))
 
 
+def _at(P: M.LaurentPoly2, x: complex, y: complex) -> complex:
+    """P(x, y), term by term."""
+    return sum(c * x**i * y**j for i, j, c in P.terms)
+
+
+@pytest.fixture
+def quad_calls(monkeypatch):
+    """Wraps scipy.integrate.quad.  `calls` gets (depth, a, b) for each call,
+    depth 0 the outer integral of m_generic_2d and 1 an inner one; a depth
+    put in `limit_at` has its `limit` capped at the value there."""
+    from scipy import integrate
+
+    quad, depth = integrate.quad, [0]
+    rec = types.SimpleNamespace(calls=[], limit_at={})
+
+    def wrapped(func, a, b, *args, **kw):
+        rec.calls.append((depth[0], a, b))
+        if depth[0] in rec.limit_at:
+            kw["limit"] = rec.limit_at[depth[0]]
+        depth[0] += 1
+        try:
+            return quad(func, a, b, *args, **kw)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(integrate, "quad", wrapped)
+    return rec
+
+
 # frozen reference values (independent 30-digit quadrature)
 M_P1K = {
     1.0: 0.251330433713252231,
@@ -61,6 +91,8 @@ HALF_PTILDE = {  # k: (m_plus, m_minus)
 }
 HALF_PAC_K2 = (0.00947051932013778, 0.539835625013917)
 M_MINUS_LOGK = {10.0: -0.020973507, 20.0: -0.0050573162, 50.0: -0.00080144428, 100.0: -0.00020009007}
+#: m(x + y + 1/y + k) = (1/pi) int_0^pi log max(1, |2 cos(theta) + k|) dtheta
+M_JENSEN_IN_X = {3.0: 0.962423650119206894995517826849, 5.0: 1.56679923697241107866405686258}
 
 
 class TestParams:
@@ -117,7 +149,7 @@ class TestFactorization:
         assert abs(yp * ym - fac.sigma) < 1e-14
         assert fac.beta * math.cos(theta) + fac.gamma > 2.0  # k > 4 keeps B above 2
         x = cmath.exp(1j * theta)
-        assert abs(M.poly_p1k(7.0)(x, yp)) < 1e-13 and abs(M.poly_p1k(7.0)(x, ym)) < 1e-13
+        assert abs(_at(M.poly_p1k(7.0), x, yp)) < 1e-13 and abs(_at(M.poly_p1k(7.0), x, ym)) < 1e-13
 
     @pytest.mark.parametrize("theta", [0.0, 0.7, 1.9, 3.0])
     def test_root_product_ptilde(self, theta):
@@ -125,7 +157,7 @@ class TestFactorization:
         yp, ym = _roots(fac, theta)
         assert abs(yp * ym - fac.sigma) < 1e-14
         x = cmath.exp(1j * theta)
-        assert abs(poly_ptilde(6.0)(x, yp)) < 1e-13 and abs(poly_ptilde(6.0)(x, ym)) < 1e-13
+        assert abs(_at(poly_ptilde(6.0), x, yp)) < 1e-13 and abs(_at(poly_ptilde(6.0), x, ym)) < 1e-13
 
     @pytest.mark.parametrize("theta", [0.3, 1.2, 2.4])
     def test_root_product_pac_small(self, theta):
@@ -133,7 +165,7 @@ class TestFactorization:
         yp, ym = _roots(fac, theta)
         assert abs(yp * ym - fac.sigma) < 1e-14
         poly, x = M.poly_pac(fac.beta / 2.0, fac.gamma), cmath.exp(1j * theta)
-        assert abs(poly(x, yp)) < 1e-13 and abs(poly(x, ym)) < 1e-13
+        assert abs(_at(poly, x, yp)) < 1e-13 and abs(_at(poly, x, ym)) < 1e-13
 
     def test_unimodular_roots_between_crossings(self):
         fac = M.factor_pac_small(2.0)
@@ -613,6 +645,16 @@ class TestGeneric2D:
         with pytest.raises(DomainError):
             M.LaurentPoly2(((0, 0, 0.0),))
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+    def test_rejects_non_finite_coefficient(self, c):
+        with pytest.raises(DomainError, match="not finite"):
+            M.LaurentPoly2(((0, 0, c), (1, 0, 1.0)))
+
+    @pytest.mark.parametrize("i,j", [(0.5, 0), (0, 1.0)])
+    def test_rejects_non_integer_exponent(self, i, j):
+        with pytest.raises(DomainError, match="integers"):
+            M.LaurentPoly2(((i, j, 1.0), (0, 1, 1.0)))
+
     def test_cross_check_k8(self):
         v = M.m_generic_2d(M.poly_p1k(8.0), 1e-6)
         assert v == pytest.approx(M.m_p1k(8.0, 1e-9), abs=1e-6)
@@ -680,23 +722,38 @@ class TestGeneric2D:
         assert _breaks(P) == pytest.approx([t, 1.0 - t], abs=1e-9)
         assert M.m_generic_2d(P) == pytest.approx(0.3230659472194505, abs=1e-6)
 
+    def test_rotated_smyth_is_not_folded(self):
+        # 1 + i x + y is 1 + x + y turned on the torus; its inner integral
+        # log max(1, |1 + i x|) is not even in t1
+        P = M.LaurentPoly2(((0, 0, 1.0), (1, 0, 1j), (0, 1, 1.0)))
+        assert M.m_generic_2d(P) == pytest.approx(0.3230659472194505, abs=1e-6)
+
+    @pytest.mark.parametrize("k", [3.0, 5.0])
+    @pytest.mark.parametrize("ax", [1.0, 1j], ids=["x", "ix"])
+    def test_folds_match_jensen_in_x(self, ax, k):
+        # m(ax x + y + 1/y + k) = (1/pi) int_0^pi log max(1, |2 cos(theta) + k|)
+        # (Jensen in x); i x folds only the inner integral, x both
+        P = M.LaurentPoly2(((1, 0, ax), (0, 1, 1.0), (0, -1, 1.0), (0, 0, k)))
+        assert M.m_generic_2d(P) == pytest.approx(M_JENSEN_IN_X[k], abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "poly,outer,inner",
+        [
+            (M.poly_p1k(1.0), 0.5, 0.5),
+            (M.poly_pac(M.factor_pac_small(2.0).beta / 2.0, M.factor_pac_small(2.0).gamma), 0.5, 0.5),
+            (poly_ptilde(5.0), 0.5, 1.0),  # y - 1/y is not y-reciprocal
+            (M.LaurentPoly2(((0, 0, 1.0), (1, 0, 1j), (0, 1, 1.0))), 1.0, 1.0),
+        ],
+        ids=["p1k", "pac", "ptilde", "1+ix+y"],
+    )
+    def test_fold_intervals(self, quad_calls, poly, outer, inner):
+        M.m_generic_2d(poly)
+        assert set(quad_calls.calls) == {(0, 0.0, outer), (1, 0.0, inner)}
+
     @pytest.mark.parametrize("level,where", [(0, "outer"), (1, "inner")])
-    def test_quadpack_failure_raises(self, monkeypatch, level, where):
+    def test_quadpack_failure_raises(self, quad_calls, level, where):
         # starve the outer or the inner QUADPACK call of subintervals
-        from scipy import integrate
-
-        quad, depth = integrate.quad, [0]
-
-        def starved(*args, **kw):
-            if depth[0] == level:
-                kw["limit"] = 3
-            depth[0] += 1
-            try:
-                return quad(*args, **kw)
-            finally:
-                depth[0] -= 1
-
-        monkeypatch.setattr(integrate, "quad", starved)
+        quad_calls.limit_at[level] = 3
         with pytest.raises(AccuracyError, match=where) as err:
             M.m_generic_2d(M.poly_p1k(1.0), 1e-6)
         assert err.value.best_estimate == pytest.approx(M_P1K[1.0], abs=1e-2)
