@@ -301,63 +301,77 @@ def poly_pac(a: complex, c: complex) -> LaurentPoly2:
 #: the break-point search counts a y-root with ||y| - 1| below this as on
 #: the unit circle: well above the eigenvalue noise of a root on the circle
 _ON_CIRCLE = 1e-10
-#: the inner integral breaks at each y-root with ||y| - 1| below this: np.roots
-#: puts a double root on the circle up to ~sqrt(eps) off it, and a spare break
-#: point costs only one more subinterval
+#: the inner integral breaks at each y-root with ||y| - 1| below this: the
+#: eigenvalues put a double root on the circle up to ~sqrt(eps) off it, and a
+#: spare break point costs only one more subinterval
 _NEAR_CIRCLE = 1e-7
-#: grid intervals of the outer break-point search, and bisection steps per
-#: break (1/256 halved 40 times is below 1e-14)
+#: grid intervals per unit of t1 of the outer break-point search, and
+#: bisection steps per break (1/256 halved 40 times is below 1e-14)
 _SEARCH_INTERVALS = 256
 _BISECTIONS = 40
 
+#: QUADPACK's qk21 rule (Piessens et al. 1983), as scipy's
+#: `integrate/_quad_vec.py` tabulates it: the 21 Kronrod nodes on [-1, 1],
+#: their weights, and the 10-point Gauss weights at the odd-indexed nodes
+_GK21_NODES = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+               0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+               0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+               0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+               0.294392862701460198131126603103866, 0.148874338981631210884826001129720)
+_GK21_KRONROD = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+                 0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+                 0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+                 0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+                 0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+                 0.149445554002916905664936468389821)
+_GK21_GAUSS = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+               0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+               0.295524224714752870173892994651338)
+_GK21_X = np.array([*_GK21_NODES, 0.0, *(-x for x in reversed(_GK21_NODES))])
+_GK21_K = np.array([*_GK21_KRONROD, *reversed(_GK21_KRONROD[:-1])])
+_GK21_G = np.zeros(21)
+_GK21_G[1::2] = [*_GK21_GAUSS, *reversed(_GK21_GAUSS)]
+#: QUADPACK's limit: the subintervals one adaptive integral may use
+_LIMIT = 200
+#: ascending coefficients of the endpoint maps t = lo + (hi - lo) phi(u),
+#: u in [0, 1], of a segment [lo, hi] of an adaptive integral, by the order p
+#: and by which of its ends are break points (row 2 left + right): u, then
+#: the regularised incomplete beta functions I_u(1, p) = 1 - (1 - u)^p,
+#: I_u(p, 1) = u^p and I_u(p, p).  phi' vanishes to order p - 1 at a break,
+#: so p = 2 smooths a square-root kink there and p = 3 a log singularity
+_ENDPOINT_MAPS = {
+    2: np.array([[0, 1, 0, 0, 0, 0], [0, 2, -1, 0, 0, 0],
+                 [0, 0, 1, 0, 0, 0], [0, 0, 3, -2, 0, 0]], dtype=float),
+    3: np.array([[0, 1, 0, 0, 0, 0], [0, 3, -3, 1, 0, 0],
+                 [0, 0, 0, 1, 0, 0], [0, 0, 0, 10, -15, 6]], dtype=float),
+}
 
-def _y_coefficients(P: LaurentPoly2) -> Callable:
-    """x -> the coefficients of y^(-jmin) P(x, y) in y, highest power first.
 
-    x may be one complex number or an array of them; each coefficient is then
-    a complex number or an array (a slot no term reaches stays 0j).
-    """
+def _y_coefficients(P: LaurentPoly2) -> Callable[[np.ndarray], np.ndarray]:
+    """t1 -> the matrix whose row r holds the coefficients of
+    y^(-jmin) P(e^{2 pi i t1[r]}, y) in y, highest power first."""
     js = [j for _, j, _ in P.terms]
     jmax, n = max(js), max(js) - min(js) + 1
 
-    def at(x):
-        coeffs = [0j] * n
+    def at(t1: np.ndarray) -> np.ndarray:
+        x = np.exp(2j * np.pi * t1)
+        C = np.zeros((len(x), n), dtype=complex)
         for i, j, c in P.terms:
-            coeffs[jmax - j] += c * x**i
-        return coeffs
+            C[:, jmax - j] += c * x**i
+        return C
 
     return at
 
 
-def _circle_roots_in_y(coeffs: list[complex]) -> list[float]:
-    """Angles (in turns) of the roots of the y-polynomial `coeffs` (highest
-    power first) that sit on the unit circle."""
-    arr = np.array(coeffs, dtype=complex)
-    scale = float(np.max(np.abs(arr)))
-    if scale == 0.0:
-        return []
-    nz = np.nonzero(np.abs(arr) > 1e-14 * scale)[0]
-    arr = arr[nz[0] : nz[-1] + 1]
-    if len(arr) < 2:
-        return []
-    roots = np.roots(arr)
-    out = []
-    for r in roots:
-        if abs(abs(r) - 1.0) < _NEAR_CIRCLE:
-            out.append((cmath.phase(r) / (2.0 * math.pi)) % 1.0)
-    return sorted(out)
-
-
-def _y_roots_at(coeffs_at: Callable, t1: np.ndarray) -> np.ndarray:
-    """Row i holds the y-roots of P(e^{2 pi i t1[i]}, .), as the eigenvalues of
-    stacked companion matrices.  Where the leading coefficient vanishes, a
-    root has gone to infinity, and the whole row is set to infinity."""
-    x = np.exp(2j * np.pi * t1)
-    C = np.stack([np.broadcast_to(c, x.shape) for c in coeffs_at(x)], axis=1)
-    d = C.shape[1] - 1
-    comp = np.zeros((len(x), d, d), dtype=complex)
+def _y_roots_at(C: np.ndarray) -> np.ndarray:
+    """Row i holds the roots of the y-polynomial with coefficients C[i]
+    (highest power first), as the eigenvalues of stacked companion matrices.
+    Where the leading coefficient vanishes, a root has gone to infinity, and
+    the whole row is set to infinity."""
+    n, d = C.shape[0], C.shape[1] - 1
+    comp = np.zeros((n, d, d), dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
-        comp[:, 0, :] = -C[:, 1:] / C[:, :1]
+        comp[:, :1, :] = (-C[:, 1:] / C[:, :1])[:, None, :]
     comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
     bad = ~np.isfinite(comp).all(axis=(1, 2))
     comp[bad] = 0.0
@@ -388,28 +402,27 @@ def _follow(prev: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return out
 
 
-def _outer_break_points(coeffs_at: Callable) -> list[float]:
-    """The t1 in [0, 1] where a y-root of P(e^{2 pi i t1}, .) enters, leaves or
-    crosses the unit circle: the square-root and corner kinks of the inner
+def _outer_break_points(coeffs_at: Callable, hx: float) -> list[float]:
+    """The t1 in [0, hx] where a y-root of P(e^{2 pi i t1}, .) enters, leaves
+    or crosses the unit circle: the square-root and corner kinks of the inner
     integral as a function of t1.
 
-    The roots are sampled on a grid of t1 and each root is followed to the
-    next sample by continuity, so a root that leaves the circle while another
-    enters (the count outside unchanged) is still seen.  Each interval in
-    which a followed root changes side is bisected.  Two changes closer
-    together than the grid spacing may show as one break, or none.
+    The roots are sampled on a grid of t1 with spacing 1/_SEARCH_INTERVALS and
+    each root is followed to the next sample by continuity, so a root that
+    leaves the circle while another enters (the count outside unchanged) is
+    still seen.  Each interval in which a followed root changes side is
+    bisected.  Two changes closer together than the grid spacing may show as
+    one break, or none.
     """
-    if len(coeffs_at(1.0)) < 2:
-        return []
-    t = np.linspace(0.0, 1.0, _SEARCH_INTERVALS + 1)
-    roots = _y_roots_at(coeffs_at, t)
+    t = np.linspace(0.0, hx, round(_SEARCH_INTERVALS * hx) + 1)
+    roots = _y_roots_at(coeffs_at(t))
     moved = (_side(_follow(roots[:-1], roots[1:])) != _side(roots[:-1])).any(axis=1)
     lo, hi, r_lo = t[:-1][moved], t[1:][moved], roots[:-1][moved]
     if not len(lo):
         return []
     for _ in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        r_mid = _follow(r_lo, _y_roots_at(coeffs_at, mid))
+        r_mid = _follow(r_lo, _y_roots_at(coeffs_at(mid)))
         left = (_side(r_mid) != _side(r_lo)).any(axis=1)
         hi = np.where(left, mid, hi)
         lo = np.where(left, lo, mid)
@@ -417,10 +430,86 @@ def _outer_break_points(coeffs_at: Callable) -> list[float]:
     return (0.5 * (lo + hi)).tolist()
 
 
-def _quadpack_failure(out: tuple) -> str | None:
-    """The first sentence of QUADPACK's message when `quad(..., full_output=1)`
-    reports a non-zero ier, else None."""
-    return " ".join(out[3].split(".")[0].split()) if len(out) > 3 else None
+def _gk21_panels(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """QUADPACK's qk21 on each panel: g[p] holds the integrand at the 21 nodes
+    of panel p, of half-width h[p].  Returns its values and error estimates:
+    the Kronrod-Gauss difference, scaled as QUADPACK does by the mean
+    deviation and floored at 50 eps times the integral of |g|."""
+    resk, resg = g @ _GK21_K, g @ _GK21_G
+    resabs = np.abs(g) @ _GK21_K * h
+    resasc = np.abs(g - 0.5 * resk[:, None]) @ _GK21_K * h
+    err = np.abs((resk - resg) * h)
+    scaled = (resasc != 0.0) & (err != 0.0)
+    ratio = 200.0 * err[scaled] / resasc[scaled]
+    err[scaled] = resasc[scaled] * np.minimum(1.0, ratio * np.sqrt(ratio))
+    floor = 50.0 * np.finfo(float).eps * resabs
+    return h * resk, np.where(floor > np.finfo(float).tiny, np.maximum(err, floor), err)
+
+
+def _gk21(
+    f: Callable, a: np.ndarray, b: np.ndarray, breaks: np.ndarray,
+    order: int, epsabs: float, limit: int = _LIMIT,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adaptive Gauss-Kronrod-21 integrals of f over [a[i], b[i]] for every i,
+    refined in lockstep: each round calls f once, on the nodes of every new
+    panel of every integral, as f(t, row) with t[p] the 21 abscissae of
+    panel p and row[p] its integral.
+
+    The break points breaks[i] (NaN for none) strictly inside (a[i], b[i])
+    split integral i into segments.  A segment end that is a break point
+    gets the endpoint map of `order` (`_ENDPOINT_MAPS`); ends at a[i] and
+    b[i] get none.  Each round bisects, in every
+    integral not yet done, its worst panels until those left hold at most
+    the target between them.  Integral i is done when its summed error
+    estimate is at most the target max(epsabs, 1e-10 |I|).  It fails when
+    it reaches `limit` panels short of that, or starts with more segments
+    than `limit` (QUADPACK's ier = 6).  Returns (values, error estimates,
+    ok).
+    """
+    n = len(a)
+    inside = (breaks > a[:, None]) & (breaks < b[:, None])
+    pts = np.concatenate(
+        [a[:, None], np.sort(np.where(inside, breaks, b[:, None]), axis=1), b[:, None]], axis=1)
+    keep = pts[:, 1:] > pts[:, :-1]
+    seg_row = np.nonzero(keep)[0]
+    lo, width = pts[:, :-1][keep], (pts[:, 1:] - pts[:, :-1])[keep]
+    maps = _ENDPOINT_MAPS[order][2 * (lo > a[seg_row]) + (lo + width < b[seg_row])]
+    dmaps = maps[:, 1:] * np.arange(1, 6)
+    # the panels as (segment, u0, u1, value, error); each round adds the new
+    # ones, which start as the whole segments, and drops those it bisects
+    new = np.arange(len(lo)), np.zeros(len(lo)), np.ones(len(lo))
+    panels = (np.empty(0, dtype=int), *(np.empty(0) for _ in range(4)))
+    while True:
+        seg, u0, u1 = new
+        h = 0.5 * (u1 - u0)
+        powers = ((0.5 * (u0 + u1))[:, None] + h[:, None] * _GK21_X)[..., None] ** np.arange(6)
+        t = lo[seg, None] + width[seg, None] * np.einsum("pnk,pk->pn", powers, maps[seg])
+        jac = width[seg, None] * np.einsum("pnk,pk->pn", powers[..., :5], dmaps[seg])
+        val, err = _gk21_panels(f(t, seg_row[seg]) * jac, h)
+        panels = tuple(np.concatenate(pair) for pair in zip(panels, (seg, u0, u1, val, err)))
+        p_seg, p_u0, p_u1, p_val, p_err = panels
+        row = seg_row[p_seg]
+        total, error = np.bincount(row, p_val, n), np.bincount(row, p_err, n)
+        count = np.bincount(row, minlength=n)
+        target = np.maximum(epsabs, 1e-10 * np.abs(total))
+        live = (error > target) & (count < limit)
+        if not live.any():
+            return total, error, (error <= target) & (count <= limit)
+        # rank each integral's panels by error; bisect while the panels from
+        # this one down hold more than the target, and the limit allows
+        ranked = np.lexsort((-p_err, row))
+        r, e = row[ranked], p_err[ranked]
+        first = np.searchsorted(r, r)
+        above = np.cumsum(e) - e
+        above -= above[first]
+        rank = np.arange(len(r)) - first
+        split = ranked[live[r] & (error[r] - above > target[r]) & (rank < limit - count[r])]
+        mid = 0.5 * (p_u0[split] + p_u1[split])
+        new = (np.repeat(p_seg[split], 2), np.stack([p_u0[split], mid], axis=1).ravel(),
+               np.stack([mid, p_u1[split]], axis=1).ravel())
+        stay = np.ones(len(p_seg), dtype=bool)
+        stay[split] = False
+        panels = tuple(x[stay] for x in panels)
 
 
 def _half_widths(P: LaurentPoly2) -> tuple[float, float]:
@@ -445,66 +534,60 @@ def m_generic_2d(P: LaurentPoly2, tol: float = 1e-6) -> float:
     """Brute-force Mahler measure: nested adaptive quadrature of
     log|P(e^{2 pi i t1}, e^{2 pi i t2})| over the unit square.
 
-    Independent of the one-variable Jensen route: both integrals are QUADPACK,
-    each with explicit break points found from the polynomial itself.  The
-    inner one, over t2, breaks at the y-roots on the unit circle.  The outer
-    one, over t1, breaks where a y-root enters, leaves or crosses the unit
-    circle (found on a grid of t1 by following each root, then bisected),
-    because the inner integral has a kink there.  Each integral is folded
-    onto [0, 1/2] and doubled where P's symmetries make its integrand even
-    (see `_half_widths`); its epsabs shrinks with the width, so the error
-    targets over the whole square stay 0.5 tol (outer) and 0.02 tol (inner).  A
-    non-zero QUADPACK ier in either integral, or an outer error estimate
-    above tol, raises `AccuracyError` carrying the outer value as
-    `best_estimate`.  tol below 1e-8 raises `AccuracyError`; cost grows
-    quadratically as tol shrinks.
+    Independent of the one-variable Jensen route: both integrals are
+    adaptive Gauss-Kronrod-21 (`_gk21`, QUADPACK's qk21 rule and error
+    estimate, epsrel 1e-10), each with explicit break points found from the
+    polynomial itself.  The inner one, over t2, breaks at the
+    y-roots within 1e-7 of the unit circle, whose log singularities the
+    cubic endpoint maps smooth.  The outer one, over t1, breaks where a
+    y-root enters, leaves or crosses the unit circle (found on a grid of t1
+    by following each root, then bisected), because the inner integral has
+    a square-root or corner kink there, which the quadratic maps smooth.
+    Each outer round computes the inner integrals at all its t1 nodes in
+    lockstep, with their break points from one eigenvalue call.  Each
+    integral is folded onto [0, 1/2] and doubled where P's symmetries make
+    its integrand even (see `_half_widths`); its epsabs shrinks with the
+    width, so the error targets over the whole square stay 0.5 tol (outer)
+    and 0.02 tol (inner).  An integral that misses its target within
+    `_LIMIT` subintervals, or an outer error estimate above tol, raises
+    `AccuracyError` carrying the outer value as `best_estimate`.  tol below
+    1e-8 raises `AccuracyError`; cost grows quadratically as tol shrinks.
     """
     if tol < 1e-8:
         raise AccuracyError(f"m_generic_2d: tol={tol:g} below supported range")
-    # scipy costs most of the start-up time and only this oracle needs it
-    from scipy import integrate as _spi
-
     coeffs_at = _y_coefficients(P)
     hx, hy = _half_widths(P)
     inner_failures = []
 
-    def inner(t1: float) -> float:
-        coeffs = coeffs_at(cmath.exp(2j * math.pi * t1))
+    def inner(t1: np.ndarray, _: np.ndarray) -> np.ndarray:
+        """(1/hy) int_0^hy log|P(e^{2 pi i t1}, e^{2 pi i t2})| dt2 at every t1."""
+        nodes = t1.ravel()
+        C = coeffs_at(nodes)
+        roots = _y_roots_at(C)
+        near = np.abs(np.abs(roots) - 1.0) < _NEAR_CIRCLE
+        breaks = np.where(near, np.angle(roots) / (2.0 * np.pi) % 1.0, np.nan)
 
-        def g(t2: float) -> float:
-            y = cmath.exp(2j * math.pi * t2)
-            acc = 0j
-            for co in coeffs:
-                acc = acc * y + co
-            return math.log(max(abs(acc), 1e-300))
+        def log_abs(t2: np.ndarray, row: np.ndarray) -> np.ndarray:
+            y, rows = np.exp(2j * np.pi * t2), C[row]
+            acc = np.broadcast_to(rows[:, :1], y.shape)
+            for k in range(1, rows.shape[1]):
+                acc = acc * y + rows[:, k : k + 1]
+            return np.log(np.maximum(np.abs(acc), 1e-300))
 
-        pts = _circle_roots_in_y(coeffs)
-        out = _spi.quad(
-            g,
-            0.0,
-            hy,
-            points=pts or None,
-            limit=200,
-            epsabs=0.02 * tol * hy,
-            epsrel=1e-10,
-            full_output=1,
-        )
-        failure = _quadpack_failure(out)
-        if failure:
-            inner_failures.append(f"t1={t1!r}: {failure}")
-        return out[0] / hy
+        zero = np.zeros(len(nodes))
+        val, _, ok = _gk21(log_abs, zero, zero + hy, breaks, 3, 0.02 * tol * hy)
+        inner_failures.extend(nodes[~ok].tolist())
+        return (val / hy).reshape(t1.shape)
 
-    breaks = _outer_break_points(coeffs_at)
-    out = _spi.quad(inner, 0.0, hx, points=breaks or None, limit=200,
-                    epsabs=0.5 * tol * hx, epsrel=1e-10, full_output=1)
-    val, err = out[0] / hx, out[1] / hx
-    failure = _quadpack_failure(out)
-    if failure:
-        msg = f"m_generic_2d: outer QUADPACK integral failed: {failure}"
+    breaks = np.array([_outer_break_points(coeffs_at, hx)])
+    [val], [err], [ok] = _gk21(inner, np.zeros(1), np.full(1, hx), breaks, 2, 0.5 * tol * hx)
+    val, err = val / hx, err / hx
+    if not ok:
+        msg = f"m_generic_2d: outer integral hit its subinterval limit with error estimate {err:g}"
     elif inner_failures:
         msg = (
-            f"m_generic_2d: inner QUADPACK integral failed at "
-            f"{len(inner_failures)} t1, first {inner_failures[0]}"
+            f"m_generic_2d: inner integral hit its subinterval limit at "
+            f"{len(inner_failures)} t1, first t1={inner_failures[0]!r}"
         )
     elif err > tol:
         msg = f"m_generic_2d: estimated error {err:g} exceeds tol {tol:g}"

@@ -763,28 +763,34 @@ def _child_env() -> dict:
     return {**os.environ, "PYTHONPATH": path}
 
 
-def _imported_by_verify_eta(module: str) -> list[str]:
+def _imported_after(module: str, *runs: list[str]) -> list[str]:
     """Whether `module` is imported after `import mahlerlab.cli`, then after
-    a `verify eta` run, in a child interpreter."""
+    each CLI run in runs (each must exit 0), in a child interpreter."""
     probe = (
-        "import sys, mahlerlab.cli\n"
+        "import contextlib, io, sys, mahlerlab.cli\n"
         f"print({module!r} in sys.modules)\n"
-        "mahlerlab.cli.main(['verify', 'eta', '--format', 'json'])\n"
-        f"print({module!r} in sys.modules)"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        if mahlerlab.cli.main(argv):\n"
+        "            sys.exit(f'{argv} failed')\n"
+        f"    print({module!r} in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    return [lines[0], lines[-1]]
+    return proc.stdout.splitlines()
 
 
-def test_scipy_imported_only_by_the_2d_oracle():
-    assert _imported_by_verify_eta("scipy") == ["False", "False"]
+VERIFY_ETA = ["verify", "eta", "--format", "json"]
+
+
+def test_scipy_never_imported():
+    runs = (VERIFY_ETA, ["mahler", "--k", "1", "--with-2d", "--format", "json"])
+    assert _imported_after("scipy", *runs) == ["False", "False", "False"]
 
 
 def test_process_pool_imported_only_by_sweep_jobs():
-    assert _imported_by_verify_eta("concurrent.futures.process") == ["False", "False"]
+    assert _imported_after("concurrent.futures.process", VERIFY_ETA) == ["False", "False"]
 
 
 def test_console_entry_point_subprocess():

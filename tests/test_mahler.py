@@ -5,6 +5,7 @@ import json
 import math
 import types
 
+import numpy as np
 import pytest
 import scalar_reference as R
 from hypothesis import given, settings
@@ -48,26 +49,33 @@ def _at(P: M.LaurentPoly2, x: complex, y: complex) -> complex:
 
 
 @pytest.fixture
-def quad_calls(monkeypatch):
-    """Wraps scipy.integrate.quad.  `calls` gets (depth, a, b) for each call,
-    depth 0 the outer integral of m_generic_2d and 1 an inner one; a depth
-    put in `limit_at` has its `limit` capped at the value there."""
-    from scipy import integrate
+def gk21_calls(monkeypatch):
+    """Wraps the adaptive driver `M._gk21`.  `spans` gets (depth, a, b) for
+    each integral it starts, depth 0 the outer integral of m_generic_2d and 1
+    an inner one; `calls` and `evals` count its integrand's array calls and
+    their nodes, both depths together; a depth put in `limit_at` has its
+    panel limit capped at the value there."""
+    gk21, depth = M._gk21, [0]
+    rec = types.SimpleNamespace(spans=[], calls=0, evals=0, limit_at={})
 
-    quad, depth = integrate.quad, [0]
-    rec = types.SimpleNamespace(calls=[], limit_at={})
+    def counted(f):
+        def g(t, row):
+            rec.calls += 1
+            rec.evals += t.size
+            return f(t, row)
 
-    def wrapped(func, a, b, *args, **kw):
-        rec.calls.append((depth[0], a, b))
-        if depth[0] in rec.limit_at:
-            kw["limit"] = rec.limit_at[depth[0]]
+        return g
+
+    def wrapped(f, a, b, breaks, order, epsabs, limit=M._LIMIT):
+        rec.spans.extend((depth[0], float(lo), float(hi)) for lo, hi in zip(a, b))
+        limit = rec.limit_at.get(depth[0], limit)
         depth[0] += 1
         try:
-            return quad(func, a, b, *args, **kw)
+            return gk21(counted(f), a, b, breaks, order, epsabs, limit)
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(integrate, "quad", wrapped)
+    monkeypatch.setattr(M, "_gk21", wrapped)
     return rec
 
 
@@ -92,7 +100,11 @@ HALF_PTILDE = {  # k: (m_plus, m_minus)
 HALF_PAC_K2 = (0.00947051932013778, 0.539835625013917)
 M_MINUS_LOGK = {10.0: -0.020973507, 20.0: -0.0050573162, 50.0: -0.00080144428, 100.0: -0.00020009007}
 #: m(x + y + 1/y + k) = (1/pi) int_0^pi log max(1, |2 cos(theta) + k|) dtheta
-M_JENSEN_IN_X = {3.0: 0.962423650119206894995517826849, 5.0: 1.56679923697241107866405686258}
+M_JENSEN_IN_X = {
+    1.0: 0.388747872041091706851179275291,
+    3.0: 0.962423650119206894995517826849,
+    5.0: 1.56679923697241107866405686258,
+}
 
 
 class TestParams:
@@ -746,18 +758,56 @@ class TestGeneric2D:
         ],
         ids=["p1k", "pac", "ptilde", "1+ix+y"],
     )
-    def test_fold_intervals(self, quad_calls, poly, outer, inner):
+    def test_fold_intervals(self, gk21_calls, poly, outer, inner):
         M.m_generic_2d(poly)
-        assert set(quad_calls.calls) == {(0, 0.0, outer), (1, 0.0, inner)}
+        assert set(gk21_calls.spans) == {(0, 0.0, outer), (1, 0.0, inner)}
 
     @pytest.mark.parametrize("level,where", [(0, "outer"), (1, "inner")])
-    def test_quadpack_failure_raises(self, quad_calls, level, where):
-        # starve the outer or the inner QUADPACK call of subintervals
-        quad_calls.limit_at[level] = 3
+    def test_quadpack_failure_raises(self, gk21_calls, level, where):
+        # starve the outer or the inner integral of subintervals: at k = 1
+        # the outer one meets its target on its two segments, so only a limit
+        # below that fails it (QUADPACK's ier = 6)
+        gk21_calls.limit_at[level] = 1
         with pytest.raises(AccuracyError, match=where) as err:
             M.m_generic_2d(M.poly_p1k(1.0), 1e-6)
         assert err.value.best_estimate == pytest.approx(M_P1K[1.0], abs=1e-2)
 
+    def test_double_root_on_the_circle_at_the_fold_edge(self):
+        # x + y + 1/y + 1: at t1 = 0 the y-roots meet in a double root at
+        # y = -1, the end of the folded inner integral
+        P = M.LaurentPoly2(((1, 0, 1.0), (0, 1, 1.0), (0, -1, 1.0), (0, 0, 1.0)))
+        assert M.m_generic_2d(P) == pytest.approx(M_JENSEN_IN_X[1.0], abs=1e-6)
+
+    def test_lockstep_calls_and_evaluations(self, gk21_calls):
+        # every outer node's inner integral in one integrand call per round;
+        # at k = 8 one panel per integral: 21 outer nodes, 21 x 21 inner ones
+        M.m_generic_2d(M.poly_p1k(1.0), 1e-6)
+        assert gk21_calls.calls <= 100
+        gk21_calls.evals = 0
+        M.m_generic_2d(M.poly_p1k(8.0), 1e-6)
+        assert gk21_calls.evals <= 462
+
+    def test_sweep_against_jensen(self, gk21_calls):
+        # worst 1.6e-11 (k = 3.66), in at most 12 integrand calls per k
+        worst, calls = 0.0, []
+        for k in [*np.linspace(0.05, 3.95, 42), *np.linspace(4.05, 11.8, 32)]:
+            gk21_calls.calls = 0
+            worst = max(worst, abs(M.m_generic_2d(M.poly_p1k(k), 1e-6) - M.m_p1k(k, 1e-12)))
+            calls.append(gk21_calls.calls)
+        assert worst <= 1e-6
+        assert max(calls) <= 15
+
+    @pytest.mark.parametrize("poly", [
+        *(M.poly_p1k(k) for k in (0.05, 1.0, 1.8291, 2.5, 3.95)),
+        *(M.poly_pac(M.factor_pac_small(k).beta / 2.0, M.factor_pac_small(k).gamma)
+          for k in (0.5, 2.0, 3.0, 3.9)),
+        *(poly_ptilde(k) for k in (4.001, 4.5, 5.0, 6.0, 6.47)),
+    ])
+    def test_folded_search_keeps_the_breaks_below_one_half(self, poly):
+        coeffs_at = M._y_coefficients(poly)
+        full = M._outer_break_points(coeffs_at, 1.0)
+        assert M._outer_break_points(coeffs_at, 0.5) == [t for t in full if t < 0.5]
+
 
 def _breaks(P):
-    return M._outer_break_points(M._y_coefficients(P))
+    return M._outer_break_points(M._y_coefficients(P), 1.0)
