@@ -116,7 +116,7 @@ DEMO_DIGESTS = [
     ("eta_parametrization.py", "965ab4cfd9b55a3a1b6972cb809f884507caede98ea934cc358abd0770ede9f6"),
     ("identity_engine.py", "104f30db465d23c894878954d1f350ebe31ee3ceb24f3836de1824a20d565026"),
     ("lvalues_and_table.py", "22723ecc02a09151827ce62027c4127fed8902f3741750b3963695a0341743d5"),
-    ("mahler_measures.py", "6c80827c2de93fba0c526b0eb0440b2a182ac0224c0f9580fcfc775e557913bb"),
+    ("mahler_measures.py", "ec82827d89bd4a885a36af43f140bf1324d0cb6104db6c45e6c6ffe30fbeb527"),
 ]
 
 
