@@ -11,11 +11,13 @@ path, fails here.  A deliberate change of a payload updates its digest and
 says so in CHANGES.md.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import pathlib
+import re
 import runpy
 
 import pytest
@@ -90,22 +92,61 @@ DIGESTS = [
     ("lvalue --k 8 --nmax 22", "58fd59810ecebba4e61c06d85f807da0d71130d6317e76eb0595c56a234f8393"),
     ("lvalue --k 8 --nmax 18", "4c8f6b793d55bdd85bf19e648c95805fb0b5960a12e0153cbd827100e71cffb4"),
     ("table --nmax 38 --format json", "7eb5f1b50061b4be7b0bb273d7f5995ef63267b60278a56e9aec1e5ca9074473"),
+    # every (command, --format) pair not pinned above, and the flags that
+    # take a code path of their own (see test_every_command_and_format_is_pinned)
+    ("ell --kind K --z 0.5 --format csv", "93aada5e7cddbd2a990b14e18fd992cd04e9be7aa241868b7ef0c7f217199c64"),
+    ("mahler --k 8", "40974169bd782033d76e04d448235018c8c714903e05eb40680883bfb39373a2"),
+    ("mahler --k 8 --format csv", "896e26d76776a44d02b06c9e6e15e91d86c4d5f2b3442c10a18ecd3724ead69d"),
+    ("verify thm-main", "7616a5eeaf1c9ca25744dfb296c6b64375c83c4764a25f31a39bed1dab4f55f5"),
+    ("table", "7dfdbd6ef16c5d2d1b34e17be78300788e065f980736c89e8123569c71628fe4"),
+    ("table --format csv", "1b1e82820b4666553a665d05339f3deb63473c23924710dbe06423ce509d509b"),
+    ("sweep f --k-grid 0.2:3.8:9 --format csv", "2817afa5a6260b3145458edbaa8494605694994d231fd0a9ae389fbd1a9f99f4"),
+    ("sweep f --k-grid 0.2:3.8:9 --format json", "9565af03150ea98f4f1e709e368850a24abd05460ec0470c0460ca262ce5de60"),
+    ("mahler --k 1.8291 --with-2d --format json", "b2b7c64cec819ba19744e01f04efae1c50f6e3f585526ed00f5d8ed01e9fde20"),
+    ("lvalue --k 8 --dump-an an.txt", "c02894d303904d2af5cbcb851dad3817f5d35a14425249a81b4b971a5e86823a"),
+    ("sweep h --k-grid 6.7:60:8 --jobs 2", "4e550643c7a532cabc9337233110682fbc5e9ab988bc8f558acc794f7e4100e3"),
+]
+
+#: (command, flag, the parsed attribute that flag sets) for each flag that
+#: takes a code path of its own
+PATH_FLAGS = [
+    ("mahler", "--with-2d", lambda args: args.with_2d),
+    ("lvalue", "--dump-an", lambda args: args.dump_an is not None),
+    ("sweep", "--jobs 2", lambda args: args.jobs > 1),
 ]
 
 
 def _digest(argv: str) -> str:
+    """The digest of argv's run; text mode's wall time on the closing
+    "# overall:" line reads as 0.00s, so a slow run hashes like a fast one."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv.split())
         except SystemExit as exc:
             code = exc.code
-    return hashlib.sha256(json.dumps([code, out.getvalue(), err.getvalue()]).encode()).hexdigest()
+    text = re.sub(r"^(# overall: \w+ \(\d+ rows, )\d+\.\d\ds\)$", r"\g<1>0.00s)", out.getvalue(), flags=re.M)
+    return hashlib.sha256(json.dumps([code, text, err.getvalue()]).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("argv,digest", DIGESTS, ids=[a for a, _ in DIGESTS])
-def test_output_is_byte_identical(argv, digest):
+def test_output_is_byte_identical(argv, digest, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where --dump-an writes
     assert _digest(argv) == digest
+
+
+def test_every_command_and_format_is_pinned():
+    parser = cli.build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    wanted = {(name, fmt) for name, sub in commands.choices.items()
+              for a in sub._actions if a.dest == "format" for fmt in a.choices}
+    wanted |= {(name, flag) for name, flag, _ in PATH_FLAGS}
+    pinned = set()
+    for argv, _ in DIGESTS:
+        args = parser.parse_args(argv.split())
+        pinned.add((args.command, args.format))
+        pinned |= {(name, flag) for name, flag, on in PATH_FLAGS if name == args.command and on(args)}
+    assert sorted(wanted - pinned) == []
 
 
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
