@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -84,6 +85,15 @@ class Row:
     computed: float | str
     residual: float
     status: str  # PASS / FAIL / SKIPPED
+
+    def __post_init__(self):
+        # builtin numbers only, so no format prints a numpy scalar's repr
+        for name in ("expected", "computed", "residual"):
+            v = getattr(self, name)
+            if isinstance(v, numbers.Integral):
+                setattr(self, name, int(v))
+            elif isinstance(v, numbers.Real):
+                setattr(self, name, float(v))
 
 
 @dataclass

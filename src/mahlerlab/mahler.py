@@ -581,7 +581,7 @@ def m_generic_2d(P: LaurentPoly2, tol: float = 1e-6) -> float:
 
     breaks = np.array([_outer_break_points(coeffs_at, hx)])
     [val], [err], [ok] = _gk21(inner, np.zeros(1), np.full(1, hx), breaks, 2, 0.5 * tol * hx)
-    val, err = val / hx, err / hx
+    val, err = float(val / hx), float(err / hx)
     if not ok:
         msg = f"m_generic_2d: outer integral hit its subinterval limit with error estimate {err:g}"
     elif inner_failures:

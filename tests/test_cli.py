@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scalar_reference as R
 
@@ -169,6 +170,13 @@ class TestBasicCommands:
         rows = json.loads(out)["rows"]
         assert rows[-1]["input"] == "2d oracle vs m(P_1k)"
         assert all(r["status"] == "PASS" for r in rows)
+
+    def test_rows_hold_builtin_numbers(self):
+        # a numpy scalar would print as np.float64(...) in text and CSV
+        row = cli.Row("x", np.float64(0.5), np.int64(3), np.float32(0.25), "PASS")
+        assert (type(row.expected), type(row.computed), type(row.residual)) == (float, int, float)
+        assert (row.expected, row.computed, row.residual) == (0.5, 3, 0.25)
+        assert cli.Row("x", "principal", "", 0.0, "PASS").expected == "principal"
 
     def test_mahler_small_k(self, capsys):
         code, out, _ = run_main(capsys, "mahler", "--k", "2", "--format", "json")

@@ -746,7 +746,9 @@ class TestGeneric2D:
         # m(ax x + y + 1/y + k) = (1/pi) int_0^pi log max(1, |2 cos(theta) + k|)
         # (Jensen in x); i x folds only the inner integral, x both
         P = M.LaurentPoly2(((1, 0, ax), (0, 1, 1.0), (0, -1, 1.0), (0, 0, k)))
-        assert M.m_generic_2d(P) == pytest.approx(M_JENSEN_IN_X[k], abs=1e-6)
+        value = M.m_generic_2d(P)
+        assert type(value) is float  # not a numpy scalar
+        assert value == pytest.approx(M_JENSEN_IN_X[k], abs=1e-6)
 
     @pytest.mark.parametrize(
         "poly,outer,inner",
@@ -771,6 +773,7 @@ class TestGeneric2D:
         with pytest.raises(AccuracyError, match=where) as err:
             M.m_generic_2d(M.poly_p1k(1.0), 1e-6)
         assert err.value.best_estimate == pytest.approx(M_P1K[1.0], abs=1e-2)
+        assert type(err.value.best_estimate) is type(err.value.error_estimate) is float
 
     def test_double_root_on_the_circle_at_the_fold_edge(self):
         # x + y + 1/y + 1: at t1 = 0 the y-roots meet in a double root at

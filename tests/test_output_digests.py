@@ -103,6 +103,8 @@ DIGESTS = [
     ("sweep f --k-grid 0.2:3.8:9 --format csv", "2817afa5a6260b3145458edbaa8494605694994d231fd0a9ae389fbd1a9f99f4"),
     ("sweep f --k-grid 0.2:3.8:9 --format json", "9565af03150ea98f4f1e709e368850a24abd05460ec0470c0460ca262ce5de60"),
     ("mahler --k 1.8291 --with-2d --format json", "b2b7c64cec819ba19744e01f04efae1c50f6e3f585526ed00f5d8ed01e9fde20"),
+    ("mahler --k 1.8291 --with-2d", "b016318fcec7ef941583c762e3e9abce780d925c38e5ecf035b611d0e70153d5"),
+    ("mahler --k 1.8291 --with-2d --format csv", "7d46a60f82bc7d8c7b9ffdc38dcf2991be70a5eb33030c19afd960ef71013d20"),
     ("lvalue --k 8 --dump-an an.txt", "c02894d303904d2af5cbcb851dad3817f5d35a14425249a81b4b971a5e86823a"),
     ("sweep h --k-grid 6.7:60:8 --jobs 2", "4e550643c7a532cabc9337233110682fbc5e9ab988bc8f558acc794f7e4100e3"),
 ]
