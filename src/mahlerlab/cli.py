@@ -218,7 +218,7 @@ def suite_ei(ks: Sequence[float], tol: float, args, run) -> Report:
     z = 4.0 / np.array(ks, dtype=float)
     pi, kz = ell_pi_k_array(-z, z)
     for k, lhs in zip(ks, (pi - 0.5 * kz).tolist()):
-        rhs = k * math.pi / (4.0 * (k + 4.0))
+        rhs = math.pi / (4.0 * (1.0 + 4.0 / k))
         rep.add(f"k={k:.6g}", rhs, lhs, abs(lhs - rhs), tol)
     return rep
 

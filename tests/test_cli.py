@@ -231,6 +231,13 @@ class TestVerify:
         assert all(r["status"] == "PASS" for r in rows)
         assert all(float(r["residual"]) <= 1e-11 for r in rows)
 
+    def test_ei_at_the_largest_double(self, capsys):
+        # k pi overflowed in the right-hand side, printing NaN in a FAIL row
+        code, out, _ = run_main(capsys, "verify", "ei", "--k", "1e308", "--format", "json")
+        assert code == 0 and "NaN" not in out
+        [row] = json.loads(out)["rows"]
+        assert row["status"] == "PASS" and row["expected"] == pytest.approx(math.pi / 4.0, abs=1e-16)
+
     def test_thm_main_default(self, capsys):
         code, out, _ = run_main(capsys, "verify", "thm-main", "--format", "json")
         assert code == 0
