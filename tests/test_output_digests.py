@@ -26,13 +26,13 @@ from mahlerlab import cli
 
 #: (command line, digest of [exit code, stdout, stderr] as JSON)
 DIGESTS = [
-    ("verify all --format json", "f531a10a43ae6f2f45526834da54aa722e5b2f516a958474cbe4128c686d5b7f"),
-    ("verify all --format csv", "3bd17e2930fe1f00d19aa221844905c5d239c41708d67450d2ccfc6c38b75839"),
-    ("verify all --k-grid 7:90:12 --format json", "1843f3037af33f899d1a854d343bfedbc9b7bd8e57851724e7599d32be57a34d"),
-    ("verify all --k-grid 7:90:12 --format csv", "6a81754e2a4a57e1594546eed90dc5e49c25ab74f2ec4502a8266184ed02d772"),
+    ("verify all --format json", "d143dcbd019371a38a1b785ea845eda4e8454a0e37a3d553f0847f9483306c08"),
+    ("verify all --format csv", "98ee243df4ec7049d138e4cbf39e0b558d739340d143da74e819339286cca351"),
+    ("verify all --k-grid 7:90:12 --format json", "79b672edcbc3bad1b6eac9b2cb01cda1cfb69ada25c1d291e1474fb2e4ca51a6"),
+    ("verify all --k-grid 7:90:12 --format csv", "37cd4c94c01b32254be1ee51dd9db1cf665ddd8378751dc043903f4c83e1706e"),
     ("verify thm-main --format json", "120efb04e5f53ec79ada0365fbf268d3b6ed1b91432acdcd52a9555e03fe99d7"),
     ("verify corollary --format json", "24f9d75310446adcb1fd915a54238ecea6ae087a6667c84efe9c9ba429162af8"),
-    ("verify ei --format json", "819a7938df634467fa3249d727e24da827b415f5d179c9f212d2697bcf4df2e9"),
+    ("verify ei --format json", "6d8603fcdbbb623c8339aa299fcfcdf6a9885ff771fa2faf843f6f528843f2bd"),
     ("verify appendix --format json", "061386831ba5229d35f46855d79240b6305e1df1263f28de72648b400acdf691"),
     ("verify jia --format json", "1edff05ec5508bc2629fdf214a4fe59a3952f2c99b6f0a9927f545dbbbe14019"),
     ("verify lsz --format json", "26a082a6c7b293bac622912f69fcb8be9e9b88935438be89a925cbed0d9dacf2"),
