@@ -305,10 +305,10 @@ _ON_CIRCLE = 1e-10
 #: eigenvalues put a double root on the circle up to ~sqrt(eps) off it, and a
 #: spare break point costs only one more subinterval
 _NEAR_CIRCLE = 1e-7
-#: grid intervals per unit of t1 of the outer break-point search, and
-#: bisection steps per break (1/256 halved 40 times is below 1e-14)
+#: grid intervals per unit of t1 of the outer break-point search; then
+#: _PASSES passes of 2**_PASS_BITS pieces (as 40 bisections: 2**-48 < 1e-14)
 _SEARCH_INTERVALS = 256
-_BISECTIONS = 40
+_PASS_BITS, _PASSES = 5, 8
 
 #: QUADPACK's qk21 rule (Piessens et al. 1983), as scipy's
 #: `integrate/_quad_vec.py` tabulates it: the 21 Kronrod nodes on [-1, 1],
@@ -407,26 +407,26 @@ def _outer_break_points(coeffs_at: Callable, hx: float) -> list[float]:
     or crosses the unit circle: the square-root and corner kinks of the inner
     integral as a function of t1.
 
-    The roots are sampled on a grid of t1 with spacing 1/_SEARCH_INTERVALS and
-    each root is followed to the next sample by continuity, so a root that
-    leaves the circle while another enters (the count outside unchanged) is
-    still seen.  Each interval in which a followed root changes side is
-    bisected.  Two changes closer together than the grid spacing may show as
-    one break, or none.
+    Each pass takes the roots at evenly spaced t1 across every bracket, ends
+    included, from one eigenvalue call, and follows each root from sample to
+    sample, so a root that leaves the circle while another enters is seen.
+    Pass 0 spans [0, hx] at spacing 1/_SEARCH_INTERVALS and keeps each piece
+    where a followed root changes side; each later pass cuts every bracket in
+    2**_PASS_BITS and keeps its first such piece, else its last (where
+    bisection would go).  Changes closer than the spacing may merge or vanish.
     """
-    t = np.linspace(0.0, hx, round(_SEARCH_INTERVALS * hx) + 1)
-    roots = _y_roots_at(coeffs_at(t))
-    moved = (_side(_follow(roots[:-1], roots[1:])) != _side(roots[:-1])).any(axis=1)
-    lo, hi, r_lo = t[:-1][moved], t[1:][moved], roots[:-1][moved]
-    if not len(lo):
-        return []
-    for _ in range(_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        r_mid = _follow(r_lo, _y_roots_at(coeffs_at(mid)))
-        left = (_side(r_mid) != _side(r_lo)).any(axis=1)
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid)
-        r_lo = np.where(left[:, None], r_lo, r_mid)
+    lo, hi, n = np.zeros(1), np.full(1, hx), round(_SEARCH_INTERVALS * hx)
+    for p in range(_PASSES + 1):
+        t = lo[:, None] + (hi - lo)[:, None] * (np.arange(n + 1) / n)
+        roots = _y_roots_at(coeffs_at(t.ravel()))
+        moved = (_side(_follow(roots[:-1], roots[1:])) != _side(roots[:-1])).any(axis=1)
+        moved = np.append(moved, False).reshape(t.shape)[:, :-1]  # no pair across brackets
+        rows, cols = np.nonzero(moved)
+        if p:
+            rows, cols = np.arange(len(lo)), np.where(moved.any(axis=1), moved.argmax(axis=1), n - 1)
+        lo, hi, n = t[rows, cols], t[rows, cols + 1], 2**_PASS_BITS
+        if not len(lo):
+            break
     return (0.5 * (lo + hi)).tolist()
 
 

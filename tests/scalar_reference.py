@@ -12,7 +12,10 @@ the lockstep kernels of `elliptic` replaced.  `r_value` and `f_value` are
 the per-point steps of the identity coefficients r and f, from scalar jets,
 that the array pass of `identities` replaced.  The tests assert that the
 lockstep kernels and the scalar entry points over them give their values
-and errors bit for bit.
+and errors bit for bit.  `bisection_break_points` is the 2D oracle's outer
+break-point search as a grid pass and 40 bisection steps, one eigenvalue
+call each, which the batched passes of `mahler._outer_break_points`
+replaced; the tests hold those passes to its breaks within 1e-12.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from __future__ import annotations
 import itertools
 import math
 from typing import Callable, Sequence
+
+import numpy as np
 
 from mahlerlab import identities as I
 from mahlerlab import mahler as M
@@ -404,3 +409,30 @@ def f_value(cand: I.IdentityCandidate, x: float, pj, qj) -> float:
     if den == 0.0 or not math.isfinite(den):
         raise SingularPointError(f"{cand.name}: f denominator vanishes at x = {x}")
     return num / den
+
+
+# ----------------------------------------------------------------------------
+# the 2D oracle's outer break-point search: a grid pass, then bisection
+
+_BISECTIONS = 40
+
+
+def bisection_break_points(coeffs_at: Callable, hx: float) -> list[float]:
+    """The grid pass of `mahler._outer_break_points`, then _BISECTIONS
+    bisection steps per break, each one eigenvalue call for all breaks that
+    follows the roots from the bracket's left end to its midpoint and keeps
+    the left half when a followed root changed side there."""
+    t = np.linspace(0.0, hx, round(M._SEARCH_INTERVALS * hx) + 1)
+    roots = M._y_roots_at(coeffs_at(t))
+    moved = (M._side(M._follow(roots[:-1], roots[1:])) != M._side(roots[:-1])).any(axis=1)
+    lo, hi, r_lo = t[:-1][moved], t[1:][moved], roots[:-1][moved]
+    if not len(lo):
+        return []
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        r_mid = M._follow(r_lo, M._y_roots_at(coeffs_at(mid)))
+        left = (M._side(r_mid) != M._side(r_lo)).any(axis=1)
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+        r_lo = np.where(left[:, None], r_lo, r_mid)
+    return (0.5 * (lo + hi)).tolist()

@@ -793,7 +793,7 @@ class TestGeneric2D:
     def test_sweep_against_jensen(self, gk21_calls):
         # worst 1.6e-11 (k = 3.66), in at most 12 integrand calls per k
         worst, calls = 0.0, []
-        for k in [*np.linspace(0.05, 3.95, 42), *np.linspace(4.05, 11.8, 32)]:
+        for k in SWEEP_KS:
             gk21_calls.calls = 0
             worst = max(worst, abs(M.m_generic_2d(M.poly_p1k(k), 1e-6) - M.m_p1k(k, 1e-12)))
             calls.append(gk21_calls.calls)
@@ -810,6 +810,37 @@ class TestGeneric2D:
         coeffs_at = M._y_coefficients(poly)
         full = M._outer_break_points(coeffs_at, 1.0)
         assert M._outer_break_points(coeffs_at, 0.5) == [t for t in full if t < 0.5]
+
+
+    def test_batched_search_matches_bisection(self):
+        # 8 batched passes against 40 bisection steps (scalar_reference) on
+        # both folds; worst 2.9e-13 (the (a, c) member at k = 3.9), where the
+        # eigenvalues of a double root on the circle are least accurate
+        polys = [*SEARCH_POLYS, *(M.poly_p1k(k) for k in SWEEP_KS)]
+        for coeffs_at in map(M._y_coefficients, polys):
+            for hx in (0.5, 1.0):
+                got, want = M._outer_break_points(coeffs_at, hx), R.bisection_break_points(coeffs_at, hx)
+                assert len(got) == len(want)
+                assert got == pytest.approx(want, abs=1e-12)
+
+    def test_search_eigenvalue_calls(self, monkeypatch):
+        # one call for the grid and one per pass (40 bisection steps made 41)
+        calls = []
+        roots_at = M._y_roots_at
+        monkeypatch.setattr(M, "_y_roots_at", lambda C: calls.append(len(C)) or roots_at(C))
+        assert len(M._outer_break_points(M._y_coefficients(M.poly_p1k(1.0)), 0.5)) == 1
+        assert len(calls) <= 11
+
+
+#: the 74 k of the oracle's sweep against Jensen's formula
+SWEEP_KS = [*np.linspace(0.05, 3.95, 42), *np.linspace(4.05, 11.8, 32)]
+#: the polynomials of test_folded_search_keeps_the_breaks_below_one_half
+SEARCH_POLYS = [
+    *(M.poly_p1k(k) for k in (0.05, 1.0, 1.8291, 2.5, 3.95)),
+    *(M.poly_pac(M.factor_pac_small(k).beta / 2.0, M.factor_pac_small(k).gamma)
+      for k in (0.5, 2.0, 3.0, 3.9)),
+    *(poly_ptilde(k) for k in (4.001, 4.5, 5.0, 6.0, 6.47)),
+]
 
 
 def _breaks(P):
