@@ -21,7 +21,6 @@ import csv
 import io
 import json
 import math
-import numbers
 import os
 import sys
 import time
@@ -87,13 +86,10 @@ class Row:
     status: str  # PASS / FAIL / SKIPPED
 
     def __post_init__(self):
-        # builtin numbers only, so no format prints a numpy scalar's repr
+        # numpy scalars become builtin numbers, so no format prints their repr
         for name in ("expected", "computed", "residual"):
-            v = getattr(self, name)
-            if isinstance(v, numbers.Integral):
-                setattr(self, name, int(v))
-            elif isinstance(v, numbers.Real):
-                setattr(self, name, float(v))
+            if isinstance(getattr(self, name), np.generic):
+                setattr(self, name, getattr(self, name).item())
 
 
 @dataclass

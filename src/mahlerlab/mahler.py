@@ -305,8 +305,8 @@ _ON_CIRCLE = 1e-10
 #: eigenvalues put a double root on the circle up to ~sqrt(eps) off it, and a
 #: spare break point costs only one more subinterval
 _NEAR_CIRCLE = 1e-7
-#: grid intervals per unit of t1 of the outer break-point search; then
-#: _PASSES passes of 2**_PASS_BITS pieces (as 40 bisections: 2**-48 < 1e-14)
+#: grid intervals per unit of t1 of the outer break-point search, then passes
+#: that cut each bracket in 2**_PASS_BITS: 8 x 5 = 40 halvings, 2**-48 < 1e-14
 _SEARCH_INTERVALS = 256
 _PASS_BITS, _PASSES = 5, 8
 
@@ -541,7 +541,7 @@ def m_generic_2d(P: LaurentPoly2, tol: float = 1e-6) -> float:
     y-roots within 1e-7 of the unit circle, whose log singularities the
     cubic endpoint maps smooth.  The outer one, over t1, breaks where a
     y-root enters, leaves or crosses the unit circle (found on a grid of t1
-    by following each root, then bisected), because the inner integral has
+    by following each root, then narrowed), because the inner integral has
     a square-root or corner kink there, which the quadratic maps smooth.
     Each outer round computes the inner integrals at all its t1 nodes in
     lockstep, with their break points from one eigenvalue call.  Each
