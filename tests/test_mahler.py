@@ -811,7 +811,6 @@ class TestGeneric2D:
         full = M._outer_break_points(coeffs_at, 1.0)
         assert M._outer_break_points(coeffs_at, 0.5) == [t for t in full if t < 0.5]
 
-
     def test_batched_search_matches_bisection(self):
         # 8 batched passes against 40 bisection steps (scalar_reference) on
         # both folds; worst 2.9e-13 (the (a, c) member at k = 3.9), where the
@@ -827,7 +826,7 @@ class TestGeneric2D:
         # one call for the grid and one per pass (40 bisection steps made 41)
         calls = []
         roots_at = M._y_roots_at
-        monkeypatch.setattr(M, "_y_roots_at", lambda C: calls.append(len(C)) or roots_at(C))
+        monkeypatch.setattr(M, "_y_roots_at", lambda C: calls.append(C) or roots_at(C))
         assert len(M._outer_break_points(M._y_coefficients(M.poly_p1k(1.0)), 0.5)) == 1
         assert len(calls) <= 11
 

@@ -109,7 +109,7 @@ DIGESTS = [
     ("sweep h --k-grid 6.7:60:8 --jobs 2", "4e550643c7a532cabc9337233110682fbc5e9ab988bc8f558acc794f7e4100e3"),
 ]
 
-#: (command, flag, the parsed attribute that flag sets) for each flag that
+#: (command, flag, whether the parsed arguments set it) for each flag that
 #: takes a code path of its own
 PATH_FLAGS = [
     ("mahler", "--with-2d", lambda args: args.with_2d),
