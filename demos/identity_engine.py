@@ -21,8 +21,9 @@ from mahlerlab.jets import Jet2
 cands = {c.name: c for c in I.builtin_candidates()}
 
 print("=== The four built-in (p, q) pairs ===")
+reps = {}
 for name, cand in cands.items():
-    rep = I.verify_identity(cand)
+    rep = reps[name] = I.verify_identity(cand)
     print(
         f"{name:7}  C = {rep.constant_C:.12f}   ode <= {rep.ode_residual_max:.1e}   "
         f"E-coeff <= {rep.e_coeff_residual_max:.1e}   identity <= {rep.identity_residual_max:.1e}"
@@ -35,23 +36,18 @@ print("=== Jets deliver r and r' without symbols ===")
 jia = cands["jia"]
 x = -2.0
 print(f"jia at x = {x}: r = {I.eval_r(jia, x):.12f} (closed form -(1+3x)/(6x) = {-(1+3*x)/(6*x):.12f})")
-print(f"             f = {I.eval_f(jia, x):.12f}")
-print(f"ODE residual      = {I.ode_residual(jia, x):.2e}")
-print(f"with r forced to the wrong constant -0.40: {I.ode_residual(jia, x, r_override=-0.40):.3f}")
+print(f"|ODE residual|    = {I.verify_identity(jia, grid=[x]).ode_residual_max:.2e}")
 
 print()
 print("=== The anchor trick ===")
 print("at x = -1 the generic r-formula is 0/0 (q and q' both vanish), but the")
 print("printed coefficient extends continuously: r(-1) = -1/3, and both sides")
-lhs = I.identity_lhs(jia, -1.0, r=jia.printed_r(-1.0))
-print(f"equal pi/3: lhs = {lhs:.15f}, rhs = {jia.printed_rhs(-1.0):.15f}")
+print(f"equal pi/3: lhs = {reps['jia'].constant_C:.15f}, rhs = {jia.printed_rhs(-1.0):.15f}")
 
 print()
 print("=== A self-inconsistent source, resolved by computation ===")
-cubic = cands["cubic"]
-verdicts = I.check_printed_variants(cubic)
 print("the cubic pair ships two printed K-coefficients; residuals over the grid:")
-for label, res in verdicts.items():
+for label, res in reps["cubic"].printed_residual_max:
     print(f"  {label:10} -> {res:.3e}   {'VALID' if res <= 1e-10 else 'INVALID'}")
 print("verdict: the defined r(x) = -(2+x)(1+2x)/(3(1+x)^2) is the correct one;")
 print("the displayed -(1+3x)/(6x) belongs to the jia pair.")

@@ -157,7 +157,7 @@ DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 DEMO_DIGESTS = [
     ("elliptic_integrals.py", "5e4e914fcdd7e994f3f7e4281b3320ea928ab75645de58c573c8586d7fcb8daf"),
     ("eta_parametrization.py", "965ab4cfd9b55a3a1b6972cb809f884507caede98ea934cc358abd0770ede9f6"),
-    ("identity_engine.py", "104f30db465d23c894878954d1f350ebe31ee3ceb24f3836de1824a20d565026"),
+    ("identity_engine.py", "a81687806ae8d9648fd068313d76f738aba260721486d914a08cad0b366eb21e"),
     ("lvalues_and_table.py", "22723ecc02a09151827ce62027c4127fed8902f3741750b3963695a0341743d5"),
     ("mahler_measures.py", "ec82827d89bd4a885a36af43f140bf1324d0cb6104db6c45e6c6ffe30fbeb527"),
 ]
