@@ -159,7 +159,7 @@ DEMO_DIGESTS = [
     ("eta_parametrization.py", "965ab4cfd9b55a3a1b6972cb809f884507caede98ea934cc358abd0770ede9f6"),
     ("identity_engine.py", "a81687806ae8d9648fd068313d76f738aba260721486d914a08cad0b366eb21e"),
     ("lvalues_and_table.py", "22723ecc02a09151827ce62027c4127fed8902f3741750b3963695a0341743d5"),
-    ("mahler_measures.py", "ec82827d89bd4a885a36af43f140bf1324d0cb6104db6c45e6c6ffe30fbeb527"),
+    ("mahler_measures.py", "d95168958f20de1837d0654ad4dd3f93bec360e349f3a3d35b11f3d9cfb4bc13"),
 ]
 
 
