@@ -14,7 +14,7 @@ print(f"eta(i) = {eta.dedekind_eta(1.0):.15f}")
 print(f"Gamma(1/4)/(2 pi^0.75) = {math.gamma(0.25) / (2 * math.pi ** 0.75):.15f}")
 for t in (0.5, 1.3, 2.0):
     print(f"inversion residual |eta(i/t) - sqrt(t) eta(it)| at t = {t}: "
-          f"{eta.eta_transformation_residual(t):.1e}")
+          f"{abs(eta.dedekind_eta(1.0 / t) - math.sqrt(t) * eta.dedekind_eta(t)):.1e}")
 
 print()
 print("=== Tracing the curve ===")

@@ -44,7 +44,6 @@ from .mahler import (
     LaurentPoly2,
     dfdk,
     dhdk,
-    dhdk_integral_form,
     factor_member,
     half_measures,
     m_generic_2d,
@@ -81,7 +80,6 @@ __all__ = [
     "dedekind_eta",
     "dfdk",
     "dhdk",
-    "dhdk_integral_form",
     "ell_e",
     "ell_k",
     "ell_k_imag",

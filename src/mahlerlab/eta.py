@@ -40,11 +40,6 @@ def dedekind_eta(tau_imag: float, terms: int = 64) -> float:
     return lead * prod
 
 
-def eta_transformation_residual(t: float, terms: int = 64) -> float:
-    """|eta(i/t) - sqrt(t) eta(it)|, the modular inversion self-check."""
-    return abs(dedekind_eta(1.0 / t, terms) - math.sqrt(t) * dedekind_eta(t, terms))
-
-
 def curve_point(t: float, terms: int = 64) -> tuple[float, float]:
     """(x(it), y(it)) from the eta quotients; both negative for t > 0."""
     e1 = dedekind_eta(t, terms)

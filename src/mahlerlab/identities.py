@@ -8,8 +8,7 @@ engine computes r and f from their closed forms, checks the ODE and the
 vanishing of the E-coefficient pointwise via second-order jets, reconstructs
 s(x) = C exp(int f) with the constant pinned at an anchor, and reports the
 residual of the identity over a grid.  The residuals at every grid point come
-from one pass over numpy arrays; the pointwise functions are one-element
-calls of the same pass.
+from one pass over numpy arrays, and `verify_identity`'s report carries them.
 
 Four built-in (p, q) pairs are shipped, including Jia's identity; candidates
 can also be loaded from expression strings (see `expressions`).
@@ -24,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .elliptic import ell_pi, ell_pi_k, ell_pi_k_array
+from .elliptic import ell_pi, ell_pi_k_array
 from .errors import DomainError, RegimeError, SingularPointError
 from .jets import Jet2, sqrt
 from .quadrature import cumulative_integrals
@@ -139,14 +138,9 @@ def eval_r(cand: IdentityCandidate, x: float) -> float:
     return _coefficients(cand, [x], "r")[2].item()
 
 
-def eval_f(cand: IdentityCandidate, x: float) -> float:
-    """Logarithmic derivative f(x) = s'(x)/s(x) forced by (p, q)."""
-    return _coefficients(cand, [x], "f")[3].item()
-
-
 def _f_array(cand: IdentityCandidate, xs: np.ndarray) -> np.ndarray:
-    """f at every point of xs in one jet evaluation, NaN wherever eval_f
-    raises SingularPointError."""
+    """f at every point of xs in one jet evaluation, NaN wherever its
+    denominator vanishes or is not finite."""
     with np.errstate(all="ignore"):
         pj, qj = _pq_jets(cand, xs)
         num, den = _f_num_den(pj.value, pj.d1, qj.value, qj.d1)
@@ -171,25 +165,6 @@ def _ode_residual(f, pj: Jet2, qj: Jet2, rj: Jet2):
     )
 
 
-def ode_residual(
-    cand: IdentityCandidate, x: float, r_override: float | Scalar | None = None
-) -> float:
-    """Residual of r' - (f + q'/q) r + p'/(2p(p-1)) at x.
-
-    Vanishes when r from the generic formula solves the ODE.  r_override
-    substitutes a different coefficient (a constant or a callable evaluated
-    through jets) to demonstrate that non-solutions fail.
-    """
-    pj, qj, _, f = _coefficients(cand, [x], "rfq" if r_override is None else "fq")
-    if r_override is None:
-        rj = _r_jet(pj, qj)
-    else:
-        rj = r_override(Jet2.seed(x)) if callable(r_override) else r_override
-        rj = rj if isinstance(rj, Jet2) else Jet2(float(rj))
-    with np.errstate(all="ignore"):
-        return _ode_residual(f, pj, qj, rj).item()
-
-
 def _e_coefficient_residual(pj: Jet2, qj: Jet2, r):
     """The E(q) coefficient of d/dx [Pi + r K], for floats and arrays alike."""
     p, dp, q, dq = pj.value, pj.d1, qj.value, qj.d1
@@ -198,14 +173,6 @@ def _e_coefficient_residual(pj: Jet2, qj: Jet2, r):
         + dq * q / ((1.0 - q * q) * (q * q - p))
         + r * dq / (q * (1.0 - q * q))
     )
-
-
-def e_coefficient_residual(cand: IdentityCandidate, x: float) -> float:
-    """The E(q(x)) coefficient in d/dx [Pi + r K]; zero exactly when r takes
-    its forced value."""
-    pj, qj, r, _ = _coefficients(cand, [x], "qr")
-    with np.errstate(all="ignore"):
-        return _e_coefficient_residual(pj, qj, r).item()
 
 
 def _anchor_r(cand: IdentityCandidate, x0: float) -> float:
@@ -238,16 +205,6 @@ def _values_at(cand: IdentityCandidate, x: float) -> tuple[float, float]:
     if not math.isfinite(p):
         ell_pi(p, q)  # raises its DomainError
     return p, q
-
-
-def identity_lhs(cand: IdentityCandidate, x: float, r: float | None = None) -> float:
-    """Pi(p(x), q(x)) + r(x) K(q(x)) with r from the generic formula unless
-    overridden."""
-    p, q = _values_at(cand, x)
-    if r is None:
-        r = eval_r(cand, x)
-    pi, k = ell_pi_k(p, q)
-    return pi + r * k
 
 
 def _max_abs(v: np.ndarray) -> float:
@@ -313,19 +270,6 @@ def verify_identity(
         ode_tol=ODE_TOL,
         e_coeff_tol=E_COEFF_TOL,
     )
-
-
-def check_printed_variants(
-    cand: IdentityCandidate, grid: Sequence[float] | None = None
-) -> dict[str, float]:
-    """Max |Pi + r_printed K - printed RHS| per printed coefficient variant,
-    as `verify_identity` reports it over the grid.
-
-    Resolves self-inconsistent sources: exactly one variant should pass.
-    """
-    if cand.printed_rhs is None:
-        raise DomainError(f"{cand.name}: no printed closed form to check against")
-    return dict(verify_identity(cand, grid=grid).printed_residual_max)
 
 
 # ----------------------------------------------------------------------------

@@ -28,7 +28,7 @@ import numpy as np
 
 from .elliptic import ell_k_array, ell_pi_k_array
 from .errors import AccuracyError, DomainError, SingularParameterError
-from .quadrature import _each, quadrature_oracle, tanh_sinh_panels
+from .quadrature import _each, tanh_sinh_panels
 
 #: regime boundary: the root-modulus crossing leaves the unit circle here
 K_LARGE = 2.0 * (1.0 + math.sqrt(5.0))
@@ -247,25 +247,6 @@ def dhdk(k: float) -> float:
     return derivative_grid("dhdk", [k]).item(0)
 
 
-def dhdk_integral_form(k: float, tol: float = 1e-10) -> float:
-    """d/dk of m+ - m- by direct quadrature of the cos(theta)-substituted
-    t-integral; certifies the reduction chain to the closed form dhdk.
-
-    Note the 1/pi prefactor carried over from the half-measure definitions.
-    """
-    if k <= 4.0:
-        raise DomainError(f"dhdk_integral_form: requires k > 4, got {k}")
-    sk4 = math.sqrt(k + 4.0)
-    c0 = (k * k + 4.0 * k - 16.0) / (4.0 * (k + 4.0))
-
-    def g(th: float) -> float:
-        t = math.cos(th)
-        return (t - (k - 8.0) * sk4 / 16.0) / math.sqrt(t * t + k * t / sk4 + c0)
-
-    val = quadrature_oracle(g, 0.0, math.pi, 0.1 * min(tol, 1e-9))
-    return -4.0 / (k * k - 16.0) * val / math.pi
-
-
 # ----------------------------------------------------------------------------
 # generic two-variable Mahler measure (brute-force oracle)
 
@@ -291,11 +272,6 @@ class LaurentPoly2:
 def poly_p1k(k: float) -> LaurentPoly2:
     """x + 1/x + y + 1/y + k."""
     return LaurentPoly2(((1, 0, 1.0), (-1, 0, 1.0), (0, 1, 1.0), (0, -1, 1.0), (0, 0, complex(k))))
-
-
-def poly_pac(a: complex, c: complex) -> LaurentPoly2:
-    """a (x + 1/x) + y + 1/y + c."""
-    return LaurentPoly2(((1, 0, complex(a)), (-1, 0, complex(a)), (0, 1, 1.0), (0, -1, 1.0), (0, 0, complex(c))))
 
 
 #: the break-point search counts a y-root with ||y| - 1| below this as on

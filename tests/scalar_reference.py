@@ -16,6 +16,8 @@ and errors bit for bit.  `bisection_break_points` is the 2D oracle's outer
 break-point search as a grid pass and 40 bisection steps, one eigenvalue
 call each, which the batched passes of `mahler._outer_break_points`
 replaced; the tests hold those passes to its breaks within 1e-12.
+`dhdk_integral_form` is d/dk of m+ - m- by direct quadrature, the route
+the closed form `mahler.dhdk` is checked against.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from mahlerlab.elliptic import (
     _scale_exponent,
 )
 from mahlerlab.errors import AccuracyError, DivergenceError, DomainError, SingularPointError
-from mahlerlab.quadrature import _HALF_PI, _MAX_LEVEL, _T_MAX
+from mahlerlab.quadrature import _HALF_PI, _MAX_LEVEL, _T_MAX, quadrature_oracle
 
 # _LEVEL_NODES[0] holds the nodes at t = k (k >= 1); _LEVEL_NODES[L] for L >= 1
 # holds the new nodes at odd multiples of h = 2**-L.  Entries are
@@ -387,6 +389,26 @@ def ell_pi_imag(n: float, m: float) -> float:
         raise DomainError(
             f"ell_pi_imag: m = {m} too large for double precision at n = {n}"
         ) from None
+
+
+# ----------------------------------------------------------------------------
+# d/dk of m+ - m- by quadrature
+
+
+def dhdk_integral_form(k: float, tol: float = 1e-10) -> float:
+    """d/dk of m+ - m- by direct quadrature of the cos(theta)-substituted
+    t-integral, with the 1/pi prefactor of the half-measure definitions."""
+    if k <= 4.0:
+        raise DomainError(f"dhdk_integral_form: requires k > 4, got {k}")
+    sk4 = math.sqrt(k + 4.0)
+    c0 = (k * k + 4.0 * k - 16.0) / (4.0 * (k + 4.0))
+
+    def g(th: float) -> float:
+        t = math.cos(th)
+        return (t - (k - 8.0) * sk4 / 16.0) / math.sqrt(t * t + k * t / sk4 + c0)
+
+    val = quadrature_oracle(g, 0.0, math.pi, 0.1 * min(tol, 1e-9))
+    return -4.0 / (k * k - 16.0) * val / math.pi
 
 
 # ----------------------------------------------------------------------------

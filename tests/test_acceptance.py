@@ -129,20 +129,20 @@ def test_05_identity_engine():
     # pi/3 at x = -1 within 1e-12; coefficient discrepancy resolved; < 5 s
     t0 = time.perf_counter()
     worst = {"ode": 0.0, "ec": 0.0, "id": 0.0}
+    reps = {}
     for cand in I.builtin_candidates():
-        rep = I.verify_identity(cand, tol=1e-10)
+        rep = reps[cand.name] = I.verify_identity(cand, tol=1e-10)
         assert len(rep.grid) == 200
         worst["ode"] = max(worst["ode"], rep.ode_residual_max)
         worst["ec"] = max(worst["ec"], rep.e_coeff_residual_max)
         worst["id"] = max(worst["id"], rep.identity_residual_max)
     jia = next(c for c in I.builtin_candidates() if c.name == "jia")
-    lhs = I.identity_lhs(jia, -1.0, r=jia.printed_r(-1.0))
+    # the constant is the lhs at the anchor x = -1, with the printed r there
     anchor_ok = (
-        abs(lhs - math.pi / 3.0) <= 1e-12
+        abs(reps["jia"].constant_C - math.pi / 3.0) <= 1e-12
         and abs(jia.printed_rhs(-1.0) - math.pi / 3.0) <= 1e-12
     )
-    cubic = next(c for c in I.builtin_candidates() if c.name == "cubic")
-    verdicts = I.check_printed_variants(cubic)
+    verdicts = dict(reps["cubic"].printed_residual_max)
     resolved = verdicts["printed"] <= 1e-10 and verdicts["displayed"] > 1e-3
     elapsed = time.perf_counter() - t0
     _report(

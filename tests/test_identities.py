@@ -87,7 +87,8 @@ def reference_verify(cand, x0=None, grid=None, tol=1e-10):
 
 
 def reference_printed_variants(cand, grid=None):
-    """check_printed_variants point by point through the scalar forms."""
+    """verify_identity's printed-variant residuals point by point through
+    the scalar forms."""
     variants = [("printed", cand.printed_r)] if cand.printed_r else []
     variants += list(cand.printed_r_alts)
     out = {}
@@ -99,6 +100,15 @@ def reference_printed_variants(cand, grid=None):
             worst = max(worst, abs(lhs - cand.printed_rhs(x)))
         out[label] = worst
     return out
+
+
+def one_point_residuals(cand, x, r=None):
+    """(ODE, E-coefficient) residuals at x from verify_identity's own formulas
+    on one-element arrays; the jet `r` replaces the forced r in the ODE."""
+    pj, qj, rx, f = I._coefficients(cand, [x], "rfq" if r is None else "fq")
+    with np.errstate(all="ignore"):
+        ode = I._ode_residual(f, pj, qj, I._r_jet(pj, qj) if r is None else r)
+        return ode.item(), I._e_coefficient_residual(pj, qj, rx).item()
 
 
 def _bits(report):
@@ -180,14 +190,14 @@ class TestCoefficients:
             I.eval_r(cands["linear"], 0.0)
 
     def test_f_linear_at_one(self, cands):
-        assert I.eval_f(cands["linear"], 1.0) == pytest.approx(-0.5, abs=1e-14)
+        assert I._f_array(cands["linear"], np.array([1.0])).item() == pytest.approx(-0.5, abs=1e-14)
 
     def test_f_cubic_at_half(self, cands):
-        assert I.eval_f(cands["cubic"], 0.5) == pytest.approx(0.5 - 4.0 / 3.0, abs=1e-14)
+        assert I._f_array(cands["cubic"], np.array([0.5])).item() == pytest.approx(0.5 - 4.0 / 3.0, abs=1e-14)
 
     def test_f_jia_at_minus2(self, cands):
         expected = 1.5 * (1.0 / (-3.0) + 1.0 / (-5.0)) - 1.0 / (-2.0)
-        assert I.eval_f(cands["jia"], -2.0) == pytest.approx(expected, abs=1e-14)
+        assert I._f_array(cands["jia"], np.array([-2.0])).item() == pytest.approx(expected, abs=1e-14)
 
     @pytest.mark.parametrize(
         "name,xs",
@@ -201,24 +211,23 @@ class TestCoefficients:
 
 class TestResiduals:
     def test_ode_linear(self, cands):
-        assert abs(I.ode_residual(cands["linear"], 0.5)) <= 1e-12
+        assert I.verify_identity(cands["linear"], grid=[0.5]).ode_residual_max <= 1e-12
 
     def test_ode_jia(self, cands):
-        assert abs(I.ode_residual(cands["jia"], -3.0)) <= 1e-11
+        assert I.verify_identity(cands["jia"], grid=[-3.0]).ode_residual_max <= 1e-11
 
     def test_ode_perturbed_fails(self, cands):
-        assert abs(I.ode_residual(cands["linear"], 0.5, r_override=-0.49)) > 1e-3
+        assert abs(one_point_residuals(cands["linear"], 0.5, r=Jet2(-0.49))[0]) > 1e-3
 
     def test_ode_callable_override_matches_true_r(self, cands):
-        res = I.ode_residual(cands["linear"], 0.5, r_override=lambda xj: Jet2(-0.5))
-        assert abs(res) <= 1e-12
+        assert abs(one_point_residuals(cands["linear"], 0.5, r=Jet2(-0.5))[0]) <= 1e-12
 
     @pytest.mark.parametrize(
         "name,x,tol",
         [("linear", 0.3, 1e-13), ("cubic", 0.5, 1e-12), ("surd", 0.5, 1e-12)],
     )
     def test_e_coefficient(self, cands, name, x, tol):
-        assert abs(I.e_coefficient_residual(cands[name], x)) <= tol
+        assert I.verify_identity(cands[name], grid=[x]).e_coeff_residual_max <= tol
 
     @pytest.mark.parametrize(
         "name,x",
@@ -238,9 +247,10 @@ class TestResiduals:
     @pytest.mark.parametrize("name", ["linear", "jia", "cubic", "surd"])
     def test_residuals_across_grid(self, cands, name):
         cand = cands[name]
-        for x in I.default_grid(cand, n=50):
-            assert abs(I.ode_residual(cand, x)) <= 1e-10
-            assert abs(I.e_coefficient_residual(cand, x)) <= 1e-11
+        rep = I.verify_identity(cand, grid=I.default_grid(cand, n=50))
+        assert rep.ode_residual_max <= 1e-10
+        assert rep.e_coeff_residual_max <= 1e-11
+        for x in rep.grid:
             assert abs(integrating_factor_residual(cand, x)) <= 1e-10
 
 
@@ -271,8 +281,8 @@ class TestVerifyIdentity:
         rep = I.verify_identity(jia)
         assert rep.passed
         assert rep.constant_C == pytest.approx(math.pi / 3.0, abs=1e-13)
-        lhs = I.identity_lhs(jia, -1.0, r=jia.printed_r(-1.0))
-        assert lhs == pytest.approx(math.pi / 3.0, abs=1e-12)
+        # C is the anchor's lhs, with the printed r where the formula is 0/0
+        assert rep.constant_C == pytest.approx(jia.printed_rhs(-1.0), abs=1e-12)
         assert jia.printed_rhs(-1.0) == pytest.approx(math.pi / 3.0, abs=1e-12)
 
     def test_printed_rhs_tracks_reconstruction(self, cands):
@@ -281,11 +291,7 @@ class TestVerifyIdentity:
             cand = cands[name]
             grid = I.default_grid(cand, n=40)
             rep = I.verify_identity(cand, grid=grid)
-            worst = max(
-                abs(I.identity_lhs(cand, x, r=cand.printed_r(x)) - cand.printed_rhs(x))
-                for x in grid
-            )
-            assert worst <= 1e-10
+            assert dict(rep.printed_residual_max)["printed"] <= 1e-10
             assert rep.identity_residual_max <= 1e-10
 
     def test_one_array_pq_jet_evaluation_covers_the_grid(self, cands):
@@ -374,7 +380,7 @@ class TestVerifyIdentity:
                         (math.nan if x.value == 0.5 else x.d2))
 
         cand = dataclasses.replace(cands["linear"], name="nan-ode", q=q, anchor_x0=0.3)
-        assert math.isnan(I.ode_residual(cand, 0.5))
+        assert math.isnan(one_point_residuals(cand, 0.5)[0])
         grid = [0.1, 0.2, 0.5, 0.7, 0.9]
         rep = I.verify_identity(cand, grid=grid)
         assert _bits(rep) == _bits(reference_verify(cand, grid=grid))
@@ -386,10 +392,9 @@ class TestVerifyIdentity:
         grid = I.default_grid(cand, n=40)
         rep = I.verify_identity(cand, grid=grid)
         xs = [x for x in grid if x != cand.anchor_x0]
-        assert rep.ode_residual_max == max(abs(I.ode_residual(cand, x)) for x in xs)
-        assert rep.e_coeff_residual_max == max(
-            abs(I.e_coefficient_residual(cand, x)) for x in xs
-        )
+        ode, ec = zip(*(one_point_residuals(cand, x) for x in xs))
+        assert rep.ode_residual_max == max(map(abs, ode))
+        assert rep.e_coeff_residual_max == max(map(abs, ec))
 
     def test_regime_error_names_offender(self, cands):
         with pytest.raises(RegimeError) as err:
@@ -401,7 +406,7 @@ class TestVariantResolution:
     @pytest.mark.parametrize("name", ["linear", "jia", "cubic", "surd"])
     def test_printed_variants_equal_per_point_reference(self, cands, name):
         cand = cands[name]
-        got = I.check_printed_variants(cand)
+        got = dict(I.verify_identity(cand).printed_residual_max)
         want = reference_printed_variants(cand)
         assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
 
@@ -412,7 +417,7 @@ class TestVariantResolution:
         with pytest.raises(DomainError, match="ell_pi: arguments must be finite") as want:
             reference_printed_variants(cand, grid)
         with pytest.raises(DomainError) as got:
-            I.check_printed_variants(cand, grid)
+            I.verify_identity(cand, grid=grid)
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("pole,error", [(0.9, RegimeError), (0.3, RegimeError)])
@@ -427,12 +432,12 @@ class TestVariantResolution:
             cand, printed_r=lambda x: 1.0 / (x - pole), printed_rhs=lambda x: 0.0,
             printed_r_alts=(("alt", lambda x: 1.0 / (x - 0.1)),))
         with pytest.raises(error) as err:
-            I.check_printed_variants(cand, [0.1, 0.3, 0.6, 0.9])
+            I.verify_identity(cand, grid=[0.1, 0.3, 0.6, 0.9])
         if error is RegimeError:
             assert "at x = 0.6" in str(err.value)
 
     def test_cubic_discrepancy_resolved(self, cands):
-        verdicts = I.check_printed_variants(cands["cubic"])
+        verdicts = dict(I.verify_identity(cands["cubic"]).printed_residual_max)
         assert verdicts["printed"] <= 1e-10
         assert verdicts["displayed"] > 1e-3
         assert sum(1 for v in verdicts.values() if v <= 1e-10) == 1
@@ -462,22 +467,22 @@ class TestUndefinedFloatValues:
         assert str(err.value).startswith(f"bad: p/q undefined at x = {x}: ")
         assert detail in str(err.value)
 
-    def test_identity_lhs_computes_one_rf(self, cands, monkeypatch):
+    def test_anchor_lhs_computes_one_rf(self, cands, monkeypatch):
         from mahlerlab import elliptic
-        # Pi and K come from one one-element call of the R_F kernel
+        # Pi and K at the grid and the anchor come from one call of the R_F kernel
         calls = []
         real = elliptic._rf_array
         monkeypatch.setattr(elliptic, "_rf_array", lambda *a: calls.append(a) or real(*a))
         cubic = cands["cubic"]
-        lhs = I.identity_lhs(cubic, 0.4, r=-0.3)
-        assert len(calls) == 1 and calls[0][1].shape == (1,)
+        rep = I.verify_identity(cubic, x0=0.4, grid=[0.4])
+        assert len(calls) == 1 and calls[0][1].shape == (2,)
         p, q = cubic.p(0.4), cubic.q(0.4)
-        assert lhs == ell_pi(p, q) + -0.3 * ell_k(q)
+        assert rep.constant_C == ell_pi(p, q) + I.eval_r(cubic, 0.4) * ell_k(q)
 
-    def test_identity_lhs_rejects_nan_p(self):
+    def test_anchor_rejects_nan_p(self):
         cand = I.IdentityCandidate("nan-p", lambda x: math.nan, lambda x: x, (0.0, 1.0), 0.5)
         with pytest.raises(DomainError, match="ell_pi: arguments must be finite"):
-            I.identity_lhs(cand, 0.5, r=0.1)
+            I.verify_identity(cand, grid=[])
 
 
 class TestSpecializationBridge:

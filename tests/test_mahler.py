@@ -34,6 +34,11 @@ def run_suite(capsys, monkeypatch, suite, ks, *argv):
     return code, json.loads(out)["rows"] if out else None, err
 
 
+def poly_pac(a: complex, c: complex) -> M.LaurentPoly2:
+    """a (x + 1/x) + y + 1/y + c."""
+    return M.LaurentPoly2(((1, 0, complex(a)), (-1, 0, complex(a)), (0, 1, 1.0), (0, -1, 1.0), (0, 0, complex(c))))
+
+
 def poly_ptilde(k: float) -> M.LaurentPoly2:
     """sqrt((k+4)/(k-4)) (x + 1/x) + y - 1/y - k/sqrt(k-4), for k > 4."""
     if k <= 4.0:
@@ -176,7 +181,7 @@ class TestFactorization:
         fac = M.factor_pac_small(2.0)
         yp, ym = _roots(fac, theta)
         assert abs(yp * ym - fac.sigma) < 1e-14
-        poly, x = M.poly_pac(fac.beta / 2.0, fac.gamma), cmath.exp(1j * theta)
+        poly, x = poly_pac(fac.beta / 2.0, fac.gamma), cmath.exp(1j * theta)
         assert abs(_at(poly, x, yp)) < 1e-13 and abs(_at(poly, x, ym)) < 1e-13
 
     def test_unimodular_roots_between_crossings(self):
@@ -444,7 +449,7 @@ class TestDerivatives:
 
     @pytest.mark.parametrize("k", [4.5, 5.0, 8.0, 12.0])
     def test_integral_form_matches_closed_form(self, k):
-        assert abs(M.dhdk_integral_form(k) - M.dhdk(k)) <= 1e-9
+        assert abs(R.dhdk_integral_form(k) - M.dhdk(k)) <= 1e-9
 
     def test_integral_form_odd_component_vanishes(self):
         # the x/(1-x^2) piece of the substituted integrand is odd; symmetric
@@ -465,7 +470,7 @@ class TestDerivatives:
         assert abs(val) <= 1e-12
 
     def test_domain_errors(self):
-        for fn in (M.dfdk, M.dhdk, M.dhdk_integral_form):
+        for fn in (M.dfdk, M.dhdk, R.dhdk_integral_form):
             with pytest.raises(DomainError):
                 fn(4.0)
 
@@ -679,7 +684,7 @@ class TestGeneric2D:
         # half-measure route vs brute-force 2D quadrature, regime-appropriate
         fac = M.factor_member(k)
         hm = M.half_measures(fac, 1e-10)
-        poly = M.poly_pac(fac.beta / 2.0, fac.gamma) if k < 4.0 else poly_ptilde(k)
+        poly = poly_pac(fac.beta / 2.0, fac.gamma) if k < 4.0 else poly_ptilde(k)
         assert M.m_generic_2d(poly, 1e-6) == pytest.approx(hm.m_total, abs=1e-6)
 
     # k < 4: the inner integral kinks where y-roots enter and leave the circle;
@@ -702,7 +707,7 @@ class TestGeneric2D:
         a, c = fac.beta / 2.0, fac.gamma
         ts = [math.acos((b - c) / (2.0 * a)) / (2.0 * math.pi) for b in (2.0, -2.0)]
         want = sorted(ts + [1.0 - t for t in ts])
-        assert _breaks(M.poly_pac(a, c)) == pytest.approx(want, abs=1e-10)
+        assert _breaks(poly_pac(a, c)) == pytest.approx(want, abs=1e-10)
 
     @pytest.mark.parametrize("k", [4.001, 4.5, 5.0, 6.0, 6.47])
     def test_breaks_ptilde_swap(self, k):
@@ -754,7 +759,7 @@ class TestGeneric2D:
         "poly,outer,inner",
         [
             (M.poly_p1k(1.0), 0.5, 0.5),
-            (M.poly_pac(M.factor_pac_small(2.0).beta / 2.0, M.factor_pac_small(2.0).gamma), 0.5, 0.5),
+            (poly_pac(M.factor_pac_small(2.0).beta / 2.0, M.factor_pac_small(2.0).gamma), 0.5, 0.5),
             (poly_ptilde(5.0), 0.5, 1.0),  # y - 1/y is not y-reciprocal
             (M.LaurentPoly2(((0, 0, 1.0), (1, 0, 1j), (0, 1, 1.0))), 1.0, 1.0),
         ],
@@ -802,7 +807,7 @@ class TestGeneric2D:
 
     @pytest.mark.parametrize("poly", [
         *(M.poly_p1k(k) for k in (0.05, 1.0, 1.8291, 2.5, 3.95)),
-        *(M.poly_pac(M.factor_pac_small(k).beta / 2.0, M.factor_pac_small(k).gamma)
+        *(poly_pac(M.factor_pac_small(k).beta / 2.0, M.factor_pac_small(k).gamma)
           for k in (0.5, 2.0, 3.0, 3.9)),
         *(poly_ptilde(k) for k in (4.001, 4.5, 5.0, 6.0, 6.47)),
     ])
@@ -836,7 +841,7 @@ SWEEP_KS = [*np.linspace(0.05, 3.95, 42), *np.linspace(4.05, 11.8, 32)]
 #: the polynomials of test_folded_search_keeps_the_breaks_below_one_half
 SEARCH_POLYS = [
     *(M.poly_p1k(k) for k in (0.05, 1.0, 1.8291, 2.5, 3.95)),
-    *(M.poly_pac(M.factor_pac_small(k).beta / 2.0, M.factor_pac_small(k).gamma)
+    *(poly_pac(M.factor_pac_small(k).beta / 2.0, M.factor_pac_small(k).gamma)
       for k in (0.5, 2.0, 3.0, 3.9)),
     *(poly_ptilde(k) for k in (4.001, 4.5, 5.0, 6.0, 6.47)),
 ]
