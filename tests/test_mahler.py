@@ -802,7 +802,7 @@ class TestGeneric2D:
             gk21_calls.calls = 0
             worst = max(worst, abs(M.m_generic_2d(M.poly_p1k(k), 1e-6) - M.m_p1k(k, 1e-12)))
             calls.append(gk21_calls.calls)
-        assert worst <= 1e-6
+        assert worst <= 1e-10
         assert max(calls) <= 15
 
     @pytest.mark.parametrize("poly", [
