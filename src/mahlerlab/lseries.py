@@ -219,10 +219,9 @@ def lvalue_from_k(
     bound must come in under tol or the caller is asked for a larger one."""
     curve = curve_from_k(k)
     data = an_table(curve, n_max)
-    # the "l2:" prefix names the L(E, 2) stage in the CLI's error line
     if data.tail_bound > tol:
         raise AccuracyError(
-            f"l2: tail bound {data.tail_bound:g} exceeds tol {tol:g}; raise n_max",
+            f"lvalue: tail bound {data.tail_bound:g} exceeds tol {tol:g}; raise n_max",
             error_estimate=data.tail_bound,
         )
     return curve, data

@@ -89,9 +89,9 @@ DIGESTS = [
     ("lvalue --k 12.0 --format json", "7da598c68d202e9b145744e733e5a84c2dbc0fab5bcfd0033f8f60c1e179681d"),
     ("lvalue --k 16.0 --format json", "468ac382a80fe2a6a7d7d2f2a204815bf5c1447c01a00ea307bec7d47fa6f37d"),
     ("lvalue --k 8 --format csv", "eabe49634b2b1c0af2b0b5b11df1e498f4ae11611d014138f1e0439c19bd162b"),
-    ("lvalue --k 8 --nmax 22", "58fd59810ecebba4e61c06d85f807da0d71130d6317e76eb0595c56a234f8393"),
+    ("lvalue --k 8 --nmax 22", "1d3e3a338e31e21096e844449fcfe4278e9247e7941a282c8fbe77b068950d30"),
     ("lvalue --k 8 --nmax 18", "4c8f6b793d55bdd85bf19e648c95805fb0b5960a12e0153cbd827100e71cffb4"),
-    ("table --nmax 38 --format json", "7eb5f1b50061b4be7b0bb273d7f5995ef63267b60278a56e9aec1e5ca9074473"),
+    ("table --nmax 38 --format json", "b640b917277967b9c27878c2f334ea44521fc86b1613e8a0bd9f23907ebc88c8"),
     # every (command, --format) pair not pinned above, and the flags that
     # take a code path of their own (see test_every_command_and_format_is_pinned)
     ("ell --kind K --z 0.5 --format csv", "93aada5e7cddbd2a990b14e18fd992cd04e9be7aa241868b7ef0c7f217199c64"),
