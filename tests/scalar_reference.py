@@ -193,6 +193,21 @@ def half_measures(fac: M.QuadraticFactorization, tol: float = 1e-8) -> M.HalfMea
     return M.HalfMeasures(m_plus=m[1], m_minus=m[0])
 
 
+def dhdk_integral_form(k: float, tol: float = 1e-10) -> float:
+    """d/dk of m+ - m- by quadrature of its cos(theta)-substituted t-integral."""
+    if k <= 4.0:
+        raise DomainError(f"dhdk_integral_form: requires k > 4, got {k}")
+    sk4 = math.sqrt(k + 4.0)
+    c0 = (k * k + 4.0 * k - 16.0) / (4.0 * (k + 4.0))
+
+    def g(th: float) -> float:
+        t = math.cos(th)
+        return (t - (k - 8.0) * sk4 / 16.0) / math.sqrt(t * t + k * t / sk4 + c0)
+
+    val = quadrature_oracle(g, 0.0, math.pi, 0.1 * min(tol, 1e-9))
+    return -4.0 / (k * k - 16.0) * val / math.pi
+
+
 # ----------------------------------------------------------------------------
 # the scalar Carlson duplication loops, with the kernels' limits: DomainError
 # where a kernel comes back NaN on arguments its entry point accepts
@@ -389,26 +404,6 @@ def ell_pi_imag(n: float, m: float) -> float:
         raise DomainError(
             f"ell_pi_imag: m = {m} too large for double precision at n = {n}"
         ) from None
-
-
-# ----------------------------------------------------------------------------
-# d/dk of m+ - m- by quadrature
-
-
-def dhdk_integral_form(k: float, tol: float = 1e-10) -> float:
-    """d/dk of m+ - m- by direct quadrature of the cos(theta)-substituted
-    t-integral, with the 1/pi prefactor of the half-measure definitions."""
-    if k <= 4.0:
-        raise DomainError(f"dhdk_integral_form: requires k > 4, got {k}")
-    sk4 = math.sqrt(k + 4.0)
-    c0 = (k * k + 4.0 * k - 16.0) / (4.0 * (k + 4.0))
-
-    def g(th: float) -> float:
-        t = math.cos(th)
-        return (t - (k - 8.0) * sk4 / 16.0) / math.sqrt(t * t + k * t / sk4 + c0)
-
-    val = quadrature_oracle(g, 0.0, math.pi, 0.1 * min(tol, 1e-9))
-    return -4.0 / (k * k - 16.0) * val / math.pi
 
 
 # ----------------------------------------------------------------------------

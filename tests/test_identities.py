@@ -87,8 +87,7 @@ def reference_verify(cand, x0=None, grid=None, tol=1e-10):
 
 
 def reference_printed_variants(cand, grid=None):
-    """verify_identity's printed-variant residuals point by point through
-    the scalar forms."""
+    """The printed-variant residuals point by point through the scalar forms."""
     variants = [("printed", cand.printed_r)] if cand.printed_r else []
     variants += list(cand.printed_r_alts)
     out = {}
@@ -103,8 +102,7 @@ def reference_printed_variants(cand, grid=None):
 
 
 def one_point_residuals(cand, x, r=None):
-    """(ODE, E-coefficient) residuals at x from verify_identity's own formulas
-    on one-element arrays; the jet `r` replaces the forced r in the ODE."""
+    """verify_identity's (ODE, E-coefficient) residuals at x; a jet `r` replaces r in the ODE."""
     pj, qj, rx, f = I._coefficients(cand, [x], "rfq" if r is None else "fq")
     with np.errstate(all="ignore"):
         ode = I._ode_residual(f, pj, qj, I._r_jet(pj, qj) if r is None else r)

@@ -1,25 +1,16 @@
-"""Every public function and class in `src/` is either called from `src/`
-or exported in `mahlerlab.__all__`: code that only tests and demos call
-belongs with the tests."""
-
 import ast
 import pathlib
 
 import mahlerlab
 
-SRC = pathlib.Path(mahlerlab.__file__).parent
-
 
 def test_every_public_name_has_a_production_caller():
+    """Every public def and class in src/ is used there or exported in __all__."""
     defined, used = set(), set()
-    for path in SRC.glob("*.py"):
+    for path in pathlib.Path(mahlerlab.__file__).parent.glob("*.py"):
         for stmt in ast.parse(path.read_text()).body:
-            # a definition's own body (a recursive call) does not count
-            owner = getattr(stmt, "name", None)
+            owner = getattr(stmt, "name", None)  # its own body (recursion) does not count
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not owner.startswith("_"):
                 defined.add(owner)
-            for node in ast.walk(stmt):
-                ref = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-                if isinstance(node, (ast.Name, ast.Attribute)) and ref != owner:
-                    used.add(ref)
+            used |= {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(stmt)} - {owner}
     assert sorted(defined - used - set(mahlerlab.__all__)) == []
