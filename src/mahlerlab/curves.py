@@ -9,18 +9,21 @@ Conductors and the Mahler-measure multipliers r_k come from the published
 numerical table for this family; minimality is enforced only locally where a
 coefficient computation needs it.
 
-Coefficient routes per prime:
-  * odd p not dividing the model discriminant: character sum (Legendre symbol);
-  * odd p >= 5 where the model is non-minimal: divide (c4, c6) by (p^4, p^6)
-    until minimal, then count points or classify the node on the short
-    Weierstrass model built from the reduced invariants;
-  * odd p | N on a p-minimal model: node-slope classification
-    (split -> +1, non-split -> -1, additive -> 0);
-  * p with v_p(N) >= 2: additive, a_p = 0;
-  * p in {2, 3} otherwise (p = 2 good, or p = 3 on a 3-non-minimal model):
+`ap_with_route` picks one route per prime and records its label:
+  * "char-sum": odd p not dividing the model discriminant; the character sum
+    -sum_x (x^3 + a2 x^2 + a4 x | p) on the model;
+  * "additive": v_p(N) >= 2, a_p = 0;
+  * "node": odd p exactly dividing N, model p-minimal; the node sign
+    (3 x0 + a2 | p) at the singular x0 of the model
+    (split -> +1, non-split -> -1);
+  * "reduced-node": as "node", but the model is p-non-minimal (p >= 5); the
+    node sign on the short model y^2 = x^3 - 27 c4 x - 54 c6 built from
+    (c4, c6) divided by (p^4, p^6) until minimal;
+  * "reduced-count": p >= 5 dividing the discriminant but not N; the
+    character sum on that short model;
+  * "consistency": p = 2 with v2(N) <= 1, and p = 3 dividing the
+    discriminant on a 3-non-minimal model or with 3 not dividing N; a_p is
     left to the functional-equation consistency search in `lseries`.
-
-Every route is recorded so results are auditable.
 """
 
 from __future__ import annotations
@@ -138,17 +141,6 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
-def ap_good(curve: CurveModel, p: int) -> int:
-    """a_p = -sum_x (x^3 + a2 x^2 + a4 x | p) for odd p not dividing the
-    discriminant."""
-    if p == 2:
-        raise DomainError("ap_good: character sum needs an odd prime")
-    if curve.discriminant % p == 0:
-        raise DomainError(f"ap_good: p = {p} divides the discriminant; use ap_bad")
-    a2, a4 = curve.a2 % p, curve.a4 % p
-    return -sum(legendre_symbol(x * (x * x + a2 * x + a4), p) for x in range(p))
-
-
 def _minimal_c4c6(curve: CurveModel, p: int) -> tuple[int, int, int]:
     """(c4, c6, disc) of a p-minimal model, p odd; at p = 3 reduction stops if
     the reduced pair is not realizable by an integral model (v3(c6') = 2)."""
@@ -163,79 +155,47 @@ def _minimal_c4c6(curve: CurveModel, p: int) -> tuple[int, int, int]:
     return c4, c6, disc
 
 
-def _node_ap_short(c4: int, c6: int, p: int) -> int:
-    """Multiplicative a_p from the node of y^2 = x^3 - 27 c4 x - 54 c6 mod p
-    (valid for p >= 5)."""
-    A = (-27 * c4) % p
-    B = (-54 * c6) % p
+def _char_sum(a2: int, a4: int, a6: int, p: int) -> int:
+    """-sum_x (x^3 + a2 x^2 + a4 x + a6 | p): a_p at an odd prime of good
+    reduction of the model."""
+    a2, a4, a6 = a2 % p, a4 % p, a6 % p
+    return -sum(legendre_symbol(((x + a2) * x + a4) * x + a6, p) for x in range(p))
+
+
+def _node_sign(a2: int, a4: int, a6: int, p: int) -> int:
+    """(3 x0 + a2 | p) at the singular x0 of y^2 = x^3 + a2 x^2 + a4 x + a6
+    mod p: +1 for a split node, -1 for a non-split one."""
     x0 = next(
-        x for x in range(p) if (x**3 + A * x + B) % p == 0 and (3 * x * x + A) % p == 0
+        x
+        for x in range(p)
+        if (((x + a2) * x + a4) * x + a6) % p == 0 and ((3 * x + 2 * a2) * x + a4) % p == 0
     )
-    return legendre_symbol(3 * x0, p)
-
-
-def _count_ap_short(c4: int, c6: int, p: int) -> int:
-    """Good-reduction a_p by point count on the short model from (c4, c6),
-    p >= 5."""
-    A = (-27 * c4) % p
-    B = (-54 * c6) % p
-    return -sum(legendre_symbol(x**3 + A * x + B, p) for x in range(p))
-
-
-def ap_bad(curve: CurveModel, p: int) -> tuple[int, str]:
-    """(a_p, route) at a bad or locally delicate prime.
-
-    Raises DomainError where the value is left to the functional-equation
-    search: p = 2 when 2 does not divide N or v2(N) = 1, and p = 3 when the
-    model is non-minimal at 3 with v3(N) <= 1.  `ap_with_route` catches it
-    and marks the prime (None, "consistency").
-    """
-    N = curve.conductor_N
-    vN = _vp(N, p)
-    if vN >= 2:
-        return 0, "additive"
-    if p == 2:
-        raise DomainError("ap_bad: p = 2 is resolved by the consistency search")
-    c4, c6, disc = _minimal_c4c6(curve, p)
-    reduced = (c4, c6) != (curve.c4, curve.c6)
-    if p == 3 and reduced:
-        raise DomainError("ap_bad: 3-non-minimal model; use the consistency search")
-    if vN == 0:
-        raise DomainError(f"ap_bad: p = {p} does not divide the conductor")
-    if not reduced:
-        # node analysis on the original model y^2 = x(x^2 + a2 x + a4)
-        a2, a4 = curve.a2 % p, curve.a4 % p
-        x0 = next(
-            x
-            for x in range(p)
-            if (x**3 + a2 * x * x + a4 * x) % p == 0
-            and (3 * x * x + 2 * a2 * x + a4) % p == 0
-        )
-        return legendre_symbol(3 * x0 + a2, p), "node"
-    return _node_ap_short(c4, c6, p), "reduced-node"
+    return legendre_symbol(3 * x0 + a2, p)
 
 
 def ap_with_route(curve: CurveModel, p: int) -> tuple[int | None, str]:
-    """Dispatch a_p computation; (None, "consistency") marks unresolved."""
+    """(a_p, route) for the prime p; (None, "consistency") leaves a_p to the
+    functional-equation search in `lseries`."""
     N = curve.conductor_N
     if p == 2:
-        if _vp(N, 2) >= 2:
-            return 0, "additive"
-        return None, "consistency"
+        return (0, "additive") if N % 4 == 0 else (None, "consistency")
     if curve.discriminant % p:
-        return ap_good(curve, p), "char-sum"
-    if N % p == 0:
-        try:
-            return ap_bad(curve, p)
-        except DomainError:
-            return None, "consistency"
-    # good reduction hidden by a non-minimal model
-    if p == 3:
-        return None, "consistency"
+        return _char_sum(curve.a2, curve.a4, 0, p), "char-sum"
+    if _vp(N, p) >= 2:
+        return 0, "additive"
     c4, c6, disc = _minimal_c4c6(curve, p)
-    if disc % p == 0:  # pragma: no cover - table curves never hit this
-        raise DomainError(f"p = {p}: bad reduction despite p not dividing N")
-    return _count_ap_short(c4, c6, p), "reduced-count"
+    reduced = (c4, c6) != (curve.c4, curve.c6)
+    if p == 3 and (reduced or N % 3):
+        return None, "consistency"
+    short = (0, -27 * c4, -54 * c6)
+    if N % p:
+        # good reduction hidden by a non-minimal model
+        if disc % p == 0:  # pragma: no cover - table curves never hit this
+            raise DomainError(f"p = {p}: bad reduction despite p not dividing N")
+        return _char_sum(*short, p), "reduced-count"
+    if not reduced:
+        return _node_sign(curve.a2, curve.a4, 0, p), "node"
+    return _node_sign(*short, p), "reduced-node"
 
 
 def hasse_range(p: int) -> list[int]:

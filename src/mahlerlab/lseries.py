@@ -176,9 +176,7 @@ def an_table(curve: CurveModel, n_max: int | None = None) -> LFunctionData:
         if value is not None:
             known[p] = value
             continue
-        vN = 0 if N % p else (1 if (N // p) % p else 2)
-        candidates = [1, -1] if vN == 1 else hasse_range(p)
-        unresolved.append((p, candidates))
+        unresolved.append((p, [1, -1] if N % p == 0 else hasse_range(p)))
 
     # a_n once per choice of the unresolved a_p, then both signs from the
     # same sums; the stable sort keeps the first of equal spreads in

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import random
 
 import pytest
 
 from mahlerlab import curves as C
-from mahlerlab.errors import DomainError, UnsupportedCurveError
+from mahlerlab.errors import UnsupportedCurveError
 
 
 class TestModels:
@@ -59,12 +60,11 @@ class TestPointCounts:
         # frozen brute-force count over F_5 (x ranges over 5 residues):
         # affine points 7, plus infinity: a_5 = 5 + 1 - 8 = -2
         c = C.curve_from_k(8.0)
-        assert C.ap_good(c, 5) == -2
+        assert C.ap_with_route(c, 5) == (-2, "char-sum")
 
-    def test_ap_good_rejects_bad_prime(self):
-        c = C.curve_from_k(8.0)
-        with pytest.raises(DomainError):
-            C.ap_good(c, 3)  # 3 divides the discriminant 2^22 * 3
+    def test_bad_prime_routes_to_node(self):
+        # 3 divides the discriminant 2^22 * 3 and exactly divides N = 24
+        assert C.ap_with_route(C.curve_from_k(8.0), 3) == (-1, "node")
 
     def test_hasse_bound_first_100_good_primes(self):
         for k in (1.0, 2.0, 8.0, math.sqrt(18.0)):
@@ -73,7 +73,8 @@ class TestPointCounts:
             for p in C.primes_up_to(2000):
                 if p == 2 or c.discriminant % p == 0:
                     continue
-                ap = C.ap_good(c, p)
+                ap, route = C.ap_with_route(c, p)
+                assert route == "char-sum"
                 assert ap * ap <= 4 * p
                 checked += 1
                 if checked == 100:
@@ -84,7 +85,7 @@ class TestPointCounts:
         # (0,0) is a rational 2-torsion point, so the group order is even
         c = C.curve_from_k(8.0)
         for p in (5, 7, 11, 13, 17, 19, 23, 29):
-            assert C.ap_good(c, p) % 2 == 0
+            assert C.ap_with_route(c, p)[0] % 2 == 0
 
     def test_additive_reduction_zero(self):
         c = C.curve_from_k(2.0)  # N = 24, v2 = 3
@@ -92,9 +93,8 @@ class TestPointCounts:
 
     def test_node_analysis_k2_at_3(self):
         c = C.curve_from_k(2.0)
-        value, route = C.ap_bad(c, 3)
-        assert route == "node"
-        assert value == -1  # x0 = 2 is the node; slopes need sqrt(2), a non-residue
+        # x0 = 2 is the node; slopes need sqrt(2), a non-residue
+        assert C.ap_with_route(c, 3) == (-1, "node")
 
     def test_consistency_routing(self):
         c1 = C.curve_from_k(1.0)  # 2 good but the model is 2-non-minimal
@@ -109,10 +109,63 @@ class TestPointCounts:
         assert route == "reduced-node"
         assert value in (-1, 1)
 
-    def test_ap_bad_rejects_good_prime(self):
-        c = C.curve_from_k(8.0)
-        with pytest.raises(DomainError):
-            C.ap_bad(c, 5)
+    def test_good_prime_routes_to_char_sum(self):
+        assert C.ap_with_route(C.curve_from_k(8.0), 5) == (-2, "char-sum")
+
+
+def _scaled_k8(s):
+    """k = 8's model under x -> x/s^2, y -> y/s^3: the same curve (N = 24),
+    on a model that is non-minimal at s."""
+    c = C.curve_from_k(8.0)
+    return dataclasses.replace(
+        c, a2=c.a2 * s**2, a4=c.a4 * s**4, discriminant=c.discriminant * s**12
+    )
+
+
+SCALED_K8 = {s: _scaled_k8(s) for s in (5, 7, 11)}
+MODELS = [C.curve_from_k(math.sqrt(k2)) for k2 in C.TABLE1] + list(SCALED_K8.values())
+
+
+def _points(a2, a4, a6, p):
+    """Projective points of y^2 = x^3 + a2 x^2 + a4 x + a6 over F_p, counted
+    with a table of how many y square to each residue."""
+    roots = [0] * p
+    for y in range(p):
+        roots[y * y % p] += 1
+    return 1 + sum(roots[(x**3 + a2 * x * x + a4 * x + a6) % p] for x in range(p))
+
+
+class TestRoutes:
+    def test_reduced_count_on_scaled_models(self):
+        k8 = C.curve_from_k(8.0)
+        for s, want in ((5, -2), (7, 0), (11, 4)):
+            assert C.ap_with_route(k8, s) == (want, "char-sum")
+            assert C.ap_with_route(SCALED_K8[s], s) == (want, "reduced-count")
+
+    def test_every_route_is_reached(self):
+        # "additive" comes only from p = 2: no odd p has v_p(N) >= 2 here
+        routes = {C.ap_with_route(c, p)[1] for c in MODELS for p in C.primes_up_to(199)}
+        assert routes == {
+            "char-sum", "additive", "node", "reduced-node", "reduced-count", "consistency"
+        }
+
+    def test_ap_matches_point_count(self):
+        # a_p = p + 1 - #points on the model the route names; at a node the
+        # singular point counts too, so split gives p points, non-split p + 2
+        checked = set()
+        for c in MODELS:
+            for p in C.primes_up_to(199)[1:]:  # odd p
+                ap, route = C.ap_with_route(c, p)
+                if route == "consistency":
+                    continue
+                if route in ("char-sum", "node"):
+                    model = (c.a2, c.a4, 0)
+                else:
+                    c4, c6, _ = C._minimal_c4c6(c, p)
+                    model = (0, -27 * c4, -54 * c6)
+                assert ap == p + 1 - _points(*model, p), (c.a2, c.a4, p, route)
+                checked.add(route)
+        assert checked == {"char-sum", "node", "reduced-node", "reduced-count"}
 
 
 class TestMultiplicativity:
@@ -126,7 +179,7 @@ class TestMultiplicativity:
         assert an[8] == an[2] * an[4] - 2 * an[2]
 
     def test_random_coprime_products(self):
-        ap = {p: C.ap_good(C.curve_from_k(8.0), p) for p in C.primes_up_to(200) if p > 3}
+        ap = {p: C.ap_with_route(C.curve_from_k(8.0), p)[0] for p in C.primes_up_to(200) if p > 3}
         ap[2] = 0
         ap[3] = -1
         an = C.extend_multiplicatively(ap, 24, 200 * 199)

@@ -150,7 +150,7 @@ class TestPipeline:
 
     def test_sign_detect_rejects_corrupt_data(self, monkeypatch):
         curve, data = L.lvalue_from_k(8.0)
-        ap = {p: C.ap_good(curve, p) for p in C.primes_up_to(data.n_max) if p > 3}
+        ap = {p: C.ap_with_route(curve, p)[0] for p in C.primes_up_to(data.n_max) if p > 3}
         ap[2] = 0
         ap[3] = -1
         ap[5] += 2  # corrupt one good coefficient
@@ -191,6 +191,18 @@ class TestPipeline:
         calls = _count_e1(monkeypatch, "table --format json")
         per_row = [3 * L.default_n_max(N) + 60 for N, _ in C.TABLE1.values()]
         assert len(calls) == sum(per_row)  # 2,841 over the eleven rows
+
+    @pytest.mark.parametrize("k, n_max", [(8.0, None), (8.0, 2), (3.0, None)])
+    def test_one_ap_with_route_call_per_prime(self, monkeypatch, k, n_max):
+        # perfbench's tracer counts curve work by wrapping L.ap_with_route
+        calls = []
+        route = L.ap_with_route
+        monkeypatch.setattr(L, "ap_with_route", lambda c, p: calls.append(p) or route(c, p))
+        curve = C.curve_from_k(k)
+        with contextlib.suppress(LDataError):  # two terms cannot be certified
+            L.an_table(curve, n_max)
+        top = L.default_n_max(curve.conductor_N) if n_max is None else n_max
+        assert calls == C.primes_up_to(max(top, 3))
 
     def test_tail_bound_enforced(self):
         with pytest.raises(AccuracyError, match="tail bound"):
