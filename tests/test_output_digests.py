@@ -4,11 +4,12 @@ Each case runs one command line through `cli.main` in process and hashes its
 exit code, stdout and stderr together; each demo under `demos/` runs in
 process too, and its stdout is hashed.  Each block of digests was recorded
 before the refactor it guards: the first before the quadrature layer became
-one lockstep driver, the last (the L-value block) before the consistency
-search's sums began to give L(E, 2), its tail bound and its split-point
-spread.  So a refactor that changes any printed byte, on a result or an error
-path, fails here.  A deliberate change of a payload updates its digest and
-says so in CHANGES.md.
+one lockstep driver, the L-value block before the consistency search's sums
+began to give L(E, 2), its tail bound and its split-point spread, and the
+candidate-file block before expressions were parsed by Python's `ast`.  So a
+refactor that changes any printed byte, on a result or an error path, fails
+here.  A deliberate change of a payload updates its digest and says so in
+CHANGES.md.
 """
 
 import argparse
@@ -107,7 +108,22 @@ DIGESTS = [
     ("mahler --k 1.8291 --with-2d --format csv", "7d46a60f82bc7d8c7b9ffdc38dcf2991be70a5eb33030c19afd960ef71013d20"),
     ("lvalue --k 8 --dump-an an.txt", "c02894d303904d2af5cbcb851dad3817f5d35a14425249a81b4b971a5e86823a"),
     ("sweep h --k-grid 6.7:60:8 --jobs 2", "4e550643c7a532cabc9337233110682fbc5e9ab988bc8f558acc794f7e4100e3"),
+    # the candidate files below: the README's cubic, the benchmark's two file
+    # candidates at interior anchors, and an exponent in x refused
+    ("verify appendix --candidate-file cubic.json --format json", "6dbd22292a2fc96ea8a12c5f8474985878dc4fbf67482d748be884dc18fe224d"),
+    ("verify appendix --candidate-file pair.json --format csv", "b27bc76408fc5ea06a9e517680e2beca76a110f802645e159ce414fdbf062308"),
+    ("verify appendix --candidate-file xx.json", "7bb373c8814ac106c90a07725b0495ed246ac692054a5057c5341161c8a51e8c"),
 ]
+
+#: candidate files written into each run's directory
+CANDIDATE_FILES = {
+    "cubic.json": [{"name": "cubic", "p": "-(x^2)/(1+2*x)", "q": "sqrt(x^3*(2+x)/(1+2*x))",
+                    "domain": [0.0, 1.0], "anchor_x0": 0.5}],
+    "pair.json": [{"name": "file-cubic", "p": "-(x^2)/(1+2*x)", "q": "sqrt(x^3*(2+x)/(1+2*x))",
+                   "domain": [0.0, 1.0], "anchor_x0": 0.3141},
+                  {"name": "file-linear", "p": "-x", "q": "x", "domain": [0.0, 1.0], "anchor_x0": 0.7183}],
+    "xx.json": [{"name": "xx", "p": "x^x", "q": "x", "domain": [0.0, 1.0]}],
+}
 
 #: (command, flag, whether the parsed arguments set it) for each flag that
 #: takes a code path of its own
@@ -115,6 +131,7 @@ PATH_FLAGS = [
     ("mahler", "--with-2d", lambda args: args.with_2d),
     ("lvalue", "--dump-an", lambda args: args.dump_an is not None),
     ("sweep", "--jobs 2", lambda args: args.jobs > 1),
+    ("verify", "--candidate-file", lambda args: args.candidate_file is not None),
 ]
 
 
@@ -133,7 +150,9 @@ def _digest(argv: str) -> str:
 
 @pytest.mark.parametrize("argv,digest", DIGESTS, ids=[a for a, _ in DIGESTS])
 def test_output_is_byte_identical(argv, digest, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # where --dump-an writes
+    monkeypatch.chdir(tmp_path)  # where --dump-an writes and candidate files are read
+    for name, entries in CANDIDATE_FILES.items():
+        (tmp_path / name).write_text(json.dumps(entries))
     assert _digest(argv) == digest
 
 
