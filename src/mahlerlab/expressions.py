@@ -1,6 +1,6 @@
 """Tiny expression parser for candidate (p, q) strings.
 
-Grammar (whitespace-insensitive):
+The accepted language (whitespace-insensitive):
 
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
@@ -8,16 +8,25 @@ Grammar (whitespace-insensitive):
     power  := atom (('^' | '**') factor)?     # right associative; the
                                               # exponent must not contain x
     atom   := NUMBER | 'x' | 'sqrt' '(' expr ')' | '(' expr ')'
+    NUMBER := digits with an optional fraction: 7, 07, 2., .5 or 2.5
 
-Parsing produces a closure usable on floats and on jets, so parsed candidates
-plug straight into the identity engine.  Candidate files are JSON lists of
-objects with keys "name", "p", "q", "domain" ([lo, hi]) and optional
-"anchor_x0".
+and no tree nested deeper than 200 levels.  `_tokenize` writes the tokens as
+Python source, Python's parser builds the tree with the grammar's precedence,
+and `_closure` refuses every node outside the grammar; every refusal is a
+DomainError starting "expression:".  The closure runs on floats and on jets,
+so parsed candidates plug straight into the identity engine.
+
+Candidate files are JSON lists of objects with keys "name", "p", "q", "domain"
+([lo, hi]) and optional "anchor_x0".  The domain only sets the default anchor,
+its midpoint: the verification grid is (1e-3, 0.99) whatever the domain.
 """
 
 from __future__ import annotations
 
+import ast
 import json
+import math
+import operator
 import re
 from typing import Callable
 
@@ -25,107 +34,68 @@ from .errors import DomainError
 from .identities import IdentityCandidate
 from .jets import sqrt
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op>\*\*|[-+*/^()]))"
+_TOKEN = re.compile(  # ASCII names: Python reads identifiers NFKC-folded
+    r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>\*\*|[-+*/^()]))\s*"
 )
+
+#: levels of nested nodes; evaluating a tree nests its closures as deep
+_MAX_DEPTH = 200
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
 
 
 def _tokenize(text: str) -> list[str]:
+    """The tokens of text as Python source: each number as its float (1e999
+    where that overflows), '^' as '**'."""
     out, pos = [], 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
             raise DomainError(f"expression: bad character at {text[pos:]!r}")
-        out.append(m.group(m.lastgroup))
+        if m["num"]:
+            val = float(m["num"])
+            out.append("1e999" if val == math.inf else repr(val))
+        else:
+            out.append("**" if m[m.lastgroup] == "^" else m[m.lastgroup])
         pos = m.end()
     return out
 
 
-class _Parser:
-    def __init__(self, tokens: list[str]):
-        self.toks = tokens
-        self.i = 0
-        self.x_seen = 0
-
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def take(self, expected=None):
-        tok = self.peek()
-        if tok is None or (expected is not None and tok != expected):
-            raise DomainError(f"expression: expected {expected!r}, got {tok!r}")
-        self.i += 1
-        return tok
-
-    def expr(self):
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            node = (lambda a, b: lambda x: a(x) + b(x))(node, rhs) if op == "+" else (
-                lambda a, b: lambda x: a(x) - b(x)
-            )(node, rhs)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.factor()
-            node = (lambda a, b: lambda x: a(x) * b(x))(node, rhs) if op == "*" else (
-                lambda a, b: lambda x: a(x) / b(x)
-            )(node, rhs)
-        return node
-
-    def factor(self):
-        if self.peek() in ("+", "-"):
-            op = self.take()
-            inner = self.factor()
-            return inner if op == "+" else (lambda a: lambda x: -a(x))(inner)
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() in ("^", "**"):
-            self.take()
-            x_before = self.x_seen
-            expo = self.factor()
-            if self.x_seen > x_before:
-                raise DomainError("expression: an exponent must not depend on x")
-            return (lambda a, b: lambda x: a(x) ** b(x))(base, expo)
-        return base
-
-    def atom(self):
-        tok = self.peek()
-        if tok == "(":
-            self.take()
-            node = self.expr()
-            self.take(")")
-            return node
-        if tok == "x":
-            self.take()
-            self.x_seen += 1
+def _closure(node: ast.expr, depth: int) -> Callable:
+    """The closure of a node at the given nesting level; SyntaxError for a
+    node outside the grammar."""
+    if depth > _MAX_DEPTH:
+        raise DomainError(f"expression: nested deeper than {_MAX_DEPTH} levels")
+    match node:
+        case ast.BinOp(_, ast.Pow(), right) if any(
+                isinstance(n, ast.Name) and n.id == "x" for n in ast.walk(right)):
+            raise DomainError("expression: an exponent must not depend on x")
+        case ast.BinOp(left, op, right) if type(op) in _BINARY:
+            a, b, f = _closure(left, depth + 1), _closure(right, depth + 1), _BINARY[type(op)]
+            return lambda x: f(a(x), b(x))
+        case ast.UnaryOp(ast.UAdd(), operand):
+            return _closure(operand, depth + 1)
+        case ast.UnaryOp(ast.USub(), operand):
+            a = _closure(operand, depth + 1)
+            return lambda x: -a(x)
+        case ast.Name("x"):
             return lambda x: x
-        if tok == "sqrt":
-            self.take()
-            self.take("(")
-            node = self.expr()
-            self.take(")")
-            return (lambda a: lambda x: sqrt(a(x)))(node)
-        if tok is not None and re.fullmatch(r"\d+\.\d*|\.\d+|\d+", tok):
-            self.take()
-            val = float(tok)
+        case ast.Call(ast.Name("sqrt"), [arg], []):
+            a = _closure(arg, depth + 1)
+            return lambda x: sqrt(a(x))
+        case ast.Constant(float(val)):
             return lambda x: val
-        raise DomainError(f"expression: unexpected token {tok!r}")
+    raise SyntaxError("outside the grammar")
 
 
 def parse_expression(text: str) -> Callable:
     """Compile an expression in x into a float/jet-polymorphic closure."""
-    parser = _Parser(_tokenize(text))
-    node = parser.expr()
-    if parser.peek() is not None:
-        raise DomainError(f"expression: trailing tokens {parser.toks[parser.i:]}")
-    return node
+    try:
+        return _closure(ast.parse(" ".join(_tokenize(text)), mode="eval").body, 1)
+    except SyntaxError:
+        raise DomainError(f"expression: cannot parse {text!r}") from None
+    except (RecursionError, MemoryError):  # the limits of Python's parser
+        raise DomainError(f"expression: nested deeper than {_MAX_DEPTH} levels") from None
 
 
 def load_candidates(path: str) -> list[IdentityCandidate]:

@@ -132,9 +132,12 @@ class Jet2:
                 return Jet2(1.0)
             if n < 0:
                 return (self ** (-n))._inv()
+            # square-and-multiply from the top bit; n <= 3 as repeated products
             out = self
-            for _ in range(n - 1):
-                out = out * self
+            for bit in bin(n)[3:]:
+                out = out * out
+                if bit == "1":
+                    out = out * self
             return out
         if isinstance(self.value, np.ndarray):
             # Python's pow per element: numpy's may round differently

@@ -368,6 +368,28 @@ class TestVerify:
         assert err.startswith("mahlerlab: error: expression:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "p",
+        ["(" * 400 + "x" + ")" * 400, "-" * 3000 + "x", "+".join(["x"] * 3000)],
+        ids=["400-parentheses", "3000-unary-minuses", "3000-term-sum"],
+    )
+    def test_candidate_nested_too_deep_is_one_line_error(self, capsys, tmp_path, p):
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps([{"name": "deep", "p": p, "q": "x", "domain": [0.0, 1.0]}]))
+        code, out, err = run_main(capsys, "verify", "appendix", "--candidate-file", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("mahlerlab: error: expression:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("p", ["-x" + "+0" * 194, "-x "], ids=["195-term-chain", "trailing-space"])
+    def test_candidate_long_chain_and_trailing_space_verify(self, capsys, tmp_path, p):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps([{"name": "chain", "p": p, "q": "x", "domain": [0.0, 1.0]}]))
+        code, out, _ = run_main(capsys, "verify", "appendix", "--candidate-file", str(path),
+                                "--format", "json")
+        assert code == 0
+        rows = [r for r in json.loads(out)["rows"] if r["input"].startswith("chain")]
+        assert len(rows) == 3 and all(r["status"] == "PASS" for r in rows)
+
+    @pytest.mark.parametrize(
         "p,q",
         [("-x", "sqrt(x-0.5)"), ("-x", "(x-0.5)^(1/2)"), ("-1/(x-0.001000000000000334)", "x")],
         ids=["sqrt-of-negative", "complex-power", "division-by-zero"],

@@ -1,11 +1,15 @@
 import json
+import operator
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mahlerlab import identities as I
 from mahlerlab.errors import DomainError
 from mahlerlab.expressions import load_candidates, parse_expression
-from mahlerlab.jets import Jet2
+from mahlerlab.jets import Jet2, sqrt
 
 
 class TestParser:
@@ -67,6 +71,139 @@ class TestParser:
     def test_unbalanced_parens(self):
         with pytest.raises(DomainError):
             parse_expression("(x+1")
+
+    def test_surrounding_whitespace(self):
+        assert parse_expression("-x ")(2.0) == -2.0
+        assert parse_expression("\t x^2 \n")(3.0) == 9.0
+
+    def test_leading_zeros_and_overflowing_numbers(self):
+        assert parse_expression("07 + 2. + .5")(0.0) == 9.5
+        assert parse_expression("1" + "0" * 400)(0.0) == float("inf")
+
+    @pytest.mark.parametrize("text", [
+        "1e5", "0x1f", "1_0", "1j", "True", "x//2", "x%2", "x@x", "x if x else 1", "[x]",
+        "x.real", "sqrt(x)(2)", "sqrt(x, 1)", "sqrt(x=1)", "lambda: x", "not x", "x<1",
+        "abs(x)", "sqrt", "sqrt()", "y", "x * * 2", "", "   ",
+        "sqr\u1d57(x)",  # Python reads this name as sqrt (NFKC)
+    ])
+    def test_python_only_input_refused(self, text):
+        with pytest.raises(DomainError, match="^expression: "):
+            parse_expression(text)
+
+    def test_depth_bound(self):
+        # the deepest admitted trees evaluate inside the quadrature's
+        # integrand, the deepest call site of a candidate's closures
+        p, q = "-x" + "+0" * 198, "x" + "*1" * 199
+        cand = I.IdentityCandidate("deep", parse_expression(p), parse_expression(q), (0.0, 1.0), 0.5)
+        assert I.verify_identity(cand).passed
+        for text in (p + "+0", "(" + q + ")^1", "-" * 200 + "x", "-" * 3000 + "x", "+".join(["x"] * 3000),
+                     "(" * 400 + "x" + ")" * 400, "x" + "**x" * 3000):
+            with pytest.raises(DomainError, match="^expression: "):
+                parse_expression(text)
+
+
+# The grammar's trees, rendered with the fewest parentheses their precedence
+# needs (atom 5, power 4, unary 3, term 2, expr 1) plus explicit ones, and
+# random whitespace around every token.
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+        "^": operator.pow, "**": operator.pow}
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4, "**": 4}
+# leading zeros, trailing dots, and one number past the largest double
+_NUMBERS = st.one_of(st.from_regex(r"\A(?:[0-9]{1,3}\.[0-9]{0,3}|\.[0-9]{1,3}|[0-9]{1,3})\Z"),
+                     st.just("1" + "0" * 309))
+
+
+def _trees(leaves, exponents):
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.tuples(st.sampled_from("+-*/"), kids, kids),
+        st.tuples(st.sampled_from(["^", "**"]), kids, exponents(kids)),
+        st.tuples(st.sampled_from(["neg", "pos", "sqrt", "()"]), kids),
+    ), max_leaves=10)
+
+
+_NUMBER_LEAVES = st.tuples(st.just("num"), _NUMBERS)
+_CONSTANT_TREES = _trees(_NUMBER_LEAVES, lambda kids: kids)
+# exponents mostly without x, so that most trees are admitted
+_TREES = _trees(st.one_of(_NUMBER_LEAVES, st.just(("x",))), lambda kids: st.one_of(_CONSTANT_TREES, kids))
+
+
+def _prec(tree):
+    return _PREC.get(tree[0], 3 if tree[0] in ("neg", "pos") else 5)
+
+
+def _tokens(tree, need=1):
+    kind = tree[0]
+    if kind == "num":
+        out = [tree[1]]
+    elif kind == "x":
+        out = ["x"]
+    elif kind in ("neg", "pos"):
+        out = ["-" if kind == "neg" else "+", *_tokens(tree[1], 3)]
+    elif kind == "sqrt":
+        out = ["sqrt", "(", *_tokens(tree[1]), ")"]
+    elif kind == "()":
+        out = ["(", *_tokens(tree[1]), ")"]
+    else:  # left-associative except the power, whose base is an atom
+        left, right = {1: (1, 2), 2: (2, 3), 4: (5, 3)}[_PREC[kind]]
+        out = [*_tokens(tree[1], left), kind, *_tokens(tree[2], right)]
+    return ["(", *out, ")"] if _prec(tree) < need else out
+
+
+def _names_x(tree):
+    return tree[0] == "x" or any(_names_x(t) for t in tree[1:] if isinstance(t, tuple))
+
+
+def _reference(tree, x):
+    """The tree's value at x by the same operations in the same order."""
+    kind = tree[0]
+    if kind == "num":
+        return float(tree[1])
+    if kind == "x":
+        return x
+    if kind == "neg":
+        return -_reference(tree[1], x)
+    if kind == "sqrt":
+        return sqrt(_reference(tree[1], x))
+    if kind in ("pos", "()"):
+        return _reference(tree[1], x)
+    return _OPS[kind](_reference(tree[1], x), _reference(tree[2], x))
+
+
+def _outcome(f, x):
+    """f(x) as comparable bytes, or the type of what it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            v = f(x)
+    except Exception as exc:  # noqa: BLE001 - compared by type
+        return type(exc)
+    parts = (v.value, v.d1, v.d2) if isinstance(v, Jet2) else (v,)
+    return [(type(p), np.asarray(p).tobytes()) for p in parts]
+
+
+_POINTS = [0.3, 2.0, -0.7, 0.0, 1e-3, Jet2.seed(0.3), Jet2.seed(np.array([0.3, 2.0, -0.7, 0.0, 1e-3]))]
+
+
+@given(_TREES, st.data())
+@settings(max_examples=200, deadline=None)
+def test_parse_matches_the_grammar_tree(tree, data):
+    toks = _tokens(tree)
+    spaces = data.draw(st.lists(st.sampled_from(["", " ", "\t", "\n", "  "]),
+                                min_size=len(toks) + 1, max_size=len(toks) + 1))
+    text = "".join(s + t for s, t in zip(spaces, [*toks, ""]))
+    if any(t[0] in ("^", "**") and _names_x(t[2]) for t in _subtrees(tree)):
+        with pytest.raises(DomainError, match="exponent"):
+            parse_expression(text)
+        return
+    f = parse_expression(text)
+    for x in _POINTS:
+        assert _outcome(f, x) == _outcome(lambda v: _reference(tree, v), x), (text, x)
+
+
+def _subtrees(tree):
+    yield tree
+    for t in tree[1:]:
+        if isinstance(t, tuple):
+            yield from _subtrees(t)
 
 
 class TestCandidateFile:

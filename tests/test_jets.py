@@ -166,3 +166,27 @@ def test_array_nan_survives_zeroth_power():
     jet = (1.0 / (Jet2.seed(np.array([0.0, 2.0])))) ** 0
     assert np.isnan(jet.value[0]) and np.isnan(jet.d1[0]) and np.isnan(jet.d2[0])
     assert (jet.value[1], jet.d1[1], jet.d2[1]) == (1.0, 0.0, 0.0)
+
+
+def test_integer_power_takes_logarithmically_many_products(monkeypatch):
+    calls = []
+    mul = Jet2.__mul__
+    monkeypatch.setattr(Jet2, "__mul__", lambda a, b: calls.append(None) or mul(a, b))
+    jet = Jet2.seed(1.0) ** 10**6
+    assert (jet.value, jet.d1, jet.d2) == (1.0, 1e6, 1e6 * (1e6 - 1.0))
+    assert len(calls) <= 2 * (10**6).bit_length()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 2.0, 3.0])
+def test_small_integer_powers_are_repeated_products(n):
+    # bit for bit what n - 1 repeated multiplications give
+    jets = [Jet2(0.7, -1.3, 2.9), Jet2(-3.1e-5, 0.1, -7.0),
+            Jet2(np.array([0.3, -2.5, 1e-200, 7.0, math.nan]), np.array([1.0, 0.5, -2.0, 3.0, 1.0]),
+                 np.array([0.0, 0.25, 1e200, -1.0, 2.0]))]
+    for jet in jets:
+        want = jet
+        for _ in range(int(n) - 1):
+            want = want * jet
+        got = jet ** n
+        for g, w in zip((got.value, got.d1, got.d2), (want.value, want.d1, want.d2)):
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
