@@ -35,6 +35,7 @@ from .identities import (
     IdentityCandidate,
     IdentityReport,
     builtin_candidates,
+    eval_r,
     verify_identity,
 )
 from .jets import Jet2
@@ -85,6 +86,7 @@ __all__ = [
     "ell_k_imag",
     "ell_pi",
     "ell_pi_imag",
+    "eval_r",
     "factor_member",
     "half_measures",
     "lvalue_from_k",

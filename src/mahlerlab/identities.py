@@ -84,15 +84,15 @@ class IdentityReport:
 
 def _pq_jets(cand: IdentityCandidate, x) -> tuple[Jet2, Jet2]:
     """p and q as jets at x, a float or an array; an expression without x,
-    which gives a plain float, becomes a constant jet of x's shape."""
+    which gives a plain float, becomes a constant jet of x's shape.  Where
+    they cannot be evaluated (a domain error, division by zero, an overflow,
+    a complex value), SingularPointError names the candidate and x."""
     seed = Jet2.seed(x)
     try:
-        pq = cand.p(seed), cand.q(seed)
-    except (DomainError, ZeroDivisionError, ValueError) as exc:
-        raise SingularPointError(
-            f"{cand.name}: p/q jets undefined at x = {x}: {exc}"
-        ) from exc
-    return tuple(v if isinstance(v, Jet2) else Jet2(v + 0.0 * seed.value) for v in pq)
+        return tuple(v if isinstance(v, Jet2) else Jet2(float(v) + 0.0 * seed.value)
+                     for v in (cand.p(seed), cand.q(seed)))
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        raise SingularPointError(f"{cand.name}: p/q undefined at x = {x}: {exc}") from exc
 
 
 def _r_num_den(P, dP, Q, dQ):
@@ -107,35 +107,59 @@ def _f_num_den(p, dp, q, dq):
     return num, den
 
 
-def _coefficients(cand: IdentityCandidate, xs: Sequence[float], faults: str):
-    """(p jet, q jet, r, f) over xs from one array-jet evaluation.  At the
-    first point where one fires, raises SingularPointError for undefined p/q
-    jets (from the scalar `_pq_jets`), then for each of `faults` in order:
-    "r" or "f", that denominator vanishes or is not finite; "q", q in {0, 1}.
-    A NaN that the jets carry without raising stays in place."""
-    with np.errstate(all="ignore"):
+def _coefficients(cand: IdentityCandidate, xs: Sequence[float]):
+    """(p jet, q jet, r, f) over xs from one array-jet evaluation, and a
+    mask over xs per refusal, in the order they are checked at a point:
+    "regime", p >= 1, q outside [0, 1) or p not finite (NaN p/q included);
+    "r" or "f", that denominator vanishes or is not finite; "q", q in
+    {0, 1}.  A fault of every point, which the array call raises, is named
+    by the scalar jets at the first point."""
+    try:
         pj, qj = _pq_jets(cand, np.array(xs, dtype=float))
-        rnum, rden = _r_num_den(pj.value, pj.d1, qj.value, qj.d1)
-        fnum, fden = _f_num_den(pj.value, pj.d1, qj.value, qj.d1)
-        r, f = rnum / rden, fnum / fden
-    fired = {
-        "r": ((rden == 0.0) | ~np.isfinite(rden), "r denominator vanishes"),
-        "f": ((fden == 0.0) | ~np.isfinite(fden), "f denominator vanishes"),
-        "q": ((qj.value == 0.0) | (qj.value == 1.0), "q in {0,1}"),
-    }
-    flagged = np.logical_or.reduce([fired[c][0] for c in faults])
-    if flagged.any():
-        i = int(np.argmax(flagged))
-        _pq_jets(cand, xs[i])
-        what = next(fired[c][1] for c in faults if fired[c][0][i])
-        raise SingularPointError(f"{cand.name}: {what} at x = {xs[i]}")
-    return pj, qj, r, f
+    except SingularPointError:
+        _pq_jets(cand, xs[0])
+        raise
+    with np.errstate(all="ignore"):
+        p, q = pj.value, qj.value
+        rnum, rden = _r_num_den(p, pj.d1, q, qj.d1)
+        fnum, fden = _f_num_den(p, pj.d1, q, qj.d1)
+        fired = {
+            "regime": ~((p < 1.0) & (0.0 <= q) & (q < 1.0) & np.isfinite(p)),
+            "r": (rden == 0.0) | ~np.isfinite(rden),
+            "f": (fden == 0.0) | ~np.isfinite(fden),
+            "q": (q == 0.0) | (q == 1.0),
+        }
+        return pj, qj, rnum / rden, fnum / fden, fired
+
+
+def _refuse(cand: IdentityCandidate, xs: Sequence[float], fired: dict) -> None:
+    """At the first point of xs where a mask of `fired` is set, raise the
+    fault that the scalar jets there name: undefined p/q, or else the first
+    refusal set there, in the order of `fired`."""
+    flagged = np.logical_or.reduce(list(fired.values()))
+    if not flagged.any():
+        return
+    i = int(np.argmax(flagged))
+    x = xs[i]
+    pj, qj = _pq_jets(cand, x)
+    p, q = pj.value, qj.value
+    fault = next(c for c, mask in fired.items() if mask[i])
+    if fault == "regime":
+        if p >= 1.0:
+            raise RegimeError(f"{cand.name}: Pi characteristic p(x) = {p} >= 1 at x = {x}")
+        if not 0.0 <= q < 1.0:
+            raise RegimeError(f"{cand.name}: modulus q(x) = {q} outside [0,1) at x = {x}")
+        ell_pi(p, q)  # p is not finite: raises its DomainError
+    what = {"r": "r denominator vanishes", "f": "f denominator vanishes", "q": "q in {0,1}"}
+    raise SingularPointError(f"{cand.name}: {what[fault]} at x = {x}")
 
 
 def eval_r(cand: IdentityCandidate, x: float) -> float:
     """K-coefficient r(x) forced by (p, q); raises SingularPointError on a
     vanishing denominator."""
-    return _coefficients(cand, [x], "r")[2].item()
+    _, _, r, _, fired = _coefficients(cand, [x])
+    _refuse(cand, [x], {"r": fired["r"]})
+    return r.item()
 
 
 def _f_array(cand: IdentityCandidate, xs: np.ndarray) -> np.ndarray:
@@ -175,38 +199,6 @@ def _e_coefficient_residual(pj: Jet2, qj: Jet2, r):
     )
 
 
-def _anchor_r(cand: IdentityCandidate, x0: float) -> float:
-    try:
-        return eval_r(cand, x0)
-    except SingularPointError:
-        if cand.printed_r is None:
-            raise
-        return cand.printed_r(x0)
-
-
-def _values_at(cand: IdentityCandidate, x: float) -> tuple[float, float]:
-    """The float p(x), q(x) through the regime gate: p < 1, q in [0, 1),
-    and a non-finite p refused with ell_pi's DomainError."""
-    try:
-        p = cand.p(float(x))
-        q = cand.q(float(x))
-    except (ZeroDivisionError, ValueError, OverflowError) as exc:
-        raise SingularPointError(f"{cand.name}: p/q undefined at x = {x}: {exc}") from exc
-    if isinstance(p, complex) or isinstance(q, complex):
-        raise SingularPointError(f"{cand.name}: p/q undefined at x = {x}: p = {p}, q = {q}")
-    if isinstance(p, Jet2) or isinstance(q, Jet2):  # pragma: no cover
-        raise TypeError("candidate p/q must map floats to floats")
-    if p >= 1.0:
-        raise RegimeError(
-            f"{cand.name}: Pi characteristic p(x) = {p} >= 1 at x = {x}"
-        )
-    if not 0.0 <= q < 1.0:
-        raise RegimeError(f"{cand.name}: modulus q(x) = {q} outside [0,1) at x = {x}")
-    if not math.isfinite(p):
-        ell_pi(p, q)  # raises its DomainError
-    return p, q
-
-
 def _max_abs(v: np.ndarray) -> float:
     """max |v| with a running max's semantics: 0.0 when empty, NaN skipped."""
     return float(np.fmax.reduce(np.abs(v), initial=0.0))
@@ -224,12 +216,19 @@ def verify_identity(
     if x0 is None:
         x0 = cand.anchor_x0
     xs = sorted(grid) if grid is not None else default_grid(cand)
-    # the regime gate at every grid point, then at the anchor, before any
-    # reconstruction work; Pi and K there, anchor last, from one call of the
-    # Carlson kernels
-    pq = [_values_at(cand, x) for x in (*xs, x0)]
-    pi, k = ell_pi_k_array(*np.array(pq, dtype=float).T)
-    C = pi[-1].item() + _anchor_r(cand, x0) * k[-1].item()
+    # p, q, r and f at every grid point and the anchor, last, from one
+    # array-jet evaluation; the regime gate over them all comes before any
+    # reconstruction work
+    at = [*xs, x0]
+    pj, qj, r, fx, fired = _coefficients(cand, at)
+    _refuse(cand, at, {"regime": fired["regime"]})
+    # where the r-formula is 0/0 at the anchor, the printed r stands in
+    if fired["r"][-1] and cand.printed_r is not None:
+        r[-1] = cand.printed_r(x0)
+    else:
+        _refuse(cand, [x0], {"r": fired["r"][-1:]})
+    pi, k = ell_pi_k_array(pj.value, qj.value)
+    C = pi[-1].item() + r[-1].item() * k[-1].item()
 
     # at a degenerate anchor the f-formula underflows to 0/0 while f itself
     # stays bounded; the NaN there makes the quadrature drop those nodes
@@ -241,14 +240,13 @@ def verify_identity(
                 s_at[x] = C * math.exp(integral)
 
     # the identity holds at the anchor by construction
-    off = np.array(xs, dtype=float) != x0
-    pts = [x for x in xs if x != x0]
-    pj, qj, r, fx = _coefficients(cand, pts, "rfq")
+    on = np.array([x != x0 for x in at])
+    _refuse(cand, at, {c: fired[c] & on for c in "rfq"})
     with np.errstate(all="ignore"):
-        lhs = pi[:-1][off] + r * k[:-1][off]
-        ode = _ode_residual(fx, pj, qj, _r_jet(pj, qj))
-        ec = _e_coefficient_residual(pj, qj, r)
-    s = np.array([s_at[x] for x in pts], dtype=float)
+        lhs = (pi + r * k)[on]
+        ode = _ode_residual(fx, pj, qj, _r_jet(pj, qj))[on]
+        ec = _e_coefficient_residual(pj, qj, r)[on]
+    s = np.array([s_at[x] for x in xs if x != x0], dtype=float)
 
     printed = []
     if cand.printed_rhs is not None:

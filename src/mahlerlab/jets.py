@@ -9,9 +9,11 @@ on jets.
 The three components may also be numpy arrays, one element per point, so a
 closure evaluates a whole node set in one call with the same floating-point
 operations as the scalar path, element for element.  Where the scalar path
-raises (division by a zero value, sqrt or a non-integer power of a value
-<= 0, a non-integer power that overflows), the array path puts NaN in all
-three components of that element, and the NaN survives every later operation.
+raises (division by a zero value, sqrt of a value < 0, a non-integer power
+of a value <= 0, a non-integer power that overflows), the array path puts
+NaN in all three components of that element, and the NaN survives every
+later operation.  The sqrt of an exact zero raises on neither path: its
+value is 0 and its derivatives are NaN.
 """
 
 from __future__ import annotations
@@ -123,6 +125,8 @@ class Jet2:
         return o * self._inv()
 
     def __pow__(self, n):
+        if not isinstance(n, (int, float)):  # a complex exponent, say
+            return NotImplemented
         if isinstance(n, int) or (isinstance(n, float) and n.is_integer()):
             n = int(n)
             if n == 0:
@@ -165,15 +169,18 @@ class Jet2:
 
 
 def sqrt(u):
-    """Square root for floats and jets (jets need value > 0, array jets get
-    NaN elsewhere)."""
+    """Square root for floats and jets.  A jet needs value >= 0 (array jets
+    get NaN below 0); at an exact zero the value is 0 and both derivatives,
+    which do not exist there, are NaN."""
     if isinstance(u, Jet2):
         if isinstance(u.value, np.ndarray):
-            s = np.sqrt(_nan_where(~(u.value > 0.0), u.value))
-        elif u.value <= 0.0:
-            raise DomainError(f"Jet2 sqrt: requires value > 0, got {u.value}")
+            s = np.sqrt(_nan_where(u.value < 0.0, u.value))
+            two_s = _nan_where(s == 0.0, 2.0 * s)
+        elif u.value < 0.0:
+            raise DomainError(f"Jet2 sqrt: requires value >= 0, got {u.value}")
         else:
             s = math.sqrt(u.value)
-        d1 = u.d1 / (2.0 * s)
-        return Jet2(s, d1, (u.d2 - 2.0 * d1 * d1) / (2.0 * s))
+            two_s = 2.0 * s if s != 0.0 else math.nan
+        d1 = u.d1 / two_s
+        return Jet2(s, d1, (u.d2 - 2.0 * d1 * d1) / two_s)
     return math.sqrt(u)

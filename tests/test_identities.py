@@ -31,16 +31,38 @@ def integrating_factor_residual(cand: I.IdentityCandidate, x: float) -> float:
     return u.d1 / u.value + f_value(cand, x, pj, qj) + qj.d1 / qj.value
 
 
+def reference_gate(cand, x):
+    """The regime gate at one point on the scalar jets: undefined p/q, then
+    p >= 1, then q outside [0, 1), then a non-finite p refused by ell_pi.
+    Returns the jets."""
+    pj, qj = I._pq_jets(cand, x)
+    p, q = pj.value, qj.value
+    if p >= 1.0:
+        raise RegimeError(f"{cand.name}: Pi characteristic p(x) = {p} >= 1 at x = {x}")
+    if not 0.0 <= q < 1.0:
+        raise RegimeError(f"{cand.name}: modulus q(x) = {q} outside [0,1) at x = {x}")
+    if not math.isfinite(p):
+        ell_pi(p, q)  # raises its DomainError
+    return pj, qj
+
+
 def reference_verify(cand, x0=None, grid=None, tol=1e-10):
     """verify_identity with the per-point residual loop, the reference for
-    the array pass: scalar jets, r' and Carlson forms at each grid point."""
+    the array pass: the regime gate, scalar jets, r' and Carlson forms at
+    each grid point."""
     if x0 is None:
         x0 = cand.anchor_x0
     xs = sorted(grid) if grid is not None else list(I.default_grid(cand))
     for x in xs:
-        I._values_at(cand, x)
-    p0, q0 = I._values_at(cand, x0)
-    C = ell_pi(p0, q0) + I._anchor_r(cand, x0) * ell_k(q0)
+        reference_gate(cand, x)
+    pj, qj = reference_gate(cand, x0)
+    try:
+        r0 = r_value(cand, x0, pj, qj)
+    except SingularPointError:  # the printed r where the formula is 0/0
+        if cand.printed_r is None:
+            raise
+        r0 = cand.printed_r(x0)
+    C = ell_pi(pj.value, qj.value) + r0 * ell_k(qj.value)
     f = functools.partial(I._f_array, cand)
     s_at = {}
     above = [x for x in xs if x > x0]
@@ -59,8 +81,7 @@ def reference_verify(cand, x0=None, grid=None, tol=1e-10):
         else:
             pj, qj = I._pq_jets(cand, x)
             r = r_value(cand, x, pj, qj)
-            p, q = I._values_at(cand, x)
-            lhs = ell_pi(p, q) + r * ell_k(q)
+            lhs = ell_pi(pj.value, qj.value) + r * ell_k(qj.value)
             P, dP = Jet2(pj.value, pj.d1), Jet2(pj.d1, pj.d2)
             Q, dQ = Jet2(qj.value, qj.d1), Jet2(qj.d1, qj.d2)
             num, den = I._r_num_den(P, dP, Q, dQ)
@@ -94,8 +115,8 @@ def reference_printed_variants(cand, grid=None):
     for label, rfn in variants:
         worst = 0.0
         for x in sorted(grid) if grid is not None else I.default_grid(cand):
-            p, q = I._values_at(cand, x)
-            lhs = ell_pi(p, q) + rfn(x) * ell_k(q)
+            pj, qj = reference_gate(cand, x)
+            lhs = ell_pi(pj.value, qj.value) + rfn(x) * ell_k(qj.value)
             worst = max(worst, abs(lhs - cand.printed_rhs(x)))
         out[label] = worst
     return out
@@ -103,7 +124,8 @@ def reference_printed_variants(cand, grid=None):
 
 def one_point_residuals(cand, x, r=None):
     """verify_identity's (ODE, E-coefficient) residuals at x; a jet `r` replaces r in the ODE."""
-    pj, qj, rx, f = I._coefficients(cand, [x], "rfq" if r is None else "fq")
+    pj, qj, rx, f, fired = I._coefficients(cand, [x])
+    I._refuse(cand, [x], {c: fired[c] for c in ("rfq" if r is None else "fq")})
     with np.errstate(all="ignore"):
         ode = I._ode_residual(f, pj, qj, I._r_jet(pj, qj) if r is None else r)
         return ode.item(), I._e_coefficient_residual(pj, qj, rx).item()
@@ -122,15 +144,11 @@ def _parsed(name, p, q, x0):
     return I.IdentityCandidate(name, parse_expression(p), parse_expression(q), (0.0, 1.0), x0)
 
 
-def _minus_x_except_at_half(value, jets=True):
-    """-x, except `value` with zero derivatives at exactly x = 0.5; with
-    jets=False only the float evaluation takes `value`.  Quadrature nodes
-    never land on a grid point, so only the residual pass sees it."""
+def _minus_x_except_at_half(value):
+    """The jet of -x, except `value` with zero derivatives at exactly
+    x = 0.5.  Quadrature nodes never land on a grid point, so only the
+    evaluation over the grid sees it."""
     def fn(x):
-        if not isinstance(x, Jet2):
-            return value if x == 0.5 else -x
-        if not jets:
-            return -x
         hole = x.value == 0.5
         return Jet2(np.where(hole, value, -x.value), np.where(hole, 0.0, -x.d1),
                     np.where(hole, 0.0, -x.d2)) if isinstance(hole, np.ndarray) else (
@@ -292,27 +310,34 @@ class TestVerifyIdentity:
             assert dict(rep.printed_residual_max)["printed"] <= 1e-10
             assert rep.identity_residual_max <= 1e-10
 
-    def test_one_array_pq_jet_evaluation_covers_the_grid(self, cands):
-        cubic = cands["cubic"]
-        grid = I.default_grid(cubic, n=30)
-        calls = {"p": [], "q": []}
+    def test_one_array_pq_jet_evaluation_covers_the_grid(self, cands, monkeypatch):
+        # a passing candidate's p and q are called once on the grid and the
+        # anchor, as one array jet, and once per quadrature level of f; never
+        # on a float or a scalar jet (cubic's r is 0/0 at its anchor, jia's
+        # grid lies below the anchor)
+        levels = []
+        f_array = I._f_array
+        monkeypatch.setattr(I, "_f_array", lambda cand, xs: levels.append(xs) or f_array(cand, xs))
+        file_cand = _parsed("file", "-(x^2)/(1+2*x)", "sqrt(x^3*(2+x)/(1+2*x))", 0.37)
+        for cand in (cands["cubic"], cands["jia"], file_cand):
+            grid = I.default_grid(cand, n=30)
+            calls = {"p": [], "q": []}
 
-        def recording(name, fn):
-            def wrapped(x):
-                if isinstance(x, Jet2):
-                    calls[name].append(x.value.tolist() if isinstance(x.value, np.ndarray)
-                                       else x.value)
-                return fn(x)
-            return wrapped
+            def recording(name, fn):
+                def wrapped(x):
+                    calls[name].append(x.value.tolist() if isinstance(x, Jet2)
+                                       and isinstance(x.value, np.ndarray) else x)
+                    return fn(x)
+                return wrapped
 
-        probe = dataclasses.replace(cubic, p=recording("p", cubic.p), q=recording("q", cubic.q))
-        I.verify_identity(probe, grid=grid)
-        for evals in calls.values():
-            # one scalar call, naming the undefined jets of the anchor's r,
-            # and one array call for the whole grid; the other array calls
-            # are the anchor's r and the chains' quadrature nodes
-            assert [v for v in evals if not isinstance(v, list)] == [cubic.anchor_x0]
-            assert sum(v == grid for v in evals) == 1
+            levels.clear()
+            probe = dataclasses.replace(cand, p=recording("p", cand.p), q=recording("q", cand.q))
+            assert I.verify_identity(probe, grid=grid).passed
+            assert levels
+            for evals in calls.values():
+                assert all(isinstance(v, list) for v in evals), cand.name
+                assert evals[0] == [*grid, cand.anchor_x0]
+                assert evals[1:] == [xs.tolist() for xs in levels]
 
     @pytest.mark.parametrize("name", ["linear", "jia", "cubic", "surd"])
     def test_array_pass_equals_per_point_reference_builtin(self, cands, name):
@@ -347,18 +372,21 @@ class TestVerifyIdentity:
              "r denominator vanishes at x = 0.5"),
             (I.IdentityCandidate("fden", _minus_x_except_at_half(0.0), lambda x: x, (0.0, 1.0), 0.3),
              [0.1, 0.2, 0.5, 0.7, 0.9], "f denominator vanishes at x = 0.5"),
-            # sqrt(u) with u = 0 at 0.2: the float is 0, the jet undefined
-            (_parsed("jets", "-x", "sqrt((x-0.2)^2)*0.5", 0.5), [0.1, 0.15, 0.2, 0.3, 0.7],
-             "p/q jets undefined at x = 0.2"),
-            # a NaN p passes the regime gate and ell_pi rejects it
-            (I.IdentityCandidate("nan-p", _minus_x_except_at_half(math.nan, jets=False),
+            # q = 0.01/(x - 0.2) divides by a zero jet at 0.2
+            (_parsed("jets", "-x", "0.01/(x-0.2)", 0.5), [0.2, 0.3, 0.7],
+             "jets: p/q undefined at x = 0.2: Jet2: division by a jet with zero value"),
+            # sqrt(u) with u = 0 at 0.2: q is 0 there, its derivatives NaN
+            (_parsed("root", "-x", "sqrt((x-0.2)^2)*0.5", 0.5), [0.1, 0.15, 0.2, 0.3, 0.7],
+             "root: r denominator vanishes at x = 0.2"),
+            # a NaN p passes the range checks and ell_pi rejects it
+            (I.IdentityCandidate("nan-p", _minus_x_except_at_half(math.nan),
                                  lambda x: x, (0.0, 1.0), 0.3),
              [0.1, 0.2, 0.5, 0.7, 0.9], "ell_pi: arguments must be finite"),
             # q = 0 at 0.2, where the ODE residual divides by q
             (_parsed("q-zero", "-x-0.1", "x-0.2", 0.5), [0.2, 0.3, 0.7],
              r"q-zero: q in \{0,1\} at x = 0.2"),
         ],
-        ids=["r-denominator", "f-denominator", "undefined-jets", "nan-p", "q-zero"],
+        ids=["r-denominator", "f-denominator", "undefined-jets", "root-of-zero", "nan-p", "q-zero"],
     )
     def test_array_pass_raises_like_per_point_reference(self, cand, grid, match):
         with pytest.raises(Exception, match=match) as want:
@@ -451,9 +479,9 @@ class TestUndefinedFloatValues:
     @pytest.mark.parametrize(
         "p,q,detail",
         [
-            ("-x", "sqrt(x-0.5)", "math domain error"),
-            ("-x", "(x-0.5)^(1/2)", "q = ("),
-            ("-1/(x-0.001000000000000334)", "x", "float division by zero"),
+            ("-x", "sqrt(x-0.5)", "Jet2 sqrt: requires value >= 0, got -0.49899999999999967"),
+            ("-x", "(x-0.5)^(1/2)", "Jet2: non-integer power of non-positive value -0.49899999999999967"),
+            ("-1/(x-0.001000000000000334)", "x", "Jet2: division by a jet with zero value"),
         ],
         ids=["sqrt-of-negative", "complex-power", "division-by-zero"],
     )
@@ -474,8 +502,8 @@ class TestUndefinedFloatValues:
         cubic = cands["cubic"]
         rep = I.verify_identity(cubic, x0=0.4, grid=[0.4])
         assert len(calls) == 1 and calls[0][1].shape == (2,)
-        p, q = cubic.p(0.4), cubic.q(0.4)
-        assert rep.constant_C == ell_pi(p, q) + I.eval_r(cubic, 0.4) * ell_k(q)
+        pj, qj = I._pq_jets(cubic, 0.4)
+        assert rep.constant_C == ell_pi(pj.value, qj.value) + I.eval_r(cubic, 0.4) * ell_k(qj.value)
 
     def test_anchor_rejects_nan_p(self):
         cand = I.IdentityCandidate("nan-p", lambda x: math.nan, lambda x: x, (0.0, 1.0), 0.5)

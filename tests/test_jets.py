@@ -99,9 +99,26 @@ def test_float_sqrt_passthrough():
 
 def test_sqrt_domain_error():
     with pytest.raises(DomainError):
-        sqrt(Jet2.seed(0.0))
-    with pytest.raises(DomainError):
         sqrt(Jet2(-1.0, 1.0, 0.0))
+    with pytest.raises(DomainError):
+        sqrt(Jet2.seed(-1e-300))
+
+
+def test_sqrt_at_exact_zero_has_value_zero_and_nan_derivatives():
+    # the root of 0 is 0, but it has no derivatives there; -0.0 keeps its sign
+    for u in (Jet2.seed(0.0), Jet2(0.0, 0.0, 0.0), Jet2(-0.0, 1.0, 2.0)):
+        s = sqrt(u)
+        assert s.value == 0.0 and math.copysign(1.0, s.value) == math.copysign(1.0, u.value)
+        assert math.isnan(s.d1) and math.isnan(s.d2)
+    arr = sqrt(Jet2.seed(np.array([0.0, -0.0, 4.0, -1.0])))
+    assert arr.value[:3].tolist() == [0.0, -0.0, 2.0] and np.isnan(arr.value[3])
+    assert np.isnan(arr.d1[[0, 1, 3]]).all() and np.isnan(arr.d2[[0, 1, 3]]).all()
+    assert (arr.d1[2], arr.d2[2]) == (0.25, -0.03125)
+
+
+def test_complex_exponent_is_not_a_jet_operation():
+    with pytest.raises(TypeError):
+        Jet2.seed(0.3) ** complex(1.0, 1.0)
 
 
 def test_fractional_power_domain_error():
