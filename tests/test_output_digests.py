@@ -27,15 +27,15 @@ from mahlerlab import cli
 
 #: (command line, digest of [exit code, stdout, stderr] as JSON)
 DIGESTS = [
-    ("verify all --format json", "d143dcbd019371a38a1b785ea845eda4e8454a0e37a3d553f0847f9483306c08"),
-    ("verify all --format csv", "98ee243df4ec7049d138e4cbf39e0b558d739340d143da74e819339286cca351"),
-    ("verify all --k-grid 7:90:12 --format json", "79b672edcbc3bad1b6eac9b2cb01cda1cfb69ada25c1d291e1474fb2e4ca51a6"),
-    ("verify all --k-grid 7:90:12 --format csv", "37cd4c94c01b32254be1ee51dd9db1cf665ddd8378751dc043903f4c83e1706e"),
+    ("verify all --format json", "08dd95be8832fc432c9412b0e5798ff11cf944b0825bb30cea013db91e799703"),
+    ("verify all --format csv", "b68ed6fc03211bb5aba4752076b5cd9c580e9aa7ac717b5669cdc4b72add6f20"),
+    ("verify all --k-grid 7:90:12 --format json", "6f68bf22cd4ed3cc1bb4601245a998d71374bd940ead0915dc6f1f90f9e1c97c"),
+    ("verify all --k-grid 7:90:12 --format csv", "154a23e9468b855ea425ac7b4d264af9d25fa837d888b319e367b48a826df0f6"),
     ("verify thm-main --format json", "120efb04e5f53ec79ada0365fbf268d3b6ed1b91432acdcd52a9555e03fe99d7"),
     ("verify corollary --format json", "24f9d75310446adcb1fd915a54238ecea6ae087a6667c84efe9c9ba429162af8"),
     ("verify ei --format json", "6d8603fcdbbb623c8339aa299fcfcdf6a9885ff771fa2faf843f6f528843f2bd"),
-    ("verify appendix --format json", "061386831ba5229d35f46855d79240b6305e1df1263f28de72648b400acdf691"),
-    ("verify jia --format json", "1edff05ec5508bc2629fdf214a4fe59a3952f2c99b6f0a9927f545dbbbe14019"),
+    ("verify appendix --format json", "fda1d4d9757f884be7946dccae9f19122f03769ed2a034160feed7d8e57876ed"),
+    ("verify jia --format json", "56b56c18b694331196de8c1b25881357a0905afedf7888bdfa69e3c00432f9bd"),
     ("verify lsz --format json", "26a082a6c7b293bac622912f69fcb8be9e9b88935438be89a925cbed0d9dacf2"),
     ("verify eta --format json", "494194a9303c6e84a07c699228a69787e1dc8a9f192368512e25c690344dea7b"),
     ("table --format json", "86de1632948670db0f682028e6fdda9434afc43e3bb573a7f35003eb45e0ef88"),
@@ -110,8 +110,8 @@ DIGESTS = [
     ("sweep h --k-grid 6.7:60:8 --jobs 2", "4e550643c7a532cabc9337233110682fbc5e9ab988bc8f558acc794f7e4100e3"),
     # the candidate files below: the README's cubic, the benchmark's two file
     # candidates at interior anchors, and an exponent in x refused
-    ("verify appendix --candidate-file cubic.json --format json", "6dbd22292a2fc96ea8a12c5f8474985878dc4fbf67482d748be884dc18fe224d"),
-    ("verify appendix --candidate-file pair.json --format csv", "b27bc76408fc5ea06a9e517680e2beca76a110f802645e159ce414fdbf062308"),
+    ("verify appendix --candidate-file cubic.json --format json", "4f967ee0e6b382800e8aef80c2f91af18f54350e72e60b1075568aa69c0abdc7"),
+    ("verify appendix --candidate-file pair.json --format csv", "dd805750bbbde86a76a6ff2236f8a4fbab4432b6f59e8428e779a8ddde8ec551"),
     ("verify appendix --candidate-file xx.json", "7bb373c8814ac106c90a07725b0495ed246ac692054a5057c5341161c8a51e8c"),
 ]
 
@@ -176,7 +176,7 @@ DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 DEMO_DIGESTS = [
     ("elliptic_integrals.py", "5e4e914fcdd7e994f3f7e4281b3320ea928ab75645de58c573c8586d7fcb8daf"),
     ("eta_parametrization.py", "965ab4cfd9b55a3a1b6972cb809f884507caede98ea934cc358abd0770ede9f6"),
-    ("identity_engine.py", "a81687806ae8d9648fd068313d76f738aba260721486d914a08cad0b366eb21e"),
+    ("identity_engine.py", "38c221b56332959282197496b9b00aa8fa6466572e3ca2e99d0a062da814bd1f"),
     ("lvalues_and_table.py", "22723ecc02a09151827ce62027c4127fed8902f3741750b3963695a0341743d5"),
     ("mahler_measures.py", "d95168958f20de1837d0654ad4dd3f93bec360e349f3a3d35b11f3d9cfb4bc13"),
 ]
