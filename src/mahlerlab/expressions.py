@@ -17,8 +17,10 @@ DomainError starting "expression:".  The closure runs on floats and on jets,
 so parsed candidates plug straight into the identity engine.
 
 Candidate files are JSON lists of objects with keys "name", "p", "q", "domain"
-([lo, hi]) and optional "anchor_x0".  The domain only sets the default anchor,
-its midpoint: the verification grid is (1e-3, 0.99) whatever the domain.
+([lo, hi], finite, lo < hi) and optional finite "anchor_x0", by default the
+domain's midpoint.  The verification grid is the domain inset at both ends,
+lo + 1e-3 (hi - lo) to hi - 1e-2 (hi - lo), dense toward hi: (1e-3, 0.99)
+for [0, 1].
 """
 
 from __future__ import annotations
@@ -131,5 +133,11 @@ def load_candidates(path: str) -> list[IdentityCandidate]:
             raise DomainError(
                 f"{where}: domain must be a pair of numbers and anchor_x0 a number"
             ) from exc
-        out.append(IdentityCandidate(name, parse_expression(p), parse_expression(q), (lo, hi), anchor_x0))
+        span = hi - lo
+        if not (math.isfinite(span) and span > 0.0):
+            raise DomainError(f"{where}: domain [{lo}, {hi}] must be finite with lo < hi")
+        if not math.isfinite(anchor_x0):
+            raise DomainError(f"{where}: anchor_x0 must be finite, got {anchor_x0}")
+        out.append(IdentityCandidate(name, parse_expression(p), parse_expression(q), (lo, hi),
+                                     anchor_x0, grid_span=(lo + 1e-3 * span, hi - 1e-2 * span)))
     return out

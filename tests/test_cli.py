@@ -432,6 +432,19 @@ class TestVerify:
         assert rows["pconst e-coeff"]["status"] == "PASS"
         assert rows["pconst ode"]["status"] == rows["pconst identity"]["status"] == "FAIL"
 
+    def test_candidate_is_verified_on_its_own_domain(self, capsys, tmp_path):
+        # q = 1/x leaves [0, 1) below x = 1: on [2, 5] the pair runs, and
+        # fails on its merits rather than at x = 0.001
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps([{"name": "d", "p": "-x", "q": "1/x", "domain": [2, 5]}]))
+        code, out, err = run_main(capsys, "verify", "appendix", "--candidate-file", str(path),
+                                  "--format", "json")
+        rows = {r["input"]: r for r in json.loads(out)["rows"]}
+        assert (code, err) == (1, "")
+        assert rows["d e-coeff"]["status"] == "PASS"
+        assert rows["d ode"]["status"] == rows["d identity"]["status"] == "FAIL"
+        assert rows["d ode"]["residual"] > 0.05 and rows["d identity"]["residual"] > 0.05
+
     @pytest.mark.parametrize(
         "content",
         [
@@ -442,9 +455,15 @@ class TestVerify:
             '[{"name": "a", "p": "-x", "q": "x", "domain": [0, 1], "anchor_x0": "mid"}]',
             '[{"name": "a", "p": 5, "q": "x", "domain": [0, 1]}]',
             '[{"name": "a", "p": "-x", "q": null, "domain": [0, 1]}]',
+            '[{"name": "a", "p": "-x", "q": "x", "domain": [5, 2]}]',
+            '[{"name": "a", "p": "-x", "q": "x", "domain": [1, 1]}]',
+            '[{"name": "a", "p": "-x", "q": "x", "domain": [0, Infinity]}]',
+            '[{"name": "a", "p": "-x", "q": "x", "domain": [NaN, 1]}]',
+            '[{"name": "a", "p": "-x", "q": "x", "domain": [0, 1], "anchor_x0": NaN}]',
         ],
         ids=["missing", "invalid-json", "entry-not-object", "domain-not-pair",
-             "anchor-not-number", "p-not-string", "q-not-string"],
+             "anchor-not-number", "p-not-string", "q-not-string", "domain-reversed",
+             "domain-empty", "domain-infinite", "domain-nan", "anchor-nan"],
     )
     def test_candidate_file_defect_is_one_line_error(self, capsys, tmp_path, content):
         path = tmp_path / "c.json"

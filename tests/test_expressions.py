@@ -1,4 +1,5 @@
 import json
+import math
 import operator
 
 import numpy as np
@@ -224,6 +225,25 @@ class TestCandidateFile:
         rep = I.verify_identity(cand, x0=0.5, grid=[0.1 * i for i in range(1, 10)])
         assert rep.passed
         assert rep.identity_residual_max <= 1e-10
+
+    def test_grid_is_the_domain_inset(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps([{"name": "unit", "p": "-x", "q": "x", "domain": [0, 1]},
+                                    {"name": "d", "p": "-x", "q": "1/x", "domain": [2, 5]}]))
+        unit, d = load_candidates(str(path))
+        assert unit.grid_span == (1e-3, 0.99)
+        assert d.grid_span == (2.0 + 1e-3 * 3.0, 5.0 - 1e-2 * 3.0) and d.anchor_x0 == 3.5
+        assert all(2.0 < x < 4.97 for x in I.default_grid(d))
+
+    @pytest.mark.parametrize("extra,match", [
+        ({"domain": [5, 2]}, "domain"), ({"domain": [0, math.inf]}, "domain"),
+        ({"domain": [math.nan, 1]}, "domain"), ({"anchor_x0": math.nan}, "anchor_x0"),
+    ], ids=["reversed", "infinite", "nan", "nan-anchor"])
+    def test_bad_domain_or_anchor_refused(self, tmp_path, extra, match):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps([{"name": "n", "p": "-x", "q": "x", "domain": [0, 1], **extra}]))
+        with pytest.raises(DomainError, match=f"^candidate file: entry 0: {match}"):
+            load_candidates(str(path))
 
     def test_default_anchor_is_midpoint(self, tmp_path):
         path = tmp_path / "c.json"
