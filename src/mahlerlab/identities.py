@@ -114,12 +114,12 @@ def _coefficients(cand: IdentityCandidate, xs: Sequence[float]):
     "r" or "f", that denominator vanishes or is not finite; "q", q in
     {0, 1}.  A fault of every point, which the array call raises, is named
     by the scalar jets at the first point."""
-    try:
-        pj, qj = _pq_jets(cand, np.array(xs, dtype=float))
-    except SingularPointError:
-        _pq_jets(cand, xs[0])
-        raise
     with np.errstate(all="ignore"):
+        try:
+            pj, qj = _pq_jets(cand, np.array(xs, dtype=float))
+        except SingularPointError:
+            _pq_jets(cand, xs[0])
+            raise
         p, q = pj.value, qj.value
         rnum, rden = _r_num_den(p, pj.d1, q, qj.d1)
         fnum, fden = _f_num_den(p, pj.d1, q, qj.d1)

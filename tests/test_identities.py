@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 # the per-point references take Pi and K from the scalar Carlson loops, which
 # the entry points of `elliptic` equal bit for bit, and r and f from scalar jets
 from scalar_reference import ell_k, ell_pi, f_value, r_value
+from test_expressions import _TREES, _tokens
 
 from mahlerlab import identities as I
 from mahlerlab.errors import DomainError, RegimeError, SingularPointError
@@ -518,3 +521,29 @@ class TestSpecializationBridge:
         x = 4.0 / k
         res = ell_pi(-x, x) - 0.5 * ell_k(x) - k * math.pi / (4.0 * (k + 4.0))
         assert abs(res) <= 1e-11
+
+
+# candidate strings: the expression tests' grammar trees, and pairs that
+# verify, so that some draws get past the regime gate
+_EXPRESSIONS = st.one_of(
+    st.builds(lambda tree: " ".join(_tokens(tree)), _TREES),
+    st.sampled_from(["-x", "x", "x^2", "0.5*x", "-(x^2)/(1+2*x)", "sqrt(x^3*(2+x)/(1+2*x))"]),
+)
+
+
+@given(_EXPRESSIONS, _EXPRESSIONS, st.sampled_from([0.05, 0.37, 0.5, 0.81]))
+@settings(max_examples=250, deadline=None)
+def test_parsed_candidate_verifies_like_the_reference(p, q, x0):
+    try:
+        cand = _parsed("fuzz", p, q, x0)
+    except DomainError:  # an exponent in x
+        return
+    grid = I.default_grid(cand, n=8)
+    try:
+        want = reference_verify(cand, grid=grid)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            I.verify_identity(cand, grid=grid)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    assert _bits(I.verify_identity(cand, grid=grid)) == _bits(want)
