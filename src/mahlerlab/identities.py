@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .elliptic import ell_pi, ell_pi_k_array
-from .errors import DomainError, RegimeError, SingularPointError
+from .errors import RegimeError, SingularPointError
 from .jets import Jet2, sqrt
 from .quadrature import cumulative_integrals
 
@@ -39,12 +39,13 @@ E_COEFF_TOL = 1e-11
 class IdentityCandidate:
     """A (p, q) pair with its verification domain.
 
-    p and q must accept both floats and Jet2 arguments (use `jets.sqrt`).
-    printed_r is the closed-form K-coefficient as printed in the source of the
-    identity; it is used only to pin the constant at anchors where the generic
-    r-formula degenerates to 0/0.  printed_r_alts holds labelled alternative
-    printed coefficients when the source is self-inconsistent.  grid_span is
-    the (lo, hi) of the default verification grid, which is dense at hi.
+    p and q map Jet2 arguments to jets (use `jets.sqrt`), or to a float for
+    a constant.  printed_r is the closed-form K-coefficient as printed in the
+    source of the identity; it is used only to pin the constant at anchors
+    where the generic r-formula degenerates to 0/0.  printed_r_alts holds
+    labelled alternative printed coefficients when the source is
+    self-inconsistent.  grid_span is the (lo, hi) of the default verification
+    grid, which is dense at hi.
     """
 
     name: str
@@ -85,14 +86,15 @@ class IdentityReport:
 def _pq_jets(cand: IdentityCandidate, x) -> tuple[Jet2, Jet2]:
     """p and q as jets at x, a float or an array; an expression without x,
     which gives a plain float, becomes a constant jet of x's shape.  Where
-    they cannot be evaluated (a domain error, division by zero, an overflow,
-    a complex value), SingularPointError names the candidate and x."""
+    they cannot be evaluated, SingularPointError names the candidate and x;
+    array jets raise only for a fault of every point, named at the first."""
     seed = Jet2.seed(x)
     try:
         return tuple(v if isinstance(v, Jet2) else Jet2(float(v) + 0.0 * seed.value)
                      for v in (cand.p(seed), cand.q(seed)))
     except (ArithmeticError, ValueError, TypeError) as exc:
-        raise SingularPointError(f"{cand.name}: p/q undefined at x = {x}: {exc}") from exc
+        at = x[0] if isinstance(x, np.ndarray) else x
+        raise SingularPointError(f"{cand.name}: p/q undefined at x = {at}: {exc}") from exc
 
 
 def _r_num_den(P, dP, Q, dQ):
@@ -108,18 +110,12 @@ def _f_num_den(p, dp, q, dq):
 
 
 def _coefficients(cand: IdentityCandidate, xs: Sequence[float]):
-    """(p jet, q jet, r, f) over xs from one array-jet evaluation, and a
-    mask over xs per refusal, in the order they are checked at a point:
-    "regime", p >= 1, q outside [0, 1) or p not finite (NaN p/q included);
-    "r" or "f", that denominator vanishes or is not finite; "q", q in
-    {0, 1}.  A fault of every point, which the array call raises, is named
-    by the scalar jets at the first point."""
+    """(p jet, q jet, r, f) over xs from one array-jet evaluation, and a mask
+    over xs per refusal, in the order they are checked at a point: "regime"
+    (p >= 1, q outside [0, 1), p not finite), then "r" and "f" (that
+    denominator vanishes or is not finite) and "q" (q in {0, 1})."""
     with np.errstate(all="ignore"):
-        try:
-            pj, qj = _pq_jets(cand, np.array(xs, dtype=float))
-        except SingularPointError:
-            _pq_jets(cand, xs[0])
-            raise
+        pj, qj = _pq_jets(cand, np.array(xs, dtype=float))
         p, q = pj.value, qj.value
         rnum, rden = _r_num_den(p, pj.d1, q, qj.d1)
         fnum, fden = _f_num_den(p, pj.d1, q, qj.d1)
@@ -141,8 +137,7 @@ def _refuse(cand: IdentityCandidate, xs: Sequence[float], fired: dict) -> None:
         return
     i = int(np.argmax(flagged))
     x = xs[i]
-    pj, qj = _pq_jets(cand, x)
-    p, q = pj.value, qj.value
+    p, q = (v.value for v in _pq_jets(cand, x))
     fault = next(c for c, mask in fired.items() if mask[i])
     if fault == "regime":
         if p >= 1.0:
@@ -216,9 +211,8 @@ def verify_identity(
     if x0 is None:
         x0 = cand.anchor_x0
     xs = sorted(grid) if grid is not None else default_grid(cand)
-    # p, q, r and f at every grid point and the anchor, last, from one
-    # array-jet evaluation; the regime gate over them all comes before any
-    # reconstruction work
+    # one array-jet evaluation over the grid and the anchor, last; the regime
+    # gate over all of them comes before any reconstruction work
     at = [*xs, x0]
     pj, qj, r, fx, fired = _coefficients(cand, at)
     _refuse(cand, at, {"regime": fired["regime"]})

@@ -12,8 +12,7 @@ operations as the scalar path, element for element.  Where the scalar path
 raises (division by a zero value, sqrt of a value < 0, a non-integer power
 of a value <= 0, a non-integer power that overflows), the array path puts
 NaN in all three components of that element, and the NaN survives every
-later operation.  The sqrt of an exact zero raises on neither path: its
-value is 0 and its derivatives are NaN.
+later operation.  The sqrt of 0 is 0 with NaN derivatives on both paths.
 """
 
 from __future__ import annotations
@@ -169,9 +168,8 @@ class Jet2:
 
 
 def sqrt(u):
-    """Square root for floats and jets.  A jet needs value >= 0 (array jets
-    get NaN below 0); at an exact zero the value is 0 and both derivatives,
-    which do not exist there, are NaN."""
+    """Square root for floats and jets; a jet needs value >= 0 (array jets
+    get NaN below), and at 0 its derivatives, which do not exist, are NaN."""
     if isinstance(u, Jet2):
         if isinstance(u.value, np.ndarray):
             s = np.sqrt(_nan_where(u.value < 0.0, u.value))
