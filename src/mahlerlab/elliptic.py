@@ -11,9 +11,9 @@ algorithm (Carlson 1995), which converges at AGM rate and is uniformly
 accurate up to the z -> 1 divergence.  R_F, R_C and R_J each have one
 kernel, a lockstep numpy loop over arrays of arguments (`_rf_array`,
 `_rc_array`, `_rj_array`), and Pi/K one core over them (`_pi_k_array`).
-The scalar entry points check their arguments and make a one-element call
-of these kernels; callers with many arguments use `ell_k_array` and
-`ell_pi_k_array`.  R_D, used only by `ell_e`, is a scalar loop.
+R_D is R_J's case p = z.  The scalar entry points check their arguments and
+make a one-element call of these kernels; callers with many arguments use
+`ell_k_array` and `ell_pi_k_array`.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ from .errors import DivergenceError, DomainError
 from .quadrature import _each
 
 _EPS = 2.220446049250313e-16
-#: the window R_F, R_D and R_J take their arguments in as given: above it
-#: their stopping bounds, R_D's A^(3/2) and R_J's delta overflow; below it
-#: R_F's sums (of its largest argument), R_D's z^(3/2) and R_J's D^2 underflow
+#: the window R_F, R_D (R_J at p = z) and R_J take their arguments in as given:
+#: above it their stopping bounds, R_D's A^(3/2) and R_J's delta overflow;
+#: below it R_F's sums (of its largest argument), R_D's z^(3/2) and R_J's D^2 underflow
 _RF_BIG, _RD_BIG, _RJ_BIG = 2.0 ** 996, 2.0 ** 664, 2.0 ** 332
-_RF_TINY = _RD_TINY = _RJ_TINY = 2.0 ** -332
+_RF_TINY = _RJ_TINY = 2.0 ** -332
 #: the smallest normal double: a duplication whose scaled arguments, or R_J's
 #: D^2, fall below it has lost bits
 _NORMAL = 2.0 ** -1022
@@ -53,9 +53,9 @@ def _check_nonneg(kind: str, *args: float) -> None:
         raise DivergenceError(f"{kind}: diverges with two or more zero arguments")
 
 
-def _scale_exponent(hi, big: float):
+def _scale_exponent(hi, big):
     """The e for which 4**-e hi lies in [big/4, big), for floats or arrays."""
-    return (np.frexp(hi)[1] - math.frexp(big)[1] + 2) // 2
+    return (np.frexp(hi)[1] - np.frexp(big)[1] + 2) // 2
 
 
 def _checked(kind: str, args: tuple[float, ...], value: float, e: int = 0) -> float:
@@ -149,33 +149,8 @@ def carlson_rd(x: float, y: float, z: float) -> float:
     if z <= 0.0:
         raise DomainError(f"carlson_rd: requires z > 0, got {z}")
     _check_nonneg("carlson_rd", x, y, z)
-    args, e = (x, y, z), 0
-    if max(args) > _RD_BIG or min(v for v in args if v) < _RD_TINY:
-        e = int(_scale_exponent(max(args), _RD_BIG))
-        x, y, z = (math.ldexp(v, -2 * e) for v in args)
-        if e > 0 and math.ldexp(min(v for v in args if v), -2 * e) < _NORMAL:
-            return _checked("carlson_rd", args, math.nan)
-    A = (x + y + 3.0 * z) / 5.0
-    Q = (0.25 * _EPS) ** (-0.125) * max(abs(A - x), abs(A - y), abs(A - z))
-    f = 1.0
-    acc = 0.0
-    A0 = A
-    x0, y0 = x, y
-    while Q >= f * abs(A):
-        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
-        lam = sx * sy + sx * sz + sy * sz
-        acc += 1.0 / (f * sz * (z + lam))
-        x = 0.25 * (x + lam)
-        y = 0.25 * (y + lam)
-        z = 0.25 * (z + lam)
-        A = 0.25 * (A + lam)
-        f *= 4.0
-    X = (A0 - x0) / (f * A)
-    Y = (A0 - y0) / (f * A)
-    Z = -(X + Y) / 3.0
-    # R_D series is the R_J series with P = Z
-    s = _rd_rj_series(X, Y, Z, Z)
-    return _checked("carlson_rd", args, 3.0 * acc + s / (f * A * math.sqrt(A)), -3 * e)
+    value, e = _at(_rj_array, x, y, z, z)
+    return _checked("carlson_rd", (x, y, z), value, -3 * e)
 
 
 def carlson_rj(x: float, y: float, z: float, p: float) -> float:
@@ -266,17 +241,20 @@ def _rj_array(x, y, z, p) -> tuple[np.ndarray, np.ndarray]:
     v is R_J at the arguments times 4**-e, where e = 0 unless one of them
     lies outside [_RJ_TINY, _RJ_BIG] (a zero x, y or z aside), and v is
     3 R_F(x, y, z)/p with e = 0 where p exceeds _RJ_SPREAD times x, y and z.
+    Where p = z (R_D), _RD_BIG takes _RJ_BIG's place and each step's E is 0.
     Callers that scale the value further keep the 2**(-3e) to the end, since
     R_J itself can underflow.  NaN where the stopping bound is not finite,
-    or where a nonzero argument is scaled, or a step's D^2 falls, below the
-    normal doubles (nonzero arguments more than ~1e300 apart).
+    or where a nonzero argument is scaled, or a step's D^2 (p != z) falls,
+    below the normal doubles (nonzero arguments more than ~1e300 apart).
     """
     given = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z, p)))
     x, y, z, p = given
+    rd = p == z
+    big = np.where(rd, _RD_BIG, _RJ_BIG)
     far = p > _RJ_SPREAD * np.fmax(np.fmax(x, y), z)
     hi = np.fmax(np.fmax(x, y), np.fmax(z, p))
     lo = _smallest_nonzero(x, y, z, p)
-    e = np.where(((hi > _RJ_BIG) | (lo < _RJ_TINY)) & ~far, _scale_exponent(hi, _RJ_BIG), 0)
+    e = np.where(((hi > big) | (lo < _RJ_TINY)) & ~far, _scale_exponent(hi, big), 0)
     lost = (e > 0) & (np.ldexp(lo, -2 * e) < _NORMAL)
     # the far elements take 3 R_F/p; 1.0 keeps them out of the duplication
     x, y, z, p = (np.where(far, 1.0, np.ldexp(a, -2 * e)) for a in given)
@@ -297,8 +275,8 @@ def _rj_array(x, y, z, p) -> tuple[np.ndarray, np.ndarray]:
         sx, sy, sz, sp = np.sqrt(V[:4])
         D = (sp + sx) * (sp + sy) * (sp + sz)
         DD = D * D
-        live &= (DD >= _NORMAL) | ~active
-        E = delta / DD
+        live &= (DD >= _NORMAL) | ~active | rd
+        E = np.where(rd, 0.0, delta / DD)
         # R_C(1, 1+E) rewritten to dodge cancellation near E = -1
         y_rc = np.where(
             (-1.5 < E) & (E < -0.5), 2.0 * sp * (V[3] + sx * (sy + sz) + sy * sz) / D, 1.0 + E

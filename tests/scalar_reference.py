@@ -8,7 +8,9 @@ one-call-per-node implementations that `quadrature.tanh_sinh_panels` and
 `carlson_rj` (with `_rj_scaled` and `_rj`), `_pi_k` and the scalar entry
 points over them (`ell_k`, `ell_pi`, `ell_pi_k`, `ell_k_imag`,
 `ell_pi_imag`) are the duplication loops, one call per argument tuple, that
-the lockstep kernels of `elliptic` replaced.  `r_value` and `f_value` are
+the lockstep kernels of `elliptic` replaced.  `carlson_rd` is R_D's own
+duplication loop, which R_J's case p = z replaced; it agrees with that
+case to a few ulps, not bit for bit.  `r_value` and `f_value` are
 the per-point steps of the identity coefficients r and f, from scalar jets,
 that the array pass of `identities` replaced.  The tests assert that the
 lockstep kernels and the scalar entry points over them give their values
@@ -33,6 +35,7 @@ from mahlerlab import mahler as M
 from mahlerlab.elliptic import (
     _EPS,
     _NORMAL,
+    _RD_BIG,
     _RF_BIG,
     _RF_TINY,
     _RJ_BIG,
@@ -263,6 +266,41 @@ def carlson_rc(x: float, y: float) -> float:
     return math.log(q) / s
 
 
+def carlson_rd(x: float, y: float, z: float) -> float:
+    """Carlson R_D(x, y, z) = R_J(x, y, z, z) by its own duplication, with
+    the arguments scaled into [2^-332, 2^664]."""
+    if z <= 0.0:
+        raise DomainError(f"carlson_rd: requires z > 0, got {z}")
+    _check_nonneg("carlson_rd", x, y, z)
+    args, e = (x, y, z), 0
+    if max(args) > _RD_BIG or min(v for v in args if v) < _RJ_TINY:
+        e = int(_scale_exponent(max(args), _RD_BIG))
+        x, y, z = (math.ldexp(v, -2 * e) for v in args)
+        if e > 0 and math.ldexp(min(v for v in args if v), -2 * e) < _NORMAL:
+            return _checked("carlson_rd", args, math.nan)
+    A = (x + y + 3.0 * z) / 5.0
+    Q = (0.25 * _EPS) ** (-0.125) * max(abs(A - x), abs(A - y), abs(A - z))
+    f = 1.0
+    acc = 0.0
+    A0 = A
+    x0, y0 = x, y
+    while Q >= f * abs(A):
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * sy + sx * sz + sy * sz
+        acc += 1.0 / (f * sz * (z + lam))
+        x = 0.25 * (x + lam)
+        y = 0.25 * (y + lam)
+        z = 0.25 * (z + lam)
+        A = 0.25 * (A + lam)
+        f *= 4.0
+    X = (A0 - x0) / (f * A)
+    Y = (A0 - y0) / (f * A)
+    Z = -(X + Y) / 3.0
+    # R_D series is the R_J series with P = Z
+    s = _rd_rj_series(X, Y, Z, Z)
+    return _checked("carlson_rd", args, 3.0 * acc + s / (f * A * math.sqrt(A)), -3 * e)
+
+
 def carlson_rj(x: float, y: float, z: float, p: float) -> float:
     """Carlson R_J(x, y, z, p) = (3/2) int_0^inf dt / ((t+p) sqrt((t+x)(t+y)(t+z)))."""
     _check_nonneg("carlson_rj", x, y, z)
@@ -279,14 +317,15 @@ def _rj_scaled(x: float, y: float, z: float, p: float) -> tuple[float, int]:
     """(v, e) with R_J(x, y, z, p) = 2**(-3e) v: v is R_J at the arguments
     times 4**-e, where e = 0 unless one of them lies outside [_RJ_TINY,
     _RJ_BIG] (a zero x, y or z aside), and v is 3 R_F(x, y, z)/p with e = 0
-    where p exceeds _RJ_SPREAD times x, y and z.  DomainError where a
-    nonzero argument is scaled below the normal doubles."""
-    args = (x, y, z, p)
+    where p exceeds _RJ_SPREAD times x, y and z.  Where p = z, _RD_BIG takes
+    _RJ_BIG's place.  DomainError where a nonzero argument is scaled below
+    the normal doubles."""
+    args, big = (x, y, z, p), _RD_BIG if p == z else _RJ_BIG
     if p > _RJ_SPREAD * max(x, y, z):
         return 3.0 * carlson_rf(x, y, z) / p, 0
-    if max(args) <= _RJ_BIG and min(v for v in args if v) >= _RJ_TINY:
+    if max(args) <= big and min(v for v in args if v) >= _RJ_TINY:
         return _rj(*args), 0
-    e = int(_scale_exponent(max(args), _RJ_BIG))
+    e = int(_scale_exponent(max(args), big))
     if e > 0 and math.ldexp(min(v for v in args if v), -2 * e) < _NORMAL:
         raise DomainError("spread")
     return _rj(*(math.ldexp(v, -2 * e) for v in args)), e
@@ -294,7 +333,8 @@ def _rj_scaled(x: float, y: float, z: float, p: float) -> tuple[float, int]:
 
 def _rj(x: float, y: float, z: float, p: float) -> float:
     """R_J by duplication; DomainError where a step's D^2 falls below the
-    normal doubles."""
+    normal doubles, except where p = z: there delta and each step's E are 0."""
+    rd = p == z
     A = (x + y + z + 2.0 * p) / 5.0
     A0 = A
     x0, y0, z0 = x, y, z
@@ -309,9 +349,9 @@ def _rj(x: float, y: float, z: float, p: float) -> float:
     while Q >= f * abs(A):
         sx, sy, sz, sp = math.sqrt(x), math.sqrt(y), math.sqrt(z), math.sqrt(p)
         D = (sp + sx) * (sp + sy) * (sp + sz)
-        if D * D < _NORMAL:
+        if not rd and D * D < _NORMAL:
             raise DomainError("spread")
-        E = delta / (D * D)
+        E = 0.0 if rd else delta / (D * D)
         if -1.5 < E < -0.5:
             # rewrite R_C(1, 1+E) to dodge cancellation near E = -1
             acc += (1.0 / (f * D)) * carlson_rc(

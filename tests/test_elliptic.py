@@ -384,7 +384,10 @@ _any_mag = st.one_of(st.floats(-307.0, 307.0).map(lambda e: 10.0 ** e),
 #: the entry points over the lockstep kernels, with draws across their domains
 _ENTRY_DRAWS = {
     "carlson_rf": _with_a_zero(_any_mag),
-    "carlson_rj": st.tuples(_with_a_zero(_any_mag), _any_mag).map(lambda t: (*t[0], t[1])),
+    "carlson_rj": st.one_of(
+        st.tuples(_with_a_zero(_any_mag), _any_mag).map(lambda t: (*t[0], t[1])),
+        st.tuples(_with_a_zero(_any_mag, 2), _any_mag).map(lambda t: (*t[0], t[1], t[1])),
+    ),
     "carlson_rc": st.tuples(st.one_of(st.just(0.0), _any_mag), _any_mag),
     "ell_k": _z.map(lambda z: (z,)),
     "ell_pi": st.tuples(_n, _z),
@@ -536,6 +539,8 @@ def test_rj_against_mpmath(args):
         (carlson_rc, (1e308, 1e-308), 1e-14),
         # delta's first two factors underflowed: 27% off
         (carlson_rj, (0.0, 5.3311068685123795e85, 6.314179330859353e263, 2.0098344086380988e-107), 1e-13),
+        # p = z: refused on R_J's D^2 underflow, which R_D's E = 0 does not reach
+        (carlson_rj, (0.0, 1e32, 5e-324, 5e-324), 1e-13),
     ],
 )
 def test_carlson_pinned_cases_against_mpmath(fn, args, bound):
@@ -718,7 +723,9 @@ _wide_rj = st.one_of(st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e), st.just(
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(_with_a_zero(_wide_rj), _wide_rj).map(lambda t: (*t[0], t[1])),
+@given(st.lists(st.one_of(st.tuples(_with_a_zero(_wide_rj), _wide_rj).map(lambda t: (*t[0], t[1])),
+                          st.tuples(_with_a_zero(_wide_rj, 2), _wide_rj).map(
+                              lambda t: (*t[0], t[1], t[1]))),
                 min_size=1, max_size=8))
 def test_rj_array_scaling_equals_scalar_bitwise(quads):
     with np.errstate(all="ignore"):  # values beyond the doubles come back inf or NaN
@@ -732,6 +739,43 @@ def test_rj_array_scaling_equals_scalar_bitwise(quads):
             assert not math.isfinite(value)
             continue
         assert _bits([value]) == _bits([want])
+
+
+# ----------------------------------------------------------------------------
+# R_D is R_J's case p = z
+
+
+def _rd_draws() -> list[tuple[float, float, float]]:
+    """Seeded R_D arguments: uniform in [0, 10)^3, and log-uniform over
+    [1e-300, 1e300]^3 and [1e-307, 1e307]^3; every fourth has x = 0."""
+    rng, wide = np.random.default_rng(1), np.random.default_rng(2)
+    args = np.concatenate([rng.uniform(0.0, 10.0, (300, 3)), 10.0 ** rng.uniform(-300.0, 300.0, (300, 3)),
+                           10.0 ** wide.uniform(-307.0, 307.0, (1000, 3))])
+    args[::4, 0] = 0.0
+    return [tuple(a) for a in args.tolist()]
+
+
+def test_rd_refuses_like_its_own_loop_and_agrees_within_a_few_ulps():
+    # the reference is the duplication loop R_D had before it became R_J's
+    # case p = z: the same errors, and values within 5e-15 of it
+    refused = 0
+    for args in _rd_draws():
+        got, want = _outcome(carlson_rd, args), _outcome(R.carlson_rd, args)
+        if isinstance(got, tuple) or isinstance(want, tuple):
+            assert got == want, args
+            refused += 1
+            continue
+        g, w = float.fromhex(got[0]), float.fromhex(want[0])
+        assert abs(g - w) <= 5e-15 * abs(w), args
+    assert 0 < refused < len(_rd_draws())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(_with_a_zero(_any_mag, 2), _any_mag).map(lambda t: (*t[0], t[1])))
+def test_rd_is_rj_at_p_equal_z_bitwise(args):
+    rd, rj = _outcome(carlson_rd, args), _outcome(carlson_rj, (*args, args[2]))
+    # an error names its own entry point and arguments
+    assert (rd[0] if isinstance(rd, tuple) else rd) == (rj[0] if isinstance(rj, tuple) else rj)
 
 
 # ----------------------------------------------------------------------------
