@@ -174,7 +174,7 @@ DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 
 #: (demo file, digest of its stdout)
 DEMO_DIGESTS = [
-    ("elliptic_integrals.py", "5e4e914fcdd7e994f3f7e4281b3320ea928ab75645de58c573c8586d7fcb8daf"),
+    ("elliptic_integrals.py", "eb2eee495b4ceb31ed485ec29c36af88db08c7e5a88c3026852a8b601bde26c4"),
     ("eta_parametrization.py", "965ab4cfd9b55a3a1b6972cb809f884507caede98ea934cc358abd0770ede9f6"),
     ("identity_engine.py", "38c221b56332959282197496b9b00aa8fa6466572e3ca2e99d0a062da814bd1f"),
     ("lvalues_and_table.py", "22723ecc02a09151827ce62027c4127fed8902f3741750b3963695a0341743d5"),
