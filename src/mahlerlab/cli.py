@@ -100,8 +100,18 @@ class Report:
     elapsed: float = 0.0  # text-mode only; never serialized
 
     def add(self, input_, expected, computed, residual, tol) -> None:
-        status = "PASS" if residual <= tol else "FAIL"
-        self.rows.append(Row(input_, expected, computed, residual, status))
+        """A row judged by its residual: PASS where it is at most tol."""
+        self.check(input_, expected, computed, residual, residual <= tol)
+
+    def check(self, input_, expected, computed, residual, ok: bool) -> None:
+        """A row judged by ok."""
+        self.rows.append(Row(input_, expected, computed, residual, "PASS" if ok else "FAIL"))
+
+    def note(self, input_, computed, residual=0.0) -> None:
+        """A value no second route checks.  Its status reads PASS only
+        because the benchmark's gate (`perfbench/gate.py`) requires PASS
+        rows; ROADMAP items 1 and 2 give such rows a status of their own."""
+        self.rows.append(Row(input_, "", computed, residual, "PASS"))
 
     def skip(self, input_, note) -> None:
         self.rows.append(Row(input_, note, "", 0.0, "SKIPPED"))
@@ -258,14 +268,12 @@ def suite_appendix(ks: Sequence[float], tol: float, args, run) -> Report:
         if cand.printed_r_alts:
             verdicts = dict(r.printed_residual_max)
             winners = [lbl for lbl, res in verdicts.items() if res <= tol]
-            rep.rows.append(
-                Row(
-                    f"{cand.name} coefficient verdict",
-                    "exactly one printed variant valid",
-                    f"valid={winners} residuals={{{', '.join(f'{k}: {v:.3e}' for k, v in verdicts.items())}}}",
-                    0.0 if len(winners) == 1 else 1.0,
-                    "PASS" if len(winners) == 1 else "FAIL",
-                )
+            rep.add(
+                f"{cand.name} coefficient verdict",
+                "exactly one printed variant valid",
+                f"valid={winners} residuals={{{', '.join(f'{k}: {v:.3e}' for k, v in verdicts.items())}}}",
+                0.0 if len(winners) == 1 else 1.0,
+                0.0,
             )
     return rep
 
@@ -298,8 +306,7 @@ def suite_lsz(ks: Sequence[float], tol: float, args, run) -> Report:
         principal = abs(hm.m_minus - 3.0 * hm.m_plus - p1k.m_total)
         swapped = abs(hm.m_plus - 3.0 * hm.m_minus - p1k.m_total)
         winner = "principal" if principal < swapped else "swapped"
-        rep.rows.append(Row(f"k={k:.6g} branch labeling", "principal", winner, principal,
-                            "PASS" if winner == "principal" else "FAIL"))
+        rep.check(f"k={k:.6g} branch labeling", "principal", winner, principal, winner == "principal")
     return rep
 
 
@@ -416,15 +423,7 @@ def cmd_table(args) -> Report:
         rl = float(r) * data.Lprime0
         rel = abs(m - rl) / abs(rl)
         digits = math.floor(-math.log10(rel)) if rel > 0 else 16
-        rep.rows.append(
-            Row(
-                f"k={label} N={N} r={r}",
-                m,
-                rl,
-                rel,
-                "PASS" if rel <= 1e-6 else "FAIL",
-            )
-        )
+        rep.add(f"k={label} N={N} r={r}", m, rl, rel, 1e-6)
         rep.metadata[f"digits[{label}]"] = digits
         if k2 in _COROLLARY_ROWS:
             # the 4*sqrt(2) row fails by 2*m_minus because that k is below
@@ -481,7 +480,7 @@ def cmd_sweep(args) -> Report:
         results = [_sweep_chunk(c) for c in chunks]
     rep = Report(f"sweep {args.quantity}", metadata={"tol": args.tol})
     for k, v, est in (row for chunk in results for row in chunk):
-        rep.rows.append(Row(f"k={k!r}", "", v, est, "PASS"))
+        rep.note(f"k={k!r}", v, est)
     return rep
 
 
@@ -512,7 +511,7 @@ def cmd_ell(args) -> Report:
         raise UsageError(f"ell --kind {args.kind}: does not use {' '.join(unused)}")
     values = {f: _require(getattr(args, f), f"--{f}") for f in flags}
     rep = Report(f"ell {args.kind}", metadata={})
-    rep.rows.append(Row(label.format(**values), "", integral(*values.values()), 0.0, "PASS"))
+    rep.note(label.format(**values), integral(*values.values()))
     return rep
 
 
@@ -522,10 +521,10 @@ def cmd_mahler(args) -> Report:
     rep.metadata["regime"] = regime(k)
     [p1k], [hm] = half_measures_lockstep([factor_p1k(k), factor_member(k)], [(tol,), (tol,)])
     m = p1k.m_total
-    rep.rows.append(Row("m(P_1k)", "", m, tol, "PASS"))
-    rep.rows.append(Row("m_plus", "", hm.m_plus, tol, "PASS"))
-    rep.rows.append(Row("m_minus", "", hm.m_minus, tol, "PASS"))
-    rep.rows.append(Row("m_total", "", hm.m_total, tol, "PASS"))
+    rep.note("m(P_1k)", m, tol)
+    rep.note("m_plus", hm.m_plus, tol)
+    rep.note("m_minus", hm.m_minus, tol)
+    rep.note("m_total", hm.m_total, tol)
     if args.with_2d:
         v = m_generic_2d(poly_p1k(k), 1e-6)
         rep.add("2d oracle vs m(P_1k)", m, v, abs(v - m), 1e-6)
@@ -539,7 +538,7 @@ def cmd_lvalue(args) -> Report:
     rec = summary_record(curve, data)
     spread = data.spread()
     for key in ("k", "N", "eps", "L2", "Lprime0", "n_used", "r_k"):
-        rep.rows.append(Row(key, "", rec[key], 0.0, "PASS"))
+        rep.note(key, rec[key])
     rep.add("split-point spread", 0.0, spread, spread, SPREAD_ACCEPT)
     rep.metadata["ap_routes"] = rec["ap_routes"]
     if args.dump_an:

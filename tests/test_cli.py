@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import csv
 import functools
@@ -809,6 +810,17 @@ class TestDeterminism:
         _, out1, _ = run_main(capsys, "verify", "lsz", "--format", "csv")
         _, out2, _ = run_main(capsys, "verify", "lsz", "--format", "csv")
         assert out1 == out2
+
+
+def test_rows_are_made_only_by_report():
+    # one way to print a row: every command goes through Report.add, check,
+    # note or skip, never through a Row of its own
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    report = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Report")
+    inside = {id(n) for n in ast.walk(report)}
+    assert [n.lineno for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "Row"
+            and id(n) not in inside] == []
 
 
 def _child_env() -> dict:
