@@ -10,9 +10,11 @@ The three components may also be numpy arrays, one element per point, so a
 closure evaluates a whole node set in one call with the same floating-point
 operations as the scalar path, element for element.  Where the scalar path
 raises (division by a zero value, sqrt of a value < 0, a non-integer power
-of a value <= 0, a non-integer power that overflows), the array path puts
-NaN in all three components of that element, and the NaN survives every
-later operation.  The sqrt of 0 is 0 with NaN derivatives on both paths.
+of a value < 0 or a negative one of 0, a non-integer power that overflows),
+the array path puts NaN in all three components of that element, and the
+NaN survives every later operation.  The sqrt of 0, and a non-integer power
+n > 0 of 0, are 0, with NaN in each derivative whose power of 0 is
+undefined, on both paths.
 """
 
 from __future__ import annotations
@@ -30,12 +32,10 @@ def _nan_where(bad: np.ndarray, v):
 
 
 def _pow_or_nan(v: float, e: float) -> float:
-    """Python's v ** e for v > 0, NaN where it is undefined or overflows."""
-    if not v > 0.0:
-        return math.nan
+    """Python's v ** e for v >= 0, NaN where it is undefined or overflows."""
     try:
-        return v ** e
-    except OverflowError:
+        return v ** e if v >= 0.0 else math.nan
+    except (OverflowError, ZeroDivisionError):
         return math.nan
 
 
@@ -147,15 +147,17 @@ class Jet2:
             vals = self.value.tolist()
             p0, p1, p2 = (np.array([_pow_or_nan(v, e) for v in vals])
                           for e in (n, n - 1.0, n - 2.0))
-            bad = np.isnan(p0) | np.isnan(p1) | np.isnan(p2)
+            # at 0 only p0 must be defined: p1 and p2 are the derivatives'
+            bad = np.isnan(p0) | ((self.value != 0.0) & (np.isnan(p1) | np.isnan(p2)))
             p0, p1, p2 = (_nan_where(bad, p) for p in (p0, p1, p2))
-        elif self.value <= 0.0:
+        elif self.value < 0.0 or (self.value == 0.0 and n < 0.0):
             raise DomainError(
                 f"Jet2: non-integer power of non-positive value {self.value}"
             )
         else:
             try:
-                p0, p1, p2 = (self.value ** e for e in (n, n - 1.0, n - 2.0))
+                p0, p1, p2 = (self.value ** e if self.value or e > 0.0 else math.nan
+                              for e in (n, n - 1.0, n - 2.0))
             except OverflowError:
                 raise SingularPointError(
                     f"Jet2: power {n} overflows at value {self.value}"

@@ -352,6 +352,17 @@ class TestVerifyIdentity:
         assert _bits(I.verify_identity(cand, x0=grid[12], grid=grid)) == _bits(
             reference_verify(cand, x0=grid[12], grid=grid))
 
+    @pytest.mark.parametrize("q", ["sqrt(x^3*(2+x)/(1+2*x))", "(x^3*(2+x)/(1+2*x))^(1/2)"],
+                             ids=["sqrt", "power"])
+    def test_root_of_zero_at_the_anchor_verifies(self, cands, q):
+        # cubic's q is 0 at its anchor x = 0, where the printed r stands in
+        # for r's 0/0: a root of 0 taken by sqrt or as a power 1/2 is 0
+        cand = dataclasses.replace(cands["cubic"], p=parse_expression("-(x^2)/(1+2*x)"),
+                                   q=parse_expression(q))
+        rep = I.verify_identity(cand)
+        assert rep.passed and _bits(rep) == _bits(reference_verify(cand))
+        assert rep.constant_C == pytest.approx(I.verify_identity(cands["cubic"]).constant_C, rel=1e-15)
+
     @pytest.mark.parametrize(
         "p,q,x0",
         [

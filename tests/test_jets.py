@@ -116,6 +116,31 @@ def test_sqrt_at_exact_zero_has_value_zero_and_nan_derivatives():
     assert (arr.d1[2], arr.d2[2]) == (0.25, -0.03125)
 
 
+@pytest.mark.parametrize("n", [0.5, 1.5, 2.5])
+def test_fractional_power_of_exact_zero_is_zero(n):
+    # 0^n = 0; a derivative is NaN where its power 0^(n - 1) or 0^(n - 2)
+    # is undefined, on the scalar and the array path alike
+    want = (0.0, math.nan if n < 1.0 else 0.0, math.nan if n < 2.0 else 0.0)
+    arr = Jet2.seed(np.array([0.0, 4.0])) ** n
+    for jet in (Jet2.seed(0.0) ** n, Jet2(arr.value[0], arr.d1[0], arr.d2[0])):
+        assert all(_same(float(v), w) for v, w in zip((jet.value, jet.d1, jet.d2), want))
+    assert arr.value[1] == 4.0 ** n
+
+
+def test_power_one_half_of_zero_is_its_sqrt():
+    u = Jet2(0.0, 2.0, 3.0)
+    for a, b in ((u ** 0.5, sqrt(u)), (Jet2.seed(np.zeros(1)) ** 0.5, sqrt(Jet2.seed(np.zeros(1))))):
+        assert all(_same(float(np.ravel(v)[0]), float(np.ravel(w)[0]))
+                   for v, w in zip((a.value, a.d1, a.d2), (b.value, b.d1, b.d2)))
+
+
+def test_negative_fractional_power_of_zero_is_a_domain_error():
+    with pytest.raises(DomainError, match="non-integer power of non-positive value 0.0"):
+        Jet2.seed(0.0) ** -0.5
+    jet = Jet2.seed(np.array([0.0])) ** -0.5
+    assert np.isnan(jet.value[0]) and np.isnan(jet.d1[0]) and np.isnan(jet.d2[0])
+
+
 def test_complex_exponent_is_not_a_jet_operation():
     with pytest.raises(TypeError):
         Jet2.seed(0.3) ** complex(1.0, 1.0)
