@@ -42,8 +42,19 @@ _TOKEN = re.compile(  # ASCII names: Python reads identifiers NFKC-folded
 
 #: levels of nested nodes; evaluating a tree nests its closures as deep
 _MAX_DEPTH = 200
+
+
+def _real_pow(base, exponent):
+    """base ** exponent; a negative constant base with a non-integer exponent
+    makes a complex number, which is refused here."""
+    out = base ** exponent
+    if isinstance(out, complex):
+        raise DomainError(f"expression: ({base!r}) ** {exponent!r} is not real")
+    return out
+
+
 _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
-           ast.Div: operator.truediv, ast.Pow: operator.pow}
+           ast.Div: operator.truediv, ast.Pow: _real_pow}
 
 
 def _tokenize(text: str) -> list[str]:

@@ -404,6 +404,17 @@ class TestVerify:
         assert err.startswith("mahlerlab: error: bad: p/q undefined at x = 0.001000000000000334: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("p,q", [("(0-8)^(1/3)", "x"), ("x+(0-8)^(1/3)", "x"),
+                                     ("-x", "x^((0-8)^(1/3))")],
+                             ids=["complex-constant", "complex-term", "complex-exponent"])
+    def test_candidate_complex_constant_is_named(self, capsys, tmp_path, p, q):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps([{"name": "bad", "p": p, "q": q, "domain": [0.0, 1.0]}]))
+        code, out, err = run_main(capsys, "verify", "appendix", "--candidate-file", str(path))
+        assert (code, out) == (1, "")
+        assert err == ("mahlerlab: error: bad: p/q undefined at x = 0.001000000000000334: "
+                       "expression: (-8.0) ** 0.3333333333333333 is not real\n")
+
     def test_candidate_q_zero_on_grid_is_one_line_error(self, capsys, tmp_path):
         # q vanishes at the first point of the default grid, where the ODE
         # residual divides by q: a bare ZeroDivisionError escaped from there

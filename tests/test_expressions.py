@@ -39,6 +39,14 @@ class TestParser:
         jet = parse_expression("x^(1/2)")(Jet2.seed(4.0))
         assert (jet.value, jet.d1) == (2.0, 0.25)
 
+    def test_complex_power_refused_where_it_is_made(self):
+        # a negative constant to a non-integer power; an integer one stays real
+        assert parse_expression("x*(0-8)^2")(0.5) == 32.0
+        for text in ("(0-8)^(1/3)", "x+(0-8)^(1/3)", "x^((0-8)^(1/3))"):
+            with pytest.raises(DomainError) as err:
+                parse_expression(text)(Jet2.seed(0.5))
+            assert str(err.value) == "expression: (-8.0) ** 0.3333333333333333 is not real"
+
     @pytest.mark.parametrize("text", ["x^x", "2^x", "x**(1+x)", "x^-x", "(x+1)^sqrt(x)"])
     def test_exponent_in_x_rejected(self, text):
         with pytest.raises(DomainError, match="exponent"):
@@ -103,11 +111,21 @@ class TestParser:
                 parse_expression(text)
 
 
+def _real_pow(base, exponent):
+    """base ** exponent; a DomainError where that is complex, since the
+    grammar's values are real."""
+    out = base ** exponent
+    if isinstance(out, complex):
+        raise DomainError(f"{base} ** {exponent} is complex")
+    return out
+
+
 # The grammar's trees, rendered with the fewest parentheses their precedence
 # needs (atom 5, power 4, unary 3, term 2, expr 1) plus explicit ones, and
 # random whitespace around every token.
+
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
-        "^": operator.pow, "**": operator.pow}
+        "^": _real_pow, "**": _real_pow}
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4, "**": 4}
 # leading zeros, trailing dots, and one number past the largest double
 _NUMBERS = st.one_of(st.from_regex(r"\A(?:[0-9]{1,3}\.[0-9]{0,3}|\.[0-9]{1,3}|[0-9]{1,3})\Z"),

@@ -489,6 +489,10 @@ class TestVariantResolution:
         assert fn(0.5) == pytest.approx(cands["jia"].printed_r(0.5), rel=1e-15)
 
 
+#: the refusal of a complex constant, where the power that makes it is taken
+_COMPLEX = "expression: (-8.0) ** 0.3333333333333333 is not real"
+
+
 class TestUndefinedFloatValues:
     @pytest.mark.parametrize(
         "p,q,detail",
@@ -496,8 +500,12 @@ class TestUndefinedFloatValues:
             ("-x", "sqrt(x-0.5)", "Jet2 sqrt: requires value >= 0, got -0.49899999999999967"),
             ("-x", "(x-0.5)^(1/2)", "Jet2: non-integer power of non-positive value -0.49899999999999967"),
             ("-1/(x-0.001000000000000334)", "x", "Jet2: division by a jet with zero value"),
+            ("(0-8)^(1/3)", "x", _COMPLEX),
+            ("x+(0-8)^(1/3)", "x", _COMPLEX),
+            ("-x", "x^((0-8)^(1/3))", _COMPLEX),
         ],
-        ids=["sqrt-of-negative", "complex-power", "division-by-zero"],
+        ids=["sqrt-of-negative", "complex-power", "division-by-zero", "complex-constant",
+             "complex-term", "complex-exponent"],
     )
     def test_regime_gate_names_candidate_and_point(self, p, q, detail):
         cand = _parsed("bad", p, q, 0.7)
