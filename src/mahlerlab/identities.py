@@ -87,14 +87,17 @@ def _pq_jets(cand: IdentityCandidate, x) -> tuple[Jet2, Jet2]:
     """p and q as jets at x, a float or an array; an expression without x,
     which gives a plain float, becomes a constant jet of x's shape.  Where
     they cannot be evaluated, SingularPointError names the candidate and x;
-    array jets raise only for a fault of every point, named at the first."""
+    array jets raise only for a fault of every point, which the scalar jets
+    at the first point name."""
     seed = Jet2.seed(x)
     try:
         return tuple(v if isinstance(v, Jet2) else Jet2(float(v) + 0.0 * seed.value)
                      for v in (cand.p(seed), cand.q(seed)))
     except (ArithmeticError, ValueError, TypeError) as exc:
-        at = x[0] if isinstance(x, np.ndarray) else x
-        raise SingularPointError(f"{cand.name}: p/q undefined at x = {at}: {exc}") from exc
+        if isinstance(x, np.ndarray):
+            _pq_jets(cand, x[0])
+            x = x[0]
+        raise SingularPointError(f"{cand.name}: p/q undefined at x = {x}: {exc}") from exc
 
 
 def _r_num_den(P, dP, Q, dQ):
