@@ -423,8 +423,7 @@ def _gk21_panels(g: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gk21(
-    f: Callable, a: np.ndarray, b: np.ndarray, breaks: np.ndarray,
-    order: int, epsabs: float, limit: int = _LIMIT,
+    f: Callable, a: np.ndarray, b: np.ndarray, breaks: np.ndarray, order: int, epsabs: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Adaptive Gauss-Kronrod-21 integrals of f over [a[i], b[i]] for every i,
     refined in lockstep: each round calls f once, on the nodes of every new
@@ -438,8 +437,8 @@ def _gk21(
     integral not yet done, its worst panels until those left hold at most
     the target between them.  Integral i is done when its summed error
     estimate is at most the target max(epsabs, 1e-10 |I|).  It fails when
-    it reaches `limit` panels short of that, or starts with more segments
-    than `limit` (QUADPACK's ier = 6).  Returns (values, error estimates,
+    it reaches `_LIMIT` panels short of that, or starts with more segments
+    than `_LIMIT` (QUADPACK's ier = 6).  Returns (values, error estimates,
     ok).
     """
     n = len(a)
@@ -468,9 +467,9 @@ def _gk21(
         total, error = np.bincount(row, p_val, n), np.bincount(row, p_err, n)
         count = np.bincount(row, minlength=n)
         target = np.maximum(epsabs, 1e-10 * np.abs(total))
-        live = (error > target) & (count < limit)
+        live = (error > target) & (count < _LIMIT)
         if not live.any():
-            return total, error, (error <= target) & (count <= limit)
+            return total, error, (error <= target) & (count <= _LIMIT)
         # rank each integral's panels by error; bisect while the panels from
         # this one down hold more than the target, and the limit allows
         ranked = np.lexsort((-p_err, row))
@@ -479,7 +478,7 @@ def _gk21(
         above = np.cumsum(e) - e
         above -= above[first]
         rank = np.arange(len(r)) - first
-        split = ranked[live[r] & (error[r] - above > target[r]) & (rank < limit - count[r])]
+        split = ranked[live[r] & (error[r] - above > target[r]) & (rank < _LIMIT - count[r])]
         mid = 0.5 * (p_u0[split] + p_u1[split])
         new = (np.repeat(p_seg[split], 2), np.stack([p_u0[split], mid], axis=1).ravel(),
                np.stack([mid, p_u1[split]], axis=1).ravel())

@@ -58,9 +58,9 @@ def gk21_calls(monkeypatch):
     """Wraps the adaptive driver `M._gk21`.  `spans` gets (depth, a, b) for
     each integral it starts, depth 0 the outer integral of m_generic_2d and 1
     an inner one; `calls` and `evals` count its integrand's array calls and
-    their nodes, both depths together; a depth put in `limit_at` has its
-    panel limit capped at the value there."""
-    gk21, depth = M._gk21, [0]
+    their nodes, both depths together; a depth put in `limit_at` runs its
+    integrals with the panel limit `M._LIMIT` set to the value there."""
+    gk21, limit, depth = M._gk21, M._LIMIT, [0]
     rec = types.SimpleNamespace(spans=[], calls=0, evals=0, limit_at={})
 
     def counted(f):
@@ -71,14 +71,16 @@ def gk21_calls(monkeypatch):
 
         return g
 
-    def wrapped(f, a, b, breaks, order, epsabs, limit=M._LIMIT):
+    def wrapped(f, a, b, breaks, order, epsabs):
         rec.spans.extend((depth[0], float(lo), float(hi)) for lo, hi in zip(a, b))
-        limit = rec.limit_at.get(depth[0], limit)
+        outer = M._LIMIT
+        M._LIMIT = rec.limit_at.get(depth[0], limit)
         depth[0] += 1
         try:
-            return gk21(counted(f), a, b, breaks, order, epsabs, limit)
+            return gk21(counted(f), a, b, breaks, order, epsabs)
         finally:
             depth[0] -= 1
+            M._LIMIT = outer
 
     monkeypatch.setattr(M, "_gk21", wrapped)
     return rec
