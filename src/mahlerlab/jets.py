@@ -32,10 +32,13 @@ def _nan_where(bad: np.ndarray, v):
 
 
 def _pow_or_nan(v: float, e: float) -> float:
-    """Python's v ** e for v >= 0, NaN where it is undefined or overflows."""
+    """Python's v ** e for v > 0, and for v = 0 with e > 0; NaN where it is
+    undefined or overflows."""
+    if not (v > 0.0 or (v == 0.0 and e > 0.0)):
+        return math.nan
     try:
-        return v ** e if v >= 0.0 else math.nan
-    except (OverflowError, ZeroDivisionError):
+        return v ** e
+    except OverflowError:
         return math.nan
 
 

@@ -165,7 +165,7 @@ def test_division_by_zero_jet():
         1.0 / Jet2(0.0, 1.0, 0.0)
 
 
-# the four built-in p/q, a parsed file candidate, a fractional power and a
+# the four built-in p/q, a parsed file candidate, fractional powers and a
 # zeroth power of something that can be undefined
 ARRAY_CASES = [
     *((f"{c.name}.{side}", getattr(c, side)) for c in builtin_candidates() for side in "pq"),
@@ -173,6 +173,8 @@ ARRAY_CASES = [
     ("file.q", parse_expression("sqrt(x^3*(2+x)/(1+2*x))")),
     ("x^(1/2)", parse_expression("x^(1/2)")),
     ("(1/(x-1))^0 * x^1.5", parse_expression("(1/(x-1))^0 * x^1.5")),
+    # x^inf is 0 below 1, and 0^-inf is inf in Python's pow
+    ("(x^inf)^-inf", lambda x: (x ** math.inf) ** -math.inf),
 ]
 # the jia anchor -1 (p = 0, sqrt of 0), zeros of 1 + 2x, 1 + 3x and x - 1,
 # and points where cubic's q takes the sqrt of a negative value
