@@ -95,7 +95,7 @@ def _pq_jets(cand: IdentityCandidate, x) -> tuple[Jet2, Jet2]:
                      for v in (cand.p(seed), cand.q(seed)))
     except (ArithmeticError, ValueError, TypeError) as exc:
         if isinstance(x, np.ndarray):
-            _pq_jets(cand, x[0])
+            _pq_jets(cand, x[0])  # raises the fault that point meets first
             x = x[0]
         raise SingularPointError(f"{cand.name}: p/q undefined at x = {x}: {exc}") from exc
 
