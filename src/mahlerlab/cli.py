@@ -39,6 +39,7 @@ from .expressions import load_candidates
 from .lseries import SPREAD_ACCEPT, an_table_text, lvalue_from_k, summary_record
 from .mahler import (
     K_LARGE,
+    MIN_TOL,
     derivative_grid,
     factor_member,
     factor_p1k,
@@ -56,9 +57,6 @@ THM_MAIN_K_FLOOR = 4.2
 MAX_GRID_POINTS = 10_000
 #: largest --nmax: the a_n table costs ~6 s at 10 000 and ~100 s at 40 000
 MAX_NMAX = 10_000
-#: lowest `sweep --tol` of an integrated quantity: its est_error integrates
-#: again at tol/10, which must stay above the 1e-13 double-precision floor
-SWEEP_TOL_FLOOR = 1e-12
 
 _ABOVE_4 = (lambda k: k <= 4.0, "not above 4 (requires k > 4)")
 _MEMBER = (lambda k: k <= 0.0 or k == 4.0, "not above 0 or equal to 4 (requires k > 0, k != 4)")
@@ -213,9 +211,9 @@ def slice_pairs(factor, ks: Sequence[float], tols: tuple[float, ...]) -> list[li
     """out[j][r] holds the half-measures of factor(ks[j]) and of P_k at
     tols[r], from one lockstep refinement ordered by k, then tol, then the
     two, so its first AccuracyError is the one a loop over them raises."""
-    jobs = [(fac, (tol,)) for k in ks for tol in tols for fac in (factor(k), factor_p1k(k))]
+    jobs = [(fac, tol) for k in ks for tol in tols for fac in (factor(k), factor_p1k(k))]
     rows = iter(half_measures_lockstep(*zip(*jobs)))
-    return [[(next(rows)[0], next(rows)[0]) for _ in tols] for _ in ks]
+    return [[(next(rows), next(rows)) for _ in tols] for _ in ks]
 
 
 def suite_ei(ks: Sequence[float], tol: float, args, run) -> Report:
@@ -406,19 +404,19 @@ def cmd_table(args) -> Report:
     )
     # every row's m(P_k) at 1e-9 and, on the corollary rows, the
     # half-measures of Ptilde_k at 1e-10, from one lockstep refinement
-    facs, ladders = [], []
+    facs, tols = [], []
     for k2 in sorted(TABLE1):
         facs.append(factor_p1k(math.sqrt(k2)))
-        ladders.append((1e-9,))
+        tols.append(1e-9)
         if k2 in _COROLLARY_ROWS:
             facs.append(factor_ptilde(math.sqrt(k2)))
-            ladders.append((1e-10,))
-    measures = iter(half_measures_lockstep(facs, ladders))
+            tols.append(1e-10)
+    measures = iter(half_measures_lockstep(facs, tols))
     for k2 in sorted(TABLE1):
         k = math.sqrt(k2)
         N, r = TABLE1[k2]
         label = K_LABELS[k2]
-        m = next(measures)[0].m_total
+        m = next(measures).m_total
         _, data = lvalue_from_k(k, n_max=args.nmax)
         rl = float(r) * data.Lprime0
         rel = abs(m - rl) / abs(rl)
@@ -428,7 +426,7 @@ def cmd_table(args) -> Report:
         if k2 in _COROLLARY_ROWS:
             # the 4*sqrt(2) row fails by 2*m_minus because that k is below
             # the 2(1+sqrt(5)) regime boundary
-            hm = next(measures)[0]
+            hm = next(measures)
             target = float(r) / 2.0 * data.Lprime0 - 0.25 * math.log((k - 4.0) / (k + 4.0))
             rep.add(f"k={label} m(Pac) vs L'", target, hm.m_total, abs(hm.m_total - target), 1e-6)
             if k < K_LARGE:
@@ -447,26 +445,24 @@ def cmd_table(args) -> Report:
 
 def _sweep_chunk(task) -> list[tuple[float, float, float]]:
     """(k, value, est_error) at each k of one contiguous piece of a sweep
-    grid; a measure's est_error is |v(tol) - v(tol/10)|."""
+    grid; est_error is 1e-15 |value|, or a measure's quadrature estimate
+    where that is larger."""
     quantity, ks, tol = task
     _, _, factor, value = _QUANTITIES[quantity]
     if value is None:
-        pairs = [(v, v) for v in derivative_grid(quantity, ks).tolist()]
+        pairs = [(v, 0.0) for v in derivative_grid(quantity, ks).tolist()]
     else:
-        rows = half_measures_lockstep([factor(k) for k in ks], [(tol, tol * 0.1)] * len(ks))
-        pairs = [[value(hm) for hm in row] for row in rows]
-    return [(k, v, abs(v - v2) if v != v2 else 1e-15 * abs(v)) for k, (v, v2) in zip(ks, pairs)]
+        measures = half_measures_lockstep([factor(k) for k in ks], [tol] * len(ks))
+        pairs = [(value(hm), hm.est) for hm in measures]
+    return [(k, v, max(est, 1e-15 * abs(v))) for k, (v, est) in zip(ks, pairs)]
 
 
 def cmd_sweep(args) -> Report:
     ks = args.k_grid
-    bad_k, domain, _, value = _QUANTITIES[args.quantity]
+    bad_k, domain, _, _ = _QUANTITIES[args.quantity]
     bad = [k for k in ks if bad_k(k)]
     if bad:
         raise UsageError(f"sweep {args.quantity}: k values {bad} {domain}")
-    if value is not None and args.tol < SWEEP_TOL_FLOOR:
-        raise UsageError(f"sweep {args.quantity}: --tol below the {SWEEP_TOL_FLOOR:g} floor of "
-                         "the integrated quantities (est_error integrates again at tol/10)")
     workers = min(args.jobs, os.cpu_count() or 1, len(ks))
     chunks = [(args.quantity, ks[i * len(ks) // workers:(i + 1) * len(ks) // workers], args.tol)
               for i in range(workers)]
@@ -519,7 +515,7 @@ def cmd_mahler(args) -> Report:
     k, tol = args.k, args.tol
     rep = Report(f"mahler k={k!r}", metadata={"tol": tol})
     rep.metadata["regime"] = regime(k)
-    [p1k], [hm] = half_measures_lockstep([factor_p1k(k), factor_member(k)], [(tol,), (tol,)])
+    p1k, hm = half_measures_lockstep([factor_p1k(k), factor_member(k)], [tol, tol])
     m = p1k.m_total
     rep.note("m(P_1k)", m, tol)
     rep.note("m_plus", hm.m_plus, tol)
@@ -623,8 +619,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "tol", None) is not None and args.tol < 1e-13:
-        parser.exit(2, "mahlerlab: --tol below the 1e-13 double-precision floor\n")
+    if getattr(args, "tol", None) is not None and args.tol < MIN_TOL:
+        parser.exit(2, f"mahlerlab: --tol below the {MIN_TOL:g} double-precision floor\n")
     if args.jobs < 1:
         parser.exit(2, f"mahlerlab: --jobs must be at least 1, got {args.jobs}\n")
     t0 = time.perf_counter()

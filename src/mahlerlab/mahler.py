@@ -21,7 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,15 +33,19 @@ from .quadrature import _each, tanh_sinh_panels
 #: regime boundary: the root-modulus crossing leaves the unit circle here
 K_LARGE = 2.0 * (1.0 + math.sqrt(5.0))
 
-_MIN_TOL = 1e-13
+#: the lowest tol a measure (and any `--tol` of the CLI) may ask for
+MIN_TOL = 1e-13
 
 
 @dataclass(frozen=True)
 class HalfMeasures:
-    """The pair (m+, m-) in nats and their sum."""
+    """The pair (m+, m-) in nats and their sum.  est is the quadrature's own
+    error estimate, the two arcs' summed over pi; it takes no part in
+    equality."""
 
     m_plus: float
     m_minus: float
+    est: float = field(default=0.0, compare=False)
 
     @property
     def m_total(self) -> float:
@@ -119,25 +123,24 @@ def regime(k: float) -> str:
 
 
 def _check_tol(tol: float) -> None:
-    if tol < _MIN_TOL:
+    if tol < MIN_TOL:
         raise AccuracyError(
-            f"requested tol={tol:g} below the double-precision floor {_MIN_TOL:g}"
+            f"requested tol={tol:g} below the double-precision floor {MIN_TOL:g}"
         )
 
 
-def _jensen_arcs(fac: QuadraticFactorization, tols: tuple[float, ...]) -> list[tuple]:
-    """The non-empty Jensen arcs of `fac` as (slot, s, lo, hi, arc_tols),
+def _jensen_arcs(fac: QuadraticFactorization, tol: float) -> list[tuple]:
+    """The non-empty Jensen arcs of `fac` as (slot, s, lo, hi, arc_tol),
     m- (slot 0, s = +1) before m+ (slot 1, s = -1).
 
     m- = (1/pi) int log|y-| over the arc [0, theta-] where |y-| > 1, and
     m+ = (1/pi) int log|y+| over [theta+, pi] where |y+| > 1.  The arc ends
     are where B = 2 and B = -2 (sigma = +1) or where B changes sign
     (sigma = -1); a crossing off the circle clamps to an empty arc, which
-    contributes exactly 0.  For each tol in tols every non-empty arc gets an
-    equal share of 0.1 tol, so the absolute error is <= tol.
+    contributes exactly 0.  Every non-empty arc gets an equal share of
+    0.1 tol, so the absolute error is <= tol.
     """
-    for tol in tols:
-        _check_tol(tol)
+    _check_tol(tol)
     if fac.sigma > 0:
         c_minus, c_plus = (2.0 - fac.gamma) / fac.beta, (-2.0 - fac.gamma) / fac.beta
     else:
@@ -147,13 +150,13 @@ def _jensen_arcs(fac: QuadraticFactorization, tols: tuple[float, ...]) -> list[t
         (1, -1.0, math.acos(min(1.0, max(-1.0, c_plus))), math.pi),
     )
     arcs = [arc for arc in arcs if arc[2] < arc[3]]
-    return [(*arc, tuple(0.1 * tol / len(arcs) for tol in tols)) for arc in arcs]
+    return [(*arc, 0.1 * tol / len(arcs)) for arc in arcs]
 
 
 def half_measures(fac: QuadraticFactorization, tol: float = 1e-8) -> HalfMeasures:
     """Half-measures (m+, m-) of y^2 + B(theta) y + sigma by Jensen's formula,
     absolute error <= tol: `half_measures_lockstep` of this one factorization."""
-    return half_measures_lockstep([fac], [(tol,)])[0][0]
+    return half_measures_lockstep([fac], [tol])[0]
 
 
 #: factorizations refined together: the pieces bound the per-level arrays
@@ -164,21 +167,20 @@ _LOCKSTEP_FACS = 32
 
 
 def half_measures_lockstep(
-    facs: Sequence[QuadraticFactorization], ladders: Sequence[tuple[float, ...]]
-) -> list[list[HalfMeasures]]:
-    """out[j][r] holds the half-measures of facs[j] at tol ladders[j][r],
-    each ladder decreasing, from one lockstep refinement of the arcs of each
-    _LOCKSTEP_FACS factorizations; each value is bit for bit the one a
-    refinement of its arc at its tol alone stops at.  Raises the
-    AccuracyError that refining one by one would raise first: first fac,
-    then first tol, then the m- arc before the m+ arc.
+    facs: Sequence[QuadraticFactorization], tols: Sequence[float]
+) -> list[HalfMeasures]:
+    """out[j] holds the half-measures of facs[j] at tol tols[j], from one
+    lockstep refinement of the arcs of each _LOCKSTEP_FACS factorizations;
+    each value is bit for bit the one a refinement of its arc alone stops
+    at.  Raises the AccuracyError that refining one by one would raise
+    first: first fac, then the m- arc before the m+ arc.
     """
     if len(facs) > _LOCKSTEP_FACS:
-        return [row for i in range(0, len(facs), _LOCKSTEP_FACS)
-                for row in half_measures_lockstep(facs[i:i + _LOCKSTEP_FACS],
-                                                  ladders[i:i + _LOCKSTEP_FACS])]
-    panels = [(j, *arc) for j, (fac, tols) in enumerate(zip(facs, ladders))
-              for arc in _jensen_arcs(fac, tols)]
+        return [hm for i in range(0, len(facs), _LOCKSTEP_FACS)
+                for hm in half_measures_lockstep(facs[i:i + _LOCKSTEP_FACS],
+                                                 tols[i:i + _LOCKSTEP_FACS])]
+    panels = [(j, *arc) for j, (fac, tol) in enumerate(zip(facs, tols))
+              for arc in _jensen_arcs(fac, tol)]
     # the coefficients of log_abs_root, one entry per panel
     hb = np.array([0.5 * s * facs[j].beta for j, _, s, *_ in panels])
     hg = np.array([0.5 * s * facs[j].gamma for j, _, s, *_ in panels])
@@ -200,17 +202,16 @@ def half_measures_lockstep(
         h[p & ~acosh] = 0.0
         return h
 
-    values, failures = tanh_sinh_panels(
+    values, ests, failures = tanh_sinh_panels(
         log_abs_root, [p[3] for p in panels], [p[4] for p in panels], [p[5] for p in panels]
     )
     if failures:
-        first = min(failures, key=lambda i: (panels[i][0], len(values[i]), panels[i][1]))
-        raise failures[first]
-    m = [[[0.0, 0.0] for _ in tols] for tols in ladders]
-    for (j, slot, *_), vals in zip(panels, values):
-        for r, v in enumerate(vals):
-            m[j][r][slot] = v / math.pi
-    return [[HalfMeasures(m_plus=p, m_minus=q) for q, p in row] for row in m]
+        raise failures[min(failures)]
+    m = [[0.0, 0.0, 0.0] for _ in facs]
+    for (j, slot, *_), v, est in zip(panels, values, ests):
+        m[j][slot] = v / math.pi
+        m[j][2] += est
+    return [HalfMeasures(m_plus=p, m_minus=q, est=e / math.pi) for q, p, e in m]
 
 
 def m_p1k(k: float, tol: float = 1e-8) -> float:

@@ -72,25 +72,24 @@ def tanh_sinh_panels(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     lo: Sequence[float],
     hi: Sequence[float],
-    tols: Sequence[tuple[float, ...]],
-) -> tuple[list[list[float]], dict[int, AccuracyError]]:
+    tols: Sequence[float],
+) -> tuple[list[float], list[float], dict[int, AccuracyError]]:
     """Integrate over the panels [lo[i], hi[i]] (lo <= hi) in lockstep.
 
     f(x, panel) maps abscissae and the panel of each onto integrand values,
     so panels can carry their own parameters.  Each level calls f once, on
-    the new nodes of every panel still refining.  Panel i climbs the ladder
-    of decreasing tolerances tols[i].  With terms t the weighted node values
-    through level L, h = 2**-L and prev the value at level L - 1, the value
-    is half h fsum(t) and est = |value - prev|; a rung is met at the first
-    level where est <= tol, and every rung where est is within the rounding
-    noise 30 eps (|value| + half h fsum|t|) of the sum.  So a rung's value is
-    bit for bit the one a refinement at that tol alone stops at.  A panel
-    whose est, by numpy sums, is above its largest tol left and the noise
-    by more than the sums' rounding bound refines on without `math.fsum`.
-    Returns (values, failures): values[i] holds the values of the rungs
-    panel i met, and failures[i] the AccuracyError, carrying prev, for the
-    first rung it missed by level _MAX_LEVEL.  A zero-length panel is 0.0 on
-    every rung.
+    the new nodes of every panel still refining.  With terms t the weighted
+    node values through level L, h = 2**-L and prev the value at level
+    L - 1, the value is half h fsum(t) and est = |value - prev| (the
+    level-difference estimate of Bailey, Jeyabalan and Li, Exp. Math. 2005);
+    panel i stops at the first level where est <= tols[i], or where est is
+    within the rounding noise 30 eps (|value| + half h fsum|t|) of the sum.
+    A panel whose est, by numpy sums, is above its tol and the noise by more
+    than the sums' rounding bound refines on without `math.fsum`.  Returns
+    (values, ests, failures): the value and est panel i stopped at, and
+    failures[i] the AccuracyError, carrying prev, where it did not stop by
+    level _MAX_LEVEL (values[i] and ests[i] are NaN there).  A zero-length
+    panel is 0.0 with est 0.0.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     half = 0.5 * (hi - lo)
@@ -120,11 +119,10 @@ def tanh_sinh_panels(
         xl *= w
         return np.column_stack([_HALF_PI * y[:n_m], xl]) if n_m else xl
 
-    values = [[0.0] * len(t) if a == b else [] for a, b, t in zip(lo.tolist(), hi.tolist(), tols)]
-    failures = {}
+    values = np.where(lo == hi, 0.0, math.nan).tolist()
+    ests, failures = values.copy(), {}
     idx = np.flatnonzero(lo != hi)
-    # the largest tol each live panel has left to meet
-    top = np.array([max(t, default=math.nan) for t in tols], dtype=float)[idx]
+    tol = np.asarray(tols, dtype=float)[idx]
 
     def approx() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(c a, v, rv) for the live panels at `level`, c = half h: the value
@@ -156,9 +154,9 @@ def tanh_sinh_panels(
             ca, v, rv = approx()
             # a panel surely refines on where est, less a bound on its
             # distance from the per-panel rule's (rounding held twice over),
-            # exceeds both its largest tol left and the noise threshold
+            # exceeds both its tol and the noise threshold
             est = abs(v - p)
-            lim = np.maximum(top, _NOISE * (abs(v) + ca))
+            lim = np.maximum(tol, _NOISE * (abs(v) + ca))
             on = est - lim - (rv + rp + 8.0 * _U * (est + lim)) > 0.0
         # the per-panel rule, by fsum, for the others
         last, done = level >= _MAX_LEVEL, np.zeros(idx.size, dtype=bool)
@@ -170,28 +168,21 @@ def tanh_sinh_panels(
             value = halves[i] * h * math.fsum(t)
             prev = halves[i] * (2.0 * h) * math.fsum(t[:n_prev])
             est_i = abs(value - prev)
-            ladder = tols[i][len(values[i]):]
-            met = sum(est_i <= tol for tol in ladder)
-            if met < len(ladder) and est_i <= _NOISE * (abs(value) + halves[i] * math.fsum(map(abs, t)) * h):
-                met = len(ladder)
-            values[i] += [value] * met
-            if met == len(ladder):
-                done[row] = True
+            if est_i <= tols[i] or est_i <= _NOISE * (abs(value) + halves[i] * math.fsum(map(abs, t)) * h):
+                values[i], ests[i], done[row] = value, est_i, True
             elif last:
                 failures[i] = AccuracyError(
-                    f"tanh-sinh did not reach tol={ladder[met]:g} after {_MAX_LEVEL} levels "
+                    f"tanh-sinh did not reach tol={tols[i]:g} after {_MAX_LEVEL} levels "
                     f"(last change {est_i:g})",
                     best_estimate=prev,
                     error_estimate=est_i,
                 )
-            else:
-                top[row] = max(ladder[met:])
         keep = ~done & (not last)
         if not keep.all():
-            idx, s, a, v, rv, top = (x[keep] for x in (idx, s, a, v, rv, top))
+            idx, s, a, v, rv, tol = (x[keep] for x in (idx, s, a, v, rv, tol))
             blocks = [b[keep] for b in blocks]
         p, rp = v, rv
-    return values, failures
+    return values, ests, failures
 
 
 def quadrature_oracle(
@@ -207,10 +198,10 @@ def quadrature_oracle(
         return 0.0
     if b < a:
         return -quadrature_oracle(integrand, b, a, tol)
-    values, failures = tanh_sinh_panels(lambda x, _: _each(integrand, x), [a], [b], [(tol,)])
+    values, _, failures = tanh_sinh_panels(lambda x, _: _each(integrand, x), [a], [b], [tol])
     if failures:
         raise failures[0]
-    return values[0][0]
+    return values[0]
 
 
 def cumulative_integrals(
@@ -229,15 +220,15 @@ def cumulative_integrals(
     """
     ends = [x0, *xs]
     # like quadrature_oracle, integrate each panel upwards and negate reversed ones
-    values, failures = tanh_sinh_panels(
+    values, _, failures = tanh_sinh_panels(
         lambda x, _: f(x),
         [min(u, v) for u, v in zip(ends, ends[1:])],
         [max(u, v) for u, v in zip(ends, ends[1:])],
-        [(tol,)] * len(xs),
+        [tol] * len(xs),
     )
     if failures:
         raise failures[min(failures)]
-    signed = [-v if x < u else v for (v,), u, x in zip(values, ends, xs)]
+    signed = [-v if x < u else v for v, u, x in zip(values, ends, xs)]
     return _running_fsums(signed)
 
 

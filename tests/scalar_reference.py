@@ -99,24 +99,21 @@ def _unconverged(tol: float, max_level: int, prev: float, est: float) -> Accurac
 
 
 def _verdict(
-    terms: Sequence[float], half: float, level: int, prev: float, tols: tuple[float, ...]
-) -> tuple[float, float, int]:
+    terms: Sequence[float], half: float, level: int, prev: float, tol: float
+) -> tuple[float, float, bool]:
     """The stopping rule of `tanh_sinh_panels`, one panel at a time.
 
     terms are the weighted node values through `level` and prev the value at
-    the level before; tols is a ladder of decreasing tolerances.  Returns
-    (value, error_estimate, met), met counting the leading tols that the
-    change is within.  A change within the rounding noise of the sum meets
-    every rung; the noise is summed only when the change misses a rung.
+    the level before.  Returns (value, error_estimate, met), met where the
+    change is within tol or within the rounding noise of the sum; the noise
+    is summed only when the change misses tol.
     """
     h = 2.0 ** (-level)
     value = half * h * math.fsum(terms)
     est = abs(value - prev)
-    met = sum(est <= tol for tol in tols)
-    if met < len(tols) and est <= 30.0 * 2.2e-16 * (
+    met = est <= tol or est <= 30.0 * 2.2e-16 * (
         abs(value) + half * math.fsum(map(abs, terms)) * h
-    ):
-        met = len(tols)
+    )
     return value, est, met
 
 
@@ -160,7 +157,7 @@ def tanh_sinh(
     prev = half * math.fsum(terms)
     for level in itertools.count(1):
         terms.extend(pair_term(off, w) for off, w in _nodes_for_level(level))
-        value, est, met = _verdict(terms, half, level, prev, (tol,))
+        value, est, met = _verdict(terms, half, level, prev, tol)
         if met:
             return value, est, level
         if level >= max_level:
@@ -189,11 +186,14 @@ def _log_abs_root(fac: M.QuadraticFactorization, s: float) -> Callable[[float], 
 
 def half_measures(fac: M.QuadraticFactorization, tol: float = 1e-8) -> M.HalfMeasures:
     """Half-measures (m+, m-) of y^2 + B(theta) y + sigma by Jensen's formula,
-    one `tanh_sinh` per arc of `_jensen_arcs`; absolute error <= tol."""
-    m = [0.0, 0.0]
-    for slot, s, lo, hi, (arc_tol,) in M._jensen_arcs(fac, (tol,)):
-        m[slot] = tanh_sinh(_log_abs_root(fac, s), lo, hi, arc_tol)[0] / math.pi
-    return M.HalfMeasures(m_plus=m[1], m_minus=m[0])
+    one `tanh_sinh` per arc of `_jensen_arcs`; absolute error <= tol.  est
+    is the arcs' `tanh_sinh` estimates summed, over pi."""
+    m, est = [0.0, 0.0], 0.0
+    for slot, s, lo, hi, arc_tol in M._jensen_arcs(fac, tol):
+        value, arc_est, _ = tanh_sinh(_log_abs_root(fac, s), lo, hi, arc_tol)
+        m[slot] = value / math.pi
+        est += arc_est
+    return M.HalfMeasures(m_plus=m[1], m_minus=m[0], est=est / math.pi)
 
 
 def dhdk_integral_form(k: float, tol: float = 1e-10) -> float:

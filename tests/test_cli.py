@@ -28,7 +28,8 @@ def run_main(capsys, *argv):
 
 def reference_sweep_one(quantity, k, tol):
     """One sweep row by the per-point route, the reference for the lockstep
-    sweep: the scalar reference half-measures at tol and again at tol/10."""
+    sweep: the scalar reference half-measures at tol, whose est is the
+    est_error where it exceeds 1e-15 |value|."""
     if quantity == "f":
         fac, value = M.factor_p1k(k), lambda hm: hm.m_total
     elif quantity == "h":
@@ -36,10 +37,9 @@ def reference_sweep_one(quantity, k, tol):
     else:
         fac = M.factor_member(k)
         value = lambda hm: getattr(hm, quantity)  # noqa: E731
-    v = value(R.half_measures(fac, tol))
-    v2 = value(R.half_measures(fac, tol * 0.1))
-    est = abs(v - v2) if v != v2 else 1e-15 * abs(v)
-    return k, v, est
+    hm = R.half_measures(fac, tol)
+    v = value(hm)
+    return k, v, max(hm.est, 1e-15 * abs(v))
 
 
 def reference_sweep_csv(quantity, ks, tol):
@@ -64,6 +64,28 @@ SWEEP_GRIDS = [
 ]
 SWEEP_IDS = [" ".join(case) for case in SWEEP_GRIDS]
 MULTI_PIECE = [SWEEP_GRIDS[i] for i in (0, 3, 5, 8)]
+
+#: k in every regime and next to each of its edges, for the est_error bound
+EST_KS = [1e-3, 0.05, 1.0, 3.5, 3.999, 4.001, 4.3, 5.5, M.K_LARGE - 1e-3, M.K_LARGE + 1e-3,
+          8.0, 50.0, 1e3, 1e6]
+
+
+@functools.cache
+def mp_quantities(k):
+    """f, h (k > 4 only), m_plus and m_minus at k by 30-digit quadrature."""
+    mpmath = pytest.importorskip("mpmath")
+    from test_mahler import _jensen_mp
+
+    with mpmath.workdps(30):
+        kk = mpmath.mpf(k)
+        out = {"f": sum(_jensen_mp(mpmath, (1, kk), 1))}
+        if k < 4.0:
+            pair = _jensen_mp(mpmath, (mpmath.sqrt((4 + kk) / (4 - kk)), kk / mpmath.sqrt(4 - kk)), 1)
+        else:
+            pair = _jensen_mp(mpmath, (mpmath.sqrt((kk + 4) / (kk - 4)), -kk / mpmath.sqrt(kk - 4)), -1)
+            out["h"] = pair[0] - pair[1]
+        out["m_plus"], out["m_minus"] = pair
+    return out
 
 
 class TestBasicCommands:
@@ -719,10 +741,14 @@ class TestSweep:
     @pytest.mark.parametrize("quantity", ["f", "h", "m_plus", "m_minus"])
     @pytest.mark.parametrize("tol", ["1e-13", "9.9e-13"])
     def test_integrated_tol_floor_is_usage_error(self, capsys, quantity, tol):
+        # an integrated quantity runs down to the double-precision floor and
+        # is refused below it
+        code, out, _ = run_main(capsys, "sweep", quantity, "--k-grid", "5:6:2", "--tol", tol)
+        assert code == 0 and len(out.splitlines()) == 3
         with pytest.raises(SystemExit) as exc:
-            cli.main(["sweep", quantity, "--k-grid", "5:6:2", "--tol", tol])
+            cli.main(["sweep", quantity, "--k-grid", "5:6:2", "--tol", "9.9e-14"])
         assert exc.value.code == 2
-        assert "1e-12 floor" in capsys.readouterr().err
+        assert "--tol below the 1e-13 double-precision floor" in capsys.readouterr().err
 
     @pytest.mark.parametrize("quantity", ["dfdk", "dhdk"])
     def test_closed_forms_keep_the_1e_13_floor(self, capsys, quantity):
@@ -736,6 +762,18 @@ class TestSweep:
         assert code == 0
         assert out == reference_sweep_csv(quantity, cli.parse_grid(spec), float(tol))
 
+    @pytest.mark.parametrize("quantity", ["f", "h", "m_plus", "m_minus"])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10, 1e-12, 1e-13])
+    def test_est_error_bounds_the_error_in_every_regime(self, quantity, tol):
+        # est_error, the quadrature's own estimate, is at least the distance
+        # to a 30-digit value, give or take the value's rounding
+        mpmath = pytest.importorskip("mpmath")
+        ks = [k for k in EST_KS if quantity != "h" or k > 4.0]
+        for k, v, est in cli._sweep_chunk((quantity, ks, tol)):
+            with mpmath.workdps(30):
+                err = float(abs(mpmath.mpf(v) - mp_quantities(k)[quantity]))
+            assert err <= est + 2.0 ** -53 * max(1.0, abs(v)), (k, v, est, err)
+
     @pytest.mark.parametrize("quantity,spec", MULTI_PIECE, ids=[" ".join(c) for c in MULTI_PIECE])
     def test_integrated_jobs_determinism(self, capsys, quantity, spec):
         _, out1, _ = run_main(capsys, "sweep", quantity, "--k-grid", spec)
@@ -743,11 +781,10 @@ class TestSweep:
         assert out1 == out2
 
     # (quantity, grid, max level): the reference fails first at the second
-    # rung of the first k while the second k misses its first rung; at the
-    # m- arc of the first k while its m+ arc also fails; at the second rung
-    # of the m+ arc of the first k while its m- arc meets both; at the second
-    # rung of the m- arc of the first k while its m+ arc meets both; and at
-    # the first rung of the second k
+    # k while the first meets tol (the first and the last case); at the m-
+    # arc of the first k while its m+ arc also fails; at the m+ arc of the
+    # second k while its m- arc meets tol; and at the m- arc of the second k
+    # while its m+ arc meets tol
     @pytest.mark.parametrize(
         "quantity,spec,max_level",
         [("f", "2:3.5:2", 3), ("m_plus", "4.3:5:2", 3), ("h", "5:6:2", 4),

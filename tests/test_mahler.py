@@ -343,7 +343,7 @@ FACTORIZATIONS = st.one_of(
 
 
 def _hm_bits(hm):
-    return hm.m_plus.hex(), hm.m_minus.hex()
+    return hm.m_plus.hex(), hm.m_minus.hex(), hm.est.hex()
 
 
 @given(FACTORIZATIONS, st.floats(1e-13, 1e-6))
@@ -355,12 +355,10 @@ def test_half_measures_equal_scalar_reference_bitwise(fac, tol):
 @given(st.lists(FACTORIZATIONS, min_size=1, max_size=6), st.floats(1e-12, 1e-6))
 @settings(max_examples=60, deadline=None)
 def test_lockstep_half_measures_equal_scalar_bitwise(facs, tol):
-    tols = (tol, 0.1 * tol)
-    got = M.half_measures_lockstep(facs, [tols] * len(facs))
-    want = [[R.half_measures(fac, t) for t in tols] for fac in facs]
-    assert [[_hm_bits(hm) for hm in row] for row in got] == [
-        [_hm_bits(hm) for hm in row] for row in want
-    ]
+    jobs = [(fac, t) for fac in facs for t in (tol, 0.1 * tol)]
+    got = M.half_measures_lockstep(*zip(*jobs))
+    want = [R.half_measures(fac, t) for fac, t in jobs]
+    assert [_hm_bits(hm) for hm in got] == [_hm_bits(hm) for hm in want]
 
 
 def test_lockstep_pieces_equal_scalar_bitwise():
@@ -368,29 +366,25 @@ def test_lockstep_pieces_equal_scalar_bitwise():
     facs = [M.factor_p1k(0.1 * i) for i in range(1, 30)] + [
         M.factor_ptilde(4.0 + 0.5 * i) for i in range(1, 25)] + [
         M.factor_pac_small(0.2 * i) for i in range(1, 20)]
-    tols = (1e-10, 1e-11)
-    got = M.half_measures_lockstep(facs, [tols] * len(facs))
-    want = [[R.half_measures(fac, t) for t in tols] for fac in facs]
-    assert [[_hm_bits(hm) for hm in row] for row in got] == [
-        [_hm_bits(hm) for hm in row] for row in want
-    ]
+    jobs = [(fac, tol) for fac in facs for tol in (1e-10, 1e-11)]
+    got = M.half_measures_lockstep(*zip(*jobs))
+    want = [R.half_measures(fac, tol) for fac, tol in jobs]
+    assert [_hm_bits(hm) for hm in got] == [_hm_bits(hm) for hm in want]
 
 
-def test_lockstep_ladder_per_factorization():
-    # each factorization climbs its own ladder, as the table's measures do
+def test_lockstep_tol_per_factorization():
+    # each factorization has its own tol, as the table's measures do
     facs = [M.factor_p1k(1.0), M.factor_ptilde(8.0), M.factor_pac_small(2.0), M.factor_ptilde(5.0)]
-    ladders = [(1e-9,), (1e-10,), (1e-6, 1e-12), (1e-8, 1e-9, 1e-13)]
-    got = M.half_measures_lockstep(facs, ladders)
-    want = [[R.half_measures(fac, t) for t in tols] for fac, tols in zip(facs, ladders)]
-    assert [[_hm_bits(hm) for hm in row] for row in got] == [
-        [_hm_bits(hm) for hm in row] for row in want
-    ]
+    tols = [1e-9, 1e-10, 1e-12, 1e-13]
+    got = M.half_measures_lockstep(facs, tols)
+    want = [R.half_measures(fac, t) for fac, t in zip(facs, tols)]
+    assert [_hm_bits(hm) for hm in got] == [_hm_bits(hm) for hm in want]
 
 
-# (factorizations, max level): the first failure one by one is at the second
-# rung of the first fac; at the first rung of its m- arc while its m+ arc
-# also fails; at the second rung of its m+ arc while its m- arc meets both;
-# and in the second lockstep piece
+# (factorizations, max level), each at tol 1e-10 and then 1e-11: the first
+# failure one by one is at the second tol of the first fac; at the first tol
+# of its m- arc while its m+ arc also fails; at the second tol of its m+ arc
+# while its m- arc meets both; and in the second lockstep piece
 @pytest.mark.parametrize(
     "facs,max_level",
     [
@@ -401,13 +395,13 @@ def test_lockstep_ladder_per_factorization():
     ],
 )
 def test_lockstep_nonconvergence_matches_one_by_one(monkeypatch, facs, max_level):
-    tols = (1e-10, 1e-11)
+    jobs = [(fac, tol) for fac in facs for tol in (1e-10, 1e-11)]
     monkeypatch.setattr(R, "tanh_sinh", functools.partial(R.tanh_sinh, max_level=max_level))
     with pytest.raises(AccuracyError) as want:
-        [[R.half_measures(fac, t) for t in tols] for fac in facs]
+        [R.half_measures(fac, tol) for fac, tol in jobs]
     monkeypatch.setattr(Q, "_MAX_LEVEL", max_level)
     with pytest.raises(AccuracyError) as got:
-        M.half_measures_lockstep(facs, [tols] * len(facs))
+        M.half_measures_lockstep(*zip(*jobs))
     assert str(got.value) == str(want.value)
     assert got.value.best_estimate.hex() == want.value.best_estimate.hex()
     assert got.value.error_estimate.hex() == want.value.error_estimate.hex()

@@ -166,24 +166,26 @@ def test_lockstep_nonconvergence_matches_scalar_chain():
     assert _bits(got.value.error_estimate) == _bits(want.value.error_estimate)
 
 
-def test_panel_ladder_equals_scalar_at_each_tol():
-    # one lockstep refinement per panel gives tanh_sinh's value at every rung;
-    # the zero-length panel is 0.0 on every rung
+def test_panels_equal_scalar_at_their_own_tols():
+    # one lockstep refinement gives each panel tanh_sinh's value and est at
+    # its own tol; the zero-length panels are 0.0 with est 0.0
     scalar, array = _lorentz(0.3, 0.05)
-    lo, hi = [0.0, 0.2, 0.5, 0.5], [0.4, 1.0, 0.5, 0.9]
-    tols = [(1e-6, 1e-9, 1e-12), (1e-8, 1e-13), (1e-6, 1e-9, 1e-12), (1e-5,)]
-    values, failures = tanh_sinh_panels(lambda x, _: array(x), lo, hi, tols)
+    lo = [0.0, 0.0, 0.0, 0.2, 0.2, 0.5, 0.5, 0.5]
+    hi = [0.4, 0.4, 0.4, 1.0, 1.0, 0.5, 0.5, 0.9]
+    tols = [1e-6, 1e-9, 1e-12, 1e-8, 1e-13, 1e-6, 1e-12, 1e-5]
+    values, ests, failures = tanh_sinh_panels(lambda x, _: array(x), lo, hi, tols)
     assert failures == {}
-    want = [[tanh_sinh(scalar, a, b, t)[0] for t in ladder] for a, b, ladder in zip(lo, hi, tols)]
-    assert [[_bits(v) for v in row] for row in values] == [[_bits(v) for v in row] for row in want]
+    want = [tanh_sinh(scalar, a, b, t)[:2] for a, b, t in zip(lo, hi, tols)]
+    assert [(_bits(v), _bits(e)) for v, e in zip(values, ests)] == [
+        (_bits(v), _bits(e)) for v, e in want]
 
 
 def test_panel_integrand_sees_its_panels():
     # f gets the panel of every node, so each panel can carry its own parameter
     scale = np.array([1.0, 2.0, -3.0])
-    values, _ = tanh_sinh_panels(lambda x, p: scale[p] * np.exp(x), [0.0] * 3, [1.0] * 3, [(1e-13,)] * 3)
+    values, _, _ = tanh_sinh_panels(lambda x, p: scale[p] * np.exp(x), [0.0] * 3, [1.0] * 3, [1e-13] * 3)
     want = [tanh_sinh(lambda x: c * math.exp(x), 0.0, 1.0, 1e-13)[0] for c in scale.tolist()]
-    assert [_bits(row[0]) for row in values] == [_bits(v) for v in want]
+    assert [_bits(v) for v in values] == [_bits(v) for v in want]
 
 
 #: scalar integrands of quadrature_oracle: smooth, endpoint singularities
@@ -286,54 +288,43 @@ def test_unsure_decisions_equal_scalar_chain_bitwise(monkeypatch, label, fns, x0
     test_lockstep_equals_scalar_chain_bitwise(label, fns, x0, xs)
 
 
-def test_unsure_decisions_equal_scalar_ladders_and_failures(monkeypatch):
+def test_unsure_decisions_equal_scalar_values_and_failures(monkeypatch):
     monkeypatch.setattr(Q, "_U", math.inf)
-    test_panel_ladder_equals_scalar_at_each_tol()
+    test_panels_equal_scalar_at_their_own_tols()
     test_lockstep_nonconvergence_matches_scalar_chain()
 
 
 @st.composite
 def _panel(draw):
-    """(lo, hi, centre, width, ladder): a Lorentz peak on a panel, some
-    zero-length, with a decreasing ladder of 1-3 tols in [1e-13, 1e-5]."""
+    """(lo, hi, centre, width, tol): a Lorentz peak on a panel, some
+    zero-length, with a tol in [1e-13, 1e-5]."""
     lo = draw(st.floats(-2.0, 2.0))
     hi = draw(st.one_of(st.just(lo), st.floats(lo, lo + 2.0)))
     centre = draw(st.floats(-2.5, 2.5))
     width = 10.0 ** draw(st.floats(-4.0, 0.0))
-    ladder = sorted(draw(st.lists(st.floats(-13.0, -5.0), min_size=1, max_size=3)), reverse=True)
-    return lo, hi, centre, width, tuple(10.0 ** e for e in ladder)
-
-
-def _reference_rungs(f, a, b, ladder, max_level):
-    """The scalar reference at each tol of the ladder up to the first it
-    misses: (values, error or None)."""
-    values = []
-    for tol in ladder:
-        try:
-            values.append(tanh_sinh(f, a, b, tol, max_level)[0])
-        except AccuracyError as exc:
-            return values, exc
-    return values, None
+    return lo, hi, centre, width, 10.0 ** draw(st.floats(-13.0, -5.0))
 
 
 @given(st.lists(_panel(), min_size=1, max_size=4), st.sampled_from([2, Q._MAX_LEVEL]))
-@settings(max_examples=40, deadline=None)
-def test_panels_equal_scalar_reference_on_random_ladders(panels, max_level):
-    lo, hi, centre, width, ladders = (list(v) for v in zip(*panels))
+@settings(max_examples=40)
+def test_panels_equal_scalar_reference_on_random_tols(panels, max_level):
+    lo, hi, centre, width, tols = (list(v) for v in zip(*panels))
     c, w = np.array(centre), np.array(width)
     with unittest.mock.patch.object(Q, "_MAX_LEVEL", max_level):
-        values, failures = tanh_sinh_panels(
-            lambda x, p: 1.0 / ((x - c[p]) * (x - c[p]) + w[p] * w[p]), lo, hi, ladders)
-    for i, (a, b, ci, wi, ladder) in enumerate(panels):
-        want, error = _reference_rungs(_lorentz(ci, wi)[0], a, b, ladder, max_level)
-        assert [_bits(v) for v in values[i]] == [_bits(v) for v in want]
-        if error is None:
-            assert i not in failures
-        else:
+        values, ests, failures = tanh_sinh_panels(
+            lambda x, p: 1.0 / ((x - c[p]) * (x - c[p]) + w[p] * w[p]), lo, hi, tols)
+    for i, (a, b, ci, wi, tol) in enumerate(panels):
+        try:
+            want = tanh_sinh(_lorentz(ci, wi)[0], a, b, tol, max_level)[:2]
+        except AccuracyError as error:
             got = failures[i]
             assert str(got) == str(error)
             assert _bits(got.best_estimate) == _bits(error.best_estimate)
             assert _bits(got.error_estimate) == _bits(error.error_estimate)
+            assert math.isnan(values[i]) and math.isnan(ests[i])
+        else:
+            assert i not in failures
+            assert (_bits(values[i]), _bits(ests[i])) == (_bits(want[0]), _bits(want[1]))
 
 
 #: signed magnitudes from 1e-300 to 1e300, zeros, and values whose sums
@@ -371,15 +362,21 @@ def _change_at(f, a, b, level):
 @pytest.mark.parametrize("level", range(1, 8))
 @pytest.mark.parametrize("name", ORACLE_INTEGRANDS)
 def test_tols_on_the_change_equal_scalar_reference(name, level):
-    # tols on the scalar rule's est and one ulp either side: numpy sums sit
-    # a few ulp of the value off fsum, so only a sound bound decides these
+    # tols on the scalar rule's est and one ulp either side, one panel
+    # each: numpy sums sit a few ulp of the value off fsum, so only a sound
+    # bound decides these
     f = ORACLE_INTEGRANDS[name]
     est = _change_at(f, -0.7, 0.9, level)
-    ladder = (math.nextafter(est, math.inf), est, math.nextafter(est, 0.0))
-    values, failures = tanh_sinh_panels(lambda x, _: Q._each(f, x), [-0.7], [0.9], [ladder])
-    want, error = _reference_rungs(f, -0.7, 0.9, ladder, Q._MAX_LEVEL)
-    assert [_bits(v) for v in values[0]] == [_bits(v) for v in want]
-    assert (str(failures[0]) if failures else None) == (str(error) if error else None)
+    tols = [math.nextafter(est, math.inf), est, math.nextafter(est, 0.0)]
+    values, ests, failures = tanh_sinh_panels(lambda x, _: Q._each(f, x), [-0.7] * 3, [0.9] * 3, tols)
+    for i, tol in enumerate(tols):
+        try:
+            want = tanh_sinh(f, -0.7, 0.9, tol)[:2]
+        except AccuracyError as error:
+            assert str(failures[i]) == str(error)
+        else:
+            assert i not in failures
+            assert (_bits(values[i]), _bits(ests[i])) == (_bits(want[0]), _bits(want[1]))
 
 
 @pytest.mark.parametrize("f,error", [
