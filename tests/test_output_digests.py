@@ -42,17 +42,17 @@ DIGESTS = [
     ("mahler --k 1.8291 --format json", "02a6a37d41916346d78441ccf28e6ab33ad8c5213ffcc82be286370264ec493b"),
     ("mahler --k 5 --format json", "de143c45715acac7f9b855af017fc137a70c2f6759ffd81be149fff4cd822ff5"),
     ("mahler --k 8 --format json", "84d822fb38fe20a9a36743f5b90312ab6cc84fac69b974bc9154305b6b686867"),
-    ("sweep f --k-grid 0.2:3.8:9", "2817afa5a6260b3145458edbaa8494605694994d231fd0a9ae389fbd1a9f99f4"),
-    ("sweep f --k-grid 4.3:6.3:7", "4d6fb5a08003e8e83268ebdfaad7782959f807d47bada6e24daa05ef19e9b375"),
+    ("sweep f --k-grid 0.2:3.8:9", "a596c125883ce73cd7235aa237af36e1a433ddbc7a735180302e945de297f5e6"),
+    ("sweep f --k-grid 4.3:6.3:7", "aeeab4edb480c6cb95759a061b50d415d212e5dfe913a1f3ac2cb65bc88a6a3f"),
     ("sweep f --k-grid 6.7:60:8", "b407e905a4d72683e99f562f38b620994024b870c1e4f854ab049d3bc09e4574"),
-    ("sweep h --k-grid 4.3:6.3:7", "89749906696542ba8bd6b1a744a149f6ec897f35bf67db0830406c939585d791"),
-    ("sweep h --k-grid 6.7:60:8", "4e550643c7a532cabc9337233110682fbc5e9ab988bc8f558acc794f7e4100e3"),
-    ("sweep m_plus --k-grid 0.2:3.8:9", "d55c3d3ab1e381dab79b2ba293660480540855b927d58ca3c5aeb0c5f262f1e6"),
-    ("sweep m_plus --k-grid 4.3:6.3:7", "994ee0bd3054846f383f8318fe4aa5fd4ad8d30129ad1dd5d17b1863ebe76531"),
-    ("sweep m_plus --k-grid 6.7:60:8", "4e550643c7a532cabc9337233110682fbc5e9ab988bc8f558acc794f7e4100e3"),
-    ("sweep m_minus --k-grid 0.2:3.8:9", "9dbc3d2aba3a2140f66678b931c2feab4aa2258d323f3f222e7d40bc342d6a71"),
-    ("sweep m_minus --k-grid 4.3:6.3:7", "413a60238ddd9131ccc985a0a86310feec800492c4a938e92e39ded5703efc64"),
-    ("sweep m_minus --k-grid 6.7:60:8", "d437ab871e799d9488a913a17047307656aeb9986f7dc8510fa1a61cc0820005"),
+    ("sweep h --k-grid 4.3:6.3:7", "bed768b48bb7f1451be26960a05b70f374e7d37590b76d79b1a4a125cf3657fb"),
+    ("sweep h --k-grid 6.7:60:8", "29c5cee180439db2992af3d6709d6b8d5fce210c6ec3ebce6921c869d9232a71"),
+    ("sweep m_plus --k-grid 0.2:3.8:9", "e99d85e5c3559e70c878433d0981970e7442aa27d0c252a957f67d4d3c5001cd"),
+    ("sweep m_plus --k-grid 4.3:6.3:7", "47d546ef64faa2c8dc5832e5db85870f7ab338dd173c493a67793bbfc47a75bf"),
+    ("sweep m_plus --k-grid 6.7:60:8", "29c5cee180439db2992af3d6709d6b8d5fce210c6ec3ebce6921c869d9232a71"),
+    ("sweep m_minus --k-grid 0.2:3.8:9", "5850ed887ee785cd554c0e5fa9738572a9565a9101c3ef33957bdd968eaecde8"),
+    ("sweep m_minus --k-grid 4.3:6.3:7", "ff1267365d50101d00aa09b1de7422e9845921296501872754a2c6ed3bb3acdb"),
+    ("sweep m_minus --k-grid 6.7:60:8", "c62d828c1593d872ae2c21234f7b8ae01cfe4bed022b6793b0a368b3b8c1c49f"),
     ("sweep dfdk --k-grid 4.3:6.3:7", "76167332c946b531e71b2e9ceb57304452295944b285f0ed3405a7c3f62243bf"),
     ("sweep dfdk --k-grid 6.7:60:8", "6f16e72881f15076fed466b56d2a66cb02e60eb3db3622d53d93d82dca49f96f"),
     ("sweep dhdk --k-grid 4.3:6.3:7", "ff28bd4312084b40bd23f949aafe5958e9993ec5fbc7487db64a0d23717816cc"),
@@ -101,13 +101,13 @@ DIGESTS = [
     ("verify thm-main", "7616a5eeaf1c9ca25744dfb296c6b64375c83c4764a25f31a39bed1dab4f55f5"),
     ("table", "7dfdbd6ef16c5d2d1b34e17be78300788e065f980736c89e8123569c71628fe4"),
     ("table --format csv", "1b1e82820b4666553a665d05339f3deb63473c23924710dbe06423ce509d509b"),
-    ("sweep f --k-grid 0.2:3.8:9 --format csv", "2817afa5a6260b3145458edbaa8494605694994d231fd0a9ae389fbd1a9f99f4"),
-    ("sweep f --k-grid 0.2:3.8:9 --format json", "9565af03150ea98f4f1e709e368850a24abd05460ec0470c0460ca262ce5de60"),
+    ("sweep f --k-grid 0.2:3.8:9 --format csv", "a596c125883ce73cd7235aa237af36e1a433ddbc7a735180302e945de297f5e6"),
+    ("sweep f --k-grid 0.2:3.8:9 --format json", "f3a9c8b79e0e473cef3ad6c3f7c24ebf7cf3a6c47c23c02011e6677c6b15e7b6"),
     ("mahler --k 1.8291 --with-2d --format json", "b2b7c64cec819ba19744e01f04efae1c50f6e3f585526ed00f5d8ed01e9fde20"),
     ("mahler --k 1.8291 --with-2d", "b016318fcec7ef941583c762e3e9abce780d925c38e5ecf035b611d0e70153d5"),
     ("mahler --k 1.8291 --with-2d --format csv", "7d46a60f82bc7d8c7b9ffdc38dcf2991be70a5eb33030c19afd960ef71013d20"),
     ("lvalue --k 8 --dump-an an.txt", "c02894d303904d2af5cbcb851dad3817f5d35a14425249a81b4b971a5e86823a"),
-    ("sweep h --k-grid 6.7:60:8 --jobs 2", "4e550643c7a532cabc9337233110682fbc5e9ab988bc8f558acc794f7e4100e3"),
+    ("sweep h --k-grid 6.7:60:8 --jobs 2", "29c5cee180439db2992af3d6709d6b8d5fce210c6ec3ebce6921c869d9232a71"),
     # the candidate files below: the README's cubic, the benchmark's two file
     # candidates at interior anchors, and an exponent in x refused
     ("verify appendix --candidate-file cubic.json --format json", "4f967ee0e6b382800e8aef80c2f91af18f54350e72e60b1075568aa69c0abdc7"),
