@@ -71,6 +71,8 @@ DIGESTS = [
     ("ell --kind Pi --n 1 --z 0.5 --format json", "04c266f79df028fc64b79b4d1ee2a5959f2fd91cde78c5de72a7a67260b64c3f"),
     ("sweep dfdk --k-grid 3:5:3", "ceb073bbcc9dc81d5d43045a80aa944c4917f52788d30da42dce77ac53b709fe"),
     ("sweep dhdk --k-grid 3:5:3", "89b531246db046a8c3b3bebd5f24054552a8558992328597cb4a88bbca695756"),
+    # an integrated quantity at the 1e-13 floor
+    ("sweep m_plus --k-grid 0.2:3.8:9 --tol 1e-13", "25abd69463ad7675f2bcf0d10a1247f49631af3e06625c08c6a89c5ed743c810"),
     ("ell --kind E --z 1.5", "e5c9ebab52d2349aef0ef9731023c63efafe8352f36694ef128269dff97a8519"),
     ("ell --kind K --z 1", "97e72af6dc160c91f0d914b44728ddaec5f03dcdb613442a94f0bec4744ea58e"),
     ("ell --kind Pi-imag --n 2 --m 0.5", "4bd66c3b24938a7b6420c5f486d3e2355a40b35368e726c3c4af9a1dca8592aa"),
