@@ -310,7 +310,9 @@ def ell_k(z: float) -> float:
 
 
 def ell_e(z: float) -> float:
-    """E(z) with modulus z in [0, 1]."""
+    """E(z) with modulus z in [0, 1], as (zc/3) (R_D(0, zc, 1) + R_D(0, 1, zc))
+    with zc = 1 - z^2 (DLMF 19.25.1): a sum of positive terms, where
+    R_F(0, zc, 1) - (z^2/3) R_D(0, zc, 1) cancels as z -> 1."""
     _check_finite("ell_e", z)
     if z < 0.0:
         raise DomainError(f"ell_e: modulus must be >= 0, got {z}")
@@ -319,7 +321,7 @@ def ell_e(z: float) -> float:
     if z == 1.0:
         return 1.0
     zc = (1.0 - z) * (1.0 + z)
-    return carlson_rf(0.0, zc, 1.0) - (z * z / 3.0) * carlson_rd(0.0, zc, 1.0)
+    return (zc / 3.0) * (carlson_rd(0.0, zc, 1.0) + carlson_rd(0.0, 1.0, zc))
 
 
 def ell_pi(n: float, z: float) -> float:

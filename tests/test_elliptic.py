@@ -221,6 +221,17 @@ class TestLegendreForms:
             for z in (0.1, 0.5, 0.9):
                 assert abs(ell_pi(n, z) - pi_defining(n, z)) <= 1e-12
 
+    def test_e_within_four_ulps_of_mpmath_up_to_z_near_1(self):
+        # the demo's Legendre-grid moduli and their complements, z -> 1 down
+        # to 1 - 2^-52, and 0: the sum form has no cancellation as z -> 1
+        mpmath = pytest.importorskip("mpmath")
+        zs = [i / 100.0 for i in range(1, 100)] + [math.sqrt(1.0 - (i / 100.0) ** 2) for i in range(1, 100)]
+        zs += [1.0 - 2.0 ** -j for j in (6, 11, 16, 21, 26, 31, 36, 41, 46, 52)] + [0.0]
+        with mpmath.workdps(40):
+            for z in zs:
+                ref = mpmath.ellipe(mpmath.mpf(z) ** 2)
+                assert abs(mpmath.mpf(ell_e(z)) - ref) <= 4 * math.ulp(float(ref)), z
+
     def test_legendre_relation_grid(self):
         for i in range(1, 100):
             z = i / 100.0
