@@ -59,7 +59,7 @@ DIGESTS = [
     ("sweep dhdk --k-grid 6.7:60:8", "55a8ad15c3574e6c9d70c1f7b6219a0976b7af51678696eba97154e51c613599"),
     ("lvalue --k 8 --format json", "8ae3641db4330edfb2c4a8be8632f50027f8ea795d876f37f8deb5b3edc91b80"),
     ("ell --kind K --z 0.5 --format json", "34974251468b6bea8895d368565b54d46a9300ff802a84695a0df24e0ff39c7f"),
-    ("ell --kind E --z 0.5 --format json", "f435c003001fc885cb3cea44016d0d2d231b50adee22fb272bd614daad7117bb"),
+    ("ell --kind E --z 0.5 --format json", "ea87c06a8f380a8710f484bf345f6998d84499489c8efe96833dcd4826f2ede3"),
     ("ell --kind Pi --n -0.5 --z 0.5 --format json", "94fe7958e8103e43f974b12d2a6188f899e1110d50f2432329f456e70d69f266"),
     ("ell --kind K-imag --m 1.3 --format json", "39d15302502cdc2add25e1b3376ef814eca846662be552df7185e71a8ce7be55"),
     ("ell --kind Pi-imag --n -0.5 --m 1.3 --format json", "e6d78b7d284591596e6165c37a2555c651a54a04b87389a6f67152a06b5bb844"),
