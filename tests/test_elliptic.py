@@ -319,14 +319,14 @@ def _rj_quad(draw):
     return x, y, z, draw(st.one_of(_mag, st.just(low)))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.lists(_rf_triple, min_size=1, max_size=12))
 def test_rf_array_equals_scalar_bitwise(triples):
     x, y, z = (np.array(v) for v in zip(*triples))
     assert _bits(elliptic._rf_array(x, y, z)) == _bits(R.carlson_rf(*t) for t in triples)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.lists(_rj_quad(), min_size=1, max_size=12))
 def test_rj_array_equals_scalar_bitwise(quads):
     x, y, z, p = (np.array(v) for v in zip(*quads))
@@ -364,7 +364,7 @@ _outside = st.sampled_from(
 )
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(st.lists(st.one_of(st.tuples(_n, _z), _outside), min_size=1, max_size=12), _n)
 def test_pi_plus_rk_array_equals_scalar_bitwise(pairs, r):
     n, z = (np.array(v) for v in zip(*pairs))
@@ -412,7 +412,7 @@ _ENTRY_DRAWS = {
 def test_entry_points_give_the_reference_bits(name):
     # each scalar entry point is a one-element call of the kernels: the
     # scalar loops' bits, or their error's type and message
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(_ENTRY_DRAWS[name])
     def check(args):
         assert _outcome(getattr(elliptic, name), args) == _outcome(getattr(R, name), args)
@@ -470,7 +470,7 @@ _wide_up = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.one_of(
     _with_a_zero(_wide_up),
     _wide_up.map(lambda v: (v, v, v)),
@@ -481,7 +481,7 @@ def test_rf_against_mpmath(args):
         assert _rel_err(carlson_rf(*args), mpmath.elliprf(*args)) <= 1e-14
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.one_of(
     st.tuples(_with_a_zero(_wide_up, 2), _wide_up).map(lambda t: (*t[0], t[1])),
     _wide_up.map(lambda v: (v, v, v)),
@@ -505,7 +505,7 @@ _rc_ratio = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.one_of(
     st.tuples(st.one_of(st.just(0.0), _wide), _wide),
     _wide.map(lambda v: (v, v)),
@@ -527,7 +527,7 @@ def test_rc_just_below_the_diagonal_against_mpmath(delta):
         assert _rel_err(carlson_rc(1.0, 1.0 - delta), mpmath.elliprc(1.0, 1.0 - delta)) <= 1e-14
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.one_of(
     _rj_quad(),
     st.just((412665.3810905248, 9112.09532768465, 0.07307015104767212, 0.07305435888602277)),
@@ -601,7 +601,7 @@ def test_carlson_log_uniform_within_bound_or_domain_error(form):
     fn, name, draws, bound = _ORACLE[form]
 
     # mpmath's R_J and R_D at hundreds of digits dominate the cost
-    @settings(max_examples={"rj": 10, "rd": 15}.get(form, 40), deadline=None)
+    @settings(max_examples={"rj": 10, "rd": 15}.get(form, 40))
     @given(draws)
     def check(args):
         try:
@@ -733,7 +733,7 @@ def test_arguments_inside_the_window_keep_their_bits():
 _wide_rj = st.one_of(st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e), st.just(5e-324))
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(st.lists(st.one_of(st.tuples(_with_a_zero(_wide_rj), _wide_rj).map(lambda t: (*t[0], t[1])),
                           st.tuples(_with_a_zero(_wide_rj, 2), _wide_rj).map(
                               lambda t: (*t[0], t[1], t[1]))),
@@ -781,7 +781,7 @@ def test_rd_refuses_like_its_own_loop_and_agrees_within_a_few_ulps():
     assert 0 < refused < len(_rd_draws())
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.tuples(_with_a_zero(_any_mag, 2), _any_mag).map(lambda t: (*t[0], t[1])))
 def test_rd_is_rj_at_p_equal_z_bitwise(args):
     rd, rj = _outcome(carlson_rd, args), _outcome(carlson_rj, (*args, args[2]))
@@ -796,7 +796,7 @@ _far_n = st.tuples(st.floats(0.0, 300.0), st.floats(1.0, 10.0)).map(
     lambda t: -t[1] * 10.0 ** t[0]).filter(lambda n: n < -1.0)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(_far_n, _z)
 def test_pi_below_minus_one_against_mpmath(n, z):
     mpmath = pytest.importorskip("mpmath")
@@ -819,7 +819,7 @@ def test_pi_at_and_above_minus_one_keeps_its_formula():
         assert ell_pi(n, 0.5) == carlson_rf(0.0, zc, 1.0) + (n / 3.0) * carlson_rj(0.0, zc, 1.0, 1.0 - n)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)),
        st.floats(0.0, 280.0))
 def test_pi_imag_below_minus_one_against_mpmath(m, e):

@@ -207,7 +207,7 @@ _POINTS = [0.3, 2.0, -0.7, 0.0, 1e-3, Jet2.seed(0.3), Jet2.seed(np.array([0.3, 2
 
 
 @given(_TREES, st.data())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_parse_matches_the_grammar_tree(tree, data):
     toks = _tokens(tree)
     spaces = data.draw(st.lists(st.sampled_from(["", " ", "\t", "\n", "  "]),

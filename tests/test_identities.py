@@ -554,7 +554,7 @@ _EXPRESSIONS = st.one_of(
 # the array pass raises on the constant division by 0; at each point the
 # root of a negative value comes first
 @example("-x", "sqrt ( - x ) / .0", 0.05)
-@settings(max_examples=250, deadline=None)
+@settings(max_examples=250)
 def test_parsed_candidate_verifies_like_the_reference(p, q, x0):
     try:
         cand = _parsed("fuzz", p, q, x0)

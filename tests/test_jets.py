@@ -56,7 +56,7 @@ def test_square_second_derivative_exact():
     st.floats(-3, 3),
     st.floats(0.1, 2.0),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_product_and_quotient_rules(a, b, c, x):
     u = lambda t: a * t * t + b * t + c
     v = lambda t: t * t + 0.5  # never zero
@@ -70,7 +70,7 @@ def test_product_and_quotient_rules(a, b, c, x):
 
 
 @given(st.floats(0.01, 10.0))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_sqrt_squares_back(x):
     s = sqrt(Jet2.seed(x))
     back = s * s
@@ -190,7 +190,7 @@ def _same(a, b):
 @pytest.mark.parametrize("label,fn", ARRAY_CASES, ids=[c[0] for c in ARRAY_CASES])
 # the draws reach below ~1e-200, where Python's pow overflows in x^(1/2 - 2)
 @given(st.lists(st.floats(-12.0, 3.0), max_size=12))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_array_jet_equals_scalar_jets(label, fn, drawn):
     xs = SPECIAL_X + drawn
     with np.errstate(all="ignore"):

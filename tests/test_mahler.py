@@ -347,13 +347,13 @@ def _hm_bits(hm):
 
 
 @given(FACTORIZATIONS, st.floats(1e-13, 1e-6))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_half_measures_equal_scalar_reference_bitwise(fac, tol):
     assert _hm_bits(M.half_measures(fac, tol)) == _hm_bits(R.half_measures(fac, tol))
 
 
 @given(st.lists(FACTORIZATIONS, min_size=1, max_size=6), st.floats(1e-12, 1e-6))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_lockstep_half_measures_equal_scalar_bitwise(facs, tol):
     jobs = [(fac, t) for fac in facs for t in (tol, 0.1 * tol)]
     got = M.half_measures_lockstep(*zip(*jobs))

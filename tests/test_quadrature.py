@@ -235,7 +235,7 @@ def test_oracle_equals_scalar_reference_bitwise(name, a, b, tol):
     st.floats(-2.0, 2.0),
     st.floats(1e-13, 1e-5),
 )
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 def test_oracle_equals_scalar_reference_on_random_intervals(name, a, b, tol):
     _assert_oracle_is_reference(ORACLE_INTEGRANDS[name], a, b, tol)
 
@@ -344,7 +344,7 @@ def _outcome(fn):
 
 
 @given(st.lists(_summand, max_size=40))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_running_fsums_equal_prefix_fsums(values):
     assert _outcome(lambda: Q._running_fsums(values)) == _outcome(
         lambda: [math.fsum(values[:n]) for n in range(1, len(values) + 1)])
