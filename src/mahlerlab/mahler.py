@@ -45,7 +45,7 @@ class HalfMeasures:
 
     m_plus: float
     m_minus: float
-    est: float = field(default=0.0, compare=False)
+    est: float = field(compare=False)
 
     @property
     def m_total(self) -> float:
