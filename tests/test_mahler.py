@@ -372,7 +372,7 @@ def test_lockstep_pieces_equal_scalar_bitwise():
     assert [_hm_bits(hm) for hm in got] == [_hm_bits(hm) for hm in want]
 
 
-def test_lockstep_tol_per_factorization():
+def test_lockstep_ladder_per_factorization():
     # each factorization has its own tol, as the table's measures do
     facs = [M.factor_p1k(1.0), M.factor_ptilde(8.0), M.factor_pac_small(2.0), M.factor_ptilde(5.0)]
     tols = [1e-9, 1e-10, 1e-12, 1e-13]
