@@ -55,7 +55,7 @@ from .mahler import (
 THM_MAIN_K_FLOOR = 4.2
 #: most points a --k-grid may ask for
 MAX_GRID_POINTS = 10_000
-#: largest --nmax: the a_n table costs ~6 s at 10 000 and ~100 s at 40 000
+#: largest --nmax: the a_n table costs ~2 s at 10 000 and ~20 s at 40 000
 MAX_NMAX = 10_000
 
 _ABOVE_4 = (lambda k: k <= 4.0, "not above 4 (requires k > 4)")
@@ -412,12 +412,15 @@ def cmd_table(args) -> Report:
             facs.append(factor_ptilde(math.sqrt(k2)))
             tols.append(1e-10)
     measures = iter(half_measures_lockstep(facs, tols))
+    # the rows share seven conductors, and a split weight depends only on the
+    # conductor, the split point and n: one memo for the run computes each once
+    weight_memo = {}
     for k2 in sorted(TABLE1):
         k = math.sqrt(k2)
         N, r = TABLE1[k2]
         label = K_LABELS[k2]
         m = next(measures).m_total
-        _, data = lvalue_from_k(k, n_max=args.nmax)
+        _, data = lvalue_from_k(k, n_max=args.nmax, weight_memo=weight_memo)
         rl = float(r) * data.Lprime0
         rel = abs(m - rl) / abs(rl)
         digits = math.floor(-math.log10(rel)) if rel > 0 else 16

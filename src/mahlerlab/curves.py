@@ -159,7 +159,12 @@ def _char_sum(a2: int, a4: int, a6: int, p: int) -> int:
     """-sum_x (x^3 + a2 x^2 + a4 x + a6 | p): a_p at an odd prime of good
     reduction of the model."""
     a2, a4, a6 = a2 % p, a4 % p, a6 % p
-    return -sum(legendre_symbol(((x + a2) * x + a4) * x + a6, p) for x in range(p))
+    # (r|p) for every residue r, from one pass over the squares
+    chi = [-1] * p
+    chi[0] = 0
+    for y in range(1, (p + 1) // 2):
+        chi[y * y % p] = 1
+    return -sum([chi[(((x + a2) * x + a4) * x + a6) % p] for x in range(p)])
 
 
 def _node_sign(a2: int, a4: int, a6: int, p: int) -> int:

@@ -13,7 +13,9 @@ half-sums disagree at the 1e-4 level while the true data agree to 1e-10, so
 the sign (and any coefficient local analysis could not fix) is *detected*,
 never assumed.  L'(E, 0) = eps N/(4 pi^2) L(E, 2) then follows from the
 Gamma-factor pole at s = 0.  The search's winning sums give L(E, 2), its
-tail bound and its certificate, so each call builds its weights once.
+tail bound and its certificate.  The sums skip a_n = 0, so the weights are
+computed only where some candidate table has a_n != 0, once per call, or
+once per command for a caller that passes one weight memo to every call.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ _DEFAULT_PROBE = _SPLIT_PROBES.index(1.0)
 #: the search's winner spreads at most SPREAD_ACCEPT, its runner-up at least _SPREAD_REJECT
 SPREAD_ACCEPT = 1e-10
 _SPREAD_REJECT = 1e-6
+#: terms past n_max, at the default probe, that bound the tail
+_TAIL_TERMS = 60
+#: the continued fraction's partial numerators -k^2, k = 1..119, as floats
+_NEG_SQUARES = tuple(-float(k * k) for k in range(1, 120))
 
 
 def exp_integral_e1(x: float) -> float:
@@ -67,14 +73,13 @@ def exp_integral_e1(x: float) -> float:
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for k in range(1, 120):
-        a = -k * k
+    for a in _NEG_SQUARES:
         b += 2.0
         d = 1.0 / (a * d + b)
         c = b + a / c
         delta = c * d
         h *= delta
-        if abs(delta - 1.0) < 1e-16:
+        if -1e-16 < delta - 1.0 < 1e-16:
             break
     return h * math.exp(-x)
 
@@ -116,17 +121,21 @@ def default_n_max(N: int) -> int:
     return math.ceil(18.0 * math.sqrt(N) / (2.0 * math.pi)) + 50
 
 
-def _split_weights(N: int, A: float, n_max: int) -> tuple[list[float], list[float]]:
-    """w_dir[n] = e^{-2 pi n A}(1 + 2 pi n A)/n^2 and w_fold[n] = E1(2 pi n/(N A))
-    for n <= n_max (index 0 is 0.0).  They depend on (N, A) only, so one pair
-    scores every coefficient table and both signs at that split point."""
-    w_dir = [0.0]
-    w_fold = [0.0]
-    for n in range(1, n_max + 1):
-        x1 = 2.0 * math.pi * n * A
-        w_dir.append(math.exp(-x1) * (1.0 + x1) / (n * n))
-        w_fold.append(exp_integral_e1(2.0 * math.pi * n / (N * A)))
-    return w_dir, w_fold
+def _split_weights(N: int, c: float, ns, memo: dict) -> dict[int, tuple[float, float]]:
+    """n -> (w_dir, w_fold) for the split point A = c/sqrt(N), computed at each
+    n in ns: w_dir = e^{-2 pi n A}(1 + 2 pi n A)/n^2, w_fold = E1(2 pi n/(N A)).
+    They depend on (N, c, n) only, so memo[N, c] keeps them for every
+    coefficient table, both signs and every curve of conductor N."""
+    A = c / math.sqrt(N)
+    weights = memo.setdefault((N, c), {})
+    for n in ns:
+        if n not in weights:
+            x1 = 2.0 * math.pi * n * A
+            weights[n] = (
+                math.exp(-x1) * (1.0 + x1) / (n * n),
+                exp_integral_e1(2.0 * math.pi * n / (N * A)),
+            )
+    return weights
 
 
 def _split_sums(an, weights, N: int) -> tuple[float, float]:
@@ -134,23 +143,24 @@ def _split_sums(an, weights, N: int) -> tuple[float, float]:
 
     A plain loop in index order: built-in sum() compensates on Python >= 3.12
     and would change the printed digits."""
-    w_dir, w_fold = weights
     direct = 0.0
     folded = 0.0
-    for a, wd, wf in zip(an, w_dir, w_fold):
+    for n, a in enumerate(an):
         if a:
+            wd, wf = weights[n]
             direct += a * wd
             folded += a * wf
     return direct, 4.0 * math.pi**2 / N * folded
 
 
 def _tail_bound(weights, n_max: int, N: int) -> float:
-    # |a_n| <= n^{3/2} crudely dominates sigma_0(n) sqrt(n); the 60 extra terms
-    # of the slower-decaying folded sum bound the rest by the decay ratio
-    w_dir, w_fold = weights
+    # |a_n| <= n^{3/2} crudely dominates sigma_0(n) sqrt(n); the _TAIL_TERMS
+    # extra terms of the slower-decaying folded sum bound the rest by the
+    # decay ratio
     total = 0.0
-    for n in range(n_max + 1, len(w_dir)):
-        total += n ** 1.5 * (w_dir[n] + (4.0 * math.pi**2 / N) * w_fold[n])
+    for n in range(n_max + 1, n_max + _TAIL_TERMS + 1):
+        wd, wf = weights[n]
+        total += n ** 1.5 * (wd + (4.0 * math.pi**2 / N) * wf)
     return 2.0 * total
 
 
@@ -159,9 +169,14 @@ def _spread(sums, eps: int) -> float:
     return max(abs(u - v) for u in vals for v in vals)
 
 
-def an_table(curve: CurveModel, n_max: int | None = None) -> LFunctionData:
+def an_table(
+    curve: CurveModel, n_max: int | None = None, weight_memo: dict | None = None
+) -> LFunctionData:
     """Full coefficient table with eps and any delicate a_p resolved by the
-    split-point-independence search, carrying the winner's sums."""
+    split-point-independence search, carrying the winner's sums.
+
+    weight_memo holds the split weights by (N, probe) and n; a caller that
+    passes one dict to many calls computes each weight once."""
     if n_max is None:
         n_max = default_n_max(curve.conductor_N)
     if n_max < 1:
@@ -178,20 +193,26 @@ def an_table(curve: CurveModel, n_max: int | None = None) -> LFunctionData:
             continue
         unresolved.append((p, [1, -1] if N % p == 0 else hasse_range(p)))
 
-    # a_n once per choice of the unresolved a_p, then both signs from the
-    # same sums; the stable sort keeps the first of equal spreads in
-    # (eps, choice) order.  The default probe runs 60 terms past n_max for
-    # the tail bound; the sums zip against an and stop at n_max.
-    rootN = math.sqrt(N)
-    weights = [_split_weights(N, c / rootN, n_max + 60 * (c == 1.0)) for c in _SPLIT_PROBES]
+    # a_n once per choice of the unresolved a_p; the sums skip a_n = 0, so
+    # weights are needed only where some table has a_n != 0, plus the tail
+    # terms past n_max at the default probe
     tables = []
     for choice in itertools.product(*[c for _, c in unresolved]):
         trial_ap = dict(known)
         trial_ap.update({p: a for (p, _), a in zip(unresolved, choice)})
-        an = extend_multiplicatively(trial_ap, N, n_max)
-        tables.append((an, [_split_sums(an, w, N) for w in weights]))
+        tables.append(extend_multiplicatively(trial_ap, N, n_max))
+    support = [n for n, column in enumerate(zip(*tables)) if any(column)]
+    tail = range(n_max + 1, n_max + _TAIL_TERMS + 1)
+    weight_memo = {} if weight_memo is None else weight_memo
+    weights = [
+        _split_weights(N, c, [*support, *tail] if c == 1.0 else support, weight_memo)
+        for c in _SPLIT_PROBES
+    ]
+    # both signs from the same sums; the stable sort keeps the first of
+    # equal spreads in (eps, choice) order
+    scored = [(an, [_split_sums(an, w, N) for w in weights]) for an in tables]
     scores = sorted(
-        ((_spread(sums, eps), eps, an, sums) for eps in (1, -1) for an, sums in tables),
+        ((_spread(sums, eps), eps, an, sums) for eps in (1, -1) for an, sums in scored),
         key=lambda score: score[0],
     )
     (spread, eps, an, sums), runner = scores[0], scores[1][0]
@@ -211,12 +232,13 @@ def an_table(curve: CurveModel, n_max: int | None = None) -> LFunctionData:
 
 
 def lvalue_from_k(
-    k: float, n_max: int | None = None, tol: float = 1e-12
+    k: float, n_max: int | None = None, tol: float = 1e-12, weight_memo: dict | None = None
 ) -> tuple[CurveModel, LFunctionData]:
     """Curve and certified coefficient table for one k; the table's tail
-    bound must come in under tol or the caller is asked for a larger one."""
+    bound must come in under tol or the caller is asked for a larger one.
+    weight_memo is passed to `an_table`."""
     curve = curve_from_k(k)
-    data = an_table(curve, n_max)
+    data = an_table(curve, n_max, weight_memo)
     if data.tail_bound > tol:
         raise AccuracyError(
             f"lvalue: tail bound {data.tail_bound:g} exceeds tol {tol:g}; raise n_max",

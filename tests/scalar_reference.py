@@ -19,7 +19,12 @@ break-point search as a grid pass and 40 bisection steps, one eigenvalue
 call each, which the batched passes of `mahler._outer_break_points`
 replaced; the tests hold those passes to its breaks within 1e-12.
 `dhdk_integral_form` is d/dk of m+ - m- by direct quadrature, the route
-the closed form `mahler.dhdk` is checked against.
+the closed form `mahler.dhdk` is checked against.  `exp_integral_e1` is
+E1 with each continued-fraction numerator -k^2 formed as an integer and an
+`abs` stopping test, which the loop of `lseries` over precomputed floats
+must match bit for bit, and `_char_sum` is the character sum with one
+power-mod Legendre symbol per x, which the residue list of `curves`
+replaced.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import numpy as np
 
 from mahlerlab import identities as I
 from mahlerlab import mahler as M
+from mahlerlab.curves import legendre_symbol
 from mahlerlab.elliptic import (
     _EPS,
     _NORMAL,
@@ -50,6 +56,7 @@ from mahlerlab.elliptic import (
     _scale_exponent,
 )
 from mahlerlab.errors import AccuracyError, DivergenceError, DomainError, SingularPointError
+from mahlerlab.lseries import _EULER_GAMMA
 from mahlerlab.quadrature import _HALF_PI, _MAX_LEVEL, _T_MAX, quadrature_oracle
 
 # _LEVEL_NODES[0] holds the nodes at t = k (k >= 1); _LEVEL_NODES[L] for L >= 1
@@ -493,3 +500,49 @@ def bisection_break_points(coeffs_at: Callable, hx: float) -> list[float]:
         lo = np.where(left, lo, mid)
         r_lo = np.where(left[:, None], r_lo, r_mid)
     return (0.5 * (lo + hi)).tolist()
+
+
+# ----------------------------------------------------------------------------
+# L-series kernels: E1 and the character sum
+
+
+def exp_integral_e1(x: float) -> float:
+    """E1(x) = int_x^inf e^{-t}/t dt for x > 0, abs error <= 1e-15.
+
+    Power series below x = 1, modified-Lentz continued fraction above.
+    """
+    if x <= 0.0:
+        raise DomainError(f"exp_integral_e1: requires x > 0, got {x}")
+    if x < 1.0:
+        total = -_EULER_GAMMA - math.log(x)
+        term = 1.0
+        for k in range(1, 40):
+            term *= -x / k
+            delta = -term / k
+            total += delta
+            if abs(delta) < 1e-18 * max(1.0, abs(total)):
+                break
+        return total
+    # E1(x) = e^{-x} / (x + 1 - 1/(x + 3 - 4/(x + 5 - 9/(...))))
+    tiny = 1e-300
+    b = x + 1.0
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for k in range(1, 120):
+        a = -k * k
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            break
+    return h * math.exp(-x)
+
+
+def _char_sum(a2: int, a4: int, a6: int, p: int) -> int:
+    """-sum_x (x^3 + a2 x^2 + a4 x + a6 | p): a_p at an odd prime of good
+    reduction of the model."""
+    a2, a4, a6 = a2 % p, a4 % p, a6 % p
+    return -sum(legendre_symbol(((x + a2) * x + a4) * x + a6, p) for x in range(p))

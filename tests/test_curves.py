@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+import scalar_reference as R
 
 from mahlerlab import curves as C
 from mahlerlab.errors import UnsupportedCurveError
@@ -166,6 +167,17 @@ class TestRoutes:
                 assert ap == p + 1 - _points(*model, p), (c.a2, c.a4, p, route)
                 checked.add(route)
         assert checked == {"char-sum", "node", "reduced-node", "reduced-count"}
+
+
+@pytest.mark.parametrize("k2", sorted(C.TABLE1))
+def test_char_sum_equals_legendre_reference(k2):
+    # the residue list against one power-mod Legendre symbol per x, on the
+    # curve's model and on its short model y^2 = x^3 - 27 c4 x - 54 c6, at
+    # every odd prime below 2,000 (good reduction or not: it is only a sum)
+    c = C.curve_from_k(math.sqrt(k2))
+    for model in ((c.a2, c.a4, 0), (0, -27 * c.c4, -54 * c.c6)):
+        for p in C.primes_up_to(1999)[1:]:
+            assert C._char_sum(*model, p) == R._char_sum(*model, p), (k2, model, p)
 
 
 class TestMultiplicativity:

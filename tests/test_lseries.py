@@ -1,9 +1,14 @@
+import collections
 import contextlib
 import io
+import itertools
 import json
 import math
+import random
+import sys
 
 import pytest
+import scalar_reference as R
 
 from mahlerlab import cli
 from mahlerlab import curves as C
@@ -44,8 +49,51 @@ def _l2_split_reference(an, N, eps, A):
             continue
         x1 = 2.0 * math.pi * n * A
         direct += a / (n * n) * math.exp(-x1) * (1.0 + x1)
-        folded += a * L.exp_integral_e1(2.0 * math.pi * n / (N * A))
+        folded += a * R.exp_integral_e1(2.0 * math.pi * n / (N * A))
     return direct + eps * (4.0 * math.pi**2 / N) * folded
+
+
+def _tail_bound_reference(N, n_max):
+    """The tail bound as the per-term formula: 60 terms past n_max at the
+    default split point A = 1/sqrt(N), each weighted by n^{3/2}."""
+    A = 1.0 / math.sqrt(N)
+    total = 0.0
+    for n in range(n_max + 1, n_max + 61):
+        x1 = 2.0 * math.pi * n * A
+        w_dir = math.exp(-x1) * (1.0 + x1) / (n * n)
+        w_fold = R.exp_integral_e1(2.0 * math.pi * n / (N * A))
+        total += n ** 1.5 * (w_dir + (4.0 * math.pi**2 / N) * w_fold)
+    return 2.0 * total
+
+
+def _support(curve, n_max):
+    """The n <= n_max where some candidate table of the consistency search
+    has a_n != 0: every choice of the a_p that `ap_with_route` leaves open."""
+    N = curve.conductor_N
+    known, open_choices = {}, []
+    for p in C.primes_up_to(max(n_max, 3)):
+        value, _ = C.ap_with_route(curve, p)
+        if value is None:
+            values = [1, -1] if N % p == 0 else C.hasse_range(p)
+            open_choices.append([(p, a) for a in values])
+        else:
+            known[p] = value
+    support = set()
+    for choice in itertools.product(*open_choices):
+        an = C.extend_multiplicatively({**known, **dict(choice)}, N, n_max)
+        support.update(n for n, a in enumerate(an) if a)
+    return support
+
+
+def _weight_arguments(N, support, n_max):
+    """The E1 arguments of one weight per (split probe, n): n in the support
+    at each probe, and the 60 tail terms past n_max at the default probe."""
+    rootn = math.sqrt(N)
+    args = []
+    for c in (0.8, 1.0, 1.3):
+        ns = sorted(support) + list(range(n_max + 1, n_max + 61)) * (c == 1.0)
+        args += [2.0 * math.pi * n / (N * (c / rootn)) for n in ns]
+    return args
 
 
 def _count_e1(monkeypatch, argv):
@@ -81,6 +129,25 @@ class TestExpIntegral:
     def test_domain(self):
         with pytest.raises(DomainError):
             L.exp_integral_e1(0.0)
+
+    def test_equals_reference_bitwise(self, monkeypatch):
+        # 10,000 seeded points over both branches and the underflow of
+        # e^{-x}, within 1,000 ulps of the switch at 1, and every argument
+        # `table` uses; subnormals, 746, 1e308, inf and nan by name
+        rng = random.Random(30)
+        points = [rng.uniform(0.0, 1.0) for _ in range(2500)]
+        points += [rng.uniform(1.0, 800.0) for _ in range(2500)]
+        points += [10.0 ** rng.uniform(-323.5, 308.2) for _ in range(2500)]
+        points += [1.0 + j * 2.0**-52 if j > 0 else 1.0 + j * 2.0**-53
+                   for j in (rng.randint(-1000, 1000) for _ in range(2500))]
+        points += [5e-324, 1e-320, 2.2250738585072014e-308, 1.0 - 2.0**-53, 1.0,
+                   1.0 + 2.0**-52, 745.0, 746.0, 800.0, 1e308, sys.float_info.max,
+                   math.inf, math.nan]
+        points += _count_e1(monkeypatch, "table --format json")
+        for x in points:
+            if x <= 0.0:
+                continue
+            assert L.exp_integral_e1(x).hex() == R.exp_integral_e1(x).hex(), x
 
 
 class TestPipeline:
@@ -182,15 +249,52 @@ class TestPipeline:
             assert data.spread(eps) == spread
 
     def test_e1_weights_computed_once_per_split_point(self, monkeypatch):
-        # one lvalue op: n_max E1 weights at each of the three split points,
-        # and 60 more at A = 1/sqrt(N) for the tail bound
-        calls = _count_e1(monkeypatch, "lvalue --k 3 --format json")  # k^2 = 9: 20 candidates
-        assert len(calls) == 3 * L.default_n_max(C.curve_from_k(3.0).conductor_N) + 60
+        # one lvalue op: one E1 weight per split point at each n where some
+        # candidate table has a_n != 0, and 60 more at A = 1/sqrt(N) for the
+        # tail bound
+        curve = C.curve_from_k(3.0)  # k^2 = 9: 20 candidates
+        n_max = L.default_n_max(curve.conductor_N)
+        support = _support(curve, n_max)
+        calls = _count_e1(monkeypatch, "lvalue --k 3 --format json")
+        assert len(calls) == 3 * len(support) + 60  # 237: 59 of the 64 n
+        assert sorted(calls) == sorted(_weight_arguments(curve.conductor_N, support, n_max))
 
-    def test_table_e1_calls_are_the_rows_sum(self, monkeypatch):
+    def test_table_e1_calls_once_per_conductor(self, monkeypatch):
+        # the eleven rows have seven conductors: one weight per (N, probe, n)
+        # over the union of their rows' supports.  Where n/c agrees between
+        # probes (N = 15: n = 10 at 1.0, n = 13 at 1.3) the arguments can be
+        # the same double, 15 times here, so they are compared as multisets
+        support = collections.defaultdict(set)
+        for k2, (N, _) in C.TABLE1.items():
+            support[N] |= _support(C.curve_from_k(math.sqrt(k2)), L.default_n_max(N))
+        want = [x for N, ns in support.items() for x in _weight_arguments(N, ns, L.default_n_max(N))]
         calls = _count_e1(monkeypatch, "table --format json")
-        per_row = [3 * L.default_n_max(N) + 60 for N, _ in C.TABLE1.values()]
-        assert len(calls) == sum(per_row)  # 2,841 over the eleven rows
+        assert len(calls) == len(want) == 1086  # 2,841 when every row built its own
+        assert sorted(calls) == sorted(want)
+
+    def test_table_keeps_no_weights_between_runs(self, monkeypatch):
+        # the weight memo lives for one command, so a second run computes
+        # every weight again (the first list is copied: the second count's
+        # wrapper calls the first's, which goes on recording)
+        first = list(_count_e1(monkeypatch, "table --format json"))
+        second = _count_e1(monkeypatch, "table --format json")
+        assert second == first
+
+    @pytest.mark.parametrize("k2", sorted(C.TABLE1))
+    @pytest.mark.parametrize("n_max", [None, 2, 10])
+    def test_tail_bound_equals_per_term_formula(self, monkeypatch, k2, n_max):
+        # at n_max 2 and 10 the consistency search refuses every row, so its
+        # gates are opened to read the winner's tail bound
+        if n_max is not None:
+            monkeypatch.setattr(L, "SPREAD_ACCEPT", math.inf)
+            monkeypatch.setattr(L, "_SPREAD_REJECT", -math.inf)
+        curve = C.curve_from_k(math.sqrt(k2))
+        data = L.an_table(curve, n_max)
+        ref = _tail_bound_reference(curve.conductor_N, data.n_max)
+        assert data.tail_bound.hex() == ref.hex()
+        if n_max is not None:
+            with pytest.raises(AccuracyError, match=f"tail bound {ref:g} exceeds"):
+                L.lvalue_from_k(math.sqrt(k2), n_max)
 
     @pytest.mark.parametrize("k, n_max", [(8.0, None), (8.0, 2), (3.0, None)])
     def test_one_ap_with_route_call_per_prime(self, monkeypatch, k, n_max):
